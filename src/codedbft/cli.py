@@ -301,32 +301,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif q_values == [None]:
         raise ConfigurationError("alg2 sweeps need --q (single value or lo..hi)")
     n, t = args.n or 4, args.t if args.t is not None else 1
-    base_seed = args.seed or 0
-
-    cases = []
-    for q in q_values:
-        k = q if q is not None else n - t
-        l_bits = args.l_bits or 8 * k * 10  # ten single-unit generations
-        d_bits = args.d_bits or choose_d(l_bits, n, t, q)
-        for trial in range(args.trials):
-            seed = base_seed + trial
-            rng = random.Random(seed)
-            style = trial % 3
-            if style == 0:
-                inputs = random_inputs(rng, n, l_bits)
-            elif style == 1:
-                share = max(q or 0, n - t)
-                inputs = random_inputs(rng, n, l_bits, sharers=range(1, share + 1))
-            else:
-                inputs = tuple(
-                    rng.randbytes(l_bits // 8).hex() for _ in range(n)
-                )
-            config = ExecutionConfig(
-                algorithm=algorithm, n=n, t=t, q=q,
-                l_bits=l_bits, d_bits=d_bits, inputs=inputs, seed=seed,
-            )
-            cases.append((config, random_script(config, seed)))
-
+    cases = sweep_cases(
+        algorithm, n, t, q_values, args.trials, args.seed or 0,
+        args.l_bits, args.d_bits,
+    )
     report = sweep(cases, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -347,6 +325,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"replay files: {out_dir}/failure_*.json")
         return 1
     return 0
+
+
+def sweep_cases(
+    algorithm: str,
+    n: int,
+    t: int,
+    q_values: list[int | None],
+    trials: int,
+    base_seed: int,
+    l_bits: int | None = None,
+    d_bits: int | None = None,
+) -> list[tuple[ExecutionConfig, AdversaryScript]]:
+    """The cases `sweep` runs: per q, `trials` seeds from `base_seed` up.
+
+    Trials rotate three input styles (all identical, a shared prefix of
+    max(q, n - t) processors, all distinct), and each gets its own
+    `random_script` adversary. L defaults to ten single-unit generations.
+    """
+    cases = []
+    for q in q_values:
+        k = q if q is not None else n - t
+        q_l_bits = l_bits or 8 * k * 10
+        q_d_bits = d_bits or choose_d(q_l_bits, n, t, q)
+        for trial in range(trials):
+            seed = base_seed + trial
+            rng = random.Random(seed)
+            style = trial % 3
+            if style == 0:
+                inputs = random_inputs(rng, n, q_l_bits)
+            elif style == 1:
+                share = max(q or 0, n - t)
+                inputs = random_inputs(rng, n, q_l_bits, sharers=range(1, share + 1))
+            else:
+                inputs = tuple(
+                    rng.randbytes(q_l_bits // 8).hex() for _ in range(n)
+                )
+            config = ExecutionConfig(
+                algorithm=algorithm, n=n, t=t, q=q,
+                l_bits=q_l_bits, d_bits=q_d_bits, inputs=inputs, seed=seed,
+            )
+            cases.append((config, random_script(config, seed)))
+    return cases
 
 
 def cmd_acceptance(args: argparse.Namespace) -> int:

@@ -6,6 +6,13 @@ is the evaluation of the unique degree-below-k polynomial through the k
 data bytes at the field points 1..n.  Slots 1..k therefore carry the data
 verbatim and any k slots determine the rest (minimum distance n - k + 1).
 
+Evaluating at a point is a GF(2^8) linear combination of k source
+symbols with Lagrange weights. Each weight c scales a whole symbol in one
+`bytes.translate` call against the 256-byte row of products c*x, built
+on first use of c; the scaled symbols are then XOR-summed as integers.
+This is the table-lookup multiply of split-table GF(2^8) codecs (Plank,
+Greenan, Miller, FAST 2013) without SIMD.
+
 Erased slots are represented as None.  All functions are pure; vectors
 passed in are never mutated by the codec.
 """
@@ -145,16 +152,20 @@ def _lagrange_coeffs(xs: tuple[int, ...], target: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _mul_row(c: int) -> bytes:
+    """Products c*x for x = 0..255, a `bytes.translate` table scaling by c."""
+    return bytes(gf_mul(c, x) for x in range(256))
+
+
 def _eval_at(sources: Sequence[tuple[int, bytes]], target: int, sym_bytes: int) -> bytes:
     xs = tuple(pos for pos, _ in sources)
     coeffs = _lagrange_coeffs(xs, target)
-    out = bytearray(sym_bytes)
+    acc = 0
     for c, (_, sym) in zip(coeffs, sources):
-        if c == 0:
-            continue
-        for lane in range(sym_bytes):
-            out[lane] ^= gf_mul(c, sym[lane])
-    return bytes(out)
+        if c:
+            acc ^= int.from_bytes(sym.translate(_mul_row(c)), "little")
+    return acc.to_bytes(sym_bytes, "little")
 
 
 def encode(params: CodeParams, data: bytes) -> SymbolVector:

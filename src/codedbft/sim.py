@@ -78,6 +78,8 @@ class ExecutionConfig:
     seed: int = 0
     broadcast_coefficient: int = 1
     stop_when_no_match_set: bool = False
+    # each input decoded once and zero-padded, for slicing blocks every generation
+    _padded_inputs: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.algorithm not in (ALG1, ALG2):
@@ -101,6 +103,7 @@ class ExecutionConfig:
         if len(self.inputs) != self.n:
             raise ConfigurationError(f"need {self.n} inputs, got {len(self.inputs)}")
         want = self.l_bits // 8
+        padded = []
         for i, value in enumerate(self.inputs, start=1):
             try:
                 raw = bytes.fromhex(value)
@@ -110,6 +113,8 @@ class ExecutionConfig:
                 raise ConfigurationError(
                     f"input {i} must be exactly {want} bytes of hex"
                 )
+            padded.append(raw.ljust(self.padded_bytes, b"\x00"))
+        object.__setattr__(self, "_padded_inputs", tuple(padded))
         if self.broadcast_coefficient < 1:
             raise ConfigurationError("broadcast coefficient must be >= 1")
 
@@ -134,11 +139,11 @@ class ExecutionConfig:
         return self.generations * self.block_bytes
 
     def padded_input(self, i: int) -> bytes:
-        return bytes.fromhex(self.inputs[i - 1]).ljust(self.padded_bytes, b"\x00")
+        return self._padded_inputs[i - 1]
 
     def input_block(self, i: int, g: int) -> bytes:
         size = self.block_bytes
-        return self.padded_input(i)[(g - 1) * size : g * size]
+        return self._padded_inputs[i - 1][(g - 1) * size : g * size]
 
     def code_params(self) -> CodeParams:
         return CodeParams(self.n, self.k, self.sym_bytes)
@@ -379,6 +384,10 @@ class CostLedger:
 # ------------------------------------------------------------ transcript
 
 
+# one stateless encoder for every event; json.dumps would build one per call
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class Transcript:
     """Ordered event log with a canonical byte serialization."""
 
@@ -391,10 +400,8 @@ class Transcript:
         self.events.append(event)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-            for e in self.events
-        )
+        encode = _JSONL_ENCODER.encode
+        return "".join(encode(e) + "\n" for e in self.events)
 
     def of_type(self, event_type: str) -> list[dict]:
         return [e for e in self.events if e["type"] == event_type]
@@ -908,11 +915,12 @@ class Execution:
                 self._violate(f"processor {p} terminated without a full output")
         if len(set(outputs.values())) > 1:
             self._violate("final fault-free outputs differ")
-        fault_free_inputs = {bytes.fromhex(cfg.inputs[p - 1]) for p in self.fault_free}
+        size = cfg.l_bits // 8
+        fault_free_inputs = {cfg.padded_input(p)[:size] for p in self.fault_free}
         if cfg.algorithm == ALG1 and len(fault_free_inputs) == 1:
             expected = next(iter(fault_free_inputs))
             for v in outputs.values():
-                if v[: cfg.l_bits // 8] != expected:
+                if v[:size] != expected:
                     self._violate("identical fault-free inputs were not decided")
                     break
         for p in self.fault_free:

@@ -60,19 +60,25 @@ def poly_eval(p: list[int], x: int) -> int:
     return acc
 
 
+def lagrange_basis(xs: list[int], i: int) -> list[int]:
+    """Coefficients of the polynomial that is 1 at xs[i] and 0 at the other xs."""
+    basis = [1]
+    denom = 1
+    for j, xj in enumerate(xs):
+        if i == j:
+            continue
+        # (x - xj) == (x + xj): characteristic 2
+        basis = poly_mul(basis, [xj, 1])
+        denom = mul(denom, xs[i] ^ xj)
+    return poly_scale(basis, inv(denom))
+
+
 def lagrange_poly(points: list[tuple[int, int]]) -> list[int]:
     """Coefficients (ascending powers) of the interpolant through points."""
+    xs = [x for x, _ in points]
     poly = [0]
-    for i, (xi, yi) in enumerate(points):
-        basis = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            # (x - xj) == (x + xj): characteristic 2
-            basis = poly_mul(basis, [xj, 1])
-            denom = mul(denom, xi ^ xj)
-        poly = poly_add(poly, poly_scale(basis, mul(yi, inv(denom))))
+    for i, (_, yi) in enumerate(points):
+        poly = poly_add(poly, poly_scale(lagrange_basis(xs, i), yi))
     return poly
 
 
@@ -81,3 +87,13 @@ def codeword(n: int, k: int, data: list[int]) -> list[int]:
     points = list(zip(range(1, k + 1), data))
     poly = lagrange_poly(points)
     return [poly_eval(poly, x) for x in range(1, n + 1)]
+
+
+def generator_matrix(n: int, k: int) -> list[list[int]]:
+    """Row i: evaluations at 1..n of the codeword whose data is 1 at slot i+1.
+
+    Any codeword is the XOR of these rows scaled by its k data symbols.
+    """
+    xs = list(range(1, k + 1))
+    bases = [lagrange_basis(xs, i) for i in range(k)]
+    return [[poly_eval(basis, x) for x in range(1, n + 1)] for basis in bases]

@@ -6,7 +6,9 @@ minimum-distance check. Derived expectations come from gf_oracle
 frozen inline so a simultaneous bug in both sides would still trip.
 """
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from codedbft.rs import (
     NotACodewordError,
     ParameterError,
     SymbolVector,
+    _mul_row,
     decode,
     encode,
     format_test_vector,
@@ -30,14 +33,56 @@ from codedbft.rs import (
 )
 
 
-def oracle_vector(n: int, k: int, data: bytes, sym_bytes: int = 1) -> SymbolVector:
-    """Codeword built lane by lane with the reference interpolator."""
-    lanes = []
-    for lane in range(sym_bytes):
-        symbols = [data[i * sym_bytes + lane] for i in range(k)]
-        lanes.append(oracle.codeword(n, k, symbols))
-    slots = [bytes(lanes[lane][pos] for lane in range(sym_bytes)) for pos in range(n)]
-    return SymbolVector(n, sym_bytes, slots)
+MAX_N = 20
+SYM_SIZES = (1, 7, 64, 4096)
+
+
+@functools.cache
+def oracle_row(c: int) -> bytes:
+    """Products c*x for x = 0..255 by shift-and-xor."""
+    return bytes(oracle.mul(c, x) for x in range(256))
+
+
+@functools.cache
+def oracle_generator(k: int) -> list[list[int]]:
+    return oracle.generator_matrix(MAX_N, k)
+
+
+def oracle_vector(params: CodeParams, data: bytes) -> SymbolVector:
+    """Codeword of `data` as the sum of oracle generator rows, all lanes at once.
+
+    Each data symbol is scaled byte by byte through a row of oracle
+    products; whole symbols are XORed as big-endian integers.
+    """
+    n, k, s = params.n, params.k, params.sym_bytes
+    rows = oracle_generator(k)
+    symbols = [data[i * s : (i + 1) * s] for i in range(k)]
+    slots = []
+    for pos in range(n):
+        acc = 0
+        for row, sym in zip(rows, symbols):
+            scaled = bytes(map(oracle_row(row[pos]).__getitem__, sym))
+            acc ^= int.from_bytes(scaled, "big")
+        slots.append(acc.to_bytes(s, "big"))
+    return SymbolVector(n, s, slots)
+
+
+@st.composite
+def code_blocks(draw) -> tuple[CodeParams, bytes]:
+    """Code shape up to n=20 with 1..4096-byte symbols, and one data block.
+
+    The block comes from a drawn seed (a 4096-byte symbol is beyond
+    hypothesis's own buffer); bytes below a drawn threshold are zeroed,
+    so blocks range from no forced zeros to all zeros.
+    """
+    n = draw(st.integers(min_value=1, max_value=MAX_N))
+    k = draw(st.integers(min_value=1, max_value=n))
+    sym_bytes = draw(st.sampled_from(SYM_SIZES))
+    threshold = draw(st.sampled_from((0, 128, 256)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    zeroing = bytes(0 if x < threshold else x for x in range(256))
+    block = rng.randbytes(k * sym_bytes).translate(zeroing)
+    return CodeParams(n, k, sym_bytes), block
 
 
 # ---------------------------------------------------------------- params
@@ -102,23 +147,16 @@ def test_encode_rejects_wrong_block_length():
         encode(CodeParams(4, 3), b"\x00\x00")
 
 
-@settings(max_examples=60)
-@given(
-    st.integers(min_value=1, max_value=7),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=1, max_value=3),
-    st.data(),
-)
-def test_encode_matches_oracle(k, extra, sym_bytes, data):
-    n = min(k + extra, 7)
-    k = min(k, n)
-    block = bytes(
-        data.draw(st.integers(min_value=0, max_value=255))
-        for _ in range(k * sym_bytes)
-    )
-    assert encode(CodeParams(n, k, sym_bytes), block) == oracle_vector(
-        n, k, block, sym_bytes
-    )
+def test_mul_rows_match_oracle_exhaustively():
+    for c in range(256):
+        assert _mul_row(c) == oracle_row(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_blocks())
+def test_encode_matches_oracle(case):
+    params, block = case
+    assert encode(params, block) == oracle_vector(params, block)
 
 
 @settings(max_examples=40)
@@ -244,21 +282,19 @@ def test_reconstruct_source_validation():
         reconstruct_position(params, vec, 1, [2, 3, 4])
 
 
-@settings(max_examples=50)
-@given(st.binary(min_size=2, max_size=2), st.data())
-def test_reconstruct_round_trips_against_encode(block, data):
-    params = CodeParams(6, 2)
-    vec = encode(params, block)
-    sources = data.draw(
-        st.lists(
-            st.integers(min_value=1, max_value=6),
-            min_size=2,
-            max_size=2,
-            unique=True,
-        )
+@settings(max_examples=40, deadline=None)
+@given(code_blocks(), st.data())
+def test_reconstruct_matches_oracle(case, data):
+    params, block = case
+    n, k = params.n, params.k
+    word = oracle_vector(params, block)
+    sources = data.draw(st.permutations(range(1, n + 1)))[:k]
+    # at a source position every other Lagrange weight is zero
+    target = data.draw(st.sampled_from(sources) | st.integers(min_value=1, max_value=n))
+    vec = SymbolVector(
+        n, params.sym_bytes, [word.get(p) if p in sources else None for p in range(1, n + 1)]
     )
-    target = data.draw(st.integers(min_value=1, max_value=6))
-    assert reconstruct_position(params, vec, target, sources) == vec.get(target)
+    assert reconstruct_position(params, vec, target, sources) == word.get(target)
 
 
 # ---------------------------------------------------------------- decode
@@ -269,6 +305,26 @@ def test_decode_round_trip_exhaustive_n4_k2():
     for message in range(65536):
         block = message.to_bytes(2, "big")
         assert decode(params, encode(params, block)) == block
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_blocks(), st.data())
+def test_decode_matches_oracle(case, data):
+    params, block = case
+    n, k = params.n, params.k
+    vec = oracle_vector(params, block)
+    for pos in data.draw(st.sets(st.integers(min_value=1, max_value=n), max_size=n - k)):
+        vec.set(pos, None)
+    assert decode(params, vec) == block
+    present = vec.present_positions()
+    if len(present) > k:
+        pos = data.draw(st.sampled_from(present))
+        lane = data.draw(st.integers(min_value=0, max_value=params.sym_bytes - 1))
+        sym = bytearray(vec.get(pos))
+        sym[lane] ^= data.draw(st.integers(min_value=1, max_value=255))
+        vec.set(pos, bytes(sym))
+        with pytest.raises(NotACodewordError):
+            decode(params, vec)
 
 
 def test_decode_recovers_from_max_erasures():

@@ -305,7 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         algorithm, n, t, q_values, args.trials, args.seed or 0,
         args.l_bits, args.d_bits,
     )
-    report = sweep(cases, workers=args.workers)
+    report = sweep(cases)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.csv").write_text(report.to_csv())
@@ -433,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--q", help="quorum size or range lo..hi (alg2)")
     sweep_p.add_argument("--trials", type=int, default=100,
                          help="runs per parameter point")
-    sweep_p.add_argument("--workers", type=int, default=1,
-                         help="thread pool size")
     sweep_p.add_argument("--out-dir", default="out", dest="out_dir",
                          help="directory for summary.csv and failure cases")
     sweep_p.set_defaults(func=cmd_sweep)

@@ -334,4 +334,4 @@ def select_decision(
     best = min(factions.values(), key=lambda ids: (-len(ids), ids))
     if len(best) < threshold:
         return [], None
-    return best, decode(params, claims[best[0]].coded)
+    return best, decode(params, claims[best[0]].coded, checked=True)

@@ -5,11 +5,18 @@ each processor broadcasts which slot senders agreed with its own coded
 word, and the match set is the lexicographically smallest q-clique of
 the resulting mutual-match graph. All processors see the same vectors,
 so they select the identical set with no extra communication.
+
+The clique search is an ordered branch-and-bound in the style of
+Bron-Kerbosch (CACM 1973, Algorithm 457). It first peels away every
+vertex with fewer than q-1 live neighbours, which no q-clique can
+contain, then extends a partial clique in ascending vertex order and
+cuts a branch once too few candidates remain to reach q. Branches are
+tried in lexicographic order and a cut never removes a q-clique, so the
+first clique found is the lexicographically smallest one.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
 from .rs import SymbolVector
@@ -26,6 +33,44 @@ def compute_match_bits(
     return tuple(out)
 
 
+def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | None:
+    """Lexicographically smallest q-clique (sorted) of an undirected graph.
+
+    `adjacency` maps each vertex to its neighbours; an edge is read only
+    where both ends list each other, and neighbours outside the mapping
+    are ignored.
+    """
+    live = {v: {u for u in nbrs if u != v and v in adjacency.get(u, ())}
+            for v, nbrs in adjacency.items()}
+    # peel: a vertex of a q-clique keeps its q-1 clique neighbours live
+    low = [v for v, nbrs in live.items() if len(nbrs) < q - 1]
+    while low:
+        v = low.pop()
+        for u in live.pop(v):
+            nbrs = live[u]
+            nbrs.discard(v)
+            if len(nbrs) == q - 2:
+                low.append(u)
+    if len(live) < q:
+        return None
+
+    def extend(clique: list[int], candidates: list[int]) -> list[int] | None:
+        if len(clique) == q:
+            return clique
+        for index, v in enumerate(candidates):
+            if len(clique) + len(candidates) - index < q:
+                return None
+            nbrs = live[v]
+            found = extend(
+                clique + [v], [u for u in candidates[index + 1:] if u in nbrs]
+            )
+            if found is not None:
+                return found
+        return None
+
+    return extend([], sorted(live))
+
+
 def find_match_set(
     vectors: Mapping[int, Sequence[bool] | None],
     candidates: Sequence[int],
@@ -33,19 +78,21 @@ def find_match_set(
 ) -> list[int] | None:
     """Lexicographically smallest q-clique of the mutual-match graph.
 
-    A processor that withheld its vector (None) matches nobody.
-    Exhaustive search in combination order; the first qualifying
-    combination is the lexicographically smallest one.
+    Vertices are the distinct candidates. Candidates i and j are joined
+    when vi[j-1] and vj[i-1] are both TRUE; a processor that withheld
+    its vector (None) matches nobody. The search (`smallest_clique`)
+    builds each candidate's neighbour set once, peels every vertex with
+    fewer than q-1 live neighbours, and returns None at once when fewer
+    than q remain. Otherwise it extends a partial clique in ascending
+    vertex order, keeping only candidates joined to every chosen vertex,
+    and cuts a branch when the clique plus the candidates left cannot
+    reach q. Branches are tried in lexicographic order and no cut loses
+    a q-clique, so the first one found is the one an exhaustive search
+    in `itertools.combinations` order would return.
     """
-
-    def mutual(i: int, j: int) -> bool:
-        vi, vj = vectors.get(i), vectors.get(j)
-        if vi is None or vj is None:
-            return False
-        return bool(vi[j - 1]) and bool(vj[i - 1])
-
-    pool = sorted(set(candidates))
-    for combo in itertools.combinations(pool, q):
-        if all(mutual(i, j) for i, j in itertools.combinations(combo, 2)):
-            return list(combo)
-    return None
+    pool = set(candidates)
+    adjacency: dict[int, set[int]] = {}
+    for i in pool:
+        vi = vectors.get(i)
+        adjacency[i] = set() if vi is None else {j for j in pool if vi[j - 1]}
+    return smallest_clique(adjacency, q)

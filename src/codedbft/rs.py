@@ -245,9 +245,15 @@ def interpolate_full(
     return out
 
 
-def decode(params: CodeParams, vec: SymbolVector) -> bytes:
-    """Data block of a (possibly erased) vector that passes is_codeword."""
-    if not is_codeword(params, vec):
+def decode(params: CodeParams, vec: SymbolVector, *, checked: bool = False) -> bytes:
+    """Data block of a (possibly erased) vector that passes is_codeword.
+
+    Raises NotACodewordError when the check fails. A caller that has just
+    run is_codeword on this very vector passes checked=True to skip the
+    repeat; the block is then read from the k lowest non-erased slots
+    without checking the rest.
+    """
+    if not checked and not is_codeword(params, vec):
         raise NotACodewordError("vector is not consistent with any codeword")
     seed = _seed_sources(params, vec)
     out = bytearray()

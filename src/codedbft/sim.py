@@ -12,7 +12,6 @@ failing adversarial runs stay inspectable and replayable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -36,9 +35,10 @@ from .consensus import (
     run_diagnosis,
 )
 from .diagnosis import ConfigurationError, TrustGraph
-from .quorum import compute_match_bits, find_match_set
+from .quorum import compute_match_bits, find_match_set, smallest_clique
 from .rs import (
     CodeParams,
+    InsufficientSymbolsError,
     ParameterError,
     SymbolVector,
     decode,
@@ -561,11 +561,21 @@ class Execution:
         self.transcript.append("DECIDED", **outcome)
         return outcome
 
-    def _safe_decode(self, vec: SymbolVector) -> bytes:
+    def _decode_accepted(self, g: int, p: int, vec: SymbolVector) -> bytes:
+        """Block of the word that fault-free processor p flagged FALSE.
+
+        A FALSE flag means `detection_flag` found the word a codeword with
+        at least k symbols, so the check is not repeated, and failing to
+        decode the word is a bug: record a violation and return no block,
+        which also leaves p's final output short.
+        """
         try:
-            return decode(self.params, vec)
-        except ValueError:
-            return b"\x00" * self.config.block_bytes
+            return decode(self.params, vec, checked=True)
+        except InsufficientSymbolsError:
+            self._violate(
+                f"g{g}: fault-free processor {p} cannot decode its accepted word"
+            )
+            return b""
 
     # ---------------------------------------------------- matching waves
 
@@ -677,7 +687,10 @@ class Execution:
             self._helper_and_reconstruct(g, p_match, obligations, coded, received)
             flags = self._run_checking(g, set(p_match), coded, received)
             if all(v is False for v in flags.values()):
-                values = {p: self._safe_decode(received[p]) for p in self.fault_free}
+                values = {
+                    p: self._decode_accepted(g, p, received[p])
+                    for p in self.fault_free
+                }
                 self._check_generation_values(g, values, p_match)
                 outcomes.append(
                     self._record_outcome(
@@ -781,7 +794,10 @@ class Execution:
         self._helper_and_reconstruct(g, p_match, obligations, coded, received)
         flags = self._run_checking(g, set(p_match), coded, received)
         if all(v is False for v in flags.values()):
-            values = {p: self._safe_decode(received[p]) for p in self.fault_free}
+            values = {
+                p: self._decode_accepted(g, p, received[p])
+                for p in self.fault_free
+            }
             if len(set(values.values())) > 1:
                 self._violate(f"g{g}: fault-free processors decided different blocks")
             value = values[self.fault_free[0]]
@@ -829,16 +845,15 @@ class Execution:
         _, sharers = self._sharers_of(g)
         if len(sharers) < self.config.q:
             return
-        for combo in itertools.combinations(sharers, self.config.q):
-            if all(
-                self.graph.edge_present(a, b)
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                self._violate(
-                    f"g{g}: no match set found despite a trusting "
-                    f"fault-free group sharing a block"
-                )
-                return
+        trust = {
+            a: {b for b in sharers if self.graph.edge_present(a, b)}
+            for a in sharers
+        }
+        if smallest_clique(trust, self.config.q) is not None:
+            self._violate(
+                f"g{g}: no match set found despite a trusting "
+                f"fault-free group sharing a block"
+            )
 
     def _check_q_validity(self, g: int, kind: str, value: bytes) -> None:
         """Check the properties every execution must satisfy.
@@ -1119,23 +1134,15 @@ class SweepReport:
 
 def sweep(
     cases: Iterable[tuple[ExecutionConfig, AdversaryScript]],
-    workers: int = 1,
     stop_on_fail: bool = False,
 ) -> SweepReport:
     """Run many independent executions; results keep case order."""
-    case_list = list(cases)
-    if workers > 1 and not stop_on_fail:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: run_execution(*c), case_list))
-    else:
-        results = []
-        for config, script in case_list:
-            result = run_execution(config, script)
-            results.append(result)
-            if stop_on_fail and not result.passed:
-                break
+    results = []
+    for config, script in cases:
+        result = run_execution(config, script)
+        results.append(result)
+        if stop_on_fail and not result.passed:
+            break
     failures = [i for i, r in enumerate(results) if not r.passed]
     return SweepReport(results=results, failures=failures)
 

@@ -1,7 +1,12 @@
 """Match-bit computation and deterministic q-clique selection."""
 
-from codedbft.quorum import compute_match_bits, find_match_set
-from codedbft.rs import CodeParams, SymbolVector, encode
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import clique_oracle as oracle
+from codedbft.quorum import compute_match_bits, find_match_set, smallest_clique
+from codedbft.rs import CodeParams, encode
 
 
 def test_match_bits_require_delivery_and_equality():
@@ -54,3 +59,92 @@ def test_withheld_vector_matches_nobody():
 def test_candidate_filter_excludes_convicted():
     vectors = complete_vectors(4)
     assert find_match_set(vectors, [2, 3, 4], 3) == [2, 3, 4]
+
+
+# ------------------------------------------------- branch-and-bound vs oracle
+
+
+@st.composite
+def match_vectors(draw):
+    """Vector maps with a planted dense core, None and missing vectors."""
+    n = draw(st.integers(1, 12))
+    core = draw(st.sets(st.integers(1, n)))
+    vectors = {}
+    for i in range(1, n + 1):
+        kind = draw(st.sampled_from(["bits", "bits", "bits", "none", "missing"]))
+        if kind == "missing":
+            continue
+        if kind == "none":
+            vectors[i] = None
+            continue
+        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        vectors[i] = tuple(
+            b or (i in core and j in core) for j, b in enumerate(bits, start=1)
+        )
+    candidates = draw(
+        st.one_of(
+            st.just(list(range(1, n + 1))),
+            st.lists(st.integers(1, n), max_size=2 * n),
+            st.permutations(range(1, n + 1)),
+        )
+    )
+    return n, vectors, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_vectors())
+def test_find_match_set_matches_oracle(case):
+    n, vectors, candidates = case
+    for q in range(1, n + 1):
+        assert find_match_set(vectors, candidates, q) == oracle.find_match_set(
+            vectors, candidates, q
+        ), f"q={q}"
+
+
+@st.composite
+def adjacency_maps(draw):
+    """Adjacency maps with a planted core, one-sided entries, self-loops
+    and neighbours outside the map."""
+    n = draw(st.integers(1, 12))
+    vertices = sorted(draw(st.sets(st.integers(1, n + 2), min_size=1)))
+    core = draw(st.sets(st.sampled_from(vertices)))
+    adjacency = {}
+    for v in vertices:
+        nbrs = set(draw(st.lists(st.integers(1, n + 2), max_size=n + 2)))
+        adjacency[v] = nbrs | core if v in core else nbrs
+    return adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacency_maps())
+def test_smallest_clique_matches_oracle(adjacency):
+    for q in range(1, len(adjacency) + 1):
+        assert smallest_clique(adjacency, q) == oracle.smallest_clique(
+            adjacency, q
+        ), f"q={q}"
+
+
+def turan_vectors(n, parts, layout):
+    """Match vectors of the complete `parts`-partite graph T(n, parts)."""
+    if layout == "interleaved":
+        part = {i: i % parts for i in range(1, n + 1)}
+    else:
+        part = {i: (i - 1) * parts // n for i in range(1, n + 1)}
+    vectors = {
+        i: tuple(part[i] != part[j] for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    }
+    return vectors, part
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "blocks"])
+@pytest.mark.parametrize("n,q", [(19, 7), (22, 8)])
+def test_turan_graph_has_no_q_clique(n, q, layout):
+    vectors, part = turan_vectors(n, q - 1, layout)
+    assert find_match_set(vectors, range(1, n + 1), q) is None
+    # one vertex per part makes a (q-1)-clique; the smallest vertex of
+    # each part gives the lexicographically smallest one
+    smallest = sorted(
+        min(i for i in part if part[i] == p) for p in set(part.values())
+    )
+    assert find_match_set(vectors, range(1, n + 1), q - 1) == smallest

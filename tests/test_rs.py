@@ -316,6 +316,7 @@ def test_decode_matches_oracle(case, data):
     for pos in data.draw(st.sets(st.integers(min_value=1, max_value=n), max_size=n - k)):
         vec.set(pos, None)
     assert decode(params, vec) == block
+    assert decode(params, vec, checked=True) == block
     present = vec.present_positions()
     if len(present) > k:
         pos = data.draw(st.sampled_from(present))
@@ -355,6 +356,8 @@ def test_decode_needs_k_slots():
         vec.set(pos, None)
     with pytest.raises(InsufficientSymbolsError):
         decode(params, vec)
+    with pytest.raises(InsufficientSymbolsError):
+        decode(params, vec, checked=True)
 
 
 # ---------------------------------------------------------- min distance

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from codedbft import sim
 from codedbft.diagnosis import ConfigurationError
+from codedbft.rs import SymbolVector
 from codedbft.sim import (
     ALG1,
     ALG2,
@@ -15,6 +17,7 @@ from codedbft.sim import (
     SEND_SILENT,
     STEP_OWN,
     AdversaryScript,
+    Execution,
     ExecutionConfig,
     check_complexity,
     load_case,
@@ -244,13 +247,48 @@ def test_sweep_collects_rows_and_failures():
     for seed in range(6):
         config = fault_free_config(ALG1, 4, 1, None, 72, 24, seed=seed)
         configs.append((config, random_script(config, seed)))
-    report = sweep(configs, workers=2)
+    report = sweep(configs)
     assert len(report.results) == 6
     assert report.failures == []
     assert report.max_diagnosis_count(ALG1) <= 3
     lines = report.to_csv().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 7
+
+
+# ----------------------------------------------- checker's impossible states
+
+
+def test_undecodable_accepted_word_is_a_violation(monkeypatch):
+    # erase processor 1's received word after every flag came back FALSE
+    run_checking = Execution._run_checking
+
+    def checking_then_erase(self, g, members, coded, received):
+        flags = run_checking(self, g, members, coded, received)
+        if g == 1:
+            received[1] = SymbolVector(self.config.n, self.config.sym_bytes)
+        return flags
+
+    monkeypatch.setattr(Execution, "_run_checking", checking_then_erase)
+    result = run_execution(
+        fault_free_config(ALG1, 4, 1, None, 72, 24), AdversaryScript()
+    )
+    assert not result.passed
+    assert "g1: fault-free processor 1 cannot decode its accepted word" in (
+        result.violations
+    )
+    assert "processor 1 terminated without a full output" in result.violations
+
+
+def test_missed_match_set_is_a_violation(monkeypatch):
+    # identical inputs and full trust: any q of the four form a match set
+    monkeypatch.setattr(sim, "find_match_set", lambda vectors, candidates, q: None)
+    result = run_execution(
+        fault_free_config(ALG2, 4, 1, 3, 72, 24), AdversaryScript()
+    )
+    assert result.violations[0] == (
+        "g1: no match set found despite a trusting fault-free group sharing a block"
+    )
 
 
 # ----------------------------------------------------------- determinism

@@ -8,6 +8,10 @@ faulty neighbours) and is convicted; conviction removes its remaining
 edges, which can convict further vertices. The graph is shared protocol
 state: every processor derives the identical graph from broadcast data,
 so one instance per execution suffices.
+
+`version` counts the mutations (edge drops and convictions) the graph
+has taken. State derived from the graph alone, such as a generation's
+send obligations, stays valid for as long as the version is unchanged.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class TrustGraph:
             v: set(range(1, n + 1)) - {v} for v in range(1, n + 1)
         }
         self.convicted: set[int] = set()
+        # bumped by every effective mutation; no-op calls leave it alone
+        self.version = 0
 
     # ------------------------------------------------------------ queries
 
@@ -92,11 +98,13 @@ class TrustGraph:
         return events
 
     def _drop(self, i: int, j: int) -> Event:
+        self.version += 1
         self._adj[i].discard(j)
         self._adj[j].discard(i)
         return ("edge", min(i, j), max(i, j))
 
     def _convict_now(self, v: int) -> list[Event]:
+        self.version += 1
         self.convicted.add(v)
         events: list[Event] = [("convicted", v)]
         for u in sorted(self._adj[v]):

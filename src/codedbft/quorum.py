@@ -9,10 +9,13 @@ so they select the identical set with no extra communication.
 The clique search is an ordered branch-and-bound in the style of
 Bron-Kerbosch (CACM 1973, Algorithm 457). It first peels away every
 vertex with fewer than q-1 live neighbours, which no q-clique can
-contain, then extends a partial clique in ascending vertex order and
-cuts a branch once too few candidates remain to reach q. Branches are
-tried in lexicographic order and a cut never removes a q-clique, so the
-first clique found is the lexicographically smallest one.
+contain, then extends a partial clique in ascending vertex order. A
+branch is cut once too few candidates remain to reach q, or once a
+greedy colouring of the candidates (the bound of Tomita and Seki's
+MCQ, DMTCS 2003) uses too few colours: a clique has at most one vertex
+of each colour. Branches are tried in lexicographic order and a cut
+never removes a q-clique, so the first clique found is the
+lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -57,6 +60,22 @@ def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | No
     def extend(clique: list[int], candidates: list[int]) -> list[int] | None:
         if len(clique) == q:
             return clique
+        # greedy colouring, stopped once enough colours are in use: a
+        # clique takes one vertex per colour class at most
+        need = q - len(clique)
+        classes: list[set[int]] = []
+        for v in candidates:
+            nbrs = live[v]
+            for cls in classes:
+                if cls.isdisjoint(nbrs):
+                    cls.add(v)
+                    break
+            else:
+                classes.append({v})
+                if len(classes) == need:
+                    break
+        if len(classes) < need:
+            return None
         for index, v in enumerate(candidates):
             if len(clique) + len(candidates) - index < q:
                 return None
@@ -80,15 +99,10 @@ def find_match_set(
 
     Vertices are the distinct candidates. Candidates i and j are joined
     when vi[j-1] and vj[i-1] are both TRUE; a processor that withheld
-    its vector (None) matches nobody. The search (`smallest_clique`)
-    builds each candidate's neighbour set once, peels every vertex with
-    fewer than q-1 live neighbours, and returns None at once when fewer
-    than q remain. Otherwise it extends a partial clique in ascending
-    vertex order, keeping only candidates joined to every chosen vertex,
-    and cuts a branch when the clique plus the candidates left cannot
-    reach q. Branches are tried in lexicographic order and no cut loses
-    a q-clique, so the first one found is the one an exhaustive search
-    in `itertools.combinations` order would return.
+    its vector (None) matches nobody. Each candidate's neighbour set is
+    built once and searched by `smallest_clique` (see the module notes),
+    so the set found is the one an exhaustive search in
+    `itertools.combinations` order would return.
     """
     pool = set(candidates)
     adjacency: dict[int, set[int]] = {}

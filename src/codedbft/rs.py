@@ -11,7 +11,10 @@ symbols with Lagrange weights. Each weight c scales a whole symbol in one
 `bytes.translate` call against the 256-byte row of products c*x, built
 on first use of c; the scaled symbols are then XOR-summed as integers.
 This is the table-lookup multiply of split-table GF(2^8) codecs (Plank,
-Greenan, Miller, FAST 2013) without SIMD.
+Greenan, Miller, FAST 2013) without SIMD. The weights depend only on
+the source positions and the target, so each (positions, target) pair
+gets one cached plan of product rows, zero weights dropped, that every
+later evaluation through the same positions reuses.
 
 Erased slots are represented as None.  All functions are pure; vectors
 passed in are never mutated by the codec.
@@ -100,8 +103,22 @@ class SymbolVector:
     def is_complete(self) -> bool:
         return all(v is not None for v in self._slots)
 
+    @classmethod
+    def _of(cls, n: int, sym_bytes: int, slots: list[bytes | None]) -> "SymbolVector":
+        """A vector that takes `slots` as they are: n already-checked slots."""
+        vec = cls.__new__(cls)
+        vec.n = n
+        vec.sym_bytes = sym_bytes
+        vec._slots = slots
+        return vec
+
     def copy(self) -> "SymbolVector":
-        return SymbolVector(self.n, self.sym_bytes, self._slots)
+        return SymbolVector._of(self.n, self.sym_bytes, list(self._slots))
+
+    def copy_slot(self, source: "SymbolVector", pos: int) -> bytes | None:
+        """Copy slot `pos` from a vector of the same shape; returns the value."""
+        value = self._slots[pos - 1] = source._slots[pos - 1]
+        return value
 
     def payload_bits(self) -> int:
         """Broadcast size: one presence bit per slot plus the present bytes."""
@@ -137,34 +154,39 @@ class SymbolVector:
 
 
 @lru_cache(maxsize=None)
-def _lagrange_coeffs(xs: tuple[int, ...], target: int) -> tuple[int, ...]:
-    """Weight of each sample when evaluating the interpolant at `target`."""
-    coeffs = []
-    for s, x_s in enumerate(xs):
-        num = 1
-        den = 1
-        for u, x_u in enumerate(xs):
-            if u == s:
-                continue
-            num = gf_mul(num, target ^ x_u)
-            den = gf_mul(den, x_s ^ x_u)
-        coeffs.append(gf_div(num, den))
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
 def _mul_row(c: int) -> bytes:
     """Products c*x for x = 0..255, a `bytes.translate` table scaling by c."""
     return bytes(gf_mul(c, x) for x in range(256))
 
 
-def _eval_at(sources: Sequence[tuple[int, bytes]], target: int, sym_bytes: int) -> bytes:
-    xs = tuple(pos for pos, _ in sources)
-    coeffs = _lagrange_coeffs(xs, target)
+@lru_cache(maxsize=None)
+def _plan(xs: tuple[int, ...], target: int) -> tuple[tuple[int, bytes], ...]:
+    """(source index, product row) per nonzero Lagrange weight at `target`.
+
+    Evaluating the interpolant through the points `xs` at `target`
+    scales source s by its weight; a weight is zero exactly when target
+    is another source's point, and such sources are left out.
+    """
+    plan = []
+    for s, x_s in enumerate(xs):
+        num = 1
+        den = 1
+        for u, x_u in enumerate(xs):
+            if u != s:
+                num = gf_mul(num, target ^ x_u)
+                den = gf_mul(den, x_s ^ x_u)
+        if num:
+            plan.append((s, _mul_row(gf_div(num, den))))
+    return tuple(plan)
+
+
+def _eval_at(
+    xs: tuple[int, ...], symbols: Sequence[bytes], target: int, sym_bytes: int
+) -> bytes:
+    """Interpolant through (xs[s], symbols[s]) evaluated at `target`."""
     acc = 0
-    for c, (_, sym) in zip(coeffs, sources):
-        if c:
-            acc ^= int.from_bytes(sym.translate(_mul_row(c)), "little")
+    for s, row in _plan(xs, target):
+        acc ^= int.from_bytes(symbols[s].translate(row), "little")
     return acc.to_bytes(sym_bytes, "little")
 
 
@@ -174,25 +196,23 @@ def encode(params: CodeParams, data: bytes) -> SymbolVector:
         raise ParameterError(
             f"data block must be {params.block_bytes} bytes, got {len(data)}"
         )
-    s = params.sym_bytes
-    vec = SymbolVector(params.n, s)
-    sources = []
-    for pos in range(1, params.k + 1):
-        sym = data[(pos - 1) * s : pos * s]
-        vec.set(pos, sym)
-        sources.append((pos, sym))
-    for pos in range(params.k + 1, params.n + 1):
-        vec.set(pos, _eval_at(sources, pos, s))
-    return vec
+    n, k, s = params.n, params.k, params.sym_bytes
+    xs = tuple(range(1, k + 1))
+    symbols = [data[i * s : (i + 1) * s] for i in range(k)]
+    # every slot is s bytes by construction, so none is checked again
+    return SymbolVector._of(
+        n, s, symbols + [_eval_at(xs, symbols, pos, s) for pos in range(k + 1, n + 1)]
+    )
 
 
-def _seed_sources(params: CodeParams, vec: SymbolVector) -> list[tuple[int, bytes]]:
+def _seed(params: CodeParams, vec: SymbolVector) -> tuple[list[int], list[bytes]]:
+    """Present positions, ascending, and the symbols at the k lowest."""
     present = vec.present_positions()
     if len(present) < params.k:
         raise InsufficientSymbolsError(
             f"need {params.k} non-erased slots, have {len(present)}"
         )
-    return [(pos, vec.get(pos)) for pos in present[: params.k]]
+    return present, [vec._slots[pos - 1] for pos in present[: params.k]]
 
 
 def is_codeword(params: CodeParams, vec: SymbolVector) -> bool:
@@ -204,12 +224,10 @@ def is_codeword(params: CodeParams, vec: SymbolVector) -> bool:
     """
     if vec.n != params.n or vec.sym_bytes != params.sym_bytes:
         raise ParameterError("vector shape does not match code parameters")
-    seed = _seed_sources(params, vec)
-    seed_positions = {pos for pos, _ in seed}
-    for pos in vec.present_positions():
-        if pos in seed_positions:
-            continue
-        if vec.get(pos) != _eval_at(seed, pos, params.sym_bytes):
+    present, symbols = _seed(params, vec)
+    xs = tuple(present[: params.k])
+    for pos in present[params.k :]:
+        if vec._slots[pos - 1] != _eval_at(xs, symbols, pos, params.sym_bytes):
             return False
     return True
 
@@ -218,20 +236,20 @@ def reconstruct_position(
     params: CodeParams, vec: SymbolVector, pos: int, sources: Iterable[int]
 ) -> bytes:
     """Value at `pos` of the codeword through exactly k given source slots."""
-    src = list(sources)
+    src = tuple(sources)
     if len(src) != params.k:
         raise ParameterError(f"need exactly {params.k} sources, got {len(src)}")
     if len(set(src)) != params.k:
         raise ParameterError("duplicate source positions")
-    pairs = []
+    symbols = []
     for p in src:
         if not 1 <= p <= params.n:
             raise ParameterError(f"source position {p} out of range 1..{params.n}")
         value = vec.get(p)
         if value is None:
             raise InsufficientSymbolsError(f"source slot {p} is erased")
-        pairs.append((p, value))
-    return _eval_at(pairs, pos, params.sym_bytes)
+        symbols.append(value)
+    return _eval_at(src, symbols, pos, params.sym_bytes)
 
 
 def interpolate_full(
@@ -255,12 +273,13 @@ def decode(params: CodeParams, vec: SymbolVector, *, checked: bool = False) -> b
     """
     if not checked and not is_codeword(params, vec):
         raise NotACodewordError("vector is not consistent with any codeword")
-    seed = _seed_sources(params, vec)
+    present, symbols = _seed(params, vec)
+    xs = tuple(present[: params.k])
     out = bytearray()
     for pos in range(1, params.k + 1):
-        value = vec.get(pos)
+        value = vec._slots[pos - 1]
         if value is None:
-            value = _eval_at(seed, pos, params.sym_bytes)
+            value = _eval_at(xs, symbols, pos, params.sym_bytes)
         out.extend(value)
     return bytes(out)
 

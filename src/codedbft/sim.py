@@ -472,11 +472,24 @@ class Execution:
         ]
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
+        # (graph version, match set) -> that matching stage's obligations
+        self._obligation_cache: dict[
+            tuple[int, tuple[int, ...]], tuple[SendObligation, ...]
+        ] = {}
 
     # ------------------------------------------------------- primitives
 
     def _violate(self, message: str) -> None:
         self.violations.append(message)
+
+    def _obligations(self, p_match: Sequence[int]) -> tuple[SendObligation, ...]:
+        """Obligations for `p_match`, derived once per trust-graph version."""
+        key = (self.graph.version, tuple(p_match))
+        obligations = self._obligation_cache.get(key)
+        if obligations is None:
+            obligations = tuple(matching_obligations(self.graph, p_match))
+            self._obligation_cache[key] = obligations
+        return obligations
 
     def _deliver(
         self,
@@ -486,31 +499,34 @@ class Execution:
         received: dict[int, SymbolVector],
         suppressed: set[int],
     ) -> None:
-        """Route one obligation, applying the script to faulty senders."""
-        value = coded[ob.sender].get(ob.slot)
-        if ob.sender in self.script.faulty:
-            kind, data = self.script.send_rule(g, ob.step, ob.sender, ob.receiver)
+        """Route one obligation, applying the script to faulty senders.
+
+        An honest sender's symbol comes from its own coded word, whose
+        slots are already checked, so it is copied slot to slot. A faulty
+        sender's symbol may come from the script and goes through `set`.
+        """
+        sender, receiver, slot, step = ob.sender, ob.receiver, ob.slot, ob.step
+        if sender in self.script.faulty:
+            value = coded[sender].get(slot)
+            kind, data = self.script.send_rule(g, step, sender, receiver)
             if kind == SEND_SILENT:
                 return
             if kind == SEND_CORRUPT:
                 value = bytes(a ^ b for a, b in zip(value, data))
             elif kind == SEND_REPLACE:
                 value = data
-            elif ob.sender in suppressed:
+            elif sender in suppressed:
                 return
-        elif ob.sender in suppressed:
+            received[receiver].set(slot, value)
+        elif sender in suppressed:
             return
-        received[ob.receiver].set(ob.slot, value)
+        else:
+            value = received[receiver].copy_slot(coded[sender], slot)
         self.ledger.add_symbol(g, STAGE_MATCHING, 8 * self.params.sym_bytes)
-        self.transcript.append(
-            "SYMBOL_SENT",
-            g=g,
-            step=ob.step,
-            sender=ob.sender,
-            receiver=ob.receiver,
-            slot=ob.slot,
-            value=value.hex(),
-        )
+        self.transcript.events.append({
+            "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+            "receiver": receiver, "slot": slot, "value": value.hex(),
+        })
 
     def _broadcast(
         self, g: int, stage: str, tag: str, sender: int,
@@ -589,14 +605,14 @@ class Execution:
         }
         received = {i: SymbolVector(cfg.n, cfg.sym_bytes) for i in range(1, cfg.n + 1)}
         for i in range(1, cfg.n + 1):
-            received[i].set(i, coded[i].get(i))
+            received[i].copy_slot(coded[i], i)
         return coded, received
 
     def _helper_and_reconstruct(
         self,
         g: int,
         p_match: Sequence[int],
-        obligations: list[SendObligation],
+        obligations: Sequence[SendObligation],
         coded: dict[int, SymbolVector],
         received: dict[int, SymbolVector],
     ) -> None:
@@ -607,7 +623,7 @@ class Execution:
             if ob.step == STEP_HELPER:
                 self._deliver(g, ob, coded, received, set())
         for r, slot in local_helper_copies(self.graph, p_match):
-            received[r].set(slot, coded[r].get(slot))
+            received[r].copy_slot(coded[r], slot)
         # a non-member that cannot gather enough match-set symbols keeps
         # its own-input slot and skips the re-send wave entirely
         failed: set[int] = set()
@@ -624,7 +640,7 @@ class Execution:
                 self._deliver(g, ob, coded, received, failed)
         for j in range(1, cfg.n + 1):
             if j not in members:
-                received[j].set(j, coded[j].get(j))
+                received[j].copy_slot(coded[j], j)
 
     # -------------------------------------------------- checking + claims
 
@@ -679,7 +695,7 @@ class Execution:
             p_match = [p for p in p_match if p not in self.graph.convicted]
             if len(p_match) < cfg.n - cfg.t:
                 return outcomes + self._terminated_tail(g)
-            obligations = matching_obligations(self.graph, p_match)
+            obligations = self._obligations(p_match)
             coded, received = self._fresh_state(g)
             for ob in obligations:
                 if ob.step == STEP_OWN:
@@ -749,7 +765,7 @@ class Execution:
         default_block = b"\x00" * cfg.block_bytes
         for g in range(1, cfg.generations + 1):
             coded, received = self._fresh_state(g)
-            for ob in matching_obligations(self.graph, everyone):
+            for ob in self._obligations(everyone):
                 self._deliver(g, ob, coded, received, set())
             vectors: dict[int, tuple[bool, ...] | None] = {}
             for p in self.graph.unconvicted():
@@ -790,7 +806,7 @@ class Execution:
         vectors: dict[int, tuple[bool, ...] | None], default_block: bytes,
     ) -> dict:
         cfg = self.config
-        obligations = matching_obligations(self.graph, p_match)
+        obligations = self._obligations(p_match)
         self._helper_and_reconstruct(g, p_match, obligations, coded, received)
         flags = self._run_checking(g, set(p_match), coded, received)
         if all(v is False for v in flags.values()):
@@ -1132,17 +1148,9 @@ class SweepReport:
         return buf.getvalue()
 
 
-def sweep(
-    cases: Iterable[tuple[ExecutionConfig, AdversaryScript]],
-    stop_on_fail: bool = False,
-) -> SweepReport:
+def sweep(cases: Iterable[tuple[ExecutionConfig, AdversaryScript]]) -> SweepReport:
     """Run many independent executions; results keep case order."""
-    results = []
-    for config, script in cases:
-        result = run_execution(config, script)
-        results.append(result)
-        if stop_on_fail and not result.passed:
-            break
+    results = [run_execution(config, script) for config, script in cases]
     failures = [i for i, r in enumerate(results) if not r.passed]
     return SweepReport(results=results, failures=failures)
 

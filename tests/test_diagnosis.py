@@ -149,6 +149,40 @@ def test_incremental_settling_matches_batch_oracle(disputes):
         assert (g.removed_count(v) >= 3) == (v in g.convicted)
 
 
+# --------------------------------------------------------------- version
+
+
+def test_version_counts_effective_removals_only():
+    g = TrustGraph(7, 2)
+    assert g.version == 0
+    g.remove_edge(1, 2)
+    after_first = g.version
+    assert after_first > 0
+    assert g.remove_edge(2, 1) == []
+    assert g.version == after_first
+    g.remove_edge(1, 3)
+    assert g.version > after_first
+
+
+def test_version_counts_direct_conviction_once():
+    g = TrustGraph(7, 2)
+    g.convict(5)
+    convicted = g.version
+    assert convicted > 0
+    assert g.convict(5) == []
+    assert g.version == convicted
+
+
+def test_version_counts_threshold_conviction():
+    g = TrustGraph(4, 1)
+    g.remove_edge(1, 2)
+    before = g.version
+    events = g.remove_edge(1, 3)
+    assert ("convicted", 1) in events
+    # the dispute, the conviction and the convict's last edge
+    assert g.version - before == len(events)
+
+
 # ---------------------------------------------------------------- helper
 
 

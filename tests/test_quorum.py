@@ -138,7 +138,7 @@ def turan_vectors(n, parts, layout):
 
 
 @pytest.mark.parametrize("layout", ["interleaved", "blocks"])
-@pytest.mark.parametrize("n,q", [(19, 7), (22, 8)])
+@pytest.mark.parametrize("n,q", [(19, 7), (22, 8), (26, 9), (30, 10), (34, 11)])
 def test_turan_graph_has_no_q_clique(n, q, layout):
     vectors, part = turan_vectors(n, q - 1, layout)
     assert find_match_set(vectors, range(1, n + 1), q) is None

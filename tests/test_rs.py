@@ -297,6 +297,41 @@ def test_reconstruct_matches_oracle(case, data):
     assert reconstruct_position(params, vec, target, sources) == word.get(target)
 
 
+@settings(max_examples=60, deadline=None)
+@given(code_blocks(), st.data())
+def test_plans_match_oracle_on_source_subsets(case, data):
+    """Membership and reconstruction through any present subset of a word.
+
+    The erasures choose which k slots seed `is_codeword`; a target drawn
+    from the sources gives a plan in which every other weight is zero.
+    """
+    params, block = case
+    n, k = params.n, params.k
+    word = oracle_vector(params, block)
+    present = data.draw(
+        st.sets(st.integers(min_value=1, max_value=n), min_size=k, max_size=n)
+    )
+    vec = SymbolVector(
+        n, params.sym_bytes, [word.get(p) if p in present else None for p in range(1, n + 1)]
+    )
+    assert is_codeword(params, vec)
+    sources = data.draw(st.permutations(sorted(present)))[:k]
+    for target in (
+        data.draw(st.sampled_from(sources)),
+        data.draw(st.integers(min_value=1, max_value=n)),
+    ):
+        assert reconstruct_position(params, vec, target, sources) == word.get(target)
+    if len(present) > k:
+        # the present slots form an MDS code of distance >= 2
+        pos = data.draw(st.sampled_from(sorted(present)))
+        sym = bytearray(vec.get(pos))
+        sym[data.draw(st.integers(min_value=0, max_value=params.sym_bytes - 1))] ^= (
+            data.draw(st.integers(min_value=1, max_value=255))
+        )
+        vec.set(pos, bytes(sym))
+        assert not is_codeword(params, vec)
+
+
 # ---------------------------------------------------------------- decode
 
 
@@ -440,6 +475,17 @@ def test_symbol_vector_basics():
     clone = vec.copy()
     clone.set(2, None)
     assert vec.get(2) == b"\xaa\xbb"
+
+
+def test_encoded_vector_still_checks_symbol_length():
+    vec = encode(CodeParams(4, 2, sym_bytes=2), b"\x01\x02\x03\x04")
+    with pytest.raises(ParameterError):
+        vec.set(1, b"\x01")
+    with pytest.raises(ParameterError):
+        vec.set(4, b"\x01\x02\x03")
+    with pytest.raises(ParameterError):
+        vec.copy().set(3, b"")
+    assert vec.get(1) == b"\x01\x02"
 
 
 def test_symbol_vector_jsonable_round_trip():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from codedbft import sim
-from codedbft.diagnosis import ConfigurationError
+from codedbft.consensus import matching_obligations
+from codedbft.diagnosis import ConfigurationError, TrustGraph
 from codedbft.rs import SymbolVector
 from codedbft.sim import (
     ALG1,
@@ -206,6 +207,37 @@ def test_two_faulty_equivocators_lose_their_votes():
     assert all(out == config.padded_input(1) for out in result.outputs.values())
     kinds = {o["kind"] for o in result.outcomes}
     assert kinds <= {OUTCOME_DECIDED, OUTCOME_DIAGNOSED}
+
+
+def test_obligations_follow_the_graph_after_diagnosis():
+    """A dispute in g1 changes who sends what in g2, for the same match set."""
+    config = fault_free_config(ALG1, 7, 2, None, 240, 40, seed=41)
+    script = AdversaryScript([7]).add_send(1, STEP_OWN, 7, 1, "corrupt", b"\xff")
+    result = run_execution(config, script)
+    assert result.passed
+    kinds = [o["kind"] for o in result.outcomes[:2]]
+    assert kinds == [OUTCOME_DIAGNOSED, OUTCOME_DECIDED]
+    # g2 keeps the full match set, so only the graph tells the two apart
+    assert result.outcomes[0]["decide_set"] == list(range(1, 8))
+
+    def sent(g):
+        return [
+            (ev["step"], ev["sender"], ev["receiver"], ev["slot"])
+            for ev in result.transcript.of_type("SYMBOL_SENT")
+            if ev["g"] == g
+        ]
+
+    graph = TrustGraph(7, 2)
+    for ev in result.transcript.of_type("EDGE_REMOVED"):
+        if ev["g"] == 1:
+            graph.remove_edge(ev["i"], ev["j"])
+    assert graph.version > 0
+    fresh = [
+        (ob.step, ob.sender, ob.receiver, ob.slot)
+        for ob in matching_obligations(graph, range(1, 8))
+    ]
+    assert sent(2) == fresh
+    assert sent(2) != sent(1)
 
 
 # --------------------------------------------------- randomized batteries

@@ -4,8 +4,11 @@ The corpus is every scenarios/*.json file, run the way `codedbft run`
 runs it, plus 48 random-adversary sweep cases at n=7, t=2: alg1 and alg2
 at q=3, 4, 5, each with nine short cases (1-byte symbols) and three
 three-generation cases with 64-byte symbols, the input styles rotating
-as in `codedbft sweep`. A refactor or speed-up must leave every hash
-unchanged; a change that alters transcripts on purpose re-records the
+as in `codedbft sweep`. It also holds every crafted adversary of
+`codedbft.scripts` at n=7, t=2 with three one-unit generations, for alg1
+and alg2 at q=3, 4, 5 (29 cases), which reach the diagnosis rules and
+the helper wave that random scripts miss. A refactor or speed-up must
+leave every hash unchanged; a change that alters transcripts on purpose re-records the
 file and says why.
 """
 
@@ -13,12 +16,14 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from codedbft import cli
-from codedbft.sim import ALG1, ALG2, run_execution
+from codedbft.scripts import crafted_cases
+from codedbft.sim import ALG1, ALG2, ExecutionConfig, random_inputs, run_execution
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
@@ -74,3 +79,38 @@ def test_sweep_transcript_hashes(algorithm, q):
         transcript = run_execution(config, script).transcript.to_jsonl()
         got[case_key(config)] = digest(transcript.encode())
     assert got == {key: GOLDEN["sweep"][key] for key in got}
+
+
+def crafted_config(algorithm: str, q: int | None) -> ExecutionConfig:
+    """Three one-unit generations on the layout the crafted builders assume."""
+    k = q if q is not None else N - T
+    rng = random.Random(300 + (q or 0))
+    sharers = None if algorithm == ALG1 else range(1, N - T + 1)
+    inputs = random_inputs(rng, N, 8 * k * 3, sharers=sharers)
+    return ExecutionConfig(
+        algorithm=algorithm, n=N, t=T, q=q, l_bits=8 * k * 3, d_bits=8 * k,
+        inputs=inputs, seed=rng.randrange(1000),
+    )
+
+
+def crafted_corpus(algorithm: str, q: int | None) -> dict:
+    config = crafted_config(algorithm, q)
+    return {
+        f"{algorithm}-q{q}-{case.name}": (config, case.script)
+        for case in crafted_cases(config)
+    }
+
+
+def test_crafted_corpus_matches_golden_keys():
+    keys = [key for a, q in POINTS for key in crafted_corpus(a, q)]
+    assert len(keys) == len(set(keys)) == 29
+    assert set(keys) == set(GOLDEN["crafted"])
+
+
+@pytest.mark.parametrize("algorithm,q", POINTS)
+def test_crafted_transcript_hashes(algorithm, q):
+    got = {
+        key: digest(run_execution(config, script).transcript.to_jsonl().encode())
+        for key, (config, script) in crafted_corpus(algorithm, q).items()
+    }
+    assert got == {key: GOLDEN["crafted"][key] for key in got}

@@ -28,20 +28,10 @@ def _build_tables() -> None:
 _build_tables()
 
 
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return _EXP[_LOG[a] + _LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(2^8)")
-    return _EXP[255 - _LOG[a]]
 
 
 def gf_div(a: int, b: int) -> int:
@@ -50,11 +40,3 @@ def gf_div(a: int, b: int) -> int:
     if a == 0:
         return 0
     return _EXP[(_LOG[a] - _LOG[b]) % 255]
-
-
-def gf_pow(a: int, e: int) -> int:
-    if e == 0:
-        return 1
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] * e) % 255]

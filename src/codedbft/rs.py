@@ -252,17 +252,6 @@ def reconstruct_position(
     return _eval_at(src, symbols, pos, params.sym_bytes)
 
 
-def interpolate_full(
-    params: CodeParams, vec: SymbolVector, sources: Iterable[int]
-) -> SymbolVector:
-    """Complete codeword through exactly k source slots of `vec`."""
-    src = list(sources)
-    out = SymbolVector(params.n, params.sym_bytes)
-    for pos in range(1, params.n + 1):
-        out.set(pos, reconstruct_position(params, vec, pos, src))
-    return out
-
-
 def decode(params: CodeParams, vec: SymbolVector, *, checked: bool = False) -> bytes:
     """Data block of a (possibly erased) vector that passes is_codeword.
 
@@ -311,24 +300,3 @@ def min_distance_bruteforce(params: CodeParams) -> int:
                     return best
     return best
 
-
-def format_test_vector(params: CodeParams, data: bytes, vec: SymbolVector) -> str:
-    """One interchange line: 'n k sym_bytes data_hex codeword_hex'."""
-    if not vec.is_complete():
-        raise ParameterError("test vectors require a complete codeword")
-    codeword_hex = "".join(vec.get(pos).hex() for pos in range(1, params.n + 1))
-    return f"{params.n} {params.k} {params.sym_bytes} {data.hex()} {codeword_hex}"
-
-
-def parse_test_vector(line: str) -> tuple[CodeParams, bytes, SymbolVector]:
-    fields = line.split()
-    if len(fields) != 5:
-        raise ParameterError(f"expected 5 fields, got {len(fields)}")
-    n, k, sym_bytes = int(fields[0]), int(fields[1]), int(fields[2])
-    params = CodeParams(n, k, sym_bytes)
-    data = bytes.fromhex(fields[3])
-    raw = bytes.fromhex(fields[4])
-    if len(raw) != n * sym_bytes:
-        raise ParameterError("codeword field has the wrong length")
-    slots = [raw[i * sym_bytes : (i + 1) * sym_bytes] for i in range(n)]
-    return params, data, SymbolVector(n, sym_bytes, slots)

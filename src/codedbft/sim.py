@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .broadcast import BroadcastCostModel
 from .consensus import (
     STEP_HELPER,
     STEP_OWN,
@@ -59,6 +58,10 @@ OUTCOME_DEFAULT = "DEFAULT"
 OUTCOME_TERMINATED = "TERMINATED_DEFAULT"
 
 RULE_SILENT_MATCH_VECTOR = "silent-match-vector"
+
+# one matching stage: its send obligations, then the (receiver, slot)
+# helper copies kept local, or None until the helper wave first needs them
+_MatchingPlan = list
 
 
 # --------------------------------------------------------------- config
@@ -462,7 +465,6 @@ class Execution:
         self.script = script
         self.params = config.code_params()
         self.graph = TrustGraph(config.n, config.t)
-        self.cost = BroadcastCostModel(config.broadcast_coefficient)
         self.ledger = CostLedger()
         self.transcript = Transcript()
         self.violations: list[str] = []
@@ -472,24 +474,24 @@ class Execution:
         ]
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
-        # (graph version, match set) -> that matching stage's obligations
-        self._obligation_cache: dict[
-            tuple[int, tuple[int, ...]], tuple[SendObligation, ...]
-        ] = {}
+        # (graph version, match set) -> that matching stage's plan
+        self._plan_cache: dict[tuple[int, tuple[int, ...]], _MatchingPlan] = {}
 
     # ------------------------------------------------------- primitives
 
     def _violate(self, message: str) -> None:
         self.violations.append(message)
 
-    def _obligations(self, p_match: Sequence[int]) -> tuple[SendObligation, ...]:
-        """Obligations for `p_match`, derived once per trust-graph version."""
+    def _plan(self, p_match: Sequence[int]) -> _MatchingPlan:
+        """The matching plan for `p_match`, derived once per trust-graph
+        version: obligations and helper copies depend on nothing else."""
         key = (self.graph.version, tuple(p_match))
-        obligations = self._obligation_cache.get(key)
-        if obligations is None:
-            obligations = tuple(matching_obligations(self.graph, p_match))
-            self._obligation_cache[key] = obligations
-        return obligations
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = [
+                tuple(matching_obligations(self.graph, p_match)), None
+            ]
+        return plan
 
     def _deliver(
         self,
@@ -532,7 +534,16 @@ class Execution:
         self, g: int, stage: str, tag: str, sender: int,
         honest_payload: Any, honest_bits: int,
     ) -> Any:
-        """Broadcast with script override; returns the observed payload."""
+        """Broadcast with script override; returns the observed payload.
+
+        Both protocols assume a black-box broadcast with two guarantees:
+        every processor observes the identical payload, and the sender
+        cannot be forged. One transcript event is what everyone observes,
+        so the script may pick a faulty sender's payload or withhold it,
+        but never split it. What is left to model is cost: each payload
+        bit is charged `broadcast_coefficient` x n^2 transport bits, the
+        scale at which bit-by-bit error-free broadcast constructions run.
+        """
         payload = honest_payload
         if sender in self.script.faulty:
             rule = self.script.bcast_rule(g, tag, sender)
@@ -540,8 +551,9 @@ class Execution:
                 kind, override = rule
                 payload = None if kind == BCAST_SILENT else override
         bits = 0 if payload is None else honest_bits
+        n = self.config.n
         self.ledger.add_broadcast(
-            g, stage, bits, self.cost.charged_bits(self.config.n, bits)
+            g, stage, bits, bits * self.config.broadcast_coefficient * n * n
         )
         self.transcript.append(
             "BROADCAST", g=g, tag=tag, sender=sender,
@@ -564,18 +576,6 @@ class Execution:
                 self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
                 if event[1] in self.decided:
                     self._violate(f"g{g}: fault-free processor {event[1]} convicted")
-
-    def _record_outcome(
-        self, g: int, kind: str, value: bytes | None, decide_set: list[int]
-    ) -> dict:
-        outcome = {
-            "g": g,
-            "kind": kind,
-            "value": None if value is None else value.hex(),
-            "decide_set": decide_set,
-        }
-        self.transcript.append("DECIDED", **outcome)
-        return outcome
 
     def _decode_accepted(self, g: int, p: int, vec: SymbolVector) -> bytes:
         """Block of the word that fault-free processor p flagged FALSE.
@@ -612,17 +612,20 @@ class Execution:
         self,
         g: int,
         p_match: Sequence[int],
-        obligations: Sequence[SendObligation],
+        plan: _MatchingPlan,
         coded: dict[int, SymbolVector],
         received: dict[int, SymbolVector],
     ) -> None:
         """Helper wave, non-member reconstruction, re-send wave."""
         cfg = self.config
         members = set(p_match)
+        obligations = plan[0]
         for ob in obligations:
             if ob.step == STEP_HELPER:
                 self._deliver(g, ob, coded, received, set())
-        for r, slot in local_helper_copies(self.graph, p_match):
+        if plan[1] is None:
+            plan[1] = tuple(local_helper_copies(self.graph, p_match))
+        for r, slot in plan[1]:
             received[r].copy_slot(coded[r], slot)
         # a non-member that cannot gather enough match-set symbols keeps
         # its own-input slot and skips the re-send wave entirely
@@ -678,7 +681,7 @@ class Execution:
             )
         return claims
 
-    # ------------------------------------------------------------- ALG1
+    # ------------------------------------------------------- generations
 
     def _terminated_tail(self, g: int) -> list[dict]:
         self.transcript.append(OUTCOME_TERMINATED, g=g)
@@ -687,162 +690,142 @@ class Execution:
             for h in range(g, self.config.generations + 1)
         ]
 
-    def _run_alg1(self) -> list[dict]:
+    def _run_generations(self) -> list[dict]:
+        """Each generation chooses its match set, then takes the shared step.
+
+        alg1 carries the match set forward (the last decide set, less the
+        convicted) and terminates once it falls below n-t. alg2 first
+        runs the matching stage for everyone, broadcasts match bits and
+        takes the smallest q-clique; without one the generation defaults.
+        """
         cfg = self.config
-        outcomes: list[dict] = []
-        p_match = list(range(1, cfg.n + 1))
-        for g in range(1, cfg.generations + 1):
-            p_match = [p for p in p_match if p not in self.graph.convicted]
-            if len(p_match) < cfg.n - cfg.t:
-                return outcomes + self._terminated_tail(g)
-            obligations = self._obligations(p_match)
-            coded, received = self._fresh_state(g)
-            for ob in obligations:
-                if ob.step == STEP_OWN:
-                    self._deliver(g, ob, coded, received, set())
-            self._helper_and_reconstruct(g, p_match, obligations, coded, received)
-            flags = self._run_checking(g, set(p_match), coded, received)
-            if all(v is False for v in flags.values()):
-                values = {
-                    p: self._decode_accepted(g, p, received[p])
-                    for p in self.fault_free
-                }
-                self._check_generation_values(g, values, p_match)
-                outcomes.append(
-                    self._record_outcome(
-                        g, OUTCOME_DECIDED, values[self.fault_free[0]], []
-                    )
-                )
-                for p in self.fault_free:
-                    self.decided[p].append(values[p])
-                continue
-            self.diagnosis_count += 1
-            claims = self._collect_claims(g, flags, coded, received)
-            result = run_diagnosis(
-                self.params, self.graph, p_match, obligations, claims,
-                p_match, cfg.n - cfg.t,
-            )
-            self._graph_events(g, result.events)
-            if not result.decide_ids:
-                return outcomes + self._terminated_tail(g)
-            self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
-            self._check_generation_values(
-                g, {p: result.decide_value for p in self.fault_free}, p_match
-            )
-            outcomes.append(
-                self._record_outcome(
-                    g, OUTCOME_DIAGNOSED, result.decide_value, result.decide_ids
-                )
-            )
-            for p in self.fault_free:
-                self.decided[p].append(result.decide_value)
-            p_match = result.decide_ids
-        return outcomes
-
-    def _check_generation_values(
-        self, g: int, values: dict[int, bytes], p_match: Sequence[int]
-    ) -> None:
-        """Per-generation agreement and validity over fault-free processors."""
-        distinct = set(values.values())
-        if len(distinct) > 1:
-            self._violate(f"g{g}: fault-free processors decided different blocks")
-        member_blocks = {
-            self.config.input_block(p, g) for p in p_match if p in self.decided
-        }
-        if member_blocks:
-            for v in distinct:
-                if v not in member_blocks:
-                    self._violate(
-                        f"g{g}: decided block is no fault-free member's input"
-                    )
-
-    # ------------------------------------------------------------- ALG2
-
-    def _run_alg2(self) -> list[dict]:
-        cfg = self.config
-        outcomes: list[dict] = []
         everyone = list(range(1, cfg.n + 1))
-        default_block = b"\x00" * cfg.block_bytes
+        outcomes: list[dict] = []
+        p_match: list[int] | None = everyone
         for g in range(1, cfg.generations + 1):
-            coded, received = self._fresh_state(g)
-            for ob in self._obligations(everyone):
-                self._deliver(g, ob, coded, received, set())
             vectors: dict[int, tuple[bool, ...] | None] = {}
-            for p in self.graph.unconvicted():
-                live = compute_match_bits(cfg.n, received[p], coded[p])
-                observed = self._broadcast(
-                    g, STAGE_MATCHING, TAG_MATCH_BITS, p, live, cfg.n
-                )
-                vectors[p] = (
-                    None if observed is None else tuple(bool(b) for b in observed)
-                )
-            p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
-            self.transcript.append("MATCH_SET", g=g, members=p_match)
-            self._check_clique_existence(g, p_match)
-            if p_match is None:
-                if cfg.stop_when_no_match_set:
-                    for p in self.fault_free:
-                        self.decided[p].extend(
-                            default_block for _ in range(g, cfg.generations + 1)
-                        )
+            if cfg.algorithm == ALG1:
+                p_match = [p for p in p_match if p not in self.graph.convicted]
+                if len(p_match) < cfg.n - cfg.t:
                     return outcomes + self._terminated_tail(g)
-                self._check_q_validity(g, OUTCOME_DEFAULT, default_block)
-                for p in self.fault_free:
-                    self.decided[p].append(default_block)
-                outcomes.append(
-                    self._record_outcome(g, OUTCOME_DEFAULT, default_block, [])
-                )
-                continue
-            outcomes.append(
-                self._run_alg2_generation(
-                    g, p_match, coded, received, vectors, default_block
-                )
-            )
+                coded, received = self._fresh_state(g)
+                for ob in self._plan(p_match)[0]:
+                    if ob.step == STEP_OWN:
+                        self._deliver(g, ob, coded, received, set())
+            else:
+                coded, received = self._fresh_state(g)
+                for ob in self._plan(everyone)[0]:
+                    self._deliver(g, ob, coded, received, set())
+                for p in self.graph.unconvicted():
+                    live = compute_match_bits(cfg.n, received[p], coded[p])
+                    observed = self._broadcast(
+                        g, STAGE_MATCHING, TAG_MATCH_BITS, p, live, cfg.n
+                    )
+                    vectors[p] = (
+                        None if observed is None else tuple(bool(b) for b in observed)
+                    )
+                p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
+                self.transcript.append("MATCH_SET", g=g, members=p_match)
+                self._check_clique_existence(g, p_match)
+                if p_match is None:
+                    if cfg.stop_when_no_match_set:
+                        for p in self.fault_free:
+                            self.decided[p].extend(
+                                bytes(cfg.block_bytes)
+                                for _ in range(g, cfg.generations + 1)
+                            )
+                        return outcomes + self._terminated_tail(g)
+                    default = dict.fromkeys(self.fault_free, bytes(cfg.block_bytes))
+                    outcomes.append(self._settle(g, OUTCOME_DEFAULT, default, [], []))
+                    continue
+            outcome = self._generation_step(g, p_match, vectors, coded, received)
+            if outcome is None:
+                return outcomes + self._terminated_tail(g)
+            outcomes.append(outcome)
+            if outcome["decide_set"]:
+                p_match = outcome["decide_set"]
         return outcomes
 
-    def _run_alg2_generation(
+    def _generation_step(
         self, g: int, p_match: list[int],
+        vectors: dict[int, tuple[bool, ...] | None],
         coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
-        vectors: dict[int, tuple[bool, ...] | None], default_block: bytes,
-    ) -> dict:
+    ) -> dict | None:
+        """Helper and re-send waves, checking, then decode or diagnose.
+
+        With every flag FALSE each fault-free processor decodes its own
+        word. Otherwise everyone's claims are diagnosed. alg1 decides
+        among the match set at threshold n-t and terminates (None) on an
+        empty decide set. alg2 first convicts silent match vectors,
+        decides among everyone at threshold q counting convicted claims,
+        and defaults on an empty decide set.
+        """
         cfg = self.config
-        obligations = self._obligations(p_match)
-        self._helper_and_reconstruct(g, p_match, obligations, coded, received)
+        alg1 = cfg.algorithm == ALG1
+        plan = self._plan(p_match)
+        self._helper_and_reconstruct(g, p_match, plan, coded, received)
         flags = self._run_checking(g, set(p_match), coded, received)
         if all(v is False for v in flags.values()):
             values = {
-                p: self._decode_accepted(g, p, received[p])
-                for p in self.fault_free
+                p: self._decode_accepted(g, p, received[p]) for p in self.fault_free
             }
-            if len(set(values.values())) > 1:
-                self._violate(f"g{g}: fault-free processors decided different blocks")
-            value = values[self.fault_free[0]]
-            self._check_q_validity(g, OUTCOME_DECIDED, value)
-            for p in self.fault_free:
-                self.decided[p].append(values[p])
-            return self._record_outcome(g, OUTCOME_DECIDED, value, [])
+            return self._settle(g, OUTCOME_DECIDED, values, [], p_match)
         self.diagnosis_count += 1
-        for p in list(self.graph.unconvicted()):
-            if vectors.get(p) is None:
-                self._graph_events(
-                    g,
-                    [(RULE_SILENT_MATCH_VECTOR, ev) for ev in self.graph.convict(p)],
-                )
+        if not alg1:
+            for p in list(self.graph.unconvicted()):
+                if vectors.get(p) is None:
+                    convicted = self.graph.convict(p)
+                    self._graph_events(
+                        g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in convicted]
+                    )
         claims = self._collect_claims(g, flags, coded, received)
         result = run_diagnosis(
-            self.params, self.graph, p_match, obligations, claims,
-            list(range(1, cfg.n + 1)), cfg.q, count_convicted=True,
+            self.params, self.graph, p_match, plan[0], claims,
+            p_match if alg1 else list(range(1, cfg.n + 1)),
+            cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
         )
         self._graph_events(g, result.events)
         if result.decide_ids:
             self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
             kind, value = OUTCOME_DIAGNOSED, result.decide_value
+        elif alg1:
+            return None
         else:
-            kind, value = OUTCOME_DEFAULT, default_block
-        self._check_q_validity(g, kind, value)
+            kind, value = OUTCOME_DEFAULT, bytes(cfg.block_bytes)
+        values = dict.fromkeys(self.fault_free, value)
+        return self._settle(g, kind, values, result.decide_ids, p_match)
+
+    def _settle(
+        self, g: int, kind: str, values: dict[int, bytes],
+        decide_set: list[int], p_match: list[int],
+    ) -> dict:
+        """Check, store and record one generation's outcome.
+
+        Fault-free processors must decide one block. alg1 must decide a
+        fault-free match-set member's input (if one is in the match set);
+        alg2 must keep q-validity.
+        """
+        cfg = self.config
+        value = values[self.fault_free[0]]
+        distinct = set(values.values())
+        if len(distinct) > 1:
+            self._violate(f"g{g}: fault-free processors decided different blocks")
+        if cfg.algorithm == ALG2:
+            self._check_q_validity(g, kind, value)
+        else:
+            member_inputs = {
+                cfg.input_block(p, g) for p in p_match if p in self.decided
+            }
+            for v in distinct:
+                if member_inputs and v not in member_inputs:
+                    self._violate(
+                        f"g{g}: decided block is no fault-free member's input"
+                    )
         for p in self.fault_free:
-            self.decided[p].append(value)
-        return self._record_outcome(g, kind, value, result.decide_ids or [])
+            self.decided[p].append(values[p])
+        outcome = {"g": g, "kind": kind, "value": value.hex(), "decide_set": decide_set}
+        self.transcript.append("DECIDED", **outcome)
+        return outcome
 
     def _sharers_of(self, g: int) -> tuple[bytes | None, list[int]]:
         """The most widely shared fault-free block this generation."""
@@ -907,7 +890,7 @@ class Execution:
             padding="zero-fill-tail",
             generations=cfg.generations,
         )
-        outcomes = self._run_alg1() if cfg.algorithm == ALG1 else self._run_alg2()
+        outcomes = self._run_generations()
         terminated = any(o["kind"] == OUTCOME_TERMINATED for o in outcomes)
         outputs: dict[int, bytes] = {}
         for p in self.fault_free:

@@ -24,11 +24,8 @@ from codedbft.rs import (
     _mul_row,
     decode,
     encode,
-    format_test_vector,
-    interpolate_full,
     is_codeword,
     min_distance_bruteforce,
-    parse_test_vector,
     reconstruct_position,
 )
 
@@ -242,7 +239,8 @@ def test_any_k_subset_interpolates_the_same_codeword(block, data):
             unique=True,
         )
     )
-    assert interpolate_full(params, vec, subset) == vec
+    for pos in range(1, 8):
+        assert reconstruct_position(params, vec, pos, subset) == vec.get(pos)
 
 
 # -------------------------------------------------------- reconstruction
@@ -431,32 +429,6 @@ def test_min_distance_guard():
         min_distance_bruteforce(CodeParams(4, 3, sym_bytes=2))
     with pytest.raises(ParameterError):
         min_distance_bruteforce(CodeParams(7, 4))
-
-
-# ------------------------------------------------------------ interchange
-
-
-def test_test_vector_line_round_trip():
-    params = CodeParams(4, 2)
-    data = b"\xde\xad"
-    vec = encode(params, data)
-    line = format_test_vector(params, data, vec)
-    assert line == "4 2 1 dead dead774b"
-    got_params, got_data, got_vec = parse_test_vector(line)
-    assert got_params == params
-    assert got_data == data
-    assert got_vec == vec
-
-
-def test_test_vector_rejects_malformed_lines():
-    with pytest.raises(ParameterError):
-        parse_test_vector("4 2 1 dead")
-    with pytest.raises(ParameterError):
-        parse_test_vector("4 2 1 dead dead77")
-    with pytest.raises(ParameterError):
-        format_test_vector(
-            CodeParams(4, 2), b"\xde\xad", SymbolVector(4, 1, [b"\x01", None, b"\x02", b"\x03"])
-        )
 
 
 # ----------------------------------------------------------- vector type

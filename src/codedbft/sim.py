@@ -80,7 +80,6 @@ class ExecutionConfig:
     q: int | None = None
     seed: int = 0
     broadcast_coefficient: int = 1
-    stop_when_no_match_set: bool = False
     # each input decoded once and zero-padded, for slicing blocks every generation
     _padded_inputs: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
@@ -162,7 +161,6 @@ class ExecutionConfig:
             "inputs": list(self.inputs),
             "seed": self.seed,
             "broadcast_coefficient": self.broadcast_coefficient,
-            "stop_when_no_match_set": self.stop_when_no_match_set,
         }
 
     @classmethod
@@ -177,7 +175,6 @@ class ExecutionConfig:
             inputs=tuple(data["inputs"]),
             seed=data.get("seed", 0),
             broadcast_coefficient=data.get("broadcast_coefficient", 1),
-            stop_when_no_match_set=data.get("stop_when_no_match_set", False),
         )
 
 
@@ -728,13 +725,6 @@ class Execution:
                 self.transcript.append("MATCH_SET", g=g, members=p_match)
                 self._check_clique_existence(g, p_match)
                 if p_match is None:
-                    if cfg.stop_when_no_match_set:
-                        for p in self.fault_free:
-                            self.decided[p].extend(
-                                bytes(cfg.block_bytes)
-                                for _ in range(g, cfg.generations + 1)
-                            )
-                        return outcomes + self._terminated_tail(g)
                     default = dict.fromkeys(self.fault_free, bytes(cfg.block_bytes))
                     outcomes.append(self._settle(g, OUTCOME_DEFAULT, default, [], []))
                     continue
@@ -891,13 +881,12 @@ class Execution:
             generations=cfg.generations,
         )
         outcomes = self._run_generations()
+        # only alg1 terminates, and then every output is the all-zero default
         terminated = any(o["kind"] == OUTCOME_TERMINATED for o in outcomes)
-        outputs: dict[int, bytes] = {}
-        for p in self.fault_free:
-            if cfg.algorithm == ALG1 and terminated:
-                outputs[p] = b"\x00" * cfg.padded_bytes
-            else:
-                outputs[p] = b"".join(self.decided[p])
+        outputs = {
+            p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
+            for p in self.fault_free
+        }
         self._check_final(outputs)
         verdict = "PASS" if not self.violations else "VERDICT_FAIL"
         self.transcript.append(

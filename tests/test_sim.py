@@ -1,5 +1,6 @@
 """End-to-end executions: traffic identities, verdicts, determinism."""
 
+import json
 import random
 
 import pytest
@@ -339,6 +340,10 @@ def test_case_round_trip_preserves_everything():
     loaded_config, loaded_script = load_case(serialize_case(config, script))
     assert loaded_config == config
     assert loaded_script.to_jsonable() == script.to_jsonable()
+    # case files written while the config still had this option keep loading
+    written_before = json.loads(serialize_case(config, script))
+    written_before["config"]["stop_when_no_match_set"] = False
+    assert load_case(json.dumps(written_before))[0] == config
 
 
 def test_transcript_header_records_padding_policy():

@@ -412,11 +412,12 @@ def criterion_8(quick: bool = False) -> tuple[bool, str]:
                 return False, f"round-trip failed at {data.hex()} minus {erased}"
     words = len(range(0, 1 << 16, step))
 
-    distance_ok = True
-    for k in (1, 2):
-        for n in range(k + 1, 8):
-            if min_distance_bruteforce(CodeParams(n, k, 1)) != n - k + 1:
-                distance_ok = False
+    # every (n, k) the brute force accepts for n <= 7
+    distance_ok = all(
+        min_distance_bruteforce(CodeParams(n, k)) == n - k + 1
+        for n in range(2, 8)
+        for k in range(1, min(n, 3) + 1)
+    )
 
     rng = random.Random(8)
     trials = 200 if quick else 1000

@@ -252,7 +252,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "transcript.jsonl").write_text(result.transcript.to_jsonl())
+    result.transcript.write_jsonl(out_dir / "transcript.jsonl")
     mismatches = check_expected(result, report, data.get("expected") or {})
     report_doc = {
         "scenario": data.get("name"),
@@ -384,10 +384,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config, script = load_case(text)
     first = run_execution(config, script)
     second = run_execution(*load_case(text))
-    identical = (
-        first.transcript.to_jsonl().encode()
-        == second.transcript.to_jsonl().encode()
-    )
+    identical = first.transcript.to_jsonl() == second.transcript.to_jsonl()
     print(
         f"replay verdict={first.verdict}"
         f" identical={'yes' if identical else 'NO'}"

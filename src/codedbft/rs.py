@@ -153,6 +153,10 @@ class SymbolVector:
         return f"SymbolVector[{body}]"
 
 
+# `bytes.translate` table: 1 for a zero byte, 0 for any other
+_ZERO_FLAG = b"\x01" + bytes(255)
+
+
 @lru_cache(maxsize=None)
 def _mul_row(c: int) -> bytes:
     """Products c*x for x = 0..255, a `bytes.translate` table scaling by c."""
@@ -280,23 +284,32 @@ def min_distance_bruteforce(params: CodeParams) -> int:
     map is linear over GF(2^8)), so the pairwise minimum equals the
     minimum nonzero-codeword weight. Slot weight is also invariant under
     nonzero scalar multiples, so it suffices to enumerate the codewords
-    whose first nonzero data symbol is 1; that costs 256^(k-1) encodes.
+    whose first nonzero data symbol is 1: 256^(k-1-lead) of them for
+    each leading position. Byte lanes are independent codewords, so one
+    `encode` with one lane per tail enumerates all of a lead's codewords,
+    and each slot's zero lanes are counted together.
     """
     if params.sym_bytes != 1 or (params.k - 1) * 8 > 16:
         raise ParameterError("brute force limited to sym_bytes=1 and k <= 3")
-    best = params.n + 1
-    for lead in range(params.k):
-        tail_len = params.k - lead - 1
-        for tail in range(256**tail_len):
-            data = bytes(lead) + b"\x01" + tail.to_bytes(tail_len, "big")
-            vec = encode(params, data)
-            weight = sum(
-                1 for pos in range(1, params.n + 1) if vec.get(pos) != b"\x00"
-            )
-            if weight < best:
-                best = weight
-                if best == 1:
-                    # nothing can beat a weight-1 codeword
-                    return best
+    n, k = params.n, params.k
+    best = n
+    for lead in range(k):
+        tail_len = k - lead - 1
+        lanes = 256**tail_len
+        # tail digit j of lane i is base-256 digit j of i, most significant first
+        tails = [
+            b"".join(bytes([d]) * 256 ** (tail_len - 1 - j) for d in range(256))
+            * 256**j
+            for j in range(tail_len)
+        ]
+        vec = encode(
+            CodeParams(n, k, lanes),
+            bytes(lead * lanes) + b"\x01" * lanes + b"".join(tails),
+        )
+        # per lane, one byte counting its zero slots (at most n <= 255)
+        zeros = sum(
+            int.from_bytes(vec.get(pos).translate(_ZERO_FLAG), "big")
+            for pos in range(1, n + 1)
+        )
+        best = min(best, n - max(zeros.to_bytes(lanes, "big")))
     return best
-

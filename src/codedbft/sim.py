@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Sequence
 
 from .consensus import (
     STEP_HELPER,
@@ -165,6 +167,11 @@ class ExecutionConfig:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExecutionConfig":
+        # older case files still carry the retired stop_when_no_match_set
+        known = {f.name for f in fields(cls) if f.init} | {"stop_when_no_match_set"}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
         return cls(
             algorithm=data["algorithm"],
             n=data["n"],
@@ -386,6 +393,9 @@ class CostLedger:
 
 # one stateless encoder for every event; json.dumps would build one per call
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+# transcript lines per write when `codedbft run` streams them to a file
+_WRITE_CHUNK_LINES = 4096
 
 
 class Transcript:
@@ -400,8 +410,68 @@ class Transcript:
         self.events.append(event)
 
     def to_jsonl(self) -> str:
+        return "".join(self._lines())
+
+    def write_jsonl(self, path: Path) -> None:
+        """Write `to_jsonl()` to `path` in chunks of lines."""
+        lines = self._lines()
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
+                out.write(chunk)
+
+    def _lines(self) -> Iterator[str]:
+        """Each event as `_JSONL_ENCODER.encode(event) + "\\n"`.
+
+        The two hot event shapes, SYMBOL_SENT and BROADCAST with a bool
+        or None payload, are filled into fixed templates whose keys are
+        in sorted order. An event takes a template only when it has
+        exactly the template's keys, every int field is an int (a bool
+        would print as True), and every string prints unescaped; any
+        other event goes through the encoder.
+        """
         encode = _JSONL_ENCODER.encode
-        return "".join(encode(e) + "\n" for e in self.events)
+        for e in self.events:
+            kind = e.get("type")
+            if kind == "SYMBOL_SENT" and len(e) == 7:
+                try:
+                    g, receiver, sender = e["g"], e["receiver"], e["sender"]
+                    slot, step, value = e["slot"], e["step"], e["value"]
+                except KeyError:
+                    pass
+                else:
+                    if (
+                        type(g) is int and type(receiver) is int
+                        and type(sender) is int and type(slot) is int
+                        and type(step) is str and step in _STEPS
+                        and type(value) is str
+                        and value.isascii() and value.encode().isalnum()
+                    ):
+                        yield (
+                            f'{{"g":{g},"receiver":{receiver},"sender":{sender},'
+                            f'"slot":{slot},"step":"{step}",'
+                            f'"type":"SYMBOL_SENT","value":"{value}"}}\n'
+                        )
+                        continue
+            elif kind == "BROADCAST" and len(e) == 6:
+                try:
+                    g, payload, bits = e["g"], e["payload"], e["payload_bits"]
+                    sender, tag = e["sender"], e["tag"]
+                except KeyError:
+                    pass
+                else:
+                    if (
+                        type(g) is int and type(bits) is int
+                        and type(sender) is int
+                        and (payload is None or type(payload) is bool)
+                        and type(tag) is str and tag in _TAGS
+                    ):
+                        yield (
+                            f'{{"g":{g},"payload":{_JSON_LITERALS[payload]},'
+                            f'"payload_bits":{bits},"sender":{sender},'
+                            f'"tag":"{tag}","type":"BROADCAST"}}\n'
+                        )
+                        continue
+            yield encode(e) + "\n"
 
     def of_type(self, event_type: str) -> list[dict]:
         return [e for e in self.events if e["type"] == event_type]
@@ -1151,4 +1221,4 @@ def replay_identical(config: ExecutionConfig, script: AdversaryScript) -> bool:
     first = run_execution(config, script).transcript.to_jsonl()
     config2, script2 = load_case(serialize_case(config, script))
     second = run_execution(config2, script2).transcript.to_jsonl()
-    return first.encode() == second.encode()
+    return first == second

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from codedbft.cli import (
     parse_override,
 )
 from codedbft.diagnosis import ConfigurationError
+from golden_corpus import SCENARIOS, scenario_case
 
 
 # ------------------------------------------------------------- choose_d
@@ -201,6 +203,37 @@ def test_replay_round_trips_a_case(tmp_path):
     case = tmp_path / "case.json"
     case.write_text(serialize_case(config, random_script(config, 11)))
     assert main(["replay", str(case)]) == 0
+
+
+def test_replay_rejects_unknown_config_key(capsys):
+    case = Path(__file__).parent / "cases" / "misspelled_config_key.json"
+    assert main(["replay", str(case)]) == 2
+    assert "broadcast_coeficient" in capsys.readouterr().err
+
+
+def test_replay_loads_a_case_with_the_retired_option(tmp_path):
+    from codedbft.sim import random_script, serialize_case
+
+    config = build_config({"l_bits": 72, "d_bits": 24, "seed": 12})
+    doc = json.loads(serialize_case(config, random_script(config, 12)))
+    doc["config"]["stop_when_no_match_set"] = True
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert main(["replay", str(case)]) == 0
+
+
+@pytest.mark.parametrize(
+    "scenario", ["faultfree_alg1_n7.json", "quorum_false_flag.json"]
+)
+def test_run_writes_the_bytes_of_to_jsonl(scenario, tmp_path, monkeypatch):
+    from codedbft import sim
+
+    # several chunks and a partial last one
+    monkeypatch.setattr(sim, "_WRITE_CHUNK_LINES", 7)
+    assert main(["run", str(SCENARIOS / scenario), "--out-dir", str(tmp_path)]) == 0
+    expected = sim.run_execution(*scenario_case(scenario)).transcript.to_jsonl()
+    assert expected.count("\n") % 7
+    assert (tmp_path / "transcript.jsonl").read_bytes() == expected.encode()
 
 
 def test_acceptance_quick_passes(capsys):

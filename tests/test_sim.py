@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedbft import sim
 from codedbft.consensus import matching_obligations
@@ -30,6 +32,7 @@ from codedbft.sim import (
     serialize_case,
     sweep,
 )
+from golden_corpus import all_cases
 
 
 def fault_free_config(algorithm, n, t, q, l_bits, d_bits, seed=1, sharers=None):
@@ -354,3 +357,100 @@ def test_transcript_header_records_padding_policy():
     assert header["original_l_bits"] == 80
     assert header["padded_bits"] == 96
     assert header["generations"] == 4
+
+
+# --------------------------------------------------------- serialization
+
+
+def encoder_lines(events):
+    return [sim._JSONL_ENCODER.encode(e) + "\n" for e in events]
+
+
+def rendered_lines(events):
+    transcript = sim.Transcript()
+    transcript.events = list(events)
+    return list(transcript._lines())
+
+
+def test_templates_render_the_golden_corpus_like_the_encoder():
+    cases = all_cases()
+    assert len(cases) == 84
+    for key, (config, script) in cases.items():
+        events = run_execution(config, script).transcript.events
+        got, want = rendered_lines(events), encoder_lines(events)
+        assert len(got) == len(want), key
+        for event, line, expected in zip(events, got, want):
+            assert line == expected, (key, event)
+
+
+_INTS = st.integers()
+_FIELD_VALUES = st.one_of(
+    _INTS, st.booleans(), st.none(), st.text(max_size=8),
+    st.lists(_INTS, max_size=3), st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def hot_events(draw):
+    """SYMBOL_SENT and BROADCAST events, well formed or slightly off."""
+    if draw(st.booleans()):
+        event = {
+            "type": "SYMBOL_SENT", "g": draw(_INTS), "receiver": draw(_INTS),
+            "sender": draw(_INTS), "slot": draw(_INTS),
+            "step": draw(st.sampled_from(sim._STEPS) | st.text(max_size=8)),
+            "value": draw(st.binary(max_size=8).map(bytes.hex) | st.text(max_size=8)),
+        }
+    else:
+        event = {
+            "type": "BROADCAST", "g": draw(_INTS), "sender": draw(_INTS),
+            "tag": draw(st.sampled_from(sim._TAGS) | st.text(max_size=8)),
+            "payload": draw(
+                st.booleans() | st.none()
+                | st.lists(st.none() | st.text(max_size=4), max_size=4)
+            ),
+            "payload_bits": draw(_INTS),
+        }
+    change = draw(st.sampled_from(["none", "extra", "missing", "retype"]))
+    fields = sorted(k for k in event if k != "type")
+    if change == "extra":
+        event[draw(st.text(max_size=6))] = draw(_FIELD_VALUES)
+    elif change == "missing":
+        del event[draw(st.sampled_from(fields))]
+    elif change == "retype":
+        event[draw(st.sampled_from(fields))] = draw(_FIELD_VALUES)
+    return event
+
+
+@settings(deadline=None)
+@given(st.lists(hot_events(), max_size=6))
+def test_templates_render_hot_events_like_the_encoder(events):
+    assert rendered_lines(events) == encoder_lines(events)
+
+
+def test_only_off_shape_events_reach_the_encoder(monkeypatch):
+    symbol = {"type": "SYMBOL_SENT", "g": 1, "receiver": 2, "sender": 3,
+              "slot": 3, "step": STEP_OWN, "value": "ab"}
+    broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "coded",
+                 "payload": None, "payload_bits": 0}
+    off_shape = [
+        dict(symbol, note=1),
+        {k: v for k, v in symbol.items() if k != "slot"},
+        dict(symbol, g=True),
+        dict(symbol, value="\u00e9"),
+        dict(symbol, step='o"wn'),
+        dict(broadcast, payload=1),
+        dict(broadcast, payload_bits=False),
+    ]
+    events = [symbol, broadcast] + off_shape
+    want = encoder_lines(events)
+    encoder = sim._JSONL_ENCODER
+    encoded = []
+
+    class Spy:
+        def encode(self, event):
+            encoded.append(event)
+            return encoder.encode(event)
+
+    monkeypatch.setattr(sim, "_JSONL_ENCODER", Spy())
+    assert rendered_lines(events) == want
+    assert encoded == off_shape

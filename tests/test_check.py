@@ -1,0 +1,206 @@
+"""Violation lists of runs made to fail, frozen in violation_lists.json.
+
+Golden hashes pin only passing transcripts. Here the engine is patched
+where its results feed the judge: `decode` fails, decodes to zeros or
+skews every other block; `detection_flag` raises false alarms;
+`run_diagnosis` also convicts a fault-free processor or cuts an edge
+between two; `find_match_set` finds nothing or picks the wrong q. Each
+run's violation list, text and order, must stay as recorded. Run this
+file as a script to re-record the lists after a deliberate change.
+"""
+
+import dataclasses
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from codedbft import sim
+from codedbft.rs import InsufficientSymbolsError
+from codedbft.sim import ALG1, ALG2, AdversaryScript, ExecutionConfig, random_script
+
+FROZEN = Path(__file__).parent / "violation_lists.json"
+
+# every message the judge can write, with its numbers wildcarded
+MESSAGES = [
+    r"g\d+: edge \(\d+,\d+\) between fault-free processors removed",
+    r"g\d+: fault-free processor \d+ convicted",
+    r"g\d+: fault-free processor \d+ cannot decode its accepted word",
+    r"g\d+: fault-free processors decided different blocks",
+    r"g\d+: decided block is no fault-free member's input",
+    r"g\d+: no match set found despite a trusting fault-free group sharing a block",
+    r"g\d+: decided block is no fault-free input",
+    r"g\d+: majority quorum decided a block other than the shared one",
+    r"processor \d+ terminated without a full output",
+    r"final fault-free outputs differ",
+    r"identical fault-free inputs were not decided",
+    r"fault-free processor \d+ ended convicted",
+]
+
+# (algorithm, n, t, q, holders of the all-zero input); the rest share one value
+POINTS = (
+    (ALG1, 4, 1, None, ()),
+    (ALG1, 4, 1, None, (4,)),
+    (ALG1, 7, 2, None, ()),
+    (ALG2, 4, 1, 2, (3, 4)),
+    (ALG2, 4, 1, 3, (4,)),
+    (ALG2, 7, 2, 3, (6, 7)),
+    (ALG2, 7, 2, 5, (7,)),
+)
+
+
+def point_config(algorithm, n, t, q, zero_holders) -> ExecutionConfig:
+    """Three one-unit generations: shared blocks 01.., 02.., 03.. or zeros."""
+    k = q if q is not None else n - t
+    shared = b"".join(bytes([g]) * k for g in (1, 2, 3)).hex()
+    zero = bytes(3 * k).hex()
+    inputs = tuple(zero if p in zero_holders else shared for p in range(1, n + 1))
+    return ExecutionConfig(
+        algorithm=algorithm, n=n, t=t, q=q, l_bits=24 * k, d_bits=8 * k,
+        inputs=inputs, seed=n + (q or 0),
+    )
+
+
+def point_scripts(config) -> dict:
+    return {
+        "quiet": AdversaryScript(),
+        "idle-top": AdversaryScript([config.n]),
+        "random-1": random_script(config, 1),
+        "random-2": random_script(config, 2),
+    }
+
+
+def _every(period, phase=0):
+    """A predicate true on calls phase, phase + period, ... (from 0)."""
+    calls = [-1]
+
+    def due():
+        calls[0] += 1
+        return calls[0] % period == phase
+    return due
+
+
+def patch_decode_fails(monkeypatch, config, script):
+    real, due = sim.decode, _every(3)
+
+    def decode(params, vec, **kw):
+        if due():
+            raise InsufficientSymbolsError("patched")
+        return real(params, vec, **kw)
+    monkeypatch.setattr(sim, "decode", decode)
+
+
+def patch_decode_zero(monkeypatch, config, script):
+    monkeypatch.setattr(sim, "decode", lambda params, vec, **kw: bytes(params.block_bytes))
+
+
+def patch_decode_skews(monkeypatch, config, script):
+    real, due = sim.decode, _every(2, 1)
+
+    def decode(params, vec, **kw):
+        block = real(params, vec, **kw)
+        return bytes([block[0] ^ 0x80]) + block[1:] if due() else block
+    monkeypatch.setattr(sim, "decode", decode)
+
+
+def patch_false_alarms(monkeypatch, config, script):
+    real, due = sim.detection_flag, _every(5)
+    monkeypatch.setattr(
+        sim, "detection_flag", lambda *args: True if due() else real(*args)
+    )
+
+
+def _blaming(act):
+    """run_diagnosis followed by `act(graph, fault_free)`'s graph events."""
+
+    def patch(monkeypatch, config, script):
+        real = sim.run_diagnosis
+        fault_free = [p for p in range(1, config.n + 1) if p not in script.faulty]
+
+        def run_diagnosis(params, graph, *args, **kw):
+            result = real(params, graph, *args, **kw)
+            extra = [("patched", ev) for ev in act(graph, fault_free)]
+            return dataclasses.replace(result, events=result.events + extra)
+        monkeypatch.setattr(sim, "run_diagnosis", run_diagnosis)
+    return patch
+
+
+def _convict_lowest(graph, fault_free):
+    live = [p for p in fault_free if p not in graph.convicted]
+    return graph.convict(live[0]) if live else []
+
+
+def _cut_lowest_pair(graph, fault_free):
+    for a in fault_free:
+        for b in fault_free:
+            if a < b and graph.edge_present(a, b):
+                return graph.remove_edge(a, b)
+    return []
+
+
+def patch_no_match_set(monkeypatch, config, script):
+    monkeypatch.setattr(sim, "find_match_set", lambda vectors, candidates, q: None)
+
+
+def patch_last_q(monkeypatch, config, script):
+    monkeypatch.setattr(
+        sim, "find_match_set", lambda vectors, candidates, q: list(candidates)[-q:]
+    )
+
+
+PATCHES = {
+    "decode-fails": patch_decode_fails,
+    "decode-zero": patch_decode_zero,
+    "decode-skews": patch_decode_skews,
+    "false-alarms": patch_false_alarms,
+    "convict-fault-free": _blaming(_convict_lowest),
+    "cut-fault-free-edge": _blaming(_cut_lowest_pair),
+    "no-match-set": patch_no_match_set,
+    "last-q-match-set": patch_last_q,
+}
+
+
+def corpus():
+    """Every (key, config, script, patch) of the frozen corpus."""
+    for point in POINTS:
+        config = point_config(*point)
+        for script_name, script in point_scripts(config).items():
+            for patch_name, patch in PATCHES.items():
+                if config.algorithm == ALG1 and "match-set" in patch_name:
+                    continue  # alg1 never searches for a match set
+                key = (
+                    f"{config.algorithm}-n{config.n}-q{config.q}"
+                    f"-zeros{''.join(map(str, point[4]))}-{script_name}-{patch_name}"
+                )
+                yield key, config, script, patch
+
+
+def run_corpus(monkeypatch) -> dict:
+    got = {}
+    for key, config, script, patch in corpus():
+        with monkeypatch.context() as m:
+            patch(m, config, script)
+            got[key] = sim.run_execution(config, script).violations
+    return got
+
+
+def test_violation_lists_are_frozen(monkeypatch):
+    assert run_corpus(monkeypatch) == json.loads(FROZEN.read_text())
+
+
+def test_frozen_corpus_reaches_every_message():
+    frozen = json.loads(FROZEN.read_text())
+    seen = {line for lines in frozen.values() for line in lines}
+    for pattern in MESSAGES:
+        assert any(re.fullmatch(pattern, line) for line in seen), pattern
+    assert all(any(re.fullmatch(p, line) for p in MESSAGES) for line in seen)
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as mp:
+        recorded = run_corpus(mp)
+    FROZEN.write_text(json.dumps(recorded, indent=1) + "\n")
+    failing = sum(1 for lines in recorded.values() if lines)
+    print(f"recorded {len(recorded)} runs, {failing} failing", file=sys.stderr)

@@ -41,6 +41,14 @@ TAG_MATCH_BITS = "match_bits"
 TAG_CODED = "coded"
 TAG_RECEIVED = "received"
 
+# the two protocols, and what a generation can end in
+ALG1 = "alg1"
+ALG2 = "alg2"
+OUTCOME_DECIDED = "DECIDED"
+OUTCOME_DIAGNOSED = "DIAGNOSED_DECIDED"
+OUTCOME_DEFAULT = "DEFAULT"
+OUTCOME_TERMINATED = "TERMINATED_DEFAULT"
+
 
 @dataclass(frozen=True)
 class SendObligation:

@@ -1,13 +1,13 @@
-"""Deterministic synchronous execution engine and ground-truth checker.
+"""Deterministic synchronous execution engine.
 
 One execution runs one configuration against one adversary script:
 lockstep rounds deliver exactly the obligated messages, the script may
 corrupt or withhold anything a faulty processor sends, every delivered
 bit is charged to a cost ledger, and every observable event lands in a
-canonical JSON-lines transcript. The checker knows the ground-truth
-faulty set (the protocol code never does) and records violations of
-the agreement properties in the transcript instead of raising, so that
-failing adversarial runs stay inspectable and replayable.
+canonical JSON-lines transcript. At the end `check.judge` lists the
+violations of the agreement properties into the transcript's verdict
+instead of raising, so that failing adversarial runs stay inspectable
+and replayable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
+from .check import judge
 from .consensus import (
+    ALG1,
+    ALG2,
+    OUTCOME_DECIDED,
+    OUTCOME_DEFAULT,
+    OUTCOME_DIAGNOSED,
+    OUTCOME_TERMINATED,
     STEP_HELPER,
     STEP_OWN,
     STEP_RECONSTRUCTED,
@@ -36,7 +43,7 @@ from .consensus import (
     run_diagnosis,
 )
 from .diagnosis import ConfigurationError, TrustGraph
-from .quorum import compute_match_bits, find_match_set, smallest_clique
+from .quorum import compute_match_bits, find_match_set
 from .rs import (
     CodeParams,
     InsufficientSymbolsError,
@@ -47,17 +54,9 @@ from .rs import (
     reconstruct_position,
 )
 
-ALG1 = "alg1"
-ALG2 = "alg2"
-
 STAGE_MATCHING = "matching"
 STAGE_CHECKING = "checking"
 STAGE_DIAGNOSIS = "diagnosis"
-
-OUTCOME_DECIDED = "DECIDED"
-OUTCOME_DIAGNOSED = "DIAGNOSED_DECIDED"
-OUTCOME_DEFAULT = "DEFAULT"
-OUTCOME_TERMINATED = "TERMINATED_DEFAULT"
 
 RULE_SILENT_MATCH_VECTOR = "silent-match-vector"
 
@@ -217,7 +216,7 @@ class AdversaryScript:
         self._sends: dict[tuple[int, str, int, int], tuple[str, bytes | None]] = {}
         self._bcasts: dict[tuple[int, str, int], tuple[str, Any]] = {}
 
-    def _check_sender(self, sender: int) -> None:
+    def _require_faulty(self, sender: int) -> None:
         if sender not in self.faulty:
             raise ValueError(f"processor {sender} is not in the faulty set")
 
@@ -230,7 +229,7 @@ class AdversaryScript:
         kind: str,
         data: bytes | None = None,
     ) -> "AdversaryScript":
-        self._check_sender(sender)
+        self._require_faulty(sender)
         if step not in _STEPS:
             raise ValueError(f"unknown step {step!r}")
         if kind not in (SEND_HONEST, SEND_SILENT, SEND_CORRUPT, SEND_REPLACE):
@@ -243,7 +242,7 @@ class AdversaryScript:
     def add_broadcast(
         self, generation: int, tag: str, sender: int, kind: str, payload: Any = None
     ) -> "AdversaryScript":
-        self._check_sender(sender)
+        self._require_faulty(sender)
         if tag not in _TAGS:
             raise ValueError(f"unknown broadcast tag {tag!r}")
         if kind not in (BCAST_SILENT, BCAST_REPLACE):
@@ -534,7 +533,6 @@ class Execution:
         self.graph = TrustGraph(config.n, config.t)
         self.ledger = CostLedger()
         self.transcript = Transcript()
-        self.violations: list[str] = []
         self.diagnosis_count = 0
         self.fault_free = [
             p for p in range(1, config.n + 1) if p not in script.faulty
@@ -545,9 +543,6 @@ class Execution:
         self._plan_cache: dict[tuple[int, tuple[int, ...]], _MatchingPlan] = {}
 
     # ------------------------------------------------------- primitives
-
-    def _violate(self, message: str) -> None:
-        self.violations.append(message)
 
     def _plan(self, p_match: Sequence[int]) -> _MatchingPlan:
         """The matching plan for `p_match`, derived once per trust-graph
@@ -634,30 +629,20 @@ class Execution:
                 self.transcript.append(
                     "EDGE_REMOVED", g=g, i=event[1], j=event[2], rule=rule
                 )
-                if event[1] in self.decided and event[2] in self.decided:
-                    self._violate(
-                        f"g{g}: edge ({event[1]},{event[2]}) between "
-                        f"fault-free processors removed"
-                    )
             else:
                 self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
-                if event[1] in self.decided:
-                    self._violate(f"g{g}: fault-free processor {event[1]} convicted")
 
-    def _decode_accepted(self, g: int, p: int, vec: SymbolVector) -> bytes:
-        """Block of the word that fault-free processor p flagged FALSE.
+    def _decode_accepted(self, vec: SymbolVector) -> bytes:
+        """Block of a word that a fault-free processor flagged FALSE.
 
         A FALSE flag means `detection_flag` found the word a codeword with
         at least k symbols, so the check is not repeated, and failing to
-        decode the word is a bug: record a violation and return no block,
-        which also leaves p's final output short.
+        decode the word is a bug: return no block, which the judge
+        reports and which also leaves the final output short.
         """
         try:
             return decode(self.params, vec, checked=True)
         except InsufficientSymbolsError:
-            self._violate(
-                f"g{g}: fault-free processor {p} cannot decode its accepted word"
-            )
             return b""
 
     # ---------------------------------------------------- matching waves
@@ -793,10 +778,9 @@ class Execution:
                     )
                 p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
                 self.transcript.append("MATCH_SET", g=g, members=p_match)
-                self._check_clique_existence(g, p_match)
                 if p_match is None:
                     default = dict.fromkeys(self.fault_free, bytes(cfg.block_bytes))
-                    outcomes.append(self._settle(g, OUTCOME_DEFAULT, default, [], []))
+                    outcomes.append(self._settle(g, OUTCOME_DEFAULT, default, []))
                     continue
             outcome = self._generation_step(g, p_match, vectors, coded, received)
             if outcome is None:
@@ -826,10 +810,8 @@ class Execution:
         self._helper_and_reconstruct(g, p_match, plan, coded, received)
         flags = self._run_checking(g, set(p_match), coded, received)
         if all(v is False for v in flags.values()):
-            values = {
-                p: self._decode_accepted(g, p, received[p]) for p in self.fault_free
-            }
-            return self._settle(g, OUTCOME_DECIDED, values, [], p_match)
+            values = {p: self._decode_accepted(received[p]) for p in self.fault_free}
+            return self._settle(g, OUTCOME_DECIDED, values, [])
         self.diagnosis_count += 1
         if not alg1:
             for p in list(self.graph.unconvicted()):
@@ -853,89 +835,18 @@ class Execution:
         else:
             kind, value = OUTCOME_DEFAULT, bytes(cfg.block_bytes)
         values = dict.fromkeys(self.fault_free, value)
-        return self._settle(g, kind, values, result.decide_ids, p_match)
+        return self._settle(g, kind, values, result.decide_ids)
 
     def _settle(
-        self, g: int, kind: str, values: dict[int, bytes],
-        decide_set: list[int], p_match: list[int],
+        self, g: int, kind: str, values: dict[int, bytes], decide_set: list[int]
     ) -> dict:
-        """Check, store and record one generation's outcome.
-
-        Fault-free processors must decide one block. alg1 must decide a
-        fault-free match-set member's input (if one is in the match set);
-        alg2 must keep q-validity.
-        """
-        cfg = self.config
-        value = values[self.fault_free[0]]
-        distinct = set(values.values())
-        if len(distinct) > 1:
-            self._violate(f"g{g}: fault-free processors decided different blocks")
-        if cfg.algorithm == ALG2:
-            self._check_q_validity(g, kind, value)
-        else:
-            member_inputs = {
-                cfg.input_block(p, g) for p in p_match if p in self.decided
-            }
-            for v in distinct:
-                if member_inputs and v not in member_inputs:
-                    self._violate(
-                        f"g{g}: decided block is no fault-free member's input"
-                    )
+        """Store each fault-free processor's block and record the outcome."""
         for p in self.fault_free:
             self.decided[p].append(values[p])
-        outcome = {"g": g, "kind": kind, "value": value.hex(), "decide_set": decide_set}
+        value = values[self.fault_free[0]].hex()
+        outcome = {"g": g, "kind": kind, "value": value, "decide_set": decide_set}
         self.transcript.append("DECIDED", **outcome)
         return outcome
-
-    def _sharers_of(self, g: int) -> tuple[bytes | None, list[int]]:
-        """The most widely shared fault-free block this generation."""
-        groups: dict[bytes, list[int]] = {}
-        for p in self.fault_free:
-            groups.setdefault(self.config.input_block(p, g), []).append(p)
-        if not groups:
-            return None, []
-        block, ids = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
-        return block, ids
-
-    def _check_clique_existence(self, g: int, p_match: list[int] | None) -> None:
-        """A trusting fault-free group sharing a block must yield a match set."""
-        if p_match is not None:
-            return
-        _, sharers = self._sharers_of(g)
-        if len(sharers) < self.config.q:
-            return
-        trust = {
-            a: {b for b in sharers if self.graph.edge_present(a, b)}
-            for a in sharers
-        }
-        if smallest_clique(trust, self.config.q) is not None:
-            self._violate(
-                f"g{g}: no match set found despite a trusting "
-                f"fault-free group sharing a block"
-            )
-
-    def _check_q_validity(self, g: int, kind: str, value: bytes) -> None:
-        """Check the properties every execution must satisfy.
-
-        A default generation itself is legal (the decision rule may
-        find no group of q identical claims), but any non-default
-        decision must be a fault-free input, and when a majority-sized
-        quorum of fault-free processors shares a block, only that block
-        can win.
-        """
-        cfg = self.config
-        if kind == OUTCOME_DEFAULT:
-            return
-        fault_free_blocks = {cfg.input_block(p, g) for p in self.fault_free}
-        if value not in fault_free_blocks:
-            self._violate(f"g{g}: decided block is no fault-free input")
-        block, sharers = self._sharers_of(g)
-        if len(sharers) < cfg.q:
-            return
-        if cfg.q >= (cfg.n + 2) // 2 and value != block:
-            self._violate(
-                f"g{g}: majority quorum decided a block other than the shared one"
-            )
 
     # ----------------------------------------------------------- driver
 
@@ -957,12 +868,14 @@ class Execution:
             p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
             for p in self.fault_free
         }
-        self._check_final(outputs)
-        verdict = "PASS" if not self.violations else "VERDICT_FAIL"
+        violations = judge(
+            cfg, self.script.faulty, self.transcript.events, self.decided, outputs
+        )
+        verdict = "PASS" if not violations else "VERDICT_FAIL"
         self.transcript.append(
             "VERDICT",
             verdict=verdict,
-            violations=list(self.violations),
+            violations=list(violations),
             outputs={str(p): v.hex() for p, v in sorted(outputs.items())},
             diagnosis_count=self.diagnosis_count,
             ledger=self.ledger.to_jsonable(),
@@ -972,7 +885,7 @@ class Execution:
             config=cfg,
             script=self.script,
             verdict=verdict,
-            violations=self.violations,
+            violations=violations,
             outputs=outputs,
             outcomes=outcomes,
             diagnosis_count=self.diagnosis_count,
@@ -980,25 +893,6 @@ class Execution:
             transcript=self.transcript,
             graph=self.graph,
         )
-
-    def _check_final(self, outputs: dict[int, bytes]) -> None:
-        cfg = self.config
-        for p, blob in outputs.items():
-            if len(blob) != cfg.padded_bytes:
-                self._violate(f"processor {p} terminated without a full output")
-        if len(set(outputs.values())) > 1:
-            self._violate("final fault-free outputs differ")
-        size = cfg.l_bits // 8
-        fault_free_inputs = {cfg.padded_input(p)[:size] for p in self.fault_free}
-        if cfg.algorithm == ALG1 and len(fault_free_inputs) == 1:
-            expected = next(iter(fault_free_inputs))
-            for v in outputs.values():
-                if v[:size] != expected:
-                    self._violate("identical fault-free inputs were not decided")
-                    break
-        for p in self.fault_free:
-            if p in self.graph.convicted:
-                self._violate(f"fault-free processor {p} ended convicted")
 
 
 def _jsonable_payload(payload: Any) -> Any:

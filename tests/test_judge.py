@@ -1,0 +1,56 @@
+"""The judge on hand-built event lists, with the messages it must write."""
+
+from codedbft.check import judge
+from codedbft.sim import ALG1, ALG2, ExecutionConfig
+
+
+def one_block_config(algorithm, inputs, q=None, generations=1) -> ExecutionConfig:
+    """n=4, t=1 with 3-byte blocks; `inputs` are the per-processor blocks."""
+    return ExecutionConfig(
+        algorithm=algorithm, n=4, t=1, q=q, l_bits=24 * generations, d_bits=24,
+        inputs=tuple(block.hex() * generations for block in inputs),
+    )
+
+
+def test_judge_reports_a_hand_built_alg2_run():
+    shared, other, outside = b"\x01" * 3, b"\x02" * 3, b"\x09" * 3
+    config = one_block_config(ALG2, (shared, shared, shared, other), q=3)
+    events = [
+        {"type": "header"},
+        {"type": "BROADCAST", "g": 1, "tag": "detected", "sender": 1,
+         "payload": True, "payload_bits": 1},
+        {"type": "MATCH_SET", "g": 1, "members": [1, 2, 3]},
+        {"type": "EDGE_REMOVED", "g": 1, "i": 3, "j": 4, "rule": "dispute"},
+        {"type": "EDGE_REMOVED", "g": 1, "i": 1, "j": 2, "rule": "dispute"},
+        {"type": "CONVICTED", "g": 1, "processor": 3, "rule": "flag"},
+        {"type": "DECIDED", "g": 1, "kind": "DIAGNOSED_DECIDED",
+         "value": outside.hex(), "decide_set": [1, 2, 4]},
+    ]
+    decided = {p: [outside] for p in (1, 2, 3)}
+    outputs = dict.fromkeys((1, 2, 3), outside)
+    assert judge(config, {4}, events, decided, outputs) == [
+        "g1: edge (1,2) between fault-free processors removed",
+        "g1: fault-free processor 3 convicted",
+        "g1: decided block is no fault-free input",
+        "g1: majority quorum decided a block other than the shared one",
+        "fault-free processor 3 ended convicted",
+    ]
+
+
+def test_judge_carries_the_alg1_match_set_forward():
+    # the g1 decide set [3, 4] leaves processor 3 the only fault-free
+    # member in g2, so processor 1's block is no member's input there
+    a, b = b"\x01" * 3, b"\x02" * 3
+    config = one_block_config(ALG1, (a, a, b, b), generations=2)
+    events = [
+        {"type": "CONVICTED", "g": 1, "processor": 4, "rule": "flag"},
+        {"type": "DECIDED", "g": 1, "kind": "DIAGNOSED_DECIDED",
+         "value": b.hex(), "decide_set": [3, 4]},
+        {"type": "DECIDED", "g": 2, "kind": "DECIDED",
+         "value": a.hex(), "decide_set": []},
+    ]
+    decided = {p: [b, a] for p in (1, 2, 3)}
+    outputs = dict.fromkeys((1, 2, 3), b + a)
+    assert judge(config, {4}, events, decided, outputs) == [
+        "g2: decided block is no fault-free member's input",
+    ]

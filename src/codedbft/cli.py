@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import random
+import shlex
 import sys
 from pathlib import Path
 from typing import Any
@@ -49,6 +50,12 @@ _KEY_ALIASES = {
     "l-bits": "l_bits",
     "d-bits": "d_bits",
     "broadcast-coefficient": "broadcast_coefficient",
+}
+
+# flags that set one config field: namespace attribute -> field
+_FLAG_FIELDS = {
+    "alg": "algorithm", "n": "n", "t": "t", "q": "q",
+    "l_bits": "l_bits", "d_bits": "d_bits", "seed": "seed",
 }
 
 _DEFAULTS: dict[str, Any] = {
@@ -113,10 +120,7 @@ def flag_overrides(args: argparse.Namespace) -> dict[str, Any]:
     for text in getattr(args, "override", None) or []:
         key, value = parse_override(text)
         merged[key] = value
-    for attr, key in (
-        ("alg", "algorithm"), ("n", "n"), ("t", "t"), ("q", "q"),
-        ("l_bits", "l_bits"), ("d_bits", "d_bits"), ("seed", "seed"),
-    ):
+    for attr, key in _FLAG_FIELDS.items():
         value = getattr(args, attr, None)
         if value is not None:
             merged[key] = value
@@ -182,9 +186,7 @@ def build_config(data: dict) -> ExecutionConfig:
 def build_script(data: dict, config: ExecutionConfig) -> AdversaryScript:
     """Adversary for a scenario: inline script, crafted case, or quiet."""
     if data.get("script") is not None:
-        script = AdversaryScript.from_jsonable(data["script"])
-        script.validate_shapes(config)
-        return script
+        return AdversaryScript.from_jsonable(data["script"])
     if data.get("crafted"):
         name = data["crafted"]
         for case in crafted_cases(config):
@@ -223,14 +225,14 @@ def check_expected(result, report, expected: dict) -> list[str]:
 
 
 def _repro_line(args: argparse.Namespace, config: ExecutionConfig) -> str:
-    scenario = getattr(args, "scenario", None) or "-"
-    overrides = " ".join(
-        f"--override {text}" for text in (getattr(args, "override", None) or [])
-    )
-    return (
-        f"repro: scenario={scenario} seed={config.seed}"
-        f" {overrides}".rstrip()
-    )
+    """Scenario and seed, then every config and adversary flag given."""
+    scenario = shlex.quote(args.scenario or "-")
+    words = [f"repro: scenario={scenario} seed={config.seed}"]
+    words += [f"--override {shlex.quote(text)}" for text in args.override or []]
+    for attr in (*_FLAG_FIELDS, "faulty", "script"):
+        if (value := getattr(args, attr)) is not None:
+            words.append(f"--{attr.replace('_', '-')} {shlex.quote(str(value))}")
+    return " ".join(words)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -318,7 +320,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"sweep alg={algorithm} n={n} t={t} trials={len(cases)}"
         f" failures={len(report.failures)}"
-        f" max_diagnoses={report.max_diagnosis_count(algorithm)}"
+        f" max_diagnoses={report.max_diagnosis_count()}"
     )
     print(f"wrote {out_dir / 'summary.csv'}")
     if report.failures:

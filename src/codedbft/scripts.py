@@ -74,7 +74,6 @@ def corrupt_symbol_case(config: ExecutionConfig) -> CraftedCase:
     f = config.n
     script = AdversaryScript([f])
     script.add_send(1, _data_step(config), f, 1, SEND_CORRUPT, _mask(config.sym_bytes))
-    script.validate_shapes(config)
     return CraftedCase("corrupt-single-symbol", script, frozenset({RULE_DISPUTE}))
 
 
@@ -92,7 +91,6 @@ def equivocation_case(config: ExecutionConfig) -> CraftedCase:
             1, _data_step(config), f, r,
             SEND_CORRUPT, _mask(config.sym_bytes, 0xFF >> idx),
         )
-    script.validate_shapes(config)
     return CraftedCase("honest-looking-equivocation", script, frozenset({RULE_DISPUTE}))
 
 
@@ -101,7 +99,6 @@ def false_detected_case(config: ExecutionConfig) -> CraftedCase:
     f = config.n
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
-    script.validate_shapes(config)
     return CraftedCase("false-detected-flag", script, frozenset({RULE_FLAG}))
 
 
@@ -130,7 +127,6 @@ def lying_received_claim_case(config: ExecutionConfig) -> CraftedCase:
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
     script.add_broadcast(1, TAG_RECEIVED, f, BCAST_REPLACE, lie.to_jsonable())
-    script.validate_shapes(config)
     return CraftedCase("broadcast-lie-received-claim", script, expected)
 
 
@@ -141,7 +137,6 @@ def silent_claims_case(config: ExecutionConfig) -> CraftedCase:
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
     script.add_broadcast(1, TAG_CODED, f, BCAST_SILENT, None)
     script.add_broadcast(1, TAG_RECEIVED, f, BCAST_SILENT, None)
-    script.validate_shapes(config)
     return CraftedCase("silent-claims", script, frozenset({RULE_INCOMPLETE}))
 
 
@@ -154,7 +149,6 @@ def full_silence_case(config: ExecutionConfig) -> CraftedCase:
             script.add_send(1, step, f, r, SEND_SILENT, None)
     for tag in (TAG_DETECTED, TAG_MATCH_BITS, TAG_CODED, TAG_RECEIVED):
         script.add_broadcast(1, tag, f, BCAST_SILENT, None)
-    script.validate_shapes(config)
     expected = (
         RULE_INCOMPLETE if config.algorithm == ALG1 else RULE_SILENT_MATCH_VECTOR
     )
@@ -174,7 +168,6 @@ def noncodeword_claim_case(config: ExecutionConfig) -> CraftedCase:
     script = AdversaryScript([f])
     script.add_send(1, STEP_OWN, f, 1, SEND_CORRUPT, _mask(config.sym_bytes))
     script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, claim.to_jsonable())
-    script.validate_shapes(config)
     return CraftedCase("noncodeword-coded-claim", script, frozenset({RULE_NOT_CODEWORD}))
 
 
@@ -192,7 +185,6 @@ def wrong_reconstruction_case(config: ExecutionConfig) -> CraftedCase:
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
     script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, claim.to_jsonable())
-    script.validate_shapes(config)
     return CraftedCase(
         "wrong-reconstruction-claim", script, frozenset({RULE_RECONSTRUCTION})
     )
@@ -209,7 +201,6 @@ def helper_corruption_case(config: ExecutionConfig) -> CraftedCase:
     script = AdversaryScript([1, f_high])
     script.add_send(1, STEP_OWN, f_high, 2, SEND_CORRUPT, _mask(config.sym_bytes))
     script.add_send(2, STEP_HELPER, 1, 2, SEND_CORRUPT, _mask(config.sym_bytes))
-    script.validate_shapes(config)
     return CraftedCase("helper-corruption", script, frozenset({RULE_DISPUTE}))
 
 

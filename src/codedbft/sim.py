@@ -319,6 +319,8 @@ class AdversaryScript:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "AdversaryScript":
+        if unknown := set(data) - {"faulty", "sends", "broadcasts"}:
+            raise ConfigurationError(f"unknown script keys {sorted(unknown)}")
         script = cls(data.get("faulty", ()))
         for key, rule in data.get("sends", {}).items():
             g, step, s, r = key.split("|")
@@ -1064,13 +1066,8 @@ class SweepReport:
     def rows(self) -> list[dict]:
         return [r.csv_row() for r in self.results]
 
-    def max_diagnosis_count(self, algorithm: str | None = None) -> int:
-        counts = [
-            r.diagnosis_count
-            for r in self.results
-            if algorithm is None or r.config.algorithm == algorithm
-        ]
-        return max(counts, default=0)
+    def max_diagnosis_count(self) -> int:
+        return max((r.diagnosis_count for r in self.results), default=0)
 
     def to_csv(self) -> str:
         import csv

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,47 @@ def test_replay_rejects_unknown_config_key(capsys):
     case = Path(__file__).parent / "cases" / "misspelled_config_key.json"
     assert main(["replay", str(case)]) == 2
     assert "broadcast_coeficient" in capsys.readouterr().err
+
+
+def test_replay_and_run_reject_unknown_script_keys(tmp_path, capsys):
+    # "send" for "sends": the rule would otherwise vanish into a quiet script
+    case = Path(__file__).parent / "cases" / "misspelled_script_key.json"
+    assert main(["replay", str(case)]) == 2
+    assert "unknown script keys ['send']" in capsys.readouterr().err
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(json.loads(case.read_text())["script"]))
+    argv = ["run", "--script", str(script), "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "unknown script keys ['send']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alg", "alg2", "--n", "7", "--t", "2", "--q", "5", "--l-bits", "840",
+     "--faulty", "7"],
+    [str(SCENARIOS / "n4.json"), "--override", "seed=5", "--d-bits", "48",
+     "--script", "{script}"],
+])
+def test_repro_line_reruns_to_the_same_transcript(flags, tmp_path, capsys):
+    from codedbft.scripts import corrupt_symbol_case
+
+    data = json.loads((SCENARIOS / "n4.json").read_text())
+    config = build_config({**data, "d_bits": 48})
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(corrupt_symbol_case(config).script.to_jsonable()))
+    flags = [word.replace("{script}", str(script)) for word in flags]
+    assert main(["run", *flags, "--out-dir", str(tmp_path / "first")]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    words = shlex.split(line)
+    assert words[0] == "repro:" and words[1].startswith("scenario=")
+    scenario = words[1].removeprefix("scenario=")
+    rerun = ([] if scenario == "-" else [scenario]) + words[3:]
+    assert sorted(rerun) == sorted(flags)
+    assert main(["run", *rerun, "--out-dir", str(tmp_path / "second")]) == 0
+    first, second = (
+        (tmp_path / name / "transcript.jsonl").read_bytes()
+        for name in ("first", "second")
+    )
+    assert first == second
 
 
 def test_replay_loads_a_case_with_the_retired_option(tmp_path):

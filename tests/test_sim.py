@@ -286,7 +286,7 @@ def test_sweep_collects_rows_and_failures():
     report = sweep(configs)
     assert len(report.results) == 6
     assert report.failures == []
-    assert report.max_diagnosis_count(ALG1) <= 3
+    assert report.max_diagnosis_count() <= 3
     lines = report.to_csv().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 7

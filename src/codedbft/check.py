@@ -1,11 +1,7 @@
 """The judge of one finished run: the paper's properties, checked once.
 
-`judge` knows the ground-truth faulty set, which the protocol code never
-does, and walks the transcript events once, in order. Besides them it
-needs each fault-free processor's block per generation (the transcript
-keeps one value per generation) and the final outputs (a terminated
-alg1 run zeroes them). An accepted word the engine cannot decode is
-stored as an empty block and reported here.
+It knows the ground-truth faulty set, which the protocol code never does,
+and walks the transcript events once, in order.
 """
 
 from __future__ import annotations
@@ -26,11 +22,21 @@ def judge(
     """Every violation of agreement, validity (alg1), q-validity and the
     shared-value rule (alg2), in the order the events reveal them.
 
-    `decided[p][g-1]` is fault-free processor p's block of generation g
-    and `outputs[p]` its final output.
+    The transcript keeps one value per generation, and a terminated alg1
+    run zeroes its outputs, so the judge also takes `decided[p][g-1]`,
+    fault-free processor p's block of generation g (empty if p could not
+    decode the word it accepted), and `outputs[p]`, p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
+
+    def sharers_of(g: int) -> tuple[bytes, list[int]]:
+        """Generation g's most widely shared fault-free block and its holders."""
+        groups: dict[bytes, list[int]] = {}
+        for p in fault_free:
+            groups.setdefault(config.input_block(p, g), []).append(p)
+        return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
     out: list[str] = []
+    # removed trust edges, in both orientations, and convicted processors
     removed: set[tuple[int, int]] = set()
     convicted: set[int] = set()
     # alg1's match set: the last decide set, less the convicted
@@ -39,33 +45,28 @@ def judge(
         kind = e["type"]
         if kind == "SYMBOL_SENT" or kind == "BROADCAST":
             continue  # traffic, most of the events, carries no verdict
+        g = e.get("g")
         if kind == "EDGE_REMOVED":
             i, j = e["i"], e["j"]
-            removed.add((i, j))
+            removed.update({(i, j), (j, i)})
             if i not in faulty and j not in faulty:
-                out.append(
-                    f"g{e['g']}: edge ({i},{j}) between fault-free processors removed"
-                )
+                out.append(f"g{g}: edge ({i},{j}) between fault-free processors removed")
         elif kind == "CONVICTED":
             convicted.add(p := e["processor"])
             if p not in faulty:
-                out.append(f"g{e['g']}: fault-free processor {p} convicted")
+                out.append(f"g{g}: fault-free processor {p} convicted")
         elif kind == "MATCH_SET" and e["members"] is None:
             # a trusting fault-free group sharing a block must yield a match set
-            _, sharers = _sharers_of(config, fault_free, e["g"])
-            trust = {
-                a: {b for b in sharers if (min(a, b), max(a, b)) not in removed}
-                for a in sharers
-            }
+            _, sharers = sharers_of(g)
+            trust = {a: {b for b in sharers if (a, b) not in removed} for a in sharers}
             if len(sharers) >= config.q and smallest_clique(trust, config.q):
                 out.append(
-                    f"g{e['g']}: no match set found despite a trusting "
+                    f"g{g}: no match set found despite a trusting "
                     f"fault-free group sharing a block"
                 )
         elif kind == "DECIDED":
-            g, outcome = e["g"], e["kind"]
             values = [decided[p][g - 1] for p in fault_free]
-            if outcome == OUTCOME_DECIDED:
+            if e["kind"] == OUTCOME_DECIDED:
                 out.extend(
                     f"g{g}: fault-free processor {p} cannot decode its accepted word"
                     for p, value in zip(fault_free, values) if not value
@@ -81,21 +82,19 @@ def judge(
                     for v in distinct if inputs and v not in inputs
                 )
                 p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
-            elif outcome != OUTCOME_DEFAULT:
+            elif e["kind"] != OUTCOME_DEFAULT:
                 # a default is legal; any other decision is a fault-free input,
                 # and the block a majority-sized fault-free quorum shares wins
                 if values[0] not in {config.input_block(p, g) for p in fault_free}:
                     out.append(f"g{g}: decided block is no fault-free input")
-                block, sharers = _sharers_of(config, fault_free, g)
-                majority = config.q >= (config.n + 2) // 2
-                if majority and len(sharers) >= config.q and values[0] != block:
+                block, sharers = sharers_of(g)
+                if len(sharers) >= config.q >= (config.n + 2) // 2 and values[0] != block:
                     out.append(
                         f"g{g}: majority quorum decided a block other than the shared one"
                     )
-    out.extend(
-        f"processor {p} terminated without a full output"
-        for p, blob in outputs.items() if len(blob) != config.padded_bytes
-    )
+    for p, blob in outputs.items():
+        if len(blob) != config.padded_bytes:
+            out.append(f"processor {p} terminated without a full output")
     if len(set(outputs.values())) > 1:
         out.append("final fault-free outputs differ")
     size = config.l_bits // 8
@@ -103,17 +102,7 @@ def judge(
     if config.algorithm == ALG1 and len(inputs) == 1:
         if any(v[:size] not in inputs for v in outputs.values()):
             out.append("identical fault-free inputs were not decided")
-    out.extend(
-        f"fault-free processor {p} ended convicted" for p in fault_free if p in convicted
-    )
-    return out
-
-
-def _sharers_of(
-    config: ExecutionConfig, fault_free: list[int], g: int
-) -> tuple[bytes, list[int]]:
-    """The most widely shared fault-free block of generation g, and its holders."""
-    groups: dict[bytes, list[int]] = {}
     for p in fault_free:
-        groups.setdefault(config.input_block(p, g), []).append(p)
-    return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
+        if p in convicted:
+            out.append(f"fault-free processor {p} ended convicted")
+    return out

@@ -4,10 +4,10 @@ One execution runs one configuration against one adversary script:
 lockstep rounds deliver exactly the obligated messages, the script may
 corrupt or withhold anything a faulty processor sends, every delivered
 bit is charged to a cost ledger, and every observable event lands in a
-canonical JSON-lines transcript. At the end `check.judge` lists the
-violations of the agreement properties into the transcript's verdict
-instead of raising, so that failing adversarial runs stay inspectable
-and replayable.
+canonical JSON-lines transcript. At the end `check.judge` lists any
+violations of the agreement properties, and the transcript's verdict
+records them instead of raising, so that failing adversarial runs stay
+inspectable and replayable.
 """
 
 from __future__ import annotations

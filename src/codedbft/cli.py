@@ -245,8 +245,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.script:
         data["script"] = json.loads(Path(args.script).read_text())
     if args.faulty:
+        # a script or crafted case already names its own faulty set
+        if args.script or data.get("script") is not None or data.get("crafted"):
+            other = "--script" if args.script else "the scenario key " + (
+                "'script'" if data.get("script") is not None else "'crafted'"
+            )
+            raise ConfigurationError(f"--faulty cannot be combined with {other}")
         data["faulty"] = [int(p) for p in args.faulty.split(",") if p]
-        data.setdefault("script", None)
     config = build_config(data)
     script = build_script(data, config)
     result = run_execution(config, script)

@@ -17,7 +17,7 @@ set, and the decision threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagnosis import TrustGraph
 from .rs import (
@@ -50,8 +50,7 @@ OUTCOME_DEFAULT = "DEFAULT"
 OUTCOME_TERMINATED = "TERMINATED_DEFAULT"
 
 
-@dataclass(frozen=True)
-class SendObligation:
+class SendObligation(NamedTuple):
     """One required point-to-point send, derivable by every processor.
 
     Diagnosis depends on all processors reconstructing the identical
@@ -68,6 +67,18 @@ class SendObligation:
         return (STEP_ORDER[self.step], self.sender, self.receiver, self.slot)
 
 
+def _helpers(graph: TrustGraph, members: list[int]) -> Iterator[tuple]:
+    """(helper, receiver, missing slots) for each receiver that trusts
+    a match-set member but not all of them; the helper is the
+    lowest-index trusted member, possibly the receiver itself."""
+    for r in range(1, graph.n + 1):
+        trusted = graph.neighbours(r)
+        missing = [k for k in members if k != r and k not in trusted]
+        helper = next((m for m in members if m == r or m in trusted), None)
+        if missing and helper is not None:
+            yield helper, r, missing
+
+
 def matching_obligations(
     graph: TrustGraph, p_match: Iterable[int]
 ) -> list[SendObligation]:
@@ -78,31 +89,27 @@ def matching_obligations(
     member re-sends the match-set slots the receiver cannot obtain
     directly. Wave 3: processors outside the match set re-send their
     own slot after rebuilding it from match-set symbols. Self-deliveries
-    are local, free, and not obligations.
+    are local, free, and not obligations. The order is `sort_key`'s:
+    waves 1 and 3 come out in it, and wave 2 is sorted.
     """
     members = sorted(set(p_match))
     n = graph.n
-    obligations: list[SendObligation] = []
-    for s in range(1, n + 1):
-        for r in range(1, n + 1):
-            if r != s and graph.trusts(s, r):
-                obligations.append(SendObligation(s, r, s, STEP_OWN))
-    for r in range(1, n + 1):
-        missing = [k for k in members if not graph.trusts(r, k)]
-        if not missing:
-            continue
-        helper = graph.match_helper(r, members)
-        if helper is None or helper == r:
-            continue
-        for k in missing:
-            obligations.append(SendObligation(helper, r, k, STEP_HELPER))
-    for s in range(1, n + 1):
-        if s in members:
-            continue
-        for r in range(1, n + 1):
-            if r != s and graph.trusts(s, r):
-                obligations.append(SendObligation(s, r, s, STEP_RECONSTRUCTED))
-    obligations.sort(key=SendObligation.sort_key)
+    obligations = [
+        SendObligation(s, r, s, STEP_OWN)
+        for s in range(1, n + 1)
+        for r in sorted(graph.neighbours(s))
+    ]
+    obligations += sorted(
+        SendObligation(helper, r, k, STEP_HELPER)
+        for helper, r, missing in _helpers(graph, members)
+        if helper != r
+        for k in missing
+    )
+    obligations += [
+        SendObligation(s, r, s, STEP_RECONSTRUCTED)
+        for s in sorted(set(range(1, n + 1)).difference(members))
+        for r in sorted(graph.neighbours(s))
+    ]
     return obligations
 
 
@@ -114,13 +121,12 @@ def local_helper_copies(
     When a match-set member is its own lowest trusted helper, the
     helper send degenerates to a free local copy.
     """
-    members = sorted(set(p_match))
-    copies = []
-    for r in members:
-        missing = [k for k in members if not graph.trusts(r, k)]
-        if missing and graph.match_helper(r, members) == r:
-            copies.extend((r, k) for k in missing)
-    return copies
+    return [
+        (r, k)
+        for helper, r, missing in _helpers(graph, sorted(set(p_match)))
+        if helper == r
+        for k in missing
+    ]
 
 
 def reconstruction_sources(

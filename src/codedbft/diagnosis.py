@@ -9,9 +9,9 @@ edges, which can convict further vertices. The graph is shared protocol
 state: every processor derives the identical graph from broadcast data,
 so one instance per execution suffices.
 
-`version` counts the mutations (edge drops and convictions) the graph
-has taken. State derived from the graph alone, such as a generation's
-send obligations, stays valid for as long as the version is unchanged.
+`removed` is the frozenset of removed edges. With n it fixes the whole
+graph, so it keys state derived from the graph alone, such as a
+generation's send obligations, across graphs and executions.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class TrustGraph:
             v: set(range(1, n + 1)) - {v} for v in range(1, n + 1)
         }
         self.convicted: set[int] = set()
-        # bumped by every effective mutation; no-op calls leave it alone
-        self.version = 0
+        # removed edges (i, j), i < j, frozen anew by every effective drop
+        self.removed: frozenset[tuple[int, int]] = frozenset()
 
     # ------------------------------------------------------------ queries
 
@@ -58,6 +58,10 @@ class TrustGraph:
     def trusts(self, i: int, j: int) -> bool:
         """Self-trust is unconditional; otherwise the edge must survive."""
         return i == j or self.edge_present(i, j)
+
+    def neighbours(self, v: int) -> set[int]:
+        """The vertices v trusts besides itself; read only."""
+        return self._adj[v]
 
     def removed_count(self, v: int) -> int:
         self._check_vertex(v)
@@ -84,7 +88,7 @@ class TrustGraph:
             raise ValueError("no self-loops in the trust graph")
         if not self.edge_present(i, j):
             return []
-        events = [self._drop(i, j)]
+        events = self._drop(i, [j])
         events.extend(self._settle())
         return events
 
@@ -97,19 +101,18 @@ class TrustGraph:
         events.extend(self._settle())
         return events
 
-    def _drop(self, i: int, j: int) -> Event:
-        self.version += 1
-        self._adj[i].discard(j)
-        self._adj[j].discard(i)
-        return ("edge", min(i, j), max(i, j))
+    def _drop(self, v: int, others: list[int]) -> list[Event]:
+        """Remove the edges from v to each of `others`, freezing once."""
+        edges = [(min(v, u), max(v, u)) for u in others]
+        for u in others:
+            self._adj[v].discard(u)
+            self._adj[u].discard(v)
+        self.removed = self.removed.union(edges)
+        return [("edge", i, j) for i, j in edges]
 
     def _convict_now(self, v: int) -> list[Event]:
-        self.version += 1
         self.convicted.add(v)
-        events: list[Event] = [("convicted", v)]
-        for u in sorted(self._adj[v]):
-            events.append(self._drop(v, u))
-        return events
+        return [("convicted", v), *self._drop(v, sorted(self._adj[v]))]
 
     def _settle(self) -> list[Event]:
         """Threshold convictions to fixpoint, lowest vertex first."""
@@ -129,16 +132,9 @@ class TrustGraph:
     # -------------------------------------------------------- transcripts
 
     def to_jsonable(self) -> dict:
-        present = self.present_edges()
-        removed = [
-            [i, j]
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-            if (i, j) not in present
-        ]
         return {
             "n": self.n,
             "t": self.t,
-            "removed_edges": removed,
+            "removed_edges": [list(edge) for edge in sorted(self.removed)],
             "convicted": sorted(self.convicted),
         }

@@ -219,21 +219,31 @@ def _seed(params: CodeParams, vec: SymbolVector) -> tuple[list[int], list[bytes]
     return present, [vec._slots[pos - 1] for pos in present[: params.k]]
 
 
+# (params, slot snapshot) of the last word is_codeword judged, and its verdict
+_last_judged: tuple[tuple, bool] = ((), False)
+
+
 def is_codeword(params: CodeParams, vec: SymbolVector) -> bool:
     """Consistency of every non-erased slot with one degree-below-k polynomial.
 
     Interpolates through the k lowest non-erased slots and checks the rest.
     Raises InsufficientSymbolsError when fewer than k slots are present;
-    callers in the protocol treat that as a detection.
+    callers in the protocol treat that as a detection. The last verdict is
+    kept, keyed on a snapshot of the slots: words often repeat in a row.
     """
+    global _last_judged
     if vec.n != params.n or vec.sym_bytes != params.sym_bytes:
         raise ParameterError("vector shape does not match code parameters")
-    present, symbols = _seed(params, vec)
-    xs = tuple(present[: params.k])
-    for pos in present[params.k :]:
-        if vec._slots[pos - 1] != _eval_at(xs, symbols, pos, params.sym_bytes):
-            return False
-    return True
+    key = (params, tuple(vec._slots))
+    if key != _last_judged[0]:
+        present, symbols = _seed(params, vec)
+        xs = tuple(present[: params.k])
+        verdict = all(
+            vec._slots[pos - 1] == _eval_at(xs, symbols, pos, params.sym_bytes)
+            for pos in present[params.k :]
+        )
+        _last_judged = (key, verdict)
+    return _last_judged[1]
 
 
 def reconstruct_position(

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .check import judge
 from .consensus import (
@@ -60,9 +61,37 @@ STAGE_DIAGNOSIS = "diagnosis"
 
 RULE_SILENT_MATCH_VECTOR = "silent-match-vector"
 
-# one matching stage: its send obligations, then the (receiver, slot)
-# helper copies kept local, or None until the helper wave first needs them
-_MatchingPlan = list
+
+class _MatchingPlan(NamedTuple):
+    """A matching stage's obligations per wave and its local helper
+    copies; shared by every execution that reaches it, so immutable."""
+
+    own: tuple[SendObligation, ...]
+    helper: tuple[SendObligation, ...]
+    reconstructed: tuple[SendObligation, ...]
+    copies: tuple[tuple[int, int], ...]
+
+
+# the most recently used plans; a fixed size keeps memory flat across runs
+_PLANS: OrderedDict[tuple, _MatchingPlan] = OrderedDict()
+_PLAN_CACHE_SIZE = 128
+
+
+def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
+    """The plan of `p_match` on `graph`, derived on the first request."""
+    key = (graph.n, graph.removed, tuple(p_match))
+    plan = _PLANS.get(key)
+    if plan is not None:
+        _PLANS.move_to_end(key)
+        return plan
+    obligations = matching_obligations(graph, p_match)
+    plan = _PLANS[key] = _MatchingPlan(
+        *(tuple(ob for ob in obligations if ob.step == step) for step in _STEPS),
+        tuple(local_helper_copies(graph, p_match)),
+    )
+    if len(_PLANS) > _PLAN_CACHE_SIZE:
+        _PLANS.popitem(last=False)
+    return plan
 
 
 # --------------------------------------------------------------- config
@@ -355,10 +384,12 @@ class CostLedger:
             self._cells[key] = {f: 0 for f in self.FIELDS}
         return self._cells[key]
 
-    def add_symbol(self, generation: int, stage: str, bits: int) -> None:
+    def add_symbols(
+        self, generation: int, stage: str, count: int, symbol_bits: int
+    ) -> None:
         cell = self._cell(generation, stage)
-        cell["p2p_symbols"] += 1
-        cell["p2p_bits"] += bits
+        cell["p2p_symbols"] += count
+        cell["p2p_bits"] += count * symbol_bits
 
     def add_broadcast(
         self, generation: int, stage: str, payload_bits: int, charged_bits: int
@@ -541,58 +572,50 @@ class Execution:
         ]
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
-        # (graph version, match set) -> that matching stage's plan
-        self._plan_cache: dict[tuple[int, tuple[int, ...]], _MatchingPlan] = {}
 
     # ------------------------------------------------------- primitives
 
-    def _plan(self, p_match: Sequence[int]) -> _MatchingPlan:
-        """The matching plan for `p_match`, derived once per trust-graph
-        version: obligations and helper copies depend on nothing else."""
-        key = (self.graph.version, tuple(p_match))
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._plan_cache[key] = [
-                tuple(matching_obligations(self.graph, p_match)), None
-            ]
-        return plan
-
-    def _deliver(
-        self,
-        g: int,
-        ob: SendObligation,
-        coded: dict[int, SymbolVector],
-        received: dict[int, SymbolVector],
-        suppressed: set[int],
+    def _send_wave(
+        self, g: int, wave: tuple[SendObligation, ...],
+        coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
+        suppressed: frozenset[int] | set[int] = frozenset(),
     ) -> None:
-        """Route one obligation, applying the script to faulty senders.
+        """Deliver one wave of a plan; `suppressed` senders stay silent.
 
-        An honest sender's symbol comes from its own coded word, whose
-        slots are already checked, so it is copied slot to slot. A faulty
-        sender's symbol may come from the script and goes through `set`.
-        """
-        sender, receiver, slot, step = ob.sender, ob.receiver, ob.slot, ob.step
-        if sender in self.script.faulty:
-            value = coded[sender].get(slot)
-            kind, data = self.script.send_rule(g, step, sender, receiver)
-            if kind == SEND_SILENT:
-                return
-            if kind == SEND_CORRUPT:
-                value = bytes(a ^ b for a, b in zip(value, data))
-            elif kind == SEND_REPLACE:
-                value = data
+        An honest sender's checked slot is copied slot to slot and each
+        (sender, slot) is rendered to hex once; a faulty sender's symbol
+        may come from the script and goes through `set`. The ledger is
+        charged once per wave."""
+        script = self.script
+        events = self.transcript.events
+        texts: dict[tuple[int, int], str] = {}
+        sent = 0
+        for sender, receiver, slot, step in wave:
+            if sender in script.faulty:
+                value = coded[sender].get(slot)
+                kind, data = script.send_rule(g, step, sender, receiver)
+                if kind == SEND_SILENT or (kind == SEND_HONEST and sender in suppressed):
+                    continue
+                if kind == SEND_CORRUPT:
+                    value = bytes(a ^ b for a, b in zip(value, data))
+                elif kind == SEND_REPLACE:
+                    value = data
+                received[receiver].set(slot, value)
+                text = value.hex()
             elif sender in suppressed:
-                return
-            received[receiver].set(slot, value)
-        elif sender in suppressed:
-            return
-        else:
-            value = received[receiver].copy_slot(coded[sender], slot)
-        self.ledger.add_symbol(g, STAGE_MATCHING, 8 * self.params.sym_bytes)
-        self.transcript.events.append({
-            "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
-            "receiver": receiver, "slot": slot, "value": value.hex(),
-        })
+                continue
+            else:
+                value = received[receiver].copy_slot(coded[sender], slot)
+                text = texts.get((sender, slot))
+                if text is None:
+                    text = texts[sender, slot] = value.hex()
+            sent += 1
+            events.append({
+                "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+                "receiver": receiver, "slot": slot, "value": text,
+            })
+        if sent:
+            self.ledger.add_symbols(g, STAGE_MATCHING, sent, 8 * self.params.sym_bytes)
 
     def _broadcast(
         self, g: int, stage: str, tag: str, sender: int,
@@ -652,13 +675,18 @@ class Execution:
     def _fresh_state(
         self, g: int
     ) -> tuple[dict[int, SymbolVector], dict[int, SymbolVector]]:
+        """Coded words, one encode per distinct block and a copy for each
+        further holder, and received words holding each own slot."""
         cfg = self.config
-        coded = {
-            i: encode(self.params, cfg.input_block(i, g))
-            for i in range(1, cfg.n + 1)
-        }
-        received = {i: SymbolVector(cfg.n, cfg.sym_bytes) for i in range(1, cfg.n + 1)}
+        words: dict[bytes, SymbolVector] = {}
+        coded, received = {}, {}
         for i in range(1, cfg.n + 1):
+            block = cfg.input_block(i, g)
+            if block in words:
+                coded[i] = words[block].copy()
+            else:
+                coded[i] = words[block] = encode(self.params, block)
+            received[i] = SymbolVector(cfg.n, cfg.sym_bytes)
             received[i].copy_slot(coded[i], i)
         return coded, received
 
@@ -673,13 +701,8 @@ class Execution:
         """Helper wave, non-member reconstruction, re-send wave."""
         cfg = self.config
         members = set(p_match)
-        obligations = plan[0]
-        for ob in obligations:
-            if ob.step == STEP_HELPER:
-                self._deliver(g, ob, coded, received, set())
-        if plan[1] is None:
-            plan[1] = tuple(local_helper_copies(self.graph, p_match))
-        for r, slot in plan[1]:
+        self._send_wave(g, plan.helper, coded, received)
+        for r, slot in plan.copies:
             received[r].copy_slot(coded[r], slot)
         # a non-member that cannot gather enough match-set symbols keeps
         # its own-input slot and skips the re-send wave entirely
@@ -692,9 +715,7 @@ class Execution:
                 failed.add(j)
                 continue
             coded[j].set(j, reconstruct_position(self.params, received[j], j, sources))
-        for ob in obligations:
-            if ob.step == STEP_RECONSTRUCTED:
-                self._deliver(g, ob, coded, received, failed)
+        self._send_wave(g, plan.reconstructed, coded, received, failed)
         for j in range(1, cfg.n + 1):
             if j not in members:
                 received[j].copy_slot(coded[j], j)
@@ -763,13 +784,13 @@ class Execution:
                 if len(p_match) < cfg.n - cfg.t:
                     return outcomes + self._terminated_tail(g)
                 coded, received = self._fresh_state(g)
-                for ob in self._plan(p_match)[0]:
-                    if ob.step == STEP_OWN:
-                        self._deliver(g, ob, coded, received, set())
+                plan = _matching_plan(self.graph, p_match)
+                self._send_wave(g, plan.own, coded, received)
             else:
                 coded, received = self._fresh_state(g)
-                for ob in self._plan(everyone)[0]:
-                    self._deliver(g, ob, coded, received, set())
+                plan = _matching_plan(self.graph, everyone)
+                self._send_wave(g, plan.own, coded, received)
+                self._send_wave(g, plan.helper, coded, received)
                 for p in self.graph.unconvicted():
                     live = compute_match_bits(cfg.n, received[p], coded[p])
                     observed = self._broadcast(
@@ -808,7 +829,7 @@ class Execution:
         """
         cfg = self.config
         alg1 = cfg.algorithm == ALG1
-        plan = self._plan(p_match)
+        plan = _matching_plan(self.graph, p_match)
         self._helper_and_reconstruct(g, p_match, plan, coded, received)
         flags = self._run_checking(g, set(p_match), coded, received)
         if all(v is False for v in flags.values()):
@@ -824,7 +845,8 @@ class Execution:
                     )
         claims = self._collect_claims(g, flags, coded, received)
         result = run_diagnosis(
-            self.params, self.graph, p_match, plan[0], claims,
+            self.params, self.graph, p_match,
+            plan.own + plan.helper + plan.reconstructed, claims,
             p_match if alg1 else list(range(1, cfg.n + 1)),
             cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
         )

@@ -1,0 +1,45 @@
+"""A run's cost ledger summed again from its transcript events alone.
+
+The engine charges the ledger in bulk, once per wave of symbols; this
+reference charges it one event at a time, so a test can compare the two
+for every (generation, stage) cell of the `VERDICT` ledger. No imports
+from the package under test.
+"""
+
+# the stage each broadcast tag is charged to
+STAGE_OF_TAG = {
+    "detected": "checking",
+    "match_bits": "matching",
+    "coded": "diagnosis",
+    "received": "diagnosis",
+}
+FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
+
+
+def resum_ledger(events):
+    """Ledger cells keyed "g:stage", as the `VERDICT` event records them.
+
+    Every `SYMBOL_SENT` is one matching-stage symbol of 8 * sym_bytes
+    bits; every `BROADCAST` charges its payload bits times the broadcast
+    coefficient times n^2.
+    """
+    config = events[0]["config"]
+    n = config["n"]
+    k = n - config["t"] if config["algorithm"] == "alg1" else config["q"]
+    symbol_bits = config["d_bits"] // k
+    scale = config["broadcast_coefficient"] * n * n
+    cells = {}
+
+    def cell(g, stage):
+        return cells.setdefault(f"{g}:{stage}", dict.fromkeys(FIELDS, 0))
+
+    for event in events:
+        if event["type"] == "SYMBOL_SENT":
+            sums = cell(event["g"], "matching")
+            sums["p2p_symbols"] += 1
+            sums["p2p_bits"] += symbol_bits
+        elif event["type"] == "BROADCAST":
+            sums = cell(event["g"], STAGE_OF_TAG[event["tag"]])
+            sums["bcast_payload_bits"] += event["payload_bits"]
+            sums["bcast_charged_bits"] += event["payload_bits"] * scale
+    return cells

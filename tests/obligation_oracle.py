@@ -1,0 +1,50 @@
+"""Reference derivation of a matching stage's sends, one trust query at a time.
+
+These are the engine's first `matching_obligations` and
+`local_helper_copies`: every question about the graph goes through the
+validated `trusts` and `match_helper` queries, and the whole list is
+sorted at the end. Obligations come out as plain
+(sender, receiver, slot, step) tuples. No imports from the package
+under test; tests compare `codedbft.consensus` against these functions.
+"""
+
+STEP_ORDER = {"own": 0, "helper": 1, "reconstructed": 2}
+
+
+def matching_obligations(graph, p_match):
+    """Wave 1 own slots, wave 2 helper re-sends, wave 3 rebuilt slots."""
+    members = sorted(set(p_match))
+    n = graph.n
+    obligations = []
+    for s in range(1, n + 1):
+        for r in range(1, n + 1):
+            if r != s and graph.trusts(s, r):
+                obligations.append((s, r, s, "own"))
+    for r in range(1, n + 1):
+        missing = [k for k in members if not graph.trusts(r, k)]
+        if not missing:
+            continue
+        helper = graph.match_helper(r, members)
+        if helper is None or helper == r:
+            continue
+        for k in missing:
+            obligations.append((helper, r, k, "helper"))
+    for s in range(1, n + 1):
+        if s in members:
+            continue
+        for r in range(1, n + 1):
+            if r != s and graph.trusts(s, r):
+                obligations.append((s, r, s, "reconstructed"))
+    obligations.sort(key=lambda ob: (STEP_ORDER[ob[3]], ob[0], ob[1], ob[2]))
+    return obligations
+
+
+def local_helper_copies(graph, p_match):
+    """(receiver, slot) pairs a member that is its own helper copies locally."""
+    members = sorted(set(p_match))
+    copies = []
+    for r in members:
+        missing = [k for k in members if not graph.trusts(r, k)]
+        if missing and graph.match_helper(r, members) == r:
+            copies.extend((r, k) for k in missing)
+    return copies

@@ -20,6 +20,7 @@ import pytest
 from codedbft import sim
 from codedbft.rs import InsufficientSymbolsError
 from codedbft.sim import ALG1, ALG2, AdversaryScript, ExecutionConfig, random_script
+from ledger_oracle import resum_ledger
 
 FROZEN = Path(__file__).parent / "violation_lists.json"
 
@@ -188,6 +189,14 @@ def run_corpus(monkeypatch) -> dict:
 
 def test_violation_lists_are_frozen(monkeypatch):
     assert run_corpus(monkeypatch) == json.loads(FROZEN.read_text())
+
+
+def test_ledgers_resum_from_the_transcript(monkeypatch):
+    for key, config, script, patch in corpus():
+        with monkeypatch.context() as m:
+            patch(m, config, script)
+            events = sim.run_execution(config, script).transcript.events
+        assert resum_ledger(events) == events[-1]["ledger"], key
 
 
 def test_frozen_corpus_reaches_every_message():

@@ -224,6 +224,20 @@ def test_replay_and_run_reject_unknown_script_keys(tmp_path, capsys):
     assert "unknown script keys ['send']" in capsys.readouterr().err
 
 
+def test_run_refuses_faulty_next_to_a_script_or_crafted_case(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"faulty": [4]}))
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = ["run", "scenarios/n4.json", "--script", str(script), "--faulty", "2"]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert "--faulty" in err and "--script" in err
+    assert main(["run", "scenarios/corrupt_once.json", "--faulty", "2"] + out) == 2
+    err = capsys.readouterr().err
+    assert "--faulty" in err and "crafted" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--alg", "alg2", "--n", "7", "--t", "2", "--q", "5", "--l-bits", "840",
      "--faulty", "7"],

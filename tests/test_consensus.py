@@ -1,7 +1,10 @@
 """Obligation derivation, detection flags, and claim-diagnosis rules."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import obligation_oracle
 from codedbft.consensus import (
     RULE_DISPUTE,
     RULE_FLAG,
@@ -82,6 +85,48 @@ def test_self_helper_becomes_local_copy():
     obs = matching_obligations(g, [1, 2, 3, 4])
     assert all(ob.sender != ob.receiver for ob in obs)
     assert not [ob for ob in obs if ob.step == STEP_HELPER]
+
+
+@st.composite
+def graphs_and_match_sets(draw):
+    """A graph worn down by public removals and convictions, and a match
+    set that is empty, everyone, or an unsorted list with repeats."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    g = TrustGraph(n, (n - 1) // 3)
+    ids = st.integers(min_value=1, max_value=n)
+    for i, j in draw(st.lists(st.tuples(ids, ids), max_size=n)):
+        if i != j:
+            g.remove_edge(i, j)
+    for v in draw(st.lists(ids, max_size=1)):
+        g.convict(v)
+    p_match = draw(st.one_of(
+        st.just([]),
+        st.just(list(range(1, n + 1))),
+        st.lists(ids, min_size=n // 2, max_size=2 * n),
+    ))
+    return g, p_match
+
+
+def helpers_out_of_receiver_order():
+    """Receiver 3 distrusts member 1 and takes helper 2; receivers 4 and 5
+    take helper 1: sender order differs from receiver order."""
+    g = TrustGraph(7, 2)
+    g.remove_edge(1, 3)
+    g.remove_edge(4, 5)
+    return g, [5, 4, 3, 2, 1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_match_sets())
+@example(helpers_out_of_receiver_order())
+def test_obligations_match_the_oracle(case):
+    g, p_match = case
+    assert matching_obligations(g, p_match) == obligation_oracle.matching_obligations(
+        g, p_match
+    )
+    assert local_helper_copies(g, p_match) == obligation_oracle.local_helper_copies(
+        g, p_match
+    )
 
 
 # --------------------------------------------------- sources and detection

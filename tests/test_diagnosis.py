@@ -149,38 +149,41 @@ def test_incremental_settling_matches_batch_oracle(disputes):
         assert (g.removed_count(v) >= 3) == (v in g.convicted)
 
 
-# --------------------------------------------------------------- version
+# --------------------------------------------------------- removed edges
 
 
-def test_version_counts_effective_removals_only():
+def test_removed_edges_track_effective_removals_only():
     g = TrustGraph(7, 2)
-    assert g.version == 0
-    g.remove_edge(1, 2)
-    after_first = g.version
-    assert after_first > 0
-    assert g.remove_edge(2, 1) == []
-    assert g.version == after_first
+    assert g.removed == frozenset()
+    g.remove_edge(2, 1)
+    after_first = g.removed
+    assert after_first == {(1, 2)}
+    assert g.remove_edge(1, 2) == []
+    assert g.removed is after_first
     g.remove_edge(1, 3)
-    assert g.version > after_first
+    assert g.removed == after_first | {(1, 3)}
 
 
-def test_version_counts_direct_conviction_once():
+def test_removed_edges_take_a_direct_conviction_once():
     g = TrustGraph(7, 2)
     g.convict(5)
-    convicted = g.version
-    assert convicted > 0
+    convicted = g.removed
+    assert convicted == {(min(5, u), max(5, u)) for u in range(1, 8) if u != 5}
     assert g.convict(5) == []
-    assert g.version == convicted
+    assert g.removed is convicted
 
 
-def test_version_counts_threshold_conviction():
+def test_removed_edges_take_a_threshold_conviction():
     g = TrustGraph(4, 1)
     g.remove_edge(1, 2)
-    before = g.version
+    before = g.removed
     events = g.remove_edge(1, 3)
     assert ("convicted", 1) in events
-    # the dispute, the conviction and the convict's last edge
-    assert g.version - before == len(events)
+    # the dispute and the convict's last edge, each removed once
+    edges = [ev[1:] for ev in events if ev[0] == "edge"]
+    assert edges == [(1, 3), (1, 4)]
+    assert g.removed == before | set(edges)
+    assert g.to_jsonable()["removed_edges"] == [[1, 2], [1, 3], [1, 4]]
 
 
 # ---------------------------------------------------------------- helper

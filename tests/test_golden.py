@@ -18,10 +18,12 @@ from codedbft.sim import run_execution
 from golden_corpus import (
     POINTS,
     SCENARIOS,
+    all_cases,
     case_key,
     corpus_sweeps,
     crafted_corpus,
 )
+from ledger_oracle import resum_ledger
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
 
@@ -71,3 +73,11 @@ def test_crafted_transcript_hashes(algorithm, q):
         for key, (config, script) in crafted_corpus(algorithm, q).items()
     }
     assert got == {key: GOLDEN["crafted"][key] for key in got}
+
+
+def test_ledgers_resum_from_the_transcript():
+    cases = all_cases()
+    assert len(cases) == 84
+    for key, (config, script) in cases.items():
+        events = run_execution(config, script).transcript.events
+        assert resum_ledger(events) == events[-1]["ledger"], key

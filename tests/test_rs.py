@@ -220,6 +220,21 @@ def test_membership_needs_k_present_slots():
         is_codeword(params, vec)
 
 
+def test_membership_follows_a_word_mutated_in_place():
+    params = CodeParams(7, 3, 2)
+    vec = encode(params, bytes(range(6)))
+    parity = vec.get(7)
+    assert is_codeword(params, vec)
+    vec.set(7, bytes([parity[0] ^ 1, parity[1]]))
+    assert not is_codeword(params, vec)
+    # every complete word is a codeword of the (7, 7) code
+    assert is_codeword(CodeParams(7, 7, 2), vec)
+    vec.set(7, None)
+    assert is_codeword(params, vec)
+    vec.set(1, b"\xff\xff")
+    assert not is_codeword(params, vec)
+
+
 def test_membership_rejects_shape_mismatch():
     with pytest.raises(ParameterError):
         is_codeword(CodeParams(4, 3), SymbolVector(5, 1))

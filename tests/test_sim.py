@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedbft import sim
-from codedbft.consensus import matching_obligations
+from codedbft.consensus import local_helper_copies, matching_obligations
 from codedbft.diagnosis import ConfigurationError, TrustGraph
 from codedbft.rs import SymbolVector
 from codedbft.sim import (
@@ -235,13 +235,78 @@ def test_obligations_follow_the_graph_after_diagnosis():
     for ev in result.transcript.of_type("EDGE_REMOVED"):
         if ev["g"] == 1:
             graph.remove_edge(ev["i"], ev["j"])
-    assert graph.version > 0
+    assert graph.removed
     fresh = [
         (ob.step, ob.sender, ob.receiver, ob.slot)
         for ob in matching_obligations(graph, range(1, 8))
     ]
     assert sent(2) == fresh
     assert sent(2) != sent(1)
+
+
+# ------------------------------------------------- shared plans and words
+
+
+def test_graphs_in_one_state_share_one_plan():
+    members = [1, 2, 3, 4, 5]
+    a, b = TrustGraph(7, 2), TrustGraph(7, 2)
+    a.remove_edge(1, 2)
+    a.remove_edge(3, 4)
+    b.remove_edge(4, 3)
+    b.remove_edge(2, 1)
+    plan = sim._matching_plan(a, members)
+    assert sim._matching_plan(b, members) is plan
+    assert plan.own + plan.helper + plan.reconstructed == tuple(
+        matching_obligations(a, members)
+    )
+    assert plan.copies == tuple(local_helper_copies(a, members))
+    b.remove_edge(1, 5)
+    assert sim._matching_plan(b, members).own != plan.own
+
+
+def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
+    from collections import OrderedDict
+
+    from codedbft.cli import sweep_cases
+
+    monkeypatch.setattr(sim, "_PLANS", OrderedDict())
+    derived = []
+    real = sim.matching_obligations
+    monkeypatch.setattr(
+        sim, "matching_obligations", lambda *args: derived.append(1) or real(*args)
+    )
+    cases = [
+        case for q in (None, 3, 4, 5)
+        for case in sweep_cases(
+            ALG1 if q is None else ALG2, 7, 2, [q], 150, 700, l_bits=24 * (q or 5)
+        )
+    ]
+    assert len(cases) == 600
+    sweep(cases)
+    # more plans were derived than fit, yet the cache never outgrew its size
+    assert len(derived) > sim._PLAN_CACHE_SIZE >= len(sim._PLANS)
+
+    def immutable(x):
+        return type(x) in (int, str) or (
+            isinstance(x, tuple) and all(immutable(y) for y in x)
+        )
+    assert all(immutable(plan) for plan in sim._PLANS.values())
+
+
+def test_fresh_state_encodes_each_block_once_and_shares_no_word(monkeypatch):
+    config = fault_free_config(ALG1, 7, 2, None, 40, 40, sharers=range(1, 6))
+    encoded = []
+    real = sim.encode
+    monkeypatch.setattr(
+        sim, "encode", lambda params, block: encoded.append(block) or real(params, block)
+    )
+    coded, received = Execution(config, AdversaryScript())._fresh_state(1)
+    assert len(encoded) == len(set(config.inputs)) == 3
+    assert len({id(word) for word in coded.values()}) == 7
+    for i in range(1, 8):
+        assert coded[i] == real(config.code_params(), config.input_block(i, 1))
+        assert received[i].present_positions() == [i]
+        assert received[i].get(i) == coded[i].get(i)
 
 
 # --------------------------------------------------- randomized batteries

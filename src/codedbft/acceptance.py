@@ -20,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from .cli import build_config, sweep_layout
 from .rs import (
     CodeParams,
     decode,
@@ -144,21 +145,12 @@ def _execute(
 def _suite_config(
     algorithm: str, n: int, t: int, q: int | None, seed: int, style: int
 ) -> ExecutionConfig:
-    """Three-generation config with one of three input layouts."""
+    """Three-generation config with the inputs of sweep style `style`."""
     k = q if q is not None else n - t
-    l_bits = 8 * k * 3
-    rng = random.Random(seed)
-    if style == 0:
-        inputs = random_inputs(rng, n, l_bits)
-    elif style == 1:
-        share = max(n - t, q or 0)
-        inputs = random_inputs(rng, n, l_bits, sharers=range(1, share + 1))
-    else:
-        inputs = tuple(rng.randbytes(l_bits // 8).hex() for _ in range(n))
-    return ExecutionConfig(
-        algorithm=algorithm, n=n, t=t, q=q,
-        l_bits=l_bits, d_bits=8 * k, inputs=inputs, seed=seed,
-    )
+    return build_config({
+        "algorithm": algorithm, "n": n, "t": t, "q": q, "l_bits": 8 * k * 3,
+        "d_bits": 8 * k, "seed": seed, "inputs": sweep_layout(style, n, t, q),
+    })
 
 
 def correctness_suite(quick: bool = False) -> Suite:
@@ -195,23 +187,14 @@ def correctness_suite(quick: bool = False) -> Suite:
 # -------------------------------------------------------------- criteria
 
 
-def _fault_free(
-    algorithm: str, n: int, t: int, q: int | None,
-    l_bits: int, d_bits: int, seed: int, sharers=None,
-) -> ExecutionConfig:
-    inputs = random_inputs(random.Random(seed), n, l_bits, sharers=sharers)
-    return ExecutionConfig(
-        algorithm=algorithm, n=n, t=t, q=q,
-        l_bits=l_bits, d_bits=d_bits, inputs=inputs, seed=seed,
-    )
-
-
 def criterion_1() -> tuple[bool, str]:
     start = time.perf_counter()
     points = (((4, 1, 2400, 240), 9600), ((7, 2, 8400, 840), 70560))
     ok, parts = True, []
     for (n, t, l_bits, d_bits), want in points:
-        config = _fault_free(ALG1, n, t, None, l_bits, d_bits, seed=1)
+        config = build_config(
+            {"n": n, "t": t, "l_bits": l_bits, "d_bits": d_bits, "seed": 1}
+        )
         result = run_execution(config, AdversaryScript())
         report = check_complexity(result)
         good = (
@@ -233,7 +216,9 @@ def criterion_2() -> tuple[bool, str]:
         per_flag = n * n  # one flag bit charged at n^2 per broadcast
         data_seen = set()
         for d_bits in d_points:
-            config = _fault_free(ALG1, n, t, None, l_bits, d_bits, seed=2)
+            config = build_config(
+                {"n": n, "t": t, "l_bits": l_bits, "d_bits": d_bits, "seed": 2}
+            )
             report = check_complexity(run_execution(config, AdversaryScript()))
             generations = l_bits // d_bits
             want = generations * n * per_flag
@@ -343,10 +328,11 @@ def criterion_6(quick: bool = False) -> tuple[bool, str]:
     checked = 0
     for q in (3, 4, 5):
         l_bits = 8 * q * 3
-        base = _fault_free(
-            ALG2, n, t, q, l_bits, 8 * q, seed=60 + q,
-            sharers=range(1, n - t + 1),
-        )
+        base = build_config({
+            "algorithm": ALG2, "n": n, "t": t, "q": q, "l_bits": l_bits,
+            "d_bits": 8 * q, "seed": 60 + q,
+            "inputs": {"generator": "shared-prefix", "sharers": n - t},
+        })
         for case in crafted_cases(base):
             problems.extend(_q_validity_problems(base, case.script))
             checked += 1
@@ -376,10 +362,11 @@ def criterion_7() -> tuple[bool, str]:
     n, t = 7, 2
     ok, parts = True, []
     for q in (3, 4, 5):
-        config = _fault_free(
-            ALG2, n, t, q, 8 * q * 4, 8 * q, seed=70 + q,
-            sharers=range(1, q + 1),
-        )
+        config = build_config({
+            "algorithm": ALG2, "n": n, "t": t, "q": q, "l_bits": 8 * q * 4,
+            "d_bits": 8 * q, "seed": 70 + q,
+            "inputs": {"generator": "shared-prefix", "sharers": q},
+        })
         result = run_execution(config, AdversaryScript())
         report = check_complexity(result)
         want = (2 * n - q) * (n - 1)

@@ -38,36 +38,24 @@ from .sim import (
     sweep,
 )
 
-# scenario keys that map straight onto ExecutionConfig fields
-_CONFIG_KEYS = (
-    "algorithm", "n", "t", "q", "l_bits", "d_bits", "seed",
-    "broadcast_coefficient",
-)
-_INT_KEYS = {"n", "t", "q", "l_bits", "d_bits", "seed", "broadcast_coefficient"}
-# accepted spellings for override keys (flag style and field style)
-_KEY_ALIASES = {
-    "alg": "algorithm",
-    "l-bits": "l_bits",
-    "d-bits": "d_bits",
-    "broadcast-coefficient": "broadcast_coefficient",
+# every config field but the inputs: its flag or --override alias, and its
+# default on the command line (d_bits=None is sized by choose_d); a field
+# without a flag in the parser is set by --override alone
+_FIELDS: dict[str, tuple[str, Any]] = {
+    "algorithm": ("alg", ALG1),
+    "n": ("n", 4),
+    "t": ("t", 1),
+    "q": ("q", ExecutionConfig.q),
+    "l_bits": ("l-bits", 2400),
+    "d_bits": ("d-bits", None),
+    "seed": ("seed", ExecutionConfig.seed),
+    "broadcast_coefficient": (
+        "broadcast-coefficient", ExecutionConfig.broadcast_coefficient
+    ),
 }
 
-# flags that set one config field: namespace attribute -> field
-_FLAG_FIELDS = {
-    "alg": "algorithm", "n": "n", "t": "t", "q": "q",
-    "l_bits": "l_bits", "d_bits": "d_bits", "seed": "seed",
-}
-
-_DEFAULTS: dict[str, Any] = {
-    "algorithm": ALG1,
-    "n": 4,
-    "t": 1,
-    "q": None,
-    "l_bits": 2400,
-    "d_bits": None,
-    "seed": 0,
-    "broadcast_coefficient": 1,
-}
+# the input layouts a sweep rotates through
+SWEEP_STYLES = ("identical", "shared-prefix", "random")
 
 
 def choose_d(l_bits: int, n: int, t: int, q: int | None = None) -> int:
@@ -80,6 +68,8 @@ def choose_d(l_bits: int, n: int, t: int, q: int | None = None) -> int:
     that still fits inside l_bits so short values run in one generation.
     """
     k = q if q is not None else n - t
+    if k < 1:
+        raise ConfigurationError(f"code dimension {k} is not positive")
     unit = 8 * k
     if l_bits < unit:
         raise ConfigurationError(
@@ -96,9 +86,16 @@ def choose_d(l_bits: int, n: int, t: int, q: int | None = None) -> int:
 
 
 def _coerce(key: str, value: Any) -> Any:
-    if key in _INT_KEYS and value is not None:
+    """An integer field takes an int (not a bool) or a decimal string."""
+    if key == "algorithm" or type(value) is int:
+        return value
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
         return int(value)
-    return value
+    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+
+
+def _flag_value(args: argparse.Namespace, flag: str) -> Any:
+    return getattr(args, flag.replace("-", "_"), None)
 
 
 def parse_override(text: str) -> tuple[str, Any]:
@@ -106,8 +103,8 @@ def parse_override(text: str) -> tuple[str, Any]:
     key, sep, value = text.partition("=")
     if not sep or not key:
         raise ConfigurationError(f"override {text!r} is not KEY=VALUE")
-    key = _KEY_ALIASES.get(key, key)
-    if key not in _CONFIG_KEYS:
+    key = next((name for name, (flag, _) in _FIELDS.items() if flag == key), key)
+    if key not in _FIELDS:
         raise ConfigurationError(f"unknown override key {key!r}")
     if key == "q" and value.lower() in ("none", ""):
         return key, None
@@ -116,14 +113,10 @@ def parse_override(text: str) -> tuple[str, Any]:
 
 def flag_overrides(args: argparse.Namespace) -> dict[str, Any]:
     """Config fields taken from dedicated flags plus --override pairs."""
-    merged: dict[str, Any] = {}
-    for text in getattr(args, "override", None) or []:
-        key, value = parse_override(text)
-        merged[key] = value
-    for attr, key in _FLAG_FIELDS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
+    merged = dict(map(parse_override, getattr(args, "override", None) or []))
+    for name, (flag, _) in _FIELDS.items():
+        if (value := _flag_value(args, flag)) is not None:
+            merged[name] = value
     return merged
 
 
@@ -141,8 +134,10 @@ def generate_inputs(layout: Any, n: int, l_bits: int, seed: int) -> tuple[str, .
     if kind == "identical":
         return random_inputs(rng, n, l_bits)
     if kind == "shared-prefix":
-        sharers = list(range(1, int(layout.get("sharers", n - 1)) + 1))
-        return random_inputs(rng, n, l_bits, sharers=sharers)
+        sharers = _coerce("sharers", layout.get("sharers", n - 1))
+        if not 1 <= sharers <= n:
+            raise ConfigurationError(f"sharers={sharers} is outside 1..{n}")
+        return random_inputs(rng, n, l_bits, sharers=range(1, sharers + 1))
     if kind == "split":
         first, second = rng.randbytes(size).hex(), rng.randbytes(size).hex()
         cut = (n + 1) // 2
@@ -152,35 +147,29 @@ def generate_inputs(layout: Any, n: int, l_bits: int, seed: int) -> tuple[str, .
     raise ConfigurationError(f"unknown input generator {kind!r}")
 
 
+def sweep_layout(style: int, n: int, t: int, q: int | None) -> dict:
+    """The inputs of sweep trial `style`: SWEEP_STYLES in rotation, the
+    shared prefix covering max(q, n - t) processors."""
+    generator = SWEEP_STYLES[style % len(SWEEP_STYLES)]
+    return {"generator": generator, "sharers": max(q or 0, n - t)}
+
+
 def build_config(data: dict) -> ExecutionConfig:
     """Scenario dictionary (after overrides) to a validated config."""
-    merged = dict(_DEFAULTS)
-    for key in _CONFIG_KEYS:
-        if key in data and data[key] is not None:
-            merged[key] = _coerce(key, data[key])
-    algorithm = merged["algorithm"]
-    if algorithm not in (ALG1, ALG2):
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    n, t, seed = merged["n"], merged["t"], merged["seed"]
-    q = merged["q"] if algorithm == ALG2 else None
-    if algorithm == ALG2 and q is None:
-        raise ConfigurationError("alg2 requires q")
-    l_bits = merged["l_bits"]
-    d_bits = merged["d_bits"]
-    if d_bits is None:
-        d_bits = choose_d(l_bits, n, t, q)
-    inputs = generate_inputs(data.get("inputs"), n, l_bits, seed)
-    return ExecutionConfig(
-        algorithm=algorithm,
-        n=n,
-        t=t,
-        q=q,
-        l_bits=l_bits,
-        d_bits=d_bits,
-        inputs=inputs,
-        seed=seed,
-        broadcast_coefficient=merged["broadcast_coefficient"],
+    fields = {
+        name: default if data.get(name) is None else _coerce(name, data[name])
+        for name, (_, default) in _FIELDS.items()
+    }
+    if fields["algorithm"] != ALG2:
+        fields["q"] = None
+    if fields["d_bits"] is None:
+        fields["d_bits"] = choose_d(
+            fields["l_bits"], fields["n"], fields["t"], fields["q"]
+        )
+    inputs = generate_inputs(
+        data.get("inputs"), fields["n"], fields["l_bits"], fields["seed"]
     )
+    return ExecutionConfig(**fields, inputs=inputs)
 
 
 def build_script(data: dict, config: ExecutionConfig) -> AdversaryScript:
@@ -208,12 +197,12 @@ def check_expected(result, report, expected: dict) -> list[str]:
         want = sorted(expected["outcome_kinds"])
         if kinds != want:
             problems.append(f"outcome kinds {kinds} != expected {want}")
-    if "data_bits" in expected and report.data_bits != int(expected["data_bits"]):
-        problems.append(
-            f"data bits {report.data_bits} != expected {expected['data_bits']}"
-        )
+    if "data_bits" in expected:
+        want = _coerce("data_bits", expected["data_bits"])
+        if report.data_bits != want:
+            problems.append(f"data bits {report.data_bits} != expected {want}")
     if "diagnosis_count" in expected:
-        want = int(expected["diagnosis_count"])
+        want = _coerce("diagnosis_count", expected["diagnosis_count"])
         if result.diagnosis_count != want:
             problems.append(
                 f"diagnosis count {result.diagnosis_count} != expected {want}"
@@ -229,9 +218,9 @@ def _repro_line(args: argparse.Namespace, config: ExecutionConfig) -> str:
     scenario = shlex.quote(args.scenario or "-")
     words = [f"repro: scenario={scenario} seed={config.seed}"]
     words += [f"--override {shlex.quote(text)}" for text in args.override or []]
-    for attr in (*_FLAG_FIELDS, "faulty", "script"):
-        if (value := getattr(args, attr)) is not None:
-            words.append(f"--{attr.replace('_', '-')} {shlex.quote(str(value))}")
+    for flag in (*(flag for flag, _ in _FIELDS.values()), "faulty", "script"):
+        if (value := _flag_value(args, flag)) is not None:
+            words.append(f"--{flag} {shlex.quote(str(value))}")
     return " ".join(words)
 
 
@@ -291,9 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.passed and not mismatches else 1
 
 
-def _parse_q_values(text: str | None) -> list[int | None]:
-    if not text:
-        return [None]
+def _parse_q_values(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -301,15 +288,19 @@ def _parse_q_values(text: str | None) -> list[int | None]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    algorithm = args.alg or ALG1
-    q_values = _parse_q_values(args.q)
+    given = {name: default for name, (_, default) in _FIELDS.items()}
+    given.update(flag_overrides(args))
+    algorithm, n, t = given["algorithm"], given["n"], given["t"]
     if algorithm == ALG1:
-        q_values = [None]
-    elif q_values == [None]:
+        q_values: list[int | None] = [None]
+    elif not args.q:
         raise ConfigurationError("alg2 sweeps need --q (single value or lo..hi)")
-    n, t = args.n or 4, args.t if args.t is not None else 1
+    elif not (q_values := _parse_q_values(args.q)):
+        raise ConfigurationError(f"--q {args.q} names no quorum size")
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials {args.trials} runs nothing")
     cases = sweep_cases(
-        algorithm, n, t, q_values, args.trials, args.seed or 0,
+        algorithm, n, t, q_values, args.trials, given["seed"],
         args.l_bits, args.d_bits,
     )
     report = sweep(cases)
@@ -346,33 +337,20 @@ def sweep_cases(
 ) -> list[tuple[ExecutionConfig, AdversaryScript]]:
     """The cases `sweep` runs: per q, `trials` seeds from `base_seed` up.
 
-    Trials rotate three input styles (all identical, a shared prefix of
-    max(q, n - t) processors, all distinct), and each gets its own
+    Trials rotate the SWEEP_STYLES input layouts, and each gets its own
     `random_script` adversary. L defaults to ten single-unit generations.
     """
     cases = []
     for q in q_values:
         k = q if q is not None else n - t
-        q_l_bits = l_bits or 8 * k * 10
-        q_d_bits = d_bits or choose_d(q_l_bits, n, t, q)
         for trial in range(trials):
-            seed = base_seed + trial
-            rng = random.Random(seed)
-            style = trial % 3
-            if style == 0:
-                inputs = random_inputs(rng, n, q_l_bits)
-            elif style == 1:
-                share = max(q or 0, n - t)
-                inputs = random_inputs(rng, n, q_l_bits, sharers=range(1, share + 1))
-            else:
-                inputs = tuple(
-                    rng.randbytes(q_l_bits // 8).hex() for _ in range(n)
-                )
-            config = ExecutionConfig(
-                algorithm=algorithm, n=n, t=t, q=q,
-                l_bits=q_l_bits, d_bits=q_d_bits, inputs=inputs, seed=seed,
-            )
-            cases.append((config, random_script(config, seed)))
+            config = build_config({
+                "algorithm": algorithm, "n": n, "t": t, "q": q,
+                "l_bits": 8 * k * 10 if l_bits is None else l_bits,
+                "d_bits": d_bits, "seed": base_seed + trial,
+                "inputs": sweep_layout(trial, n, t, q),
+            })
+            cases.append((config, random_script(config, config.seed)))
     return cases
 
 

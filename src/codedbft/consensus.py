@@ -33,7 +33,6 @@ from .rs import (
 STEP_OWN = "own"
 STEP_HELPER = "helper"
 STEP_RECONSTRUCTED = "reconstructed"
-STEP_ORDER = {STEP_OWN: 0, STEP_HELPER: 1, STEP_RECONSTRUCTED: 2}
 
 # broadcast tags
 TAG_DETECTED = "detected"
@@ -63,9 +62,6 @@ class SendObligation(NamedTuple):
     slot: int
     step: str
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (STEP_ORDER[self.step], self.sender, self.receiver, self.slot)
-
 
 def _helpers(graph: TrustGraph, members: list[int]) -> Iterator[tuple]:
     """(helper, receiver, missing slots) for each receiver that trusts
@@ -89,8 +85,9 @@ def matching_obligations(
     member re-sends the match-set slots the receiver cannot obtain
     directly. Wave 3: processors outside the match set re-send their
     own slot after rebuilding it from match-set symbols. Self-deliveries
-    are local, free, and not obligations. The order is `sort_key`'s:
-    waves 1 and 3 come out in it, and wave 2 is sorted.
+    are local, free, and not obligations. Waves come in order, each by
+    (sender, receiver, slot): waves 1 and 3 come out in it, and wave 2
+    is sorted.
     """
     members = sorted(set(p_match))
     n = graph.n

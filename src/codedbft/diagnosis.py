@@ -16,8 +16,6 @@ generation's send obligations, across graphs and executions.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class ConfigurationError(ValueError):
     """Protocol parameters violate a resilience bound."""
@@ -55,10 +53,6 @@ class TrustGraph:
         self._check_vertex(j)
         return j in self._adj[i]
 
-    def trusts(self, i: int, j: int) -> bool:
-        """Self-trust is unconditional; otherwise the edge must survive."""
-        return i == j or self.edge_present(i, j)
-
     def neighbours(self, v: int) -> set[int]:
         """The vertices v trusts besides itself; read only."""
         return self._adj[v]
@@ -67,18 +61,8 @@ class TrustGraph:
         self._check_vertex(v)
         return (self.n - 1) - len(self._adj[v])
 
-    def present_edges(self) -> set[tuple[int, int]]:
-        return {(i, j) for i in self._adj for j in self._adj[i] if i < j}
-
     def unconvicted(self) -> list[int]:
         return [v for v in range(1, self.n + 1) if v not in self.convicted]
-
-    def match_helper(self, j: int, p_match: Iterable[int]) -> int | None:
-        """Lowest-index member of p_match that j trusts, if any."""
-        for member in sorted(p_match):
-            if self.trusts(j, member):
-                return member
-        return None
 
     # ----------------------------------------------------------- mutation
 

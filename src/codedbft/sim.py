@@ -72,29 +72,47 @@ class _MatchingPlan(NamedTuple):
     copies: tuple[tuple[int, int], ...]
 
 
-# the most recently used plans; a fixed size keeps memory flat across runs
+# plans, least recently used first, and the obligations they hold; a budget
+# in obligations keeps every state of a small-n sweep yet caps n=255 (up to
+# about 86k obligations a plan) at three plans
 _PLANS: OrderedDict[tuple, _MatchingPlan] = OrderedDict()
-_PLAN_CACHE_SIZE = 128
+_PLAN_BUDGET = 1 << 18
+_plans_held = 0
+# own waves by (n, removed edges), which alone fix them, shared by the plans
+# of a state; an entry leaves with any plan of its state
+_OWN_WAVES: dict[tuple, tuple[SendObligation, ...]] = {}
 
 
 def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
     """The plan of `p_match` on `graph`, derived on the first request."""
+    global _plans_held
     key = (graph.n, graph.removed, tuple(p_match))
     plan = _PLANS.get(key)
     if plan is not None:
         _PLANS.move_to_end(key)
         return plan
     obligations = matching_obligations(graph, p_match)
-    plan = _PLANS[key] = _MatchingPlan(
+    plan = _MatchingPlan(
         *(tuple(ob for ob in obligations if ob.step == step) for step in _STEPS),
         tuple(local_helper_copies(graph, p_match)),
     )
-    if len(_PLANS) > _PLAN_CACHE_SIZE:
-        _PLANS.popitem(last=False)
+    plan = _PLANS[key] = plan._replace(own=_OWN_WAVES.setdefault(key[:2], plan.own))
+    _plans_held += len(obligations)
+    # the plan just derived stays even when it alone exceeds the budget
+    while _plans_held > _PLAN_BUDGET and len(_PLANS) > 1:
+        old_key, old = _PLANS.popitem(last=False)
+        _OWN_WAVES.pop(old_key[:2], None)
+        _plans_held -= len(old.own) + len(old.helper) + len(old.reconstructed)
     return plan
 
 
 # --------------------------------------------------------------- config
+
+
+def _require_object(what: str, value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be a JSON object")
+    return value
 
 
 @dataclass(frozen=True)
@@ -181,36 +199,19 @@ class ExecutionConfig:
         return CodeParams(self.n, self.k, self.sym_bytes)
 
     def to_jsonable(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "t": self.t,
-            "q": self.q,
-            "l_bits": self.l_bits,
-            "d_bits": self.d_bits,
-            "inputs": list(self.inputs),
-            "seed": self.seed,
-            "broadcast_coefficient": self.broadcast_coefficient,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {**doc, "inputs": list(self.inputs)}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExecutionConfig":
+        _require_object("config", data)
         # older case files still carry the retired stop_when_no_match_set
-        known = {f.name for f in fields(cls) if f.init} | {"stop_when_no_match_set"}
-        unknown = set(data) - known
-        if unknown:
+        data = {k: v for k, v in data.items() if k != "stop_when_no_match_set"}
+        if unknown := set(data) - {f.name for f in fields(cls) if f.init}:
             raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-        return cls(
-            algorithm=data["algorithm"],
-            n=data["n"],
-            t=data["t"],
-            q=data.get("q"),
-            l_bits=data["l_bits"],
-            d_bits=data["d_bits"],
-            inputs=tuple(data["inputs"]),
-            seed=data.get("seed", 0),
-            broadcast_coefficient=data.get("broadcast_coefficient", 1),
-        )
+        if not isinstance(inputs := data.get("inputs"), (list, tuple)):
+            raise ConfigurationError("config inputs must be a list of hex")
+        return cls(**{**data, "inputs": tuple(inputs)})
 
 
 # --------------------------------------------------------------- script
@@ -348,21 +349,22 @@ class AdversaryScript:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "AdversaryScript":
+        _require_object("script", data)
         if unknown := set(data) - {"faulty", "sends", "broadcasts"}:
             raise ConfigurationError(f"unknown script keys {sorted(unknown)}")
         script = cls(data.get("faulty", ()))
-        for key, rule in data.get("sends", {}).items():
+        sends = _require_object("sends", data.get("sends", {}))
+        bcasts = _require_object("broadcasts", data.get("broadcasts", {}))
+        for key, rule in sends.items():
             g, step, s, r = key.split("|")
-            raw = rule.get("data")
+            raw = _require_object(f"send rule {key}", rule).get("data")
             script.add_send(
                 int(g), step, int(s), int(r), rule["kind"],
                 None if raw is None else bytes.fromhex(raw),
             )
-        for key, rule in data.get("broadcasts", {}).items():
+        for key, rule in bcasts.items():
             g, tag, s = key.split("|")
-            payload = rule.get("payload")
-            if tag == TAG_MATCH_BITS and payload is not None:
-                payload = [bool(b) for b in payload]
+            payload = _require_object(f"broadcast rule {key}", rule).get("payload")
             script.add_broadcast(int(g), tag, int(s), rule["kind"], payload)
         return script
 

@@ -2,13 +2,27 @@
 
 These are the engine's first `matching_obligations` and
 `local_helper_copies`: every question about the graph goes through the
-validated `trusts` and `match_helper` queries, and the whole list is
-sorted at the end. Obligations come out as plain
-(sender, receiver, slot, step) tuples. No imports from the package
-under test; tests compare `codedbft.consensus` against these functions.
+validated `edge_present` query, by way of the `trusts` and `match_helper`
+rules below, and the whole list is sorted at the end. Obligations come
+out as plain (sender, receiver, slot, step) tuples. No imports from the
+package under test; tests compare `codedbft.consensus` against these
+functions.
 """
 
 STEP_ORDER = {"own": 0, "helper": 1, "reconstructed": 2}
+
+
+def trusts(graph, i, j):
+    """Self-trust is unconditional; otherwise the edge must survive."""
+    return i == j or graph.edge_present(i, j)
+
+
+def match_helper(graph, j, p_match):
+    """Lowest-index member of p_match that j trusts, if any."""
+    for member in sorted(p_match):
+        if trusts(graph, j, member):
+            return member
+    return None
 
 
 def matching_obligations(graph, p_match):
@@ -18,13 +32,13 @@ def matching_obligations(graph, p_match):
     obligations = []
     for s in range(1, n + 1):
         for r in range(1, n + 1):
-            if r != s and graph.trusts(s, r):
+            if r != s and trusts(graph, s, r):
                 obligations.append((s, r, s, "own"))
     for r in range(1, n + 1):
-        missing = [k for k in members if not graph.trusts(r, k)]
+        missing = [k for k in members if not trusts(graph, r, k)]
         if not missing:
             continue
-        helper = graph.match_helper(r, members)
+        helper = match_helper(graph, r, members)
         if helper is None or helper == r:
             continue
         for k in missing:
@@ -33,7 +47,7 @@ def matching_obligations(graph, p_match):
         if s in members:
             continue
         for r in range(1, n + 1):
-            if r != s and graph.trusts(s, r):
+            if r != s and trusts(graph, s, r):
                 obligations.append((s, r, s, "reconstructed"))
     obligations.sort(key=lambda ob: (STEP_ORDER[ob[3]], ob[0], ob[1], ob[2]))
     return obligations
@@ -44,7 +58,7 @@ def local_helper_copies(graph, p_match):
     members = sorted(set(p_match))
     copies = []
     for r in members:
-        missing = [k for k in members if not graph.trusts(r, k)]
-        if missing and graph.match_helper(r, members) == r:
+        missing = [k for k in members if not trusts(graph, r, k)]
+        if missing and match_helper(graph, r, members) == r:
             copies.extend((r, k) for k in missing)
     return copies

@@ -1,14 +1,17 @@
 """Command line behaviour: block sizing, overrides, exit codes, files."""
 
+import dataclasses
 import json
 import math
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codedbft import cli
 from codedbft.cli import (
     build_config,
     build_script,
@@ -18,7 +21,10 @@ from codedbft.cli import (
     parse_override,
 )
 from codedbft.diagnosis import ConfigurationError
+from codedbft.sim import ExecutionConfig
 from golden_corpus import SCENARIOS, scenario_case
+
+CASES = Path(__file__).parent / "cases"
 
 
 # ------------------------------------------------------------- choose_d
@@ -85,6 +91,11 @@ def test_generate_inputs_layouts():
     assert again == split
     with pytest.raises(ConfigurationError):
         generate_inputs({"generator": "dunno"}, 4, 48, seed=3)
+
+
+def test_field_table_covers_every_config_field_but_the_inputs():
+    init = {f.name for f in dataclasses.fields(ExecutionConfig) if f.init}
+    assert set(cli._FIELDS) == init - {"inputs"}
 
 
 def test_build_config_fills_defaults_and_sizes_d():
@@ -197,6 +208,53 @@ def test_sweep_quorum_grid_needs_q(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--alg", "alg2", "--n", "7", "--t", "2", "--q", "5..3"], "names no quorum"),
+    (["--l-bits", "0"], "l_bits=0"),
+    (["--d-bits", "0"], "d_bits must be"),
+    (["--n", "0"], "code dimension"),
+    (["--trials", "0"], "runs nothing"),
+])
+def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
+    flags, message, tmp_path, capsys
+):
+    assert main(["sweep", "--trials", "3", *flags, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"algorithm": "alg3"}, "unknown algorithm 'alg3'"),
+    ({"algorithm": "alg2"}, "alg2 requires q"),
+    ({"n": 4.7}, "n must be an integer"),
+    ({"t": "1.0"}, "t must be an integer"),
+    ({"seed": [0]}, "seed must be an integer"),
+    ({"l_bits": True}, "l_bits must be an integer"),
+    ({"inputs": {"generator": "shared-prefix", "sharers": 9}}, "outside 1..4"),
+    ({"inputs": {"generator": "shared-prefix", "sharers": 0}}, "outside 1..4"),
+    ({"script": []}, "script must be a JSON object"),
+    ({"script": {"sends": []}}, "sends must be a JSON object"),
+    ({"script": {"faulty": [4], "broadcasts": {"1|detected|4": True}}},
+     "broadcast rule 1|detected|4 must be a JSON object"),
+    ({"script": {"sends": {"1|own|4|1": "x"}}},
+     "send rule 1|own|4|1 must be a JSON object"),
+    ({"script": {"faulty": [4], "broadcasts": {
+        "1|match_bits|4": {"kind": "replace", "payload": [1, 0, 1, 1]}}}},
+     "list of bools"),
+    ({"expected": {"data_bits": 9600.5}}, "data_bits must be an integer"),
+])
+def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    data = json.loads((SCENARIOS / "n4.json").read_text())
+    scenario.write_text(json.dumps({**data, **change}))
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_replay_refuses_a_rule_that_is_not_an_object(capsys):
+    assert main(["replay", str(CASES / "script_rule_not_an_object.json")]) == 2
+    assert "send rule 1|own|4|1 must be a JSON object" in capsys.readouterr().err
+
+
 def test_replay_round_trips_a_case(tmp_path):
     from codedbft.sim import random_script, serialize_case
 
@@ -207,14 +265,14 @@ def test_replay_round_trips_a_case(tmp_path):
 
 
 def test_replay_rejects_unknown_config_key(capsys):
-    case = Path(__file__).parent / "cases" / "misspelled_config_key.json"
+    case = CASES / "misspelled_config_key.json"
     assert main(["replay", str(case)]) == 2
     assert "broadcast_coeficient" in capsys.readouterr().err
 
 
 def test_replay_and_run_reject_unknown_script_keys(tmp_path, capsys):
     # "send" for "sends": the rule would otherwise vanish into a quiet script
-    case = Path(__file__).parent / "cases" / "misspelled_script_key.json"
+    case = CASES / "misspelled_script_key.json"
     assert main(["replay", str(case)]) == 2
     assert "unknown script keys ['send']" in capsys.readouterr().err
     script = tmp_path / "script.json"
@@ -297,3 +355,89 @@ def test_acceptance_quick_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") >= 9 and "criteria passed" in out
+
+
+# ------------------------------------------------------------------ fuzz
+
+# small numbers keep every run that gets through validation short
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+FUZZ_SCENARIO = {
+    "name": "fuzz", "algorithm": "alg1", "n": 4, "t": 1, "q": None,
+    "l_bits": 48, "d_bits": 24, "seed": 1, "broadcast_coefficient": 1,
+    "inputs": {"generator": "identical"}, "expected": {"verdict": "PASS"},
+}
+FUZZ_SCRIPT = {
+    "faulty": [4],
+    "sends": {"1|own|4|1": {"kind": "corrupt", "data": "01"}},
+    "broadcasts": {"1|detected|4": {"kind": "replace", "payload": True}},
+}
+SCENARIO_KEYS = [*FUZZ_SCENARIO, "script", "crafted", "faulty"]
+SCRIPT_KEYS = [*FUZZ_SCRIPT, "1|own|4|1", "1|detected|4"]
+
+
+def with_script_key(script, key, value):
+    """`script` with one top-level key, or one rule by its key, replaced."""
+    if key in script:
+        return {**script, key: value}
+    table = "sends" if key.count("|") == 3 else "broadcasts"
+    return {**script, table: {key: value}}
+
+
+def exit_code(command, doc):
+    """`codedbft run` or `codedbft replay` on `doc`, written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out-dir", tmp] if command == "run" else []
+        return main([command, str(path), *out])
+
+
+FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@FUZZ
+@given(
+    target=st.sampled_from(["scenario", "script"]),
+    scenario_key=st.sampled_from(SCENARIO_KEYS),
+    script_key=st.sampled_from(SCRIPT_KEYS),
+    value=JSON,
+)
+def test_run_exits_0_1_or_2_on_any_scenario_value(
+    target, scenario_key, script_key, value
+):
+    if target == "scenario":
+        doc = {**FUZZ_SCENARIO, scenario_key: value}
+    else:
+        script = with_script_key(FUZZ_SCRIPT, script_key, value)
+        doc = {**FUZZ_SCENARIO, "script": script}
+    assert exit_code("run", doc) in (0, 1, 2)
+
+
+@FUZZ
+@given(
+    target=st.sampled_from(["case", "config", "script"]),
+    key=st.sampled_from(["config", "script", "extra"]),
+    config_key=st.sampled_from(
+        [f.name for f in dataclasses.fields(ExecutionConfig) if f.init]
+    ),
+    script_key=st.sampled_from(SCRIPT_KEYS),
+    value=JSON,
+)
+def test_replay_exits_0_1_or_2_on_any_case_value(
+    target, key, config_key, script_key, value
+):
+    config = build_config(FUZZ_SCENARIO)
+    case = {"config": config.to_jsonable(), "script": FUZZ_SCRIPT}
+    if target == "case":
+        case[key] = value
+    elif target == "config":
+        case["config"] = {**case["config"], config_key: value}
+    else:
+        case["script"] = with_script_key(FUZZ_SCRIPT, script_key, value)
+    assert exit_code("replay", case) in (0, 1, 2)

@@ -74,7 +74,10 @@ def test_obligations_are_canonically_ordered():
     g = TrustGraph(4, 1)
     g.remove_edge(2, 3)
     obs = matching_obligations(g, [1, 2, 3])
-    assert obs == sorted(obs, key=SendObligation.sort_key)
+    wave = {STEP_OWN: 0, STEP_HELPER: 1, STEP_RECONSTRUCTED: 2}
+    assert obs == sorted(
+        obs, key=lambda ob: (wave[ob.step], ob.sender, ob.receiver, ob.slot)
+    )
 
 
 def test_self_helper_becomes_local_copy():

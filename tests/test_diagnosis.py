@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codedbft.consensus import STEP_HELPER, local_helper_copies, matching_obligations
 from codedbft.diagnosis import ConfigurationError, TrustGraph
+
+
+def present_edges(g):
+    return {(i, j) for i in range(1, g.n + 1) for j in g.neighbours(i) if i < j}
 
 
 def settle_oracle(n, t, disputes):
@@ -37,9 +42,9 @@ def settle_oracle(n, t, disputes):
 
 def test_fresh_graph_is_complete():
     g = TrustGraph(4, 1)
-    assert len(g.present_edges()) == 6
+    assert len(present_edges(g)) == 6
     assert g.convicted == set()
-    assert len(TrustGraph(7, 2).present_edges()) == 21
+    assert len(present_edges(TrustGraph(7, 2))) == 21
 
 
 def test_resilience_bound_enforced():
@@ -56,13 +61,14 @@ def test_resilience_bound_enforced():
 
 def test_trust_is_symmetric_and_reflexive():
     g = TrustGraph(4, 1)
-    assert g.trusts(1, 2)
+    assert g.edge_present(1, 2)
     g.remove_edge(1, 2)
-    assert not g.trusts(1, 2)
-    assert not g.trusts(2, 1)
-    assert g.trusts(3, 3)
+    assert not g.edge_present(1, 2)
+    assert not g.edge_present(2, 1)
+    # self-trust is implicit (see test_match_helper_uses_self_trust)
+    assert 3 not in g.neighbours(3)
     g.convict(3)
-    assert g.trusts(3, 3)
+    assert not g.neighbours(3)
 
 
 def test_removal_is_idempotent():
@@ -70,14 +76,14 @@ def test_removal_is_idempotent():
     a.remove_edge(1, 2)
     b.remove_edge(1, 2)
     assert b.remove_edge(2, 1) == []
-    assert a.present_edges() == b.present_edges()
+    assert present_edges(a) == present_edges(b)
     assert a.convicted == b.convicted
 
 
 def test_vertex_range_checked():
     g = TrustGraph(4, 1)
     with pytest.raises(ValueError):
-        g.trusts(0, 1)
+        g.edge_present(0, 1)
     with pytest.raises(ValueError):
         g.remove_edge(1, 5)
     with pytest.raises(ValueError):
@@ -116,9 +122,9 @@ def test_six_disputes_collapse_seven_vertices():
     for i, j in disputes:
         g.remove_edge(i, j)
     assert g.convicted == {1, 2, 3, 4, 5, 6, 7}
-    assert g.present_edges() == set()
+    assert present_edges(g) == set()
     oracle_edges, oracle_convicted = settle_oracle(7, 2, disputes)
-    assert g.present_edges() == oracle_edges
+    assert present_edges(g) == oracle_edges
     assert g.convicted == oracle_convicted
 
 
@@ -134,15 +140,15 @@ def test_six_disputes_collapse_seven_vertices():
 )
 def test_incremental_settling_matches_batch_oracle(disputes):
     g = TrustGraph(7, 2)
-    edges_before = g.present_edges()
+    edges_before = present_edges(g)
     for i, j in disputes:
         g.remove_edge(i, j)
-        edges_after = g.present_edges()
+        edges_after = present_edges(g)
         # monotone: edges only disappear
         assert edges_after <= edges_before
         edges_before = edges_after
     oracle_edges, oracle_convicted = settle_oracle(7, 2, disputes)
-    assert g.present_edges() == oracle_edges
+    assert present_edges(g) == oracle_edges
     assert g.convicted == oracle_convicted
     # at fixpoint the conviction rule is exact in both directions
     for v in range(1, 8):
@@ -189,20 +195,34 @@ def test_removed_edges_take_a_threshold_conviction():
 # ---------------------------------------------------------------- helper
 
 
+def helper_sends(g, p_match, receiver):
+    """(helper, slot) of each helper-wave send to `receiver`."""
+    return [
+        (ob.sender, ob.slot) for ob in matching_obligations(g, p_match)
+        if ob.step == STEP_HELPER and ob.receiver == receiver
+    ]
+
+
 def test_match_helper_prefers_lowest_trusted_member():
     g = TrustGraph(7, 2)
-    assert g.match_helper(3, {1, 2, 4}) == 1
+    g.remove_edge(3, 4)
+    assert helper_sends(g, {1, 2, 4}, 3) == [(1, 4)]
     g.remove_edge(3, 1)
-    assert g.match_helper(3, {1, 2, 4}) == 2
+    assert helper_sends(g, {1, 2, 4}, 3) == [(2, 1), (2, 4)]
+    g = TrustGraph(7, 2)
     g.remove_edge(3, 5)
-    assert g.match_helper(3, {5}) is None
+    # 3 trusts no member, so nobody helps it
+    assert helper_sends(g, {5}, 3) == []
+    assert local_helper_copies(g, {5}) == []
 
 
 def test_match_helper_uses_self_trust():
     g = TrustGraph(4, 1)
     g.remove_edge(3, 1)
     g.remove_edge(3, 2)
-    assert g.match_helper(3, {1, 2, 3}) == 3
+    # member 3 is its own lowest trusted member: a local copy, no send
+    assert helper_sends(g, {1, 2, 3}, 3) == []
+    assert {(3, 1), (3, 2)} <= set(local_helper_copies(g, {1, 2, 3}))
 
 
 # ------------------------------------------------------------ transcript

@@ -264,12 +264,18 @@ def test_graphs_in_one_state_share_one_plan():
     assert sim._matching_plan(b, members).own != plan.own
 
 
+def _plan_size(plan):
+    return len(plan.own) + len(plan.helper) + len(plan.reconstructed)
+
+
 def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     from collections import OrderedDict
 
     from codedbft.cli import sweep_cases
 
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
+    monkeypatch.setattr(sim, "_plans_held", 0)
+    monkeypatch.setattr(sim, "_OWN_WAVES", {})
     derived = []
     real = sim.matching_obligations
     monkeypatch.setattr(
@@ -283,14 +289,43 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     ]
     assert len(cases) == 600
     sweep(cases)
-    # more plans were derived than fit, yet the cache never outgrew its size
-    assert len(derived) > sim._PLAN_CACHE_SIZE >= len(sim._PLANS)
+    # every state of the sweep was derived once and is still held
+    assert len(derived) == len(sim._PLANS) > 128
+    held = sum(_plan_size(plan) for plan in sim._PLANS.values())
+    assert sim._plans_held == held <= sim._PLAN_BUDGET
+    # plans of one graph state share one own wave
+    states = {key[:2] for key in sim._PLANS}
+    assert len({id(plan.own) for plan in sim._PLANS.values()}) == len(states)
 
     def immutable(x):
         return type(x) in (int, str) or (
             isinstance(x, tuple) and all(immutable(y) for y in x)
         )
     assert all(immutable(plan) for plan in sim._PLANS.values())
+
+
+def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
+    from collections import OrderedDict
+
+    monkeypatch.setattr(sim, "_PLANS", OrderedDict())
+    monkeypatch.setattr(sim, "_plans_held", 0)
+    monkeypatch.setattr(sim, "_OWN_WAVES", {})
+    g = TrustGraph(7, 2)
+    everyone, six, five = range(1, 8), range(1, 7), range(1, 6)
+    size = {m: len(matching_obligations(g, m)) for m in (everyone, six, five)}
+    assert size[everyone] < size[six] < size[five]
+    monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] + size[five])
+    first = sim._matching_plan(g, everyone)
+    assert sim._matching_plan(g, six).own is first.own  # one graph state
+    sim._matching_plan(g, everyone)  # a hit makes `six` the oldest
+    sim._matching_plan(g, five)
+    assert [key[2] for key in sim._PLANS] == [tuple(everyone), tuple(five)]
+    assert sim._plans_held == size[everyone] + size[five]
+    # a plan over the whole budget is still kept, alone
+    monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] - 1)
+    plan = sim._matching_plan(g, six)
+    assert list(sim._PLANS.values()) == [plan]
+    assert sim._plans_held == size[six] == _plan_size(plan)
 
 
 def test_fresh_state_encodes_each_block_once_and_shares_no_word(monkeypatch):

@@ -33,6 +33,7 @@ from .sim import (
     load_case,
     random_inputs,
     random_script,
+    require_known_keys,
     run_execution,
     serialize_case,
     sweep,
@@ -53,6 +54,12 @@ _FIELDS: dict[str, tuple[str, Any]] = {
         "broadcast-coefficient", ExecutionConfig.broadcast_coefficient
     ),
 }
+
+# the top-level keys of a scenario file, and the keys of its `expected` block
+_SCENARIO_KEYS = (
+    *_FIELDS, "inputs", "faulty", "script", "crafted", "expected", "name"
+)
+_EXPECTED_KEYS = ("verdict", "outcome_kinds", "data_bits", "diagnosis_count")
 
 # the input layouts a sweep rotates through
 SWEEP_STYLES = ("identical", "shared-prefix", "random")
@@ -228,8 +235,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     data: dict = {}
     if args.scenario:
         data = json.loads(Path(args.scenario).read_text())
-        if not isinstance(data, dict):
-            raise ConfigurationError("scenario file must hold a JSON object")
+        require_known_keys("scenario", data, _SCENARIO_KEYS)
+        require_known_keys("expected", data.get("expected") or {}, _EXPECTED_KEYS)
     data.update(flag_overrides(args))
     if args.script:
         data["script"] = json.loads(Path(args.script).read_text())

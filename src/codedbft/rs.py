@@ -5,6 +5,11 @@ lane b of the n slots forms an independent (n, k) codeword: the codeword
 is the evaluation of the unique degree-below-k polynomial through the k
 data bytes at the field points 1..n.  Slots 1..k therefore carry the data
 verbatim and any k slots determine the rest (minimum distance n - k + 1).
+Since every lane is encoded with the same weights and no arithmetic
+crosses lanes, G codewords of one (n, k) code share a single wider call
+exactly: put byte b of codeword g's symbols (0 <= g < G) at lane b*G + g
+of the wide symbols, and every G-th byte of a wide slot from lane g on
+is codeword g's slot.
 
 Evaluating at a point is a GF(2^8) linear combination of k source
 symbols with Lagrange weights. Each weight c scales a whole symbol in one

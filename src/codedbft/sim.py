@@ -106,6 +106,21 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
     return plan
 
 
+def _generation_words(
+    params: CodeParams, padded: bytes, generations: int
+) -> list[bytes]:
+    """The n wide slots of one padded input's G generations, from one
+    `encode`: byte b of data symbol j in generation g is lane b*G + g-1
+    of wide symbol j, so slot j of generation g is `words[j-1][g-1::G]`.
+    """
+    k, s = params.k, params.sym_bytes
+    data = b"".join(
+        padded[j * s + b :: k * s] for j in range(k) for b in range(s)
+    )
+    wide = encode(CodeParams(params.n, k, s * generations), data)
+    return [wide.get(pos) for pos in range(1, params.n + 1)]
+
+
 # --------------------------------------------------------------- config
 
 
@@ -113,6 +128,13 @@ def _require_object(what: str, value: Any) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{what} must be a JSON object")
     return value
+
+
+def require_known_keys(what: str, data: Any, known: Iterable[str]) -> dict:
+    """`data` if it is a JSON object; any key outside `known` is named."""
+    if unknown := set(_require_object(what, data)) - set(known):
+        raise ConfigurationError(f"unknown {what} keys {sorted(unknown)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -204,11 +226,10 @@ class ExecutionConfig:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExecutionConfig":
-        _require_object("config", data)
         # older case files still carry the retired stop_when_no_match_set
+        known = [f.name for f in fields(cls) if f.init] + ["stop_when_no_match_set"]
+        data = require_known_keys("config", data, known)
         data = {k: v for k, v in data.items() if k != "stop_when_no_match_set"}
-        if unknown := set(data) - {f.name for f in fields(cls) if f.init}:
-            raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
         if not isinstance(inputs := data.get("inputs"), (list, tuple)):
             raise ConfigurationError("config inputs must be a list of hex")
         return cls(**{**data, "inputs": tuple(inputs)})
@@ -349,9 +370,7 @@ class AdversaryScript:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "AdversaryScript":
-        _require_object("script", data)
-        if unknown := set(data) - {"faulty", "sends", "broadcasts"}:
-            raise ConfigurationError(f"unknown script keys {sorted(unknown)}")
+        require_known_keys("script", data, ("faulty", "sends", "broadcasts"))
         script = cls(data.get("faulty", ()))
         sends = _require_object("sends", data.get("sends", {}))
         bcasts = _require_object("broadcasts", data.get("broadcasts", {}))
@@ -574,6 +593,17 @@ class Execution:
         ]
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
+        # each processor's first holder of its input, and the wide words of
+        # each first holder: one encode per distinct input for the whole run
+        holders: dict[bytes, int] = {}
+        self._first_holder = [
+            holders.setdefault(config.padded_input(i), i)
+            for i in range(1, config.n + 1)
+        ]
+        self._wide = {
+            i: _generation_words(self.params, padded, config.generations)
+            for padded, i in holders.items()
+        }
 
     # ------------------------------------------------------- primitives
 
@@ -677,18 +707,17 @@ class Execution:
     def _fresh_state(
         self, g: int
     ) -> tuple[dict[int, SymbolVector], dict[int, SymbolVector]]:
-        """Coded words, one encode per distinct block and a copy for each
-        further holder, and received words holding each own slot."""
-        cfg = self.config
-        words: dict[bytes, SymbolVector] = {}
+        """Coded words sliced from the wide words, a copy for each further
+        holder of an input, and received words holding each own slot."""
+        n, s, gens = self.config.n, self.params.sym_bytes, self.config.generations
         coded, received = {}, {}
-        for i in range(1, cfg.n + 1):
-            block = cfg.input_block(i, g)
-            if block in words:
-                coded[i] = words[block].copy()
+        for i, first in enumerate(self._first_holder, start=1):
+            if first == i:
+                slots = [w[g - 1 :: gens] for w in self._wide[i]]
+                coded[i] = SymbolVector._of(n, s, slots)
             else:
-                coded[i] = words[block] = encode(self.params, block)
-            received[i] = SymbolVector(cfg.n, cfg.sym_bytes)
+                coded[i] = coded[first].copy()
+            received[i] = SymbolVector._of(n, s, [None] * n)
             received[i].copy_slot(coded[i], i)
         return coded, received
 
@@ -1124,7 +1153,7 @@ def serialize_case(config: ExecutionConfig, script: AdversaryScript) -> str:
 
 
 def load_case(text: str) -> tuple[ExecutionConfig, AdversaryScript]:
-    data = json.loads(text)
+    data = require_known_keys("case", json.loads(text), ("config", "script"))
     return (
         ExecutionConfig.from_jsonable(data["config"]),
         AdversaryScript.from_jsonable(data["script"]),

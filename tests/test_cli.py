@@ -282,6 +282,38 @@ def test_replay_and_run_reject_unknown_script_keys(tmp_path, capsys):
     assert "unknown script keys ['send']" in capsys.readouterr().err
 
 
+def test_run_rejects_unknown_scenario_keys(tmp_path, capsys):
+    # "l_bit" for "l_bits": the run would otherwise take the default L
+    out = ["--out-dir", str(tmp_path / "out")]
+    case = CASES / "misspelled_scenario_key.json"
+    assert main(["run", str(case), *out]) == 2
+    assert "unknown scenario keys ['l_bit']" in capsys.readouterr().err
+    data = json.loads((SCENARIOS / "n4.json").read_text())
+    for change, message in [
+        ({"l_bit": 480, "comment": "x"}, "unknown scenario keys ['comment', 'l_bit']"),
+        ({"expected": {"verdcit": "PASS", "verdict": "PASS"}},
+         "unknown expected keys ['verdcit']"),
+        ({"expected": "PASS"}, "expected must be a JSON object"),
+    ]:
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({**data, **change}))
+        assert main(["run", str(scenario), *out]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_rejects_unknown_case_keys(tmp_path, capsys):
+    config = build_config({"l_bits": 72, "d_bits": 24, "seed": 11})
+    doc = {"config": config.to_jsonable(), "script": {}, "scirpt": {}}
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    assert main(["replay", str(case)]) == 2
+    assert "unknown case keys ['scirpt']" in capsys.readouterr().err
+    del doc["scirpt"]
+    case.write_text(json.dumps(doc))
+    assert main(["replay", str(case)]) == 0
+
+
 def test_run_refuses_faulty_next_to_a_script_or_crafted_case(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"faulty": [4]}))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from codedbft import sim
 from codedbft.consensus import local_helper_copies, matching_obligations
 from codedbft.diagnosis import ConfigurationError, TrustGraph
-from codedbft.rs import SymbolVector
+from codedbft.rs import CodeParams, SymbolVector, encode
 from codedbft.sim import (
     ALG1,
     ALG2,
@@ -328,20 +328,74 @@ def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
     assert sim._plans_held == size[six] == _plan_size(plan)
 
 
-def test_fresh_state_encodes_each_block_once_and_shares_no_word(monkeypatch):
-    config = fault_free_config(ALG1, 7, 2, None, 40, 40, sharers=range(1, 6))
-    encoded = []
-    real = sim.encode
+def counting_encode(monkeypatch):
+    """Patch `sim.encode` to record each data block it is handed."""
+    encoded, real = [], sim.encode
     monkeypatch.setattr(
         sim, "encode", lambda params, block: encoded.append(block) or real(params, block)
     )
-    coded, received = Execution(config, AdversaryScript())._fresh_state(1)
+    return encoded
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_generation_words_slice_to_each_generations_codeword(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    s = data.draw(st.integers(1, 4), label="s")
+    gens = data.draw(st.integers(1, 6), label="G")
+    padded = data.draw(st.binary(min_size=gens * k * s, max_size=gens * k * s))
+    words = sim._generation_words(CodeParams(n, k, s), padded, gens)
+    assert [len(w) for w in words] == [s * gens] * n
+    for g in range(1, gens + 1):
+        block = padded[(g - 1) * k * s : g * k * s]
+        want = encode(CodeParams(n, k, s), block)
+        assert [w[g - 1 :: gens] for w in words] == [
+            want.get(pos) for pos in range(1, n + 1)
+        ]
+
+
+def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
+    monkeypatch,
+):
+    config = fault_free_config(ALG1, 7, 2, None, 240, 80, sharers=range(1, 6))
+    assert (config.generations, config.sym_bytes) == (3, 2)
+    encoded = counting_encode(monkeypatch)
+    execution = Execution(config, AdversaryScript())
     assert len(encoded) == len(set(config.inputs)) == 3
-    assert len({id(word) for word in coded.values()}) == 7
-    for i in range(1, 8):
-        assert coded[i] == real(config.code_params(), config.input_block(i, 1))
-        assert received[i].present_positions() == [i]
-        assert received[i].get(i) == coded[i].get(i)
+    for g in range(1, 4):
+        coded, received = execution._fresh_state(g)
+        assert len({id(word) for word in coded.values()}) == 7
+        for i in range(1, 8):
+            assert coded[i] == encode(config.code_params(), config.input_block(i, g))
+            assert received[i].present_positions() == [i]
+            assert received[i].get(i) == coded[i].get(i)
+    assert len(encoded) == 3
+
+
+@pytest.mark.parametrize("algorithm, q", [(ALG1, None), (ALG2, 3)])
+def test_run_encodes_once_per_distinct_input(algorithm, q, monkeypatch):
+    config = fault_free_config(algorithm, 7, 2, q, 360, 120, sharers=range(1, 6))
+    assert config.generations >= 3 and len(set(config.inputs)) == 3
+    encoded = counting_encode(monkeypatch)
+    assert run_execution(config, AdversaryScript()).passed
+    assert [len(block) for block in encoded] == [config.padded_bytes] * 3
+
+
+def test_reconstruction_writes_leave_other_words_and_generations_alone():
+    config = fault_free_config(ALG1, 7, 2, None, 240, 80, sharers=range(1, 6))
+    params = config.code_params()
+    execution = Execution(config, AdversaryScript())
+    coded, _ = execution._fresh_state(1)
+    # a non-member sharing its input overwrites its own slot, as reconstruction does
+    coded[5].set(5, bytes(b ^ 0xFF for b in coded[5].get(5)))
+    for i in range(1, 5):
+        assert coded[i] == encode(params, config.input_block(i, 1))
+    for g in (1, 2):
+        again, received = execution._fresh_state(g)
+        for i in range(1, 8):
+            assert again[i] == encode(params, config.input_block(i, g))
+            assert received[i].get(i) == again[i].get(i)
 
 
 # --------------------------------------------------- randomized batteries

@@ -135,6 +135,7 @@ def generate_inputs(layout: Any, n: int, l_bits: int, seed: int) -> tuple[str, .
         layout = {}
     if not isinstance(layout, dict):
         raise ConfigurationError("inputs must be a list of hex or a generator")
+    require_known_keys("inputs", layout, ("generator", "seed", "sharers"))
     rng = random.Random(layout.get("seed", seed))
     kind = layout.get("generator", "identical")
     size = l_bits // 8

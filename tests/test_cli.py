@@ -302,6 +302,14 @@ def test_run_rejects_unknown_scenario_keys(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_unknown_inputs_generator_keys(tmp_path, capsys):
+    # "sharer" for "sharers": the run would otherwise share among n-1
+    case = CASES / "misspelled_inputs_key.json"
+    assert main(["run", str(case), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "unknown inputs keys ['sharer']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_rejects_unknown_case_keys(tmp_path, capsys):
     config = build_config({"l_bits": 72, "d_bits": 24, "seed": 11})
     doc = {"config": config.to_jsonable(), "script": {}, "scirpt": {}}

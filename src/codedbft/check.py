@@ -43,7 +43,7 @@ def judge(
     p_match: Iterable[int] = range(1, config.n + 1)
     for e in events:
         kind = e["type"]
-        if kind == "SYMBOL_SENT" or kind == "BROADCAST":
+        if kind in ("BROADCAST", "WAVE", "SYMBOL_SENT"):
             continue  # traffic, most of the events, carries no verdict
         g = e.get("g")
         if kind == "EDGE_REMOVED":

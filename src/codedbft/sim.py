@@ -16,6 +16,7 @@ import json
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
+from hashlib import sha256
 from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
@@ -62,14 +63,30 @@ STAGE_DIAGNOSIS = "diagnosis"
 RULE_SILENT_MATCH_VECTOR = "silent-match-vector"
 
 
-class _MatchingPlan(NamedTuple):
-    """A matching stage's obligations per wave and its local helper
-    copies; shared by every execution that reaches it, so immutable."""
+class _Wave(NamedTuple):
+    """One step's obligations in plan order, and the record prefix
+    `bytes((sender, receiver, slot))` of each for the `WAVE` digest."""
 
-    own: tuple[SendObligation, ...]
-    helper: tuple[SendObligation, ...]
-    reconstructed: tuple[SendObligation, ...]
+    step: str
+    obligations: tuple[SendObligation, ...]
+    prefixes: tuple[bytes, ...]
+
+
+class _MatchingPlan(NamedTuple):
+    """A matching stage's waves and its local helper copies; shared by
+    every execution that reaches it, so immutable."""
+
+    own: _Wave
+    helper: _Wave
+    reconstructed: _Wave
     copies: tuple[tuple[int, int], ...]
+
+    @property
+    def obligations(self) -> tuple[SendObligation, ...]:
+        return (
+            self.own.obligations + self.helper.obligations
+            + self.reconstructed.obligations
+        )
 
 
 # plans, least recently used first, and the obligations they hold; a budget
@@ -80,7 +97,7 @@ _PLAN_BUDGET = 1 << 18
 _plans_held = 0
 # own waves by (n, removed edges), which alone fix them, shared by the plans
 # of a state; an entry leaves with any plan of its state
-_OWN_WAVES: dict[tuple, tuple[SendObligation, ...]] = {}
+_OWN_WAVES: dict[tuple, _Wave] = {}
 
 
 def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
@@ -92,17 +109,18 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
         _PLANS.move_to_end(key)
         return plan
     obligations = matching_obligations(graph, p_match)
-    plan = _MatchingPlan(
-        *(tuple(ob for ob in obligations if ob.step == step) for step in _STEPS),
-        tuple(local_helper_copies(graph, p_match)),
-    )
+    waves = []
+    for step in _STEPS:
+        wave = tuple(ob for ob in obligations if ob.step == step)
+        waves.append(_Wave(step, wave, tuple(bytes(ob[:3]) for ob in wave)))
+    plan = _MatchingPlan(*waves, tuple(local_helper_copies(graph, p_match)))
     plan = _PLANS[key] = plan._replace(own=_OWN_WAVES.setdefault(key[:2], plan.own))
     _plans_held += len(obligations)
     # the plan just derived stays even when it alone exceeds the budget
     while _plans_held > _PLAN_BUDGET and len(_PLANS) > 1:
         old_key, old = _PLANS.popitem(last=False)
         _OWN_WAVES.pop(old_key[:2], None)
-        _plans_held -= len(old.own) + len(old.helper) + len(old.reconstructed)
+        _plans_held -= len(old.obligations)
     return plan
 
 
@@ -475,37 +493,15 @@ class Transcript:
     def _lines(self) -> Iterator[str]:
         """Each event as `_JSONL_ENCODER.encode(event) + "\\n"`.
 
-        The two hot event shapes, SYMBOL_SENT and BROADCAST with a bool
-        or None payload, are filled into fixed templates whose keys are
-        in sorted order. An event takes a template only when it has
-        exactly the template's keys, every int field is an int (a bool
-        would print as True), and every string prints unescaped; any
-        other event goes through the encoder.
+        The hot event shape, BROADCAST with a bool or None payload, is
+        filled into a fixed template whose keys are in sorted order. An
+        event takes it only when it has exactly the template's keys,
+        every int field is an int (a bool would print as True), and the
+        tag is a known one; any other event goes through the encoder.
         """
         encode = _JSONL_ENCODER.encode
         for e in self.events:
-            kind = e.get("type")
-            if kind == "SYMBOL_SENT" and len(e) == 7:
-                try:
-                    g, receiver, sender = e["g"], e["receiver"], e["sender"]
-                    slot, step, value = e["slot"], e["step"], e["value"]
-                except KeyError:
-                    pass
-                else:
-                    if (
-                        type(g) is int and type(receiver) is int
-                        and type(sender) is int and type(slot) is int
-                        and type(step) is str and step in _STEPS
-                        and type(value) is str
-                        and value.isascii() and value.encode().isalnum()
-                    ):
-                        yield (
-                            f'{{"g":{g},"receiver":{receiver},"sender":{sender},'
-                            f'"slot":{slot},"step":"{step}",'
-                            f'"type":"SYMBOL_SENT","value":"{value}"}}\n'
-                        )
-                        continue
-            elif kind == "BROADCAST" and len(e) == 6:
+            if e.get("type") == "BROADCAST" and len(e) == 6:
                 try:
                     g, payload, bits = e["g"], e["payload"], e["payload_bits"]
                     sender, tag = e["sender"], e["tag"]
@@ -608,21 +604,23 @@ class Execution:
     # ------------------------------------------------------- primitives
 
     def _send_wave(
-        self, g: int, wave: tuple[SendObligation, ...],
+        self, g: int, wave: _Wave,
         coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
         suppressed: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         """Deliver one wave of a plan; `suppressed` senders stay silent.
 
-        An honest sender's checked slot is copied slot to slot and each
-        (sender, slot) is rendered to hex once; a faulty sender's symbol
-        may come from the script and goes through `set`. The ledger is
-        charged once per wave."""
-        script = self.script
+        A faulty sender's symbol may come from the script, goes through
+        `set` and is recorded as its own `SYMBOL_SENT` event. An honest
+        sender's checked slot is copied slot to slot and recorded in one
+        `WAVE` event after the faulty ones: the count of honest symbols
+        and the SHA-256 of their records `bytes((sender, receiver, slot))
+        + value` in plan order. The ledger is charged once per wave."""
+        script, step = self.script, wave.step
         events = self.transcript.events
-        texts: dict[tuple[int, int], str] = {}
-        sent = 0
-        for sender, receiver, slot, step in wave:
+        records: list[bytes] = []
+        faulty_sent = 0
+        for (sender, receiver, slot, _), prefix in zip(wave.obligations, wave.prefixes):
             if sender in script.faulty:
                 value = coded[sender].get(slot)
                 kind, data = script.send_rule(g, step, sender, receiver)
@@ -633,20 +631,20 @@ class Execution:
                 elif kind == SEND_REPLACE:
                     value = data
                 received[receiver].set(slot, value)
-                text = value.hex()
-            elif sender in suppressed:
-                continue
-            else:
-                value = received[receiver].copy_slot(coded[sender], slot)
-                text = texts.get((sender, slot))
-                if text is None:
-                    text = texts[sender, slot] = value.hex()
-            sent += 1
+                faulty_sent += 1
+                events.append({
+                    "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+                    "receiver": receiver, "slot": slot, "value": value.hex(),
+                })
+            elif sender not in suppressed:
+                records.append(prefix)
+                records.append(received[receiver].copy_slot(coded[sender], slot))
+        if honest_sent := len(records) // 2:
             events.append({
-                "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
-                "receiver": receiver, "slot": slot, "value": text,
+                "type": "WAVE", "g": g, "step": step, "count": honest_sent,
+                "sha256": sha256(b"".join(records)).hexdigest(),
             })
-        if sent:
+        if sent := faulty_sent + honest_sent:
             self.ledger.add_symbols(g, STAGE_MATCHING, sent, 8 * self.params.sym_bytes)
 
     def _broadcast(
@@ -877,7 +875,7 @@ class Execution:
         claims = self._collect_claims(g, flags, coded, received)
         result = run_diagnosis(
             self.params, self.graph, p_match,
-            plan.own + plan.helper + plan.reconstructed, claims,
+            plan.obligations, claims,
             p_match if alg1 else list(range(1, cfg.n + 1)),
             cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
         )
@@ -895,12 +893,17 @@ class Execution:
     def _settle(
         self, g: int, kind: str, values: dict[int, bytes], decide_set: list[int]
     ) -> dict:
-        """Store each fault-free processor's block and record the outcome."""
+        """Store each fault-free processor's block and record the outcome;
+        the event also maps each fault-free processor to its block when
+        the blocks differ."""
         for p in self.fault_free:
             self.decided[p].append(values[p])
         value = values[self.fault_free[0]].hex()
         outcome = {"g": g, "kind": kind, "value": value, "decide_set": decide_set}
-        self.transcript.append("DECIDED", **outcome)
+        event = dict(outcome)
+        if len({values[p] for p in self.fault_free}) > 1:
+            event["values"] = {str(p): values[p].hex() for p in self.fault_free}
+        self.transcript.append("DECIDED", **event)
         return outcome
 
     # ----------------------------------------------------------- driver

@@ -19,9 +19,10 @@ FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
 def resum_ledger(events):
     """Ledger cells keyed "g:stage", as the `VERDICT` event records them.
 
-    Every `SYMBOL_SENT` is one matching-stage symbol of 8 * sym_bytes
-    bits; every `BROADCAST` charges its payload bits times the broadcast
-    coefficient times n^2.
+    Every faulty sender's `SYMBOL_SENT` is one matching-stage symbol of
+    8 * sym_bytes bits, and every `WAVE` is `count` honest ones; every
+    `BROADCAST` charges its payload bits times the broadcast coefficient
+    times n^2.
     """
     config = events[0]["config"]
     n = config["n"]
@@ -34,10 +35,11 @@ def resum_ledger(events):
         return cells.setdefault(f"{g}:{stage}", dict.fromkeys(FIELDS, 0))
 
     for event in events:
-        if event["type"] == "SYMBOL_SENT":
+        if event["type"] in ("SYMBOL_SENT", "WAVE"):
+            symbols = event["count"] if event["type"] == "WAVE" else 1
             sums = cell(event["g"], "matching")
-            sums["p2p_symbols"] += 1
-            sums["p2p_bits"] += symbol_bits
+            sums["p2p_symbols"] += symbols
+            sums["p2p_bits"] += symbols * symbol_bits
         elif event["type"] == "BROADCAST":
             sums = cell(event["g"], STAGE_OF_TAG[event["tag"]])
             sums["bcast_payload_bits"] += event["payload_bits"]

@@ -2,7 +2,10 @@
 
 `golden_corpus.py` builds the corpus. A refactor or speed-up must leave
 every hash unchanged; a change that alters transcripts on purpose
-re-records the file and says why.
+re-records the file and says why. The hashes are of v2 transcripts;
+`v1_fixtures/` keeps four v1 transcripts of the corpus, with their v1
+golden hashes below, that `transcript_v1.v2_from_v1` must fold into
+today's transcripts byte for byte.
 """
 
 import contextlib
@@ -24,8 +27,30 @@ from golden_corpus import (
     crafted_corpus,
 )
 from ledger_oracle import resum_ledger
+from transcript_v1 import v2_from_v1
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
+V1_FIXTURES = Path(__file__).parent / "v1_fixtures"
+
+# fixture: (golden section, key, SHA-256 of the case's v1 transcript)
+V1_GOLDEN = {
+    "corrupt_once.jsonl": (
+        "scenarios", "corrupt_once.json",
+        "b5fd5c376e71e5aef44018eff8f655fcd5a2cfd41bfd80e6108e1c6a03cea1bc",
+    ),
+    "split_inputs.jsonl": (
+        "scenarios", "split_inputs.json",
+        "52f5ac9b8e8a94e3e56f5e6bdc7f596be1bd58d52123b46d5e5561e9468d6b47",
+    ),
+    "alg1-qNone-honest-looking-equivocation.jsonl": (
+        "crafted", "alg1-qNone-honest-looking-equivocation",
+        "6727c6158eeb80a3bf23c29d761892ffe5fcdb0f52a09686fb0904ea55552fac",
+    ),
+    "alg2-q5-wrong-reconstruction-claim.jsonl": (
+        "crafted", "alg2-q5-wrong-reconstruction-claim",
+        "817daac7edd1d930ff7ecdd2158503f7b0be09fa7ee95f1c455b548e0a45888e",
+    ),
+}
 
 
 def digest(data: bytes) -> str:
@@ -81,3 +106,15 @@ def test_ledgers_resum_from_the_transcript():
     for key, (config, script) in cases.items():
         events = run_execution(config, script).transcript.events
         assert resum_ledger(events) == events[-1]["ledger"], key
+
+
+def test_v1_fixtures_fold_into_todays_transcripts():
+    assert {path.name for path in V1_FIXTURES.iterdir()} == set(V1_GOLDEN)
+    cases = all_cases()
+    for name, (section, key, v1_hash) in V1_GOLDEN.items():
+        v1 = (V1_FIXTURES / name).read_bytes()
+        assert digest(v1) == v1_hash, name
+        config, script = cases[key]
+        v2 = run_execution(config, script).transcript.to_jsonl()
+        assert v2_from_v1(v1.decode()) == v2, name
+        assert digest(v2.encode()) == GOLDEN[section][key], name

@@ -1,5 +1,6 @@
 """End-to-end executions: traffic identities, verdicts, determinism."""
 
+import hashlib
 import json
 import random
 
@@ -223,25 +224,44 @@ def test_obligations_follow_the_graph_after_diagnosis():
     assert kinds == [OUTCOME_DIAGNOSED, OUTCOME_DECIDED]
     # g2 keeps the full match set, so only the graph tells the two apart
     assert result.outcomes[0]["decide_set"] == list(range(1, 8))
+    # every input is the same, so every sender holds this word in g2
+    word = encode(config.code_params(), config.input_block(1, 2))
 
-    def sent(g):
-        return [
-            (ev["step"], ev["sender"], ev["receiver"], ev["slot"])
-            for ev in result.transcript.of_type("SYMBOL_SENT")
-            if ev["g"] == g
+    def traffic(obligations):
+        """Processor 7's sends, and each wave's honest count and digest."""
+        faulty = [
+            (ob.step, ob.sender, ob.receiver, ob.slot)
+            for ob in obligations if ob.sender == 7
         ]
+        waves = {}
+        for step in sim._STEPS:
+            records = [
+                bytes((ob.sender, ob.receiver, ob.slot)) + word.get(ob.slot)
+                for ob in obligations if ob.step == step and ob.sender != 7
+            ]
+            if records:
+                digest = hashlib.sha256(b"".join(records)).hexdigest()
+                waves[step] = (len(records), digest)
+        return faulty, waves
 
+    events = [ev for ev in result.transcript.events if ev.get("g") == 2]
+    sent = (
+        [
+            (ev["step"], ev["sender"], ev["receiver"], ev["slot"])
+            for ev in events if ev["type"] == "SYMBOL_SENT"
+        ],
+        {
+            ev["step"]: (ev["count"], ev["sha256"])
+            for ev in events if ev["type"] == "WAVE"
+        },
+    )
     graph = TrustGraph(7, 2)
     for ev in result.transcript.of_type("EDGE_REMOVED"):
         if ev["g"] == 1:
             graph.remove_edge(ev["i"], ev["j"])
     assert graph.removed
-    fresh = [
-        (ob.step, ob.sender, ob.receiver, ob.slot)
-        for ob in matching_obligations(graph, range(1, 8))
-    ]
-    assert sent(2) == fresh
-    assert sent(2) != sent(1)
+    assert sent == traffic(matching_obligations(graph, range(1, 8)))
+    assert sent != traffic(matching_obligations(TrustGraph(7, 2), range(1, 8)))
 
 
 # ------------------------------------------------- shared plans and words
@@ -256,16 +276,19 @@ def test_graphs_in_one_state_share_one_plan():
     b.remove_edge(2, 1)
     plan = sim._matching_plan(a, members)
     assert sim._matching_plan(b, members) is plan
-    assert plan.own + plan.helper + plan.reconstructed == tuple(
-        matching_obligations(a, members)
-    )
+    assert plan.obligations == tuple(matching_obligations(a, members))
+    for wave in (plan.own, plan.helper, plan.reconstructed):
+        assert {ob.step for ob in wave.obligations} <= {wave.step}
+        assert wave.prefixes == tuple(
+            bytes((ob.sender, ob.receiver, ob.slot)) for ob in wave.obligations
+        )
     assert plan.copies == tuple(local_helper_copies(a, members))
     b.remove_edge(1, 5)
     assert sim._matching_plan(b, members).own != plan.own
 
 
 def _plan_size(plan):
-    return len(plan.own) + len(plan.helper) + len(plan.reconstructed)
+    return len(plan.obligations)
 
 
 def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
@@ -298,7 +321,7 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     assert len({id(plan.own) for plan in sim._PLANS.values()}) == len(states)
 
     def immutable(x):
-        return type(x) in (int, str) or (
+        return type(x) in (int, str, bytes) or (
             isinstance(x, tuple) and all(immutable(y) for y in x)
         )
     assert all(immutable(plan) for plan in sim._PLANS.values())
@@ -546,24 +569,16 @@ _FIELD_VALUES = st.one_of(
 
 @st.composite
 def hot_events(draw):
-    """SYMBOL_SENT and BROADCAST events, well formed or slightly off."""
-    if draw(st.booleans()):
-        event = {
-            "type": "SYMBOL_SENT", "g": draw(_INTS), "receiver": draw(_INTS),
-            "sender": draw(_INTS), "slot": draw(_INTS),
-            "step": draw(st.sampled_from(sim._STEPS) | st.text(max_size=8)),
-            "value": draw(st.binary(max_size=8).map(bytes.hex) | st.text(max_size=8)),
-        }
-    else:
-        event = {
-            "type": "BROADCAST", "g": draw(_INTS), "sender": draw(_INTS),
-            "tag": draw(st.sampled_from(sim._TAGS) | st.text(max_size=8)),
-            "payload": draw(
-                st.booleans() | st.none()
-                | st.lists(st.none() | st.text(max_size=4), max_size=4)
-            ),
-            "payload_bits": draw(_INTS),
-        }
+    """BROADCAST events, well formed or slightly off."""
+    event = {
+        "type": "BROADCAST", "g": draw(_INTS), "sender": draw(_INTS),
+        "tag": draw(st.sampled_from(sim._TAGS) | st.text(max_size=8)),
+        "payload": draw(
+            st.booleans() | st.none()
+            | st.lists(st.none() | st.text(max_size=4), max_size=4)
+        ),
+        "payload_bits": draw(_INTS),
+    }
     change = draw(st.sampled_from(["none", "extra", "missing", "retype"]))
     fields = sorted(k for k in event if k != "type")
     if change == "extra":
@@ -582,20 +597,20 @@ def test_templates_render_hot_events_like_the_encoder(events):
 
 
 def test_only_off_shape_events_reach_the_encoder(monkeypatch):
-    symbol = {"type": "SYMBOL_SENT", "g": 1, "receiver": 2, "sender": 3,
-              "slot": 3, "step": STEP_OWN, "value": "ab"}
     broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "coded",
                  "payload": None, "payload_bits": 0}
     off_shape = [
-        dict(symbol, note=1),
-        {k: v for k, v in symbol.items() if k != "slot"},
-        dict(symbol, g=True),
-        dict(symbol, value="\u00e9"),
-        dict(symbol, step='o"wn'),
+        {"type": "SYMBOL_SENT", "g": 1, "receiver": 2, "sender": 3,
+         "slot": 3, "step": STEP_OWN, "value": "ab"},
+        {"type": "WAVE", "count": 2, "g": 1, "sha256": "ab", "step": STEP_OWN},
+        dict(broadcast, note=1),
+        {k: v for k, v in broadcast.items() if k != "sender"},
+        dict(broadcast, g=True),
+        dict(broadcast, tag='co"ded'),
         dict(broadcast, payload=1),
         dict(broadcast, payload_bits=False),
     ]
-    events = [symbol, broadcast] + off_shape
+    events = [broadcast] + off_shape
     want = encoder_lines(events)
     encoder = sim._JSONL_ENCODER
     encoded = []

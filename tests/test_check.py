@@ -199,6 +199,27 @@ def test_ledgers_resum_from_the_transcript(monkeypatch):
         assert resum_ledger(events) == events[-1]["ledger"], key
 
 
+def test_decided_events_map_each_block_when_blocks_differ(monkeypatch):
+    config = point_config(ALG1, 7, 2, None, ())
+    script = AdversaryScript()
+    patch_decode_skews(monkeypatch, config, script)
+    execution = sim.Execution(config, script)
+    result = execution.run()
+    differ = 0
+    for event in result.transcript.of_type("DECIDED"):
+        blocks = {
+            str(p): decided[event["g"] - 1].hex()
+            for p, decided in execution.decided.items()
+        }
+        if len(set(blocks.values())) > 1:
+            differ += 1
+            assert event["values"] == blocks
+        else:
+            assert "values" not in event
+    assert differ == 3
+    assert "g1: fault-free processors decided different blocks" in result.violations
+
+
 def test_frozen_corpus_reaches_every_message():
     frozen = json.loads(FROZEN.read_text())
     seen = {line for lines in frozen.values() for line in lines}

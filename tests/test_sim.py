@@ -33,6 +33,7 @@ from codedbft.sim import (
     serialize_case,
     sweep,
 )
+import wave_oracle
 from golden_corpus import all_cases
 
 
@@ -159,6 +160,31 @@ def test_broadcast_coefficient_scales_overhead():
     scaled = check_complexity(run_execution(costly, AdversaryScript()))
     assert scaled.overhead_bits == 4 * plain.overhead_bits
     assert scaled.data_bits == plain.data_bits
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_own_waves_match_the_wave_oracle(data):
+    n = data.draw(st.integers(2, 13), label="n")
+    t = data.draw(st.integers(0, (n - 1) // 3), label="t")
+    algorithm = data.draw(st.sampled_from([ALG1, ALG2]), label="algorithm")
+    q = data.draw(st.integers(t + 1, n - t), label="q") if algorithm == ALG2 else None
+    k = q or n - t
+    sym_bytes = data.draw(st.integers(1, 3), label="sym_bytes")
+    l_bytes = data.draw(st.integers(1, 3 * k * sym_bytes), label="l_bytes")
+    sharers = data.draw(
+        st.none() | st.integers(0, n).map(lambda m: range(1, m + 1)), label="sharers"
+    )
+    config = fault_free_config(
+        algorithm, n, t, q, 8 * l_bytes, 8 * k * sym_bytes, sharers=sharers
+    )
+    events = run_execution(config, AdversaryScript()).transcript.events
+    assert not any(e["type"] in ("SYMBOL_SENT", "EDGE_REMOVED") for e in events)
+    own = [
+        (e["g"], e["count"], e["sha256"])
+        for e in events if e["type"] == "WAVE" and e["step"] == STEP_OWN
+    ]
+    assert own == wave_oracle.own_waves(events)
 
 
 # ------------------------------------------------------ verdict shapes

@@ -1,0 +1,58 @@
+"""Own-wave `WAVE` events of a fault-free run, recomputed from its header.
+
+Wave 1 of every generation has each processor s offer slot s of its own
+coded block to every peer it trusts, in (sender, receiver) order. A
+fault-free run removes no trust edge, so every processor trusts every
+other and the digest follows from the inputs alone: encode each
+processor's block of the generation with the `gf_oracle` generator
+matrix, byte lane by byte lane, and hash the records
+`bytes((sender, receiver, slot)) + symbol`. No imports from the package
+under test.
+"""
+
+import hashlib
+
+import gf_oracle
+
+
+def symbol_at(rows, k, block, pos):
+    """Slot `pos` of `block`'s codeword under generator matrix `rows`:
+    data symbol j is the j-th of k equal slices of the block, and byte b
+    of every slot belongs to the codeword of lane b."""
+    s = len(block) // k
+    out = []
+    for b in range(s):
+        acc = 0
+        for j in range(k):
+            acc ^= gf_oracle.mul(block[j * s + b], rows[j][pos - 1])
+        out.append(acc)
+    return bytes(out)
+
+
+def own_waves(events):
+    """(g, count, sha256) of each generation's own wave, in order, for
+    the fault-free run whose transcript events are `events`.
+
+    A generation that runs its matching stage broadcasts match bits
+    (alg2) or detection flags (alg1) after its own wave; an alg1
+    generation that terminates before matching broadcasts nothing.
+    """
+    header = events[0]
+    reached = sorted({e["g"] for e in events if e["type"] == "BROADCAST"})
+    config = header["config"]
+    n = config["n"]
+    k = n - config["t"] if config["algorithm"] == "alg1" else config["q"]
+    rows = gf_oracle.generator_matrix(n, k)
+    size = config["d_bits"] // 8
+    padded = [
+        bytes.fromhex(value).ljust(header["generations"] * size, b"\0")
+        for value in config["inputs"]
+    ]
+    waves = []
+    for g in reached:
+        records = []
+        for s in range(1, n + 1):
+            symbol = symbol_at(rows, k, padded[s - 1][(g - 1) * size : g * size], s)
+            records += [bytes((s, r, s)) + symbol for r in range(1, n + 1) if r != s]
+        waves.append((g, len(records), hashlib.sha256(b"".join(records)).hexdigest()))
+    return waves

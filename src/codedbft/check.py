@@ -6,7 +6,7 @@ and walks the transcript events once, in order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .consensus import ALG1, OUTCOME_DECIDED, OUTCOME_DEFAULT
 from .quorum import smallest_clique
@@ -17,15 +17,16 @@ if TYPE_CHECKING:
 
 def judge(
     config: ExecutionConfig, faulty: Collection[int], events: Iterable[dict],
-    decided: Mapping[int, Sequence[bytes]], outputs: Mapping[int, bytes],
+    outputs: Mapping[int, bytes],
 ) -> list[str]:
     """Every violation of agreement, validity (alg1), q-validity and the
     shared-value rule (alg2), in the order the events reveal them.
 
-    The transcript keeps one value per generation, and a terminated alg1
-    run zeroes its outputs, so the judge also takes `decided[p][g-1]`,
-    fault-free processor p's block of generation g (empty if p could not
-    decode the word it accepted), and `outputs[p]`, p's final output.
+    A `DECIDED` event holds every fault-free processor's block of its
+    generation (empty if the processor could not decode the word it
+    accepted): the one `value` when the blocks agree, else its `values`
+    map. The judge runs before `VERDICT` records the final outputs, so
+    it also takes `outputs[p]`, fault-free processor p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
 
@@ -65,7 +66,10 @@ def judge(
                     f"fault-free group sharing a block"
                 )
         elif kind == "DECIDED":
-            values = [decided[p][g - 1] for p in fault_free]
+            if blocks := e.get("values"):
+                values = [bytes.fromhex(blocks[str(p)]) for p in fault_free]
+            else:
+                values = [bytes.fromhex(e["value"])] * len(fault_free)
             if e["kind"] == OUTCOME_DECIDED:
                 out.extend(
                     f"g{g}: fault-free processor {p} cannot decode its accepted word"

@@ -926,9 +926,7 @@ class Execution:
             p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
             for p in self.fault_free
         }
-        violations = judge(
-            cfg, self.script.faulty, self.transcript.events, self.decided, outputs
-        )
+        violations = judge(cfg, self.script.faulty, self.transcript.events, outputs)
         verdict = "PASS" if not violations else "VERDICT_FAIL"
         self.transcript.append(
             "VERDICT",

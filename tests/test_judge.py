@@ -26,9 +26,8 @@ def test_judge_reports_a_hand_built_alg2_run():
         {"type": "DECIDED", "g": 1, "kind": "DIAGNOSED_DECIDED",
          "value": outside.hex(), "decide_set": [1, 2, 4]},
     ]
-    decided = {p: [outside] for p in (1, 2, 3)}
     outputs = dict.fromkeys((1, 2, 3), outside)
-    assert judge(config, {4}, events, decided, outputs) == [
+    assert judge(config, {4}, events, outputs) == [
         "g1: edge (1,2) between fault-free processors removed",
         "g1: fault-free processor 3 convicted",
         "g1: decided block is no fault-free input",
@@ -49,8 +48,26 @@ def test_judge_carries_the_alg1_match_set_forward():
         {"type": "DECIDED", "g": 2, "kind": "DECIDED",
          "value": a.hex(), "decide_set": []},
     ]
-    decided = {p: [b, a] for p in (1, 2, 3)}
     outputs = dict.fromkeys((1, 2, 3), b + a)
-    assert judge(config, {4}, events, decided, outputs) == [
+    assert judge(config, {4}, events, outputs) == [
         "g2: decided block is no fault-free member's input",
+    ]
+
+
+def test_judge_reads_each_block_from_a_values_map():
+    # processor 1 could not decode its word, so the blocks differ
+    a = b"\x01" * 3
+    config = one_block_config(ALG1, (a, a, a, a))
+    events = [
+        {"type": "DECIDED", "g": 1, "kind": "DECIDED", "value": "",
+         "decide_set": [], "values": {"1": "", "2": a.hex(), "3": a.hex()}},
+    ]
+    outputs = {1: b"", 2: a, 3: a}
+    assert judge(config, {4}, events, outputs) == [
+        "g1: fault-free processor 1 cannot decode its accepted word",
+        "g1: fault-free processors decided different blocks",
+        "g1: decided block is no fault-free member's input",
+        "processor 1 terminated without a full output",
+        "final fault-free outputs differ",
+        "identical fault-free inputs were not decided",
     ]

@@ -188,6 +188,7 @@ RULE_NOT_CODEWORD = "coded-claim-not-codeword"
 RULE_RECONSTRUCTION = "reconstruction-mismatch"
 RULE_FLAG = "flag-claims-mismatch"
 RULE_DISPUTE = "claim-dispute"
+RULE_SILENT_MATCH_VECTOR = "silent-match-vector"
 
 
 @dataclass

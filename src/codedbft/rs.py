@@ -19,7 +19,8 @@ This is the table-lookup multiply of split-table GF(2^8) codecs (Plank,
 Greenan, Miller, FAST 2013) without SIMD. The weights depend only on
 the source positions and the target, so each (positions, target) pair
 gets one cached plan of product rows, zero weights dropped, that every
-later evaluation through the same positions reuses.
+later evaluation through the same positions reuses. The cache keeps the
+2048 most recently used plans, which hold a whole n=255 run.
 
 Erased slots are represented as None.  All functions are pure; vectors
 passed in are never mutated by the codec.
@@ -168,7 +169,7 @@ def _mul_row(c: int) -> bytes:
     return bytes(gf_mul(c, x) for x in range(256))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _plan(xs: tuple[int, ...], target: int) -> tuple[tuple[int, bytes], ...]:
     """(source index, product row) per nonzero Lagrange weight at `target`.
 

@@ -23,6 +23,7 @@ from .consensus import (
     RULE_INCOMPLETE,
     RULE_NOT_CODEWORD,
     RULE_RECONSTRUCTION,
+    RULE_SILENT_MATCH_VECTOR,
     STEP_HELPER,
     STEP_OWN,
     STEP_RECONSTRUCTED,
@@ -36,7 +37,6 @@ from .sim import (
     ALG1,
     BCAST_REPLACE,
     BCAST_SILENT,
-    RULE_SILENT_MATCH_VECTOR,
     SEND_CORRUPT,
     SEND_REPLACE,
     SEND_SILENT,

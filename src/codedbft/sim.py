@@ -29,6 +29,7 @@ from .consensus import (
     OUTCOME_DEFAULT,
     OUTCOME_DIAGNOSED,
     OUTCOME_TERMINATED,
+    RULE_SILENT_MATCH_VECTOR,
     STEP_HELPER,
     STEP_OWN,
     STEP_RECONSTRUCTED,
@@ -59,8 +60,6 @@ from .rs import (
 STAGE_MATCHING = "matching"
 STAGE_CHECKING = "checking"
 STAGE_DIAGNOSIS = "diagnosis"
-
-RULE_SILENT_MATCH_VECTOR = "silent-match-vector"
 
 
 class _Wave(NamedTuple):
@@ -276,8 +275,8 @@ class AdversaryScript:
     to every slot of that message; broadcast rules are keyed
     (generation, tag, sender). Anything without a rule is sent
     honestly. A script can only speak for faulty senders: rules for
-    other processors are rejected at construction, and the engine
-    re-checks reach before applying one.
+    other processors are rejected at construction, and the engine asks
+    `send` and `broadcast` for faulty senders only.
     """
 
     def __init__(self, faulty: Iterable[int] = ()):
@@ -334,15 +333,36 @@ class AdversaryScript:
         self._bcasts[(generation, tag, sender)] = (kind, payload)
         return self
 
-    def send_rule(
-        self, generation: int, step: str, sender: int, receiver: int
-    ) -> tuple[str, bytes | None]:
-        return self._sends.get((generation, step, sender, receiver), _HONEST_SEND)
+    def send(
+        self, generation: int, step: str, sender: int, receiver: int,
+        honest: bytes, skip: bool,
+    ) -> bytes | None:
+        """The symbol `sender` sends for `honest`, or None for silence.
 
-    def bcast_rule(
-        self, generation: int, tag: str, sender: int
-    ) -> tuple[str, Any] | None:
-        return self._bcasts.get((generation, tag, sender))
+        Without a rule that is `honest`, or nothing when the protocol
+        has the sender `skip` the message; a corrupt or replace rule
+        applies either way.
+        """
+        kind, data = self._sends.get((generation, step, sender, receiver), _HONEST_SEND)
+        if kind == SEND_CORRUPT:
+            return bytes(a ^ b for a, b in zip(honest, data))
+        if kind == SEND_REPLACE:
+            return data
+        return None if kind == SEND_SILENT or skip else honest
+
+    def broadcast(self, generation: int, tag: str, sender: int, honest: Any) -> Any:
+        """The payload `sender` broadcasts for `honest`, or None for
+        silence; a vector override is parsed into a `SymbolVector`
+        shaped like `honest`."""
+        rule = self._bcasts.get((generation, tag, sender))
+        if rule is None:
+            return honest
+        kind, payload = rule
+        if kind == BCAST_SILENT:
+            return None
+        if tag in (TAG_CODED, TAG_RECEIVED):
+            return SymbolVector.from_jsonable(honest.n, honest.sym_bytes, payload)
+        return payload
 
     def validate_shapes(self, config: ExecutionConfig) -> None:
         """Fail fast if any rule payload does not fit the configuration."""
@@ -538,7 +558,6 @@ CSV_COLUMNS = [
 @dataclass
 class ExecutionResult:
     config: ExecutionConfig
-    script: AdversaryScript
     verdict: str
     violations: list[str]
     outputs: dict[int, bytes]
@@ -610,7 +629,7 @@ class Execution:
     ) -> None:
         """Deliver one wave of a plan; `suppressed` senders stay silent.
 
-        A faulty sender's symbol may come from the script, goes through
+        A faulty sender's symbol comes from the script's `send`, goes through
         `set` and is recorded as its own `SYMBOL_SENT` event. An honest
         sender's checked slot is copied slot to slot and recorded in one
         `WAVE` event after the faulty ones: the count of honest symbols
@@ -622,14 +641,12 @@ class Execution:
         faulty_sent = 0
         for (sender, receiver, slot, _), prefix in zip(wave.obligations, wave.prefixes):
             if sender in script.faulty:
-                value = coded[sender].get(slot)
-                kind, data = script.send_rule(g, step, sender, receiver)
-                if kind == SEND_SILENT or (kind == SEND_HONEST and sender in suppressed):
+                value = script.send(
+                    g, step, sender, receiver, coded[sender].get(slot),
+                    sender in suppressed,
+                )
+                if value is None:
                     continue
-                if kind == SEND_CORRUPT:
-                    value = bytes(a ^ b for a, b in zip(value, data))
-                elif kind == SEND_REPLACE:
-                    value = data
                 received[receiver].set(slot, value)
                 faulty_sent += 1
                 events.append({
@@ -663,10 +680,7 @@ class Execution:
         """
         payload = honest_payload
         if sender in self.script.faulty:
-            rule = self.script.bcast_rule(g, tag, sender)
-            if rule is not None:
-                kind, override = rule
-                payload = None if kind == BCAST_SILENT else override
+            payload = self.script.broadcast(g, tag, sender, honest_payload)
         bits = 0 if payload is None else honest_bits
         n = self.config.n
         self.ledger.add_broadcast(
@@ -760,15 +774,13 @@ class Execution:
             live = detection_flag(
                 self.params, received[p], coded[p], p in members, members
             )
-            observed = self._broadcast(g, STAGE_CHECKING, TAG_DETECTED, p, live, 1)
-            flags[p] = observed if observed is None else bool(observed)
+            flags[p] = self._broadcast(g, STAGE_CHECKING, TAG_DETECTED, p, live, 1)
         return flags
 
     def _collect_claims(
         self, g: int, flags: dict[int, bool | None],
         coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
     ) -> dict[int, Claims]:
-        cfg = self.config
         claims: dict[int, Claims] = {}
         for p in self.graph.unconvicted():
             coded_obs = self._broadcast(
@@ -778,11 +790,7 @@ class Execution:
                 g, STAGE_DIAGNOSIS, TAG_RECEIVED, p,
                 received[p], received[p].payload_bits(),
             )
-            claims[p] = Claims(
-                flags.get(p),
-                _as_vector(coded_obs, cfg.n, cfg.sym_bytes),
-                _as_vector(received_obs, cfg.n, cfg.sym_bytes),
-            )
+            claims[p] = Claims(flags.get(p), coded_obs, received_obs)
         return claims
 
     # ------------------------------------------------------- generations
@@ -807,7 +815,7 @@ class Execution:
         outcomes: list[dict] = []
         p_match: list[int] | None = everyone
         for g in range(1, cfg.generations + 1):
-            vectors: dict[int, tuple[bool, ...] | None] = {}
+            vectors: dict[int, Sequence[bool] | None] = {}
             if cfg.algorithm == ALG1:
                 p_match = [p for p in p_match if p not in self.graph.convicted]
                 if len(p_match) < cfg.n - cfg.t:
@@ -822,11 +830,8 @@ class Execution:
                 self._send_wave(g, plan.helper, coded, received)
                 for p in self.graph.unconvicted():
                     live = compute_match_bits(cfg.n, received[p], coded[p])
-                    observed = self._broadcast(
+                    vectors[p] = self._broadcast(
                         g, STAGE_MATCHING, TAG_MATCH_BITS, p, live, cfg.n
-                    )
-                    vectors[p] = (
-                        None if observed is None else tuple(bool(b) for b in observed)
                     )
                 p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
                 self.transcript.append("MATCH_SET", g=g, members=p_match)
@@ -844,7 +849,7 @@ class Execution:
 
     def _generation_step(
         self, g: int, p_match: list[int],
-        vectors: dict[int, tuple[bool, ...] | None],
+        vectors: dict[int, Sequence[bool] | None],
         coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
     ) -> dict | None:
         """Helper and re-send waves, checking, then decode or diagnose.
@@ -939,7 +944,6 @@ class Execution:
         )
         return ExecutionResult(
             config=cfg,
-            script=self.script,
             verdict=verdict,
             violations=violations,
             outputs=outputs,
@@ -957,14 +961,6 @@ def _jsonable_payload(payload: Any) -> Any:
     if isinstance(payload, tuple):
         return list(payload)
     return payload
-
-
-def _as_vector(observed: Any, n: int, sym_bytes: int) -> SymbolVector | None:
-    if observed is None:
-        return None
-    if isinstance(observed, SymbolVector):
-        return observed
-    return SymbolVector.from_jsonable(n, sym_bytes, observed)
 
 
 def run_execution(config: ExecutionConfig, script: AdversaryScript) -> ExecutionResult:

@@ -22,6 +22,7 @@ from codedbft.rs import (
     ParameterError,
     SymbolVector,
     _mul_row,
+    _plan,
     decode,
     encode,
     is_codeword,
@@ -346,6 +347,29 @@ def test_plans_match_oracle_on_source_subsets(case, data):
 
 
 # ---------------------------------------------------------------- decode
+
+
+def test_plan_cache_stays_bounded_through_more_plans_than_it_holds():
+    """Reconstruct through more (sources, target) pairs than the plan
+    cache holds, twice, so that the second pass re-derives evicted plans:
+    the cache stays within its bound and every value matches the oracle."""
+    n, k = 20, 3
+    params = CodeParams(n, k, 1)
+    word = oracle.codeword(n, k, [0x53, 0xCA, 0x01])
+    vec = SymbolVector(n, 1, [bytes([v]) for v in word])
+    pairs = [
+        (sources, target)
+        for sources in itertools.combinations(range(1, n + 1), k)
+        for target in (1, n)
+    ]
+    assert len(pairs) > _plan.cache_info().maxsize == 2048
+    for _ in range(2):
+        for sources, target in pairs:
+            assert reconstruct_position(params, vec, target, sources) == bytes(
+                [word[target - 1]]
+            )
+    info = _plan.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_decode_round_trip_exhaustive_n4_k2():

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedbft import sim
-from codedbft.consensus import local_helper_copies, matching_obligations
+from codedbft.consensus import (
+    STEP_RECONSTRUCTED,
+    TAG_CODED,
+    TAG_DETECTED,
+    TAG_MATCH_BITS,
+    TAG_RECEIVED,
+    local_helper_copies,
+    matching_obligations,
+)
 from codedbft.diagnosis import ConfigurationError, TrustGraph
 from codedbft.rs import CodeParams, SymbolVector, encode
 from codedbft.sim import (
@@ -103,6 +111,111 @@ def test_validate_shapes_checks_payload_sizes():
     bad_vector.add_broadcast(1, "coded", 4, "replace", ["00"] * 3)
     with pytest.raises(ConfigurationError):
         bad_vector.validate_shapes(config)
+
+
+def test_script_send_applies_its_rule_to_the_honest_symbol():
+    script = AdversaryScript([4])
+    honest = b"\x0f"
+    assert script.send(1, STEP_OWN, 4, 1, honest, False) == honest
+    assert script.send(1, STEP_OWN, 4, 1, honest, True) is None
+    script.add_send(1, STEP_OWN, 4, 1, SEND_SILENT)
+    script.add_send(1, STEP_OWN, 4, 2, "replace", b"\xaa")
+    script.add_send(1, STEP_RECONSTRUCTED, 4, 1, "corrupt", b"\xff")
+    script.add_send(1, STEP_RECONSTRUCTED, 4, 2, "honest")
+    assert script.send(1, STEP_OWN, 4, 1, honest, False) is None
+    assert script.send(1, STEP_OWN, 4, 2, honest, False) == b"\xaa"
+    # a starved non-member skips its re-send, but a corrupt rule still
+    # sends its corrupted own-input slot
+    assert script.send(1, STEP_RECONSTRUCTED, 4, 1, honest, True) == b"\xf0"
+    assert script.send(1, STEP_RECONSTRUCTED, 4, 2, honest, True) is None
+    assert script.send(1, STEP_RECONSTRUCTED, 4, 2, honest, False) == honest
+
+
+def test_script_broadcast_answers_in_the_engines_types():
+    script = AdversaryScript([4])
+    honest = SymbolVector(4, 1, [b"\x01", None, b"\x03", b"\x04"])
+    assert script.broadcast(1, TAG_CODED, 4, honest) is honest
+    script.add_broadcast(1, TAG_DETECTED, 4, "silent")
+    script.add_broadcast(1, TAG_CODED, 4, "replace", ["0A", None, "0b", "0c"])
+    script.add_broadcast(1, TAG_MATCH_BITS, 4, "replace", [True, False, True, True])
+    script.add_broadcast(2, TAG_DETECTED, 4, "replace", True)
+    assert script.broadcast(1, TAG_DETECTED, 4, False) is None
+    claim = script.broadcast(1, TAG_CODED, 4, honest)
+    assert isinstance(claim, SymbolVector)
+    assert claim == SymbolVector(4, 1, [b"\x0a", None, b"\x0b", b"\x0c"])
+    assert script.broadcast(1, TAG_MATCH_BITS, 4, (True,) * 4) == [
+        True, False, True, True
+    ]
+    assert script.broadcast(2, TAG_DETECTED, 4, False) is True
+    assert script.broadcast(2, TAG_RECEIVED, 4, honest) is honest
+
+
+class RecordingScript(AdversaryScript):
+    """Records each question the engine asks, with the script's answer."""
+
+    def __init__(self, faulty=()):
+        super().__init__(faulty)
+        self.sends, self.broadcasts = [], []
+
+    def send(self, *args):
+        value = super().send(*args)
+        self.sends.append((args, value))
+        return value
+
+    def broadcast(self, *args):
+        payload = super().broadcast(*args)
+        self.broadcasts.append((args, payload))
+        return payload
+
+
+@pytest.mark.parametrize("algorithm, q", [(ALG1, None), (ALG2, 3)])
+def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(algorithm, q):
+    symbols = silences = 0
+    for seed in range(6):
+        config = fault_free_config(algorithm, 7, 2, q, 480, 120, seed=seed)
+        plain = random_script(config, seed, faulty=(2, 6))
+        script = RecordingScript.from_jsonable(plain.to_jsonable())
+        result = run_execution(config, script)
+        assert result.transcript.to_jsonl() == (
+            run_execution(config, plain).transcript.to_jsonl()
+        )
+        assert [
+            (g, step, s, r, value.hex())
+            for (g, step, s, r, _, _), value in script.sends if value is not None
+        ] == [
+            (e["g"], e["step"], e["sender"], e["receiver"], e["value"])
+            for e in result.transcript.of_type("SYMBOL_SENT")
+        ]
+        assert [
+            (g, tag, s, sim._jsonable_payload(payload))
+            for (g, tag, s, _), payload in script.broadcasts
+        ] == [
+            (e["g"], e["tag"], e["sender"], e["payload"])
+            for e in result.transcript.of_type("BROADCAST") if e["sender"] in (2, 6)
+        ]
+        symbols += sum(value is not None for _, value in script.sends)
+        silences += sum(value is None for _, value in script.sends)
+        silences += sum(payload is None for _, payload in script.broadcasts)
+    assert symbols and silences  # the scripts send and withhold something
+
+
+def test_vector_override_is_recorded_as_the_parsed_vector():
+    """An override in uppercase hex is recorded in lowercase, as the
+    vector the engine uses; the header keeps the script as written."""
+    config = fault_free_config(ALG1, 4, 1, None, 240, 24)
+    script = AdversaryScript([4])
+    script.add_broadcast(1, TAG_DETECTED, 4, "replace", True)
+    script.add_broadcast(1, TAG_CODED, 4, "replace", ["AB", None, "CD", "EF"])
+    result = run_execution(config, script)
+    header = result.transcript.events[0]
+    assert header["script"]["broadcasts"]["1|coded|4"]["payload"] == [
+        "AB", None, "CD", "EF"
+    ]
+    assert [
+        e["payload"] for e in result.transcript.of_type("BROADCAST")
+        if e["tag"] == TAG_CODED and e["sender"] == 4
+    ] == [["ab", None, "cd", "ef"]]
+    assert replay_identical(config, script)
 
 
 # -------------------------------------------------- fault-free identities

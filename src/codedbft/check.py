@@ -29,19 +29,30 @@ def judge(
     it also takes `outputs[p]`, fault-free processor p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
+    # each fault-free processor's first fault-free holder of its input: a
+    # generation's blocks are sliced once per distinct input
+    firsts: dict[bytes, int] = {}
+    holder = {p: firsts.setdefault(config.padded_input(p), p) for p in fault_free}
+
+    def blocks_of(g: int) -> dict[int, bytes]:
+        """Generation g's input block of each first holder."""
+        return {h: config.input_block(h, g) for h in firsts.values()}
 
     def sharers_of(g: int) -> tuple[bytes, list[int]]:
         """Generation g's most widely shared fault-free block and its holders."""
+        blocks = blocks_of(g)
         groups: dict[bytes, list[int]] = {}
         for p in fault_free:
-            groups.setdefault(config.input_block(p, g), []).append(p)
+            groups.setdefault(blocks[holder[p]], []).append(p)
         return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
     out: list[str] = []
     # removed trust edges, in both orientations, and convicted processors
     removed: set[tuple[int, int]] = set()
     convicted: set[int] = set()
-    # alg1's match set: the last decide set, less the convicted
+    # alg1's match set: the last decide set, less the convicted; and the
+    # first holders of its fault-free members' inputs
     p_match: Iterable[int] = range(1, config.n + 1)
+    member_holders = set(firsts.values())
     for e in events:
         kind = e["type"]
         if kind in ("BROADCAST", "WAVE", "SYMBOL_SENT"):
@@ -80,16 +91,17 @@ def judge(
                 out.append(f"g{g}: fault-free processors decided different blocks")
             if config.algorithm == ALG1:
                 # a fault-free match-set member's input, if one is in the match set
-                inputs = {config.input_block(p, g) for p in p_match if p not in faulty}
+                inputs = {config.input_block(h, g) for h in member_holders}
                 out.extend(
                     f"g{g}: decided block is no fault-free member's input"
                     for v in distinct if inputs and v not in inputs
                 )
                 p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
+                member_holders = {holder[p] for p in p_match if p not in faulty}
             elif e["kind"] != OUTCOME_DEFAULT:
                 # a default is legal; any other decision is a fault-free input,
                 # and the block a majority-sized fault-free quorum shares wins
-                if values[0] not in {config.input_block(p, g) for p in fault_free}:
+                if values[0] not in blocks_of(g).values():
                     out.append(f"g{g}: decided block is no fault-free input")
                 block, sharers = sharers_of(g)
                 if len(sharers) >= config.q >= (config.n + 2) // 2 and values[0] != block:

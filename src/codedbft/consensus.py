@@ -136,7 +136,7 @@ def reconstruction_sources(
     processor can later recompute the same reconstruction from the
     broadcast received-vector claims.
     """
-    present = [m for m in sorted(set(p_match)) if received.get(m) is not None]
+    present = [m for m in sorted(set(p_match)) if received._slots[m - 1] is not None]
     if len(present) < k:
         return None
     return present[:k]
@@ -165,8 +165,7 @@ def detection_flag(
         return True
     if in_match:
         if coded is not None:
-            for pos in range(1, params.n + 1):
-                r, s = received.get(pos), coded.get(pos)
+            for r, s in zip(received._slots, coded._slots):
                 if r is not None and s is not None and r != s:
                     return True
         return False
@@ -303,9 +302,8 @@ def run_diagnosis(
             continue
         if ob.step == STEP_RECONSTRUCTED and ob.sender in resend_silent:
             continue
-        sent = claims[ob.sender].coded.get(ob.slot)
-        got = claims[ob.receiver].received.get(ob.slot)
-        if sent != got:
+        sent = claims[ob.sender].coded._slots[ob.slot - 1]
+        if sent != claims[ob.receiver].received._slots[ob.slot - 1]:
             for ev in graph.remove_edge(ob.sender, ob.receiver):
                 events.append((RULE_DISPUTE, ev))
 

@@ -25,15 +25,10 @@ from typing import Mapping, Sequence
 from .rs import SymbolVector
 
 
-def compute_match_bits(
-    n: int, received: SymbolVector, coded: SymbolVector
-) -> tuple[bool, ...]:
+def compute_match_bits(received: SymbolVector, coded: SymbolVector) -> tuple[bool, ...]:
     """bits[j-1] is TRUE iff slot j was delivered and equals own S[j]."""
-    out = []
-    for j in range(1, n + 1):
-        r = received.get(j)
-        out.append(r is not None and r == coded.get(j))
-    return tuple(out)
+    pairs = zip(received._slots, coded._slots)
+    return tuple([r is not None and r == s for r, s in pairs])
 
 
 def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | None:

@@ -22,6 +22,9 @@ gets one cached plan of product rows, zero weights dropped, that every
 later evaluation through the same positions reuses. The cache keeps the
 2048 most recently used plans, which hold a whole n=255 run.
 
+The code is systematic, so decoding a word with all of slots 1..k
+present reads the block directly: the data slots joined, no interpolation.
+
 Erased slots are represented as None.  All functions are pure; vectors
 passed in are never mutated by the codec.
 """
@@ -120,11 +123,6 @@ class SymbolVector:
 
     def copy(self) -> "SymbolVector":
         return SymbolVector._of(self.n, self.sym_bytes, list(self._slots))
-
-    def copy_slot(self, source: "SymbolVector", pos: int) -> bytes | None:
-        """Copy slot `pos` from a vector of the same shape; returns the value."""
-        value = self._slots[pos - 1] = source._slots[pos - 1]
-        return value
 
     def payload_bits(self) -> int:
         """Broadcast size: one presence bit per slot plus the present bytes."""
@@ -277,20 +275,21 @@ def decode(params: CodeParams, vec: SymbolVector, *, checked: bool = False) -> b
 
     Raises NotACodewordError when the check fails. A caller that has just
     run is_codeword on this very vector passes checked=True to skip the
-    repeat; the block is then read from the k lowest non-erased slots
-    without checking the rest.
+    repeat. When none of slots 1..k is erased the block is those slots
+    joined; otherwise it is interpolated from the k lowest non-erased
+    slots, without checking the rest.
     """
     if not checked and not is_codeword(params, vec):
         raise NotACodewordError("vector is not consistent with any codeword")
+    data = vec._slots[: params.k]
+    if None not in data:
+        return b"".join(data)
     present, symbols = _seed(params, vec)
     xs = tuple(present[: params.k])
-    out = bytearray()
-    for pos in range(1, params.k + 1):
-        value = vec._slots[pos - 1]
-        if value is None:
-            value = _eval_at(xs, symbols, pos, params.sym_bytes)
-        out.extend(value)
-    return bytes(out)
+    return b"".join(
+        _eval_at(xs, symbols, pos, params.sym_bytes) if value is None else value
+        for pos, value in enumerate(data, start=1)
+    )
 
 
 def min_distance_bruteforce(params: CodeParams) -> int:

@@ -513,13 +513,16 @@ class Transcript:
     def _lines(self) -> Iterator[str]:
         """Each event as `_JSONL_ENCODER.encode(event) + "\\n"`.
 
-        The hot event shape, BROADCAST with a bool or None payload, is
-        filled into a fixed template whose keys are in sorted order. An
-        event takes it only when it has exactly the template's keys,
-        every int field is an int (a bool would print as True), and the
-        tag is a known one; any other event goes through the encoder.
+        The hot event shape, BROADCAST with a payload that is a bool, None
+        or a list of bools (match bits), is filled into a fixed template
+        whose keys are in sorted order. An event takes it only when it has
+        exactly the template's keys, every int field is an int (a bool
+        would print as True), every bit is a bool (an int 1 would print
+        as true), and the tag is a known one; any other event goes
+        through the encoder.
         """
         encode = _JSONL_ENCODER.encode
+        literal = _JSON_LITERALS.__getitem__
         for e in self.events:
             if e.get("type") == "BROADCAST" and len(e) == 6:
                 try:
@@ -528,14 +531,19 @@ class Transcript:
                 except KeyError:
                     pass
                 else:
+                    if payload is None or type(payload) is bool:
+                        text = _JSON_LITERALS[payload]
+                    elif type(payload) is list and set(map(type, payload)) <= {bool}:
+                        text = f"[{','.join(map(literal, payload))}]"
+                    else:
+                        text = None
                     if (
-                        type(g) is int and type(bits) is int
-                        and type(sender) is int
-                        and (payload is None or type(payload) is bool)
+                        text is not None
+                        and type(g) is int and type(bits) is int and type(sender) is int
                         and type(tag) is str and tag in _TAGS
                     ):
                         yield (
-                            f'{{"g":{g},"payload":{_JSON_LITERALS[payload]},'
+                            f'{{"g":{g},"payload":{text},'
                             f'"payload_bits":{bits},"sender":{sender},'
                             f'"tag":"{tag}","type":"BROADCAST"}}\n'
                         )
@@ -635,12 +643,14 @@ class Execution:
         `WAVE` event after the faulty ones: the count of honest symbols
         and the SHA-256 of their records `bytes((sender, receiver, slot))
         + value` in plan order. The ledger is charged once per wave."""
-        script, step = self.script, wave.step
+        if not wave.obligations:
+            return
+        script, faulty, step = self.script, self.script.faulty, wave.step
         events = self.transcript.events
         records: list[bytes] = []
         faulty_sent = 0
         for (sender, receiver, slot, _), prefix in zip(wave.obligations, wave.prefixes):
-            if sender in script.faulty:
+            if sender in faulty:
                 value = script.send(
                     g, step, sender, receiver, coded[sender].get(slot),
                     sender in suppressed,
@@ -654,8 +664,9 @@ class Execution:
                     "receiver": receiver, "slot": slot, "value": value.hex(),
                 })
             elif sender not in suppressed:
-                records.append(prefix)
-                records.append(received[receiver].copy_slot(coded[sender], slot))
+                value = coded[sender]._slots[slot - 1]
+                received[receiver]._slots[slot - 1] = value
+                records += (prefix, value)
         if honest_sent := len(records) // 2:
             events.append({
                 "type": "WAVE", "g": g, "step": step, "count": honest_sent,
@@ -686,10 +697,10 @@ class Execution:
         self.ledger.add_broadcast(
             g, stage, bits, bits * self.config.broadcast_coefficient * n * n
         )
-        self.transcript.append(
-            "BROADCAST", g=g, tag=tag, sender=sender,
-            payload=_jsonable_payload(payload), payload_bits=bits,
-        )
+        self.transcript.events.append({
+            "type": "BROADCAST", "g": g, "tag": tag, "sender": sender,
+            "payload": _jsonable_payload(payload), "payload_bits": bits,
+        })
         return payload
 
     def _graph_events(self, g: int, tagged: list[tuple[str, tuple]]) -> None:
@@ -730,7 +741,7 @@ class Execution:
             else:
                 coded[i] = coded[first].copy()
             received[i] = SymbolVector._of(n, s, [None] * n)
-            received[i].copy_slot(coded[i], i)
+            received[i]._slots[i - 1] = coded[i]._slots[i - 1]
         return coded, received
 
     def _helper_and_reconstruct(
@@ -746,7 +757,7 @@ class Execution:
         members = set(p_match)
         self._send_wave(g, plan.helper, coded, received)
         for r, slot in plan.copies:
-            received[r].copy_slot(coded[r], slot)
+            received[r]._slots[slot - 1] = coded[r]._slots[slot - 1]
         # a non-member that cannot gather enough match-set symbols keeps
         # its own-input slot and skips the re-send wave entirely
         failed: set[int] = set()
@@ -761,7 +772,7 @@ class Execution:
         self._send_wave(g, plan.reconstructed, coded, received, failed)
         for j in range(1, cfg.n + 1):
             if j not in members:
-                received[j].copy_slot(coded[j], j)
+                received[j]._slots[j - 1] = coded[j]._slots[j - 1]
 
     # -------------------------------------------------- checking + claims
 
@@ -829,7 +840,7 @@ class Execution:
                 self._send_wave(g, plan.own, coded, received)
                 self._send_wave(g, plan.helper, coded, received)
                 for p in self.graph.unconvicted():
-                    live = compute_match_bits(cfg.n, received[p], coded[p])
+                    live = compute_match_bits(received[p], coded[p])
                     vectors[p] = self._broadcast(
                         g, STAGE_MATCHING, TAG_MATCH_BITS, p, live, cfg.n
                     )

@@ -715,6 +715,8 @@ def hot_events(draw):
         "payload": draw(
             st.booleans() | st.none()
             | st.lists(st.none() | st.text(max_size=4), max_size=4)
+            | st.lists(st.booleans(), max_size=8)
+            | st.lists(st.booleans() | st.integers(0, 1) | st.none(), max_size=4)
         ),
         "payload_bits": draw(_INTS),
     }
@@ -735,6 +737,20 @@ def test_templates_render_hot_events_like_the_encoder(events):
     assert rendered_lines(events) == encoder_lines(events)
 
 
+def encoder_spy(monkeypatch):
+    """The list of events that reach the encoder from now on."""
+    encoder = sim._JSONL_ENCODER
+    encoded = []
+
+    class Spy:
+        def encode(self, event):
+            encoded.append(event)
+            return encoder.encode(event)
+
+    monkeypatch.setattr(sim, "_JSONL_ENCODER", Spy())
+    return encoded
+
+
 def test_only_off_shape_events_reach_the_encoder(monkeypatch):
     broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "coded",
                  "payload": None, "payload_bits": 0}
@@ -751,14 +767,28 @@ def test_only_off_shape_events_reach_the_encoder(monkeypatch):
     ]
     events = [broadcast] + off_shape
     want = encoder_lines(events)
-    encoder = sim._JSONL_ENCODER
-    encoded = []
+    encoded = encoder_spy(monkeypatch)
+    assert rendered_lines(events) == want
+    assert encoded == off_shape
 
-    class Spy:
-        def encode(self, event):
-            encoded.append(event)
-            return encoder.encode(event)
 
-    monkeypatch.setattr(sim, "_JSONL_ENCODER", Spy())
+def test_match_bit_lists_take_the_template(monkeypatch):
+    broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "match_bits",
+                 "payload": [], "payload_bits": 0}
+    templated = [
+        broadcast,
+        dict(broadcast, payload=[True]),
+        dict(broadcast, payload=[False, True, True, False]),
+    ]
+    off_shape = [
+        dict(broadcast, payload=[True, 1]),
+        dict(broadcast, payload=[0]),
+        dict(broadcast, payload=[None, True]),
+        dict(broadcast, payload=["true"]),
+        dict(broadcast, payload=(True, False)),
+    ]
+    events = templated + off_shape
+    want = encoder_lines(events)
+    encoded = encoder_spy(monkeypatch)
     assert rendered_lines(events) == want
     assert encoded == off_shape

@@ -136,7 +136,7 @@ def generate_inputs(layout: Any, n: int, l_bits: int, seed: int) -> tuple[str, .
     if not isinstance(layout, dict):
         raise ConfigurationError("inputs must be a list of hex or a generator")
     require_known_keys("inputs", layout, ("generator", "seed", "sharers"))
-    rng = random.Random(layout.get("seed", seed))
+    rng = random.Random(_coerce("seed", layout.get("seed", seed)))
     kind = layout.get("generator", "identical")
     size = l_bits // 8
     if kind == "identical":
@@ -202,7 +202,10 @@ def check_expected(result, report, expected: dict) -> list[str]:
         )
     if "outcome_kinds" in expected:
         kinds = sorted({o["kind"] for o in result.outcomes})
-        want = sorted(expected["outcome_kinds"])
+        want = expected["outcome_kinds"]
+        if not isinstance(want, list) or not all(isinstance(k, str) for k in want):
+            raise ConfigurationError("expected outcome_kinds must be a list of strings")
+        want = sorted(want)
         if kinds != want:
             problems.append(f"outcome kinds {kinds} != expected {want}")
     if "data_bits" in expected:

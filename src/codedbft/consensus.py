@@ -23,7 +23,6 @@ from .diagnosis import TrustGraph
 from .rs import (
     CodeParams,
     InsufficientSymbolsError,
-    SymbolVector,
     decode,
     is_codeword,
     reconstruct_position,
@@ -127,7 +126,7 @@ def local_helper_copies(
 
 
 def reconstruction_sources(
-    received: SymbolVector, p_match: Iterable[int], k: int
+    received: Sequence[bytes | None], p_match: Iterable[int], k: int
 ) -> list[int] | None:
     """The k lowest-index match-set slots present in `received`.
 
@@ -136,7 +135,7 @@ def reconstruction_sources(
     processor can later recompute the same reconstruction from the
     broadcast received-vector claims.
     """
-    present = [m for m in sorted(set(p_match)) if received._slots[m - 1] is not None]
+    present = [m for m in sorted(set(p_match)) if received[m - 1] is not None]
     if len(present) < k:
         return None
     return present[:k]
@@ -144,8 +143,8 @@ def reconstruction_sources(
 
 def detection_flag(
     params: CodeParams,
-    received: SymbolVector,
-    coded: SymbolVector | None,
+    received: Sequence[bytes | None],
+    coded: Sequence[bytes | None] | None,
     in_match: bool,
     p_match: Iterable[int],
 ) -> bool:
@@ -165,7 +164,7 @@ def detection_flag(
         return True
     if in_match:
         if coded is not None:
-            for r, s in zip(received._slots, coded._slots):
+            for r, s in zip(received, coded):
                 if r is not None and s is not None and r != s:
                     return True
         return False
@@ -177,8 +176,8 @@ class Claims:
     """One processor's diagnosis broadcasts; None marks silence."""
 
     flag: bool | None
-    coded: SymbolVector | None
-    received: SymbolVector | None
+    coded: list[bytes | None] | None
+    received: list[bytes | None] | None
 
 
 # conviction / dispute rule tags, as they appear in transcripts
@@ -258,7 +257,7 @@ def run_diagnosis(
             c.flag is None
             or c.coded is None
             or c.received is None
-            or not c.coded.is_complete()
+            or None in c.coded
         ):
             convict(p, RULE_INCOMPLETE)
 
@@ -276,7 +275,7 @@ def run_diagnosis(
         if sources is None:
             continue
         expected = reconstruct_position(params, c.received, j, sources)
-        if c.coded.get(j) != expected:
+        if c.coded[j - 1] != expected:
             convict(j, RULE_RECONSTRUCTION)
 
     for p in sorted(claims):
@@ -302,8 +301,8 @@ def run_diagnosis(
             continue
         if ob.step == STEP_RECONSTRUCTED and ob.sender in resend_silent:
             continue
-        sent = claims[ob.sender].coded._slots[ob.slot - 1]
-        if sent != claims[ob.receiver].received._slots[ob.slot - 1]:
+        sent = claims[ob.sender].coded[ob.slot - 1]
+        if sent != claims[ob.receiver].received[ob.slot - 1]:
             for ev in graph.remove_edge(ob.sender, ob.receiver):
                 events.append((RULE_DISPUTE, ev))
 
@@ -327,18 +326,18 @@ def select_decision(
     decode, and a fault-free processor's coded claim in the domain is
     always a complete codeword.
     """
-    factions: dict[bytes, list[int]] = {}
+    factions: dict[tuple, list[int]] = {}
     for p in sorted(set(decision_domain)):
         if p not in claims:
             continue
         if not count_convicted and p in graph.convicted:
             continue
         coded = claims[p].coded
-        if coded is None or not coded.is_complete():
+        if coded is None or None in coded:
             continue
         if not is_codeword(params, coded):
             continue
-        factions.setdefault(coded.canonical_bytes(), []).append(p)
+        factions.setdefault(tuple(coded), []).append(p)
     if not factions:
         return [], None
     best = min(factions.values(), key=lambda ids: (-len(ids), ids))

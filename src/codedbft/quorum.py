@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .rs import SymbolVector
 
-
-def compute_match_bits(received: SymbolVector, coded: SymbolVector) -> tuple[bool, ...]:
+def compute_match_bits(
+    received: Sequence[bytes | None], coded: Sequence[bytes | None]
+) -> tuple[bool, ...]:
     """bits[j-1] is TRUE iff slot j was delivered and equals own S[j]."""
-    pairs = zip(received._slots, coded._slots)
-    return tuple([r is not None and r == s for r, s in pairs])
+    return tuple([r is not None and r == s for r, s in zip(received, coded)])
 
 
 def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | None:

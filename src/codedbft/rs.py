@@ -25,8 +25,9 @@ later evaluation through the same positions reuses. The cache keeps the
 The code is systematic, so decoding a word with all of slots 1..k
 present reads the block directly: the data slots joined, no interpolation.
 
-Erased slots are represented as None.  All functions are pure; vectors
-passed in are never mutated by the codec.
+A word is a list of n slots, slot j at index j-1: a sym_bytes-byte
+string, or None for an erasure.  All functions are pure; words passed in
+are never mutated by the codec.
 """
 
 from __future__ import annotations
@@ -67,94 +68,22 @@ class CodeParams:
             raise ParameterError(f"sym_bytes must be positive, got {self.sym_bytes}")
 
     @property
-    def distance(self) -> int:
-        return self.n - self.k + 1
-
-    @property
     def block_bytes(self) -> int:
         """Payload bytes carried by one codeword (k data macro-symbols)."""
         return self.k * self.sym_bytes
 
 
-class SymbolVector:
-    """n macro-symbol slots addressed by 1-based position; None marks erasure."""
-
-    __slots__ = ("n", "sym_bytes", "_slots")
-
-    def __init__(self, n: int, sym_bytes: int, slots: Sequence[bytes | None] | None = None):
-        self.n = n
-        self.sym_bytes = sym_bytes
-        if slots is None:
-            self._slots: list[bytes | None] = [None] * n
-        else:
-            if len(slots) != n:
-                raise ParameterError(f"expected {n} slots, got {len(slots)}")
-            self._slots = list(slots)
-        for value in self._slots:
-            self._check_symbol(value)
-
-    def _check_symbol(self, value: bytes | None) -> None:
-        if value is not None and len(value) != self.sym_bytes:
+def parse_word(n: int, sym_bytes: int, data: Sequence[str | None]) -> list[bytes | None]:
+    """A word read from JSON: n slots, each hex of sym_bytes bytes or None."""
+    if len(data) != n:
+        raise ParameterError(f"expected {n} slots, got {len(data)}")
+    word = [None if v is None else bytes.fromhex(v) for v in data]
+    for value in word:
+        if value is not None and len(value) != sym_bytes:
             raise ParameterError(
-                f"macro-symbol must be {self.sym_bytes} bytes, got {len(value)}"
+                f"macro-symbol must be {sym_bytes} bytes, got {len(value)}"
             )
-
-    def get(self, pos: int) -> bytes | None:
-        return self._slots[pos - 1]
-
-    def set(self, pos: int, value: bytes | None) -> None:
-        self._check_symbol(value)
-        self._slots[pos - 1] = value
-
-    def present_positions(self) -> list[int]:
-        return [i + 1 for i, v in enumerate(self._slots) if v is not None]
-
-    def is_complete(self) -> bool:
-        return all(v is not None for v in self._slots)
-
-    @classmethod
-    def _of(cls, n: int, sym_bytes: int, slots: list[bytes | None]) -> "SymbolVector":
-        """A vector that takes `slots` as they are: n already-checked slots."""
-        vec = cls.__new__(cls)
-        vec.n = n
-        vec.sym_bytes = sym_bytes
-        vec._slots = slots
-        return vec
-
-    def copy(self) -> "SymbolVector":
-        return SymbolVector._of(self.n, self.sym_bytes, list(self._slots))
-
-    def payload_bits(self) -> int:
-        """Broadcast size: one presence bit per slot plus the present bytes."""
-        return self.n + 8 * self.sym_bytes * len(self.present_positions())
-
-    def canonical_bytes(self) -> bytes:
-        """Stable serialization used for equality grouping and transcripts."""
-        parts = []
-        for v in self._slots:
-            parts.append(b"\x00" if v is None else b"\x01" + v)
-        return b"".join(parts)
-
-    def to_jsonable(self) -> list[str | None]:
-        return [None if v is None else v.hex() for v in self._slots]
-
-    @classmethod
-    def from_jsonable(cls, n: int, sym_bytes: int, data: Sequence[str | None]) -> "SymbolVector":
-        slots = [None if v is None else bytes.fromhex(v) for v in data]
-        return cls(n, sym_bytes, slots)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolVector):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.sym_bytes == other.sym_bytes
-            and self._slots == other._slots
-        )
-
-    def __repr__(self) -> str:
-        body = ",".join("-" if v is None else v.hex() for v in self._slots)
-        return f"SymbolVector[{body}]"
+    return word
 
 
 # `bytes.translate` table: 1 for a zero byte, 0 for any other
@@ -198,7 +127,7 @@ def _eval_at(
     return acc.to_bytes(sym_bytes, "little")
 
 
-def encode(params: CodeParams, data: bytes) -> SymbolVector:
+def encode(params: CodeParams, data: bytes) -> list[bytes]:
     """Spread k data macro-symbols over n slots; slots 1..k hold the data."""
     if len(data) != params.block_bytes:
         raise ParameterError(
@@ -207,43 +136,45 @@ def encode(params: CodeParams, data: bytes) -> SymbolVector:
     n, k, s = params.n, params.k, params.sym_bytes
     xs = tuple(range(1, k + 1))
     symbols = [data[i * s : (i + 1) * s] for i in range(k)]
-    # every slot is s bytes by construction, so none is checked again
-    return SymbolVector._of(
-        n, s, symbols + [_eval_at(xs, symbols, pos, s) for pos in range(k + 1, n + 1)]
-    )
+    return symbols + [_eval_at(xs, symbols, pos, s) for pos in range(k + 1, n + 1)]
 
 
-def _seed(params: CodeParams, vec: SymbolVector) -> tuple[list[int], list[bytes]]:
+def _seed(
+    params: CodeParams, vec: Sequence[bytes | None]
+) -> tuple[list[int], list[bytes]]:
     """Present positions, ascending, and the symbols at the k lowest."""
-    present = vec.present_positions()
+    present = [pos for pos, value in enumerate(vec, start=1) if value is not None]
     if len(present) < params.k:
         raise InsufficientSymbolsError(
             f"need {params.k} non-erased slots, have {len(present)}"
         )
-    return present, [vec._slots[pos - 1] for pos in present[: params.k]]
+    return present, [vec[pos - 1] for pos in present[: params.k]]
 
 
 # (params, slot snapshot) of the last word is_codeword judged, and its verdict
 _last_judged: tuple[tuple, bool] = ((), False)
 
 
-def is_codeword(params: CodeParams, vec: SymbolVector) -> bool:
+def is_codeword(params: CodeParams, vec: Sequence[bytes | None]) -> bool:
     """Consistency of every non-erased slot with one degree-below-k polynomial.
 
     Interpolates through the k lowest non-erased slots and checks the rest.
-    Raises InsufficientSymbolsError when fewer than k slots are present;
+    Raises ParameterError unless the word has n slots of sym_bytes bytes
+    or None, and InsufficientSymbolsError when fewer than k are present;
     callers in the protocol treat that as a detection. The last verdict is
     kept, keyed on a snapshot of the slots: words often repeat in a row.
     """
     global _last_judged
-    if vec.n != params.n or vec.sym_bytes != params.sym_bytes:
-        raise ParameterError("vector shape does not match code parameters")
-    key = (params, tuple(vec._slots))
+    key = (params, tuple(vec))
     if key != _last_judged[0]:
+        if len(vec) != params.n or any(
+            value is not None and len(value) != params.sym_bytes for value in vec
+        ):
+            raise ParameterError("vector shape does not match code parameters")
         present, symbols = _seed(params, vec)
         xs = tuple(present[: params.k])
         verdict = all(
-            vec._slots[pos - 1] == _eval_at(xs, symbols, pos, params.sym_bytes)
+            vec[pos - 1] == _eval_at(xs, symbols, pos, params.sym_bytes)
             for pos in present[params.k :]
         )
         _last_judged = (key, verdict)
@@ -251,7 +182,7 @@ def is_codeword(params: CodeParams, vec: SymbolVector) -> bool:
 
 
 def reconstruct_position(
-    params: CodeParams, vec: SymbolVector, pos: int, sources: Iterable[int]
+    params: CodeParams, vec: Sequence[bytes | None], pos: int, sources: Iterable[int]
 ) -> bytes:
     """Value at `pos` of the codeword through exactly k given source slots."""
     src = tuple(sources)
@@ -263,14 +194,16 @@ def reconstruct_position(
     for p in src:
         if not 1 <= p <= params.n:
             raise ParameterError(f"source position {p} out of range 1..{params.n}")
-        value = vec.get(p)
+        value = vec[p - 1]
         if value is None:
             raise InsufficientSymbolsError(f"source slot {p} is erased")
         symbols.append(value)
     return _eval_at(src, symbols, pos, params.sym_bytes)
 
 
-def decode(params: CodeParams, vec: SymbolVector, *, checked: bool = False) -> bytes:
+def decode(
+    params: CodeParams, vec: Sequence[bytes | None], *, checked: bool = False
+) -> bytes:
     """Data block of a (possibly erased) vector that passes is_codeword.
 
     Raises NotACodewordError when the check fails. A caller that has just
@@ -281,7 +214,7 @@ def decode(params: CodeParams, vec: SymbolVector, *, checked: bool = False) -> b
     """
     if not checked and not is_codeword(params, vec):
         raise NotACodewordError("vector is not consistent with any codeword")
-    data = vec._slots[: params.k]
+    data = vec[: params.k]
     if None not in data:
         return b"".join(data)
     present, symbols = _seed(params, vec)
@@ -322,9 +255,6 @@ def min_distance_bruteforce(params: CodeParams) -> int:
             bytes(lead * lanes) + b"\x01" * lanes + b"".join(tails),
         )
         # per lane, one byte counting its zero slots (at most n <= 255)
-        zeros = sum(
-            int.from_bytes(vec.get(pos).translate(_ZERO_FLAG), "big")
-            for pos in range(1, n + 1)
-        )
+        zeros = sum(int.from_bytes(slot.translate(_ZERO_FLAG), "big") for slot in vec)
         best = min(best, n - max(zeros.to_bytes(lanes, "big")))
     return best

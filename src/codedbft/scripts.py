@@ -122,11 +122,11 @@ def lying_received_claim_case(config: ExecutionConfig) -> CraftedCase:
         expected = frozenset(
             {RULE_DISPUTE} if outsiders else {RULE_RECONSTRUCTION}
         )
-    lie = honest.copy()
-    lie.set(victim, bytes(b ^ 0xFF for b in honest.get(victim)))
+    lie = list(honest)
+    lie[victim - 1] = bytes(b ^ 0xFF for b in honest[victim - 1])
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
-    script.add_broadcast(1, TAG_RECEIVED, f, BCAST_REPLACE, lie.to_jsonable())
+    script.add_broadcast(1, TAG_RECEIVED, f, BCAST_REPLACE, [v.hex() for v in lie])
     return CraftedCase("broadcast-lie-received-claim", script, expected)
 
 
@@ -164,10 +164,10 @@ def noncodeword_claim_case(config: ExecutionConfig) -> CraftedCase:
     f = config.n
     params = config.code_params()
     claim = encode(params, config.input_block(f, 1))
-    claim.set(1, bytes(b ^ 0xFF for b in claim.get(1)))
+    claim[0] = bytes(b ^ 0xFF for b in claim[0])
     script = AdversaryScript([f])
     script.add_send(1, STEP_OWN, f, 1, SEND_CORRUPT, _mask(config.sym_bytes))
-    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, claim.to_jsonable())
+    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, [v.hex() for v in claim])
     return CraftedCase("noncodeword-coded-claim", script, frozenset({RULE_NOT_CODEWORD}))
 
 
@@ -179,12 +179,12 @@ def wrong_reconstruction_case(config: ExecutionConfig) -> CraftedCase:
     """
     f = config.n
     params = config.code_params()
-    correct = encode(params, config.input_block(1, 1)).get(f)
+    correct = encode(params, config.input_block(1, 1))[f - 1]
     claim = encode(params, config.input_block(f, 1))
-    claim.set(f, bytes(b ^ 0xFF for b in correct))
+    claim[f - 1] = bytes(b ^ 0xFF for b in correct)
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
-    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, claim.to_jsonable())
+    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, [v.hex() for v in claim])
     return CraftedCase(
         "wrong-reconstruction-claim", script, frozenset({RULE_RECONSTRUCTION})
     )

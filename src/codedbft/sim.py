@@ -51,9 +51,9 @@ from .rs import (
     CodeParams,
     InsufficientSymbolsError,
     ParameterError,
-    SymbolVector,
     decode,
     encode,
+    parse_word,
     reconstruct_position,
 )
 
@@ -134,8 +134,7 @@ def _generation_words(
     data = b"".join(
         padded[j * s + b :: k * s] for j in range(k) for b in range(s)
     )
-    wide = encode(CodeParams(params.n, k, s * generations), data)
-    return [wide.get(pos) for pos in range(1, params.n + 1)]
+    return encode(CodeParams(params.n, k, s * generations), data)
 
 
 # --------------------------------------------------------------- config
@@ -280,6 +279,10 @@ class AdversaryScript:
     """
 
     def __init__(self, faulty: Iterable[int] = ()):
+        # checked before the set, where True and 1.0 would merge into 1
+        faulty = tuple(faulty)
+        if bad := [p for p in faulty if type(p) is not int]:
+            raise ConfigurationError(f"faulty id {bad[0]!r} is not an integer")
         self.faulty = frozenset(faulty)
         self._sends: dict[tuple[int, str, int, int], tuple[str, bytes | None]] = {}
         self._bcasts: dict[tuple[int, str, int], tuple[str, Any]] = {}
@@ -352,8 +355,8 @@ class AdversaryScript:
 
     def broadcast(self, generation: int, tag: str, sender: int, honest: Any) -> Any:
         """The payload `sender` broadcasts for `honest`, or None for
-        silence; a vector override is parsed into a `SymbolVector`
-        shaped like `honest`."""
+        silence; a vector override is parsed into a word shaped like
+        `honest`, whose own slot the sender always holds."""
         rule = self._bcasts.get((generation, tag, sender))
         if rule is None:
             return honest
@@ -361,7 +364,7 @@ class AdversaryScript:
         if kind == BCAST_SILENT:
             return None
         if tag in (TAG_CODED, TAG_RECEIVED):
-            return SymbolVector.from_jsonable(honest.n, honest.sym_bytes, payload)
+            return parse_word(len(honest), len(honest[sender - 1]), payload)
         return payload
 
     def validate_shapes(self, config: ExecutionConfig) -> None:
@@ -388,7 +391,7 @@ class AdversaryScript:
                 )
             if tag in (TAG_CODED, TAG_RECEIVED):
                 try:
-                    SymbolVector.from_jsonable(config.n, sym, payload)
+                    parse_word(config.n, sym, payload)
                 except (ParameterError, ValueError) as exc:
                     raise ConfigurationError(
                         f"vector rule for {s} at g{g} does not fit: {exc}"
@@ -632,40 +635,45 @@ class Execution:
 
     def _send_wave(
         self, g: int, wave: _Wave,
-        coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
+        coded: dict[int, list], received: dict[int, list],
         suppressed: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         """Deliver one wave of a plan; `suppressed` senders stay silent.
 
-        A faulty sender's symbol comes from the script's `send`, goes through
-        `set` and is recorded as its own `SYMBOL_SENT` event. An honest
-        sender's checked slot is copied slot to slot and recorded in one
+        A faulty sender's symbol comes from the script's `send`, must be
+        sym_bytes long and is recorded as its own `SYMBOL_SENT` event. An
+        honest sender's slot is copied slot to slot and recorded in one
         `WAVE` event after the faulty ones: the count of honest symbols
         and the SHA-256 of their records `bytes((sender, receiver, slot))
         + value` in plan order. The ledger is charged once per wave."""
         if not wave.obligations:
             return
         script, faulty, step = self.script, self.script.faulty, wave.step
+        sym = self.params.sym_bytes
         events = self.transcript.events
         records: list[bytes] = []
         faulty_sent = 0
         for (sender, receiver, slot, _), prefix in zip(wave.obligations, wave.prefixes):
             if sender in faulty:
                 value = script.send(
-                    g, step, sender, receiver, coded[sender].get(slot),
+                    g, step, sender, receiver, coded[sender][slot - 1],
                     sender in suppressed,
                 )
                 if value is None:
                     continue
-                received[receiver].set(slot, value)
+                if len(value) != sym:
+                    raise ParameterError(
+                        f"macro-symbol must be {sym} bytes, got {len(value)}"
+                    )
+                received[receiver][slot - 1] = value
                 faulty_sent += 1
                 events.append({
                     "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
                     "receiver": receiver, "slot": slot, "value": value.hex(),
                 })
             elif sender not in suppressed:
-                value = coded[sender]._slots[slot - 1]
-                received[receiver]._slots[slot - 1] = value
+                value = coded[sender][slot - 1]
+                received[receiver][slot - 1] = value
                 records += (prefix, value)
         if honest_sent := len(records) // 2:
             events.append({
@@ -673,7 +681,7 @@ class Execution:
                 "sha256": sha256(b"".join(records)).hexdigest(),
             })
         if sent := faulty_sent + honest_sent:
-            self.ledger.add_symbols(g, STAGE_MATCHING, sent, 8 * self.params.sym_bytes)
+            self.ledger.add_symbols(g, STAGE_MATCHING, sent, 8 * sym)
 
     def _broadcast(
         self, g: int, stage: str, tag: str, sender: int,
@@ -699,7 +707,7 @@ class Execution:
         )
         self.transcript.events.append({
             "type": "BROADCAST", "g": g, "tag": tag, "sender": sender,
-            "payload": _jsonable_payload(payload), "payload_bits": bits,
+            "payload": _jsonable_payload(tag, payload), "payload_bits": bits,
         })
         return payload
 
@@ -712,7 +720,7 @@ class Execution:
             else:
                 self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
 
-    def _decode_accepted(self, vec: SymbolVector) -> bytes:
+    def _decode_accepted(self, vec: list[bytes | None]) -> bytes:
         """Block of a word that a fault-free processor flagged FALSE.
 
         A FALSE flag means `detection_flag` found the word a codeword with
@@ -729,19 +737,18 @@ class Execution:
 
     def _fresh_state(
         self, g: int
-    ) -> tuple[dict[int, SymbolVector], dict[int, SymbolVector]]:
+    ) -> tuple[dict[int, list], dict[int, list]]:
         """Coded words sliced from the wide words, a copy for each further
         holder of an input, and received words holding each own slot."""
-        n, s, gens = self.config.n, self.params.sym_bytes, self.config.generations
+        n, gens = self.config.n, self.config.generations
         coded, received = {}, {}
         for i, first in enumerate(self._first_holder, start=1):
             if first == i:
-                slots = [w[g - 1 :: gens] for w in self._wide[i]]
-                coded[i] = SymbolVector._of(n, s, slots)
+                coded[i] = [w[g - 1 :: gens] for w in self._wide[i]]
             else:
-                coded[i] = coded[first].copy()
-            received[i] = SymbolVector._of(n, s, [None] * n)
-            received[i]._slots[i - 1] = coded[i]._slots[i - 1]
+                coded[i] = list(coded[first])
+            received[i] = [None] * n
+            received[i][i - 1] = coded[i][i - 1]
         return coded, received
 
     def _helper_and_reconstruct(
@@ -749,15 +756,15 @@ class Execution:
         g: int,
         p_match: Sequence[int],
         plan: _MatchingPlan,
-        coded: dict[int, SymbolVector],
-        received: dict[int, SymbolVector],
+        coded: dict[int, list],
+        received: dict[int, list],
     ) -> None:
         """Helper wave, non-member reconstruction, re-send wave."""
         cfg = self.config
         members = set(p_match)
         self._send_wave(g, plan.helper, coded, received)
         for r, slot in plan.copies:
-            received[r]._slots[slot - 1] = coded[r]._slots[slot - 1]
+            received[r][slot - 1] = coded[r][slot - 1]
         # a non-member that cannot gather enough match-set symbols keeps
         # its own-input slot and skips the re-send wave entirely
         failed: set[int] = set()
@@ -768,17 +775,17 @@ class Execution:
             if sources is None:
                 failed.add(j)
                 continue
-            coded[j].set(j, reconstruct_position(self.params, received[j], j, sources))
+            coded[j][j - 1] = reconstruct_position(self.params, received[j], j, sources)
         self._send_wave(g, plan.reconstructed, coded, received, failed)
         for j in range(1, cfg.n + 1):
             if j not in members:
-                received[j]._slots[j - 1] = coded[j]._slots[j - 1]
+                received[j][j - 1] = coded[j][j - 1]
 
     # -------------------------------------------------- checking + claims
 
     def _run_checking(
         self, g: int, members: set[int],
-        coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
+        coded: dict[int, list], received: dict[int, list],
     ) -> dict[int, bool | None]:
         flags: dict[int, bool | None] = {}
         for p in self.graph.unconvicted():
@@ -790,16 +797,15 @@ class Execution:
 
     def _collect_claims(
         self, g: int, flags: dict[int, bool | None],
-        coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
+        coded: dict[int, list], received: dict[int, list],
     ) -> dict[int, Claims]:
         claims: dict[int, Claims] = {}
         for p in self.graph.unconvicted():
             coded_obs = self._broadcast(
-                g, STAGE_DIAGNOSIS, TAG_CODED, p, coded[p], coded[p].payload_bits()
+                g, STAGE_DIAGNOSIS, TAG_CODED, p, coded[p], _word_bits(coded[p])
             )
             received_obs = self._broadcast(
-                g, STAGE_DIAGNOSIS, TAG_RECEIVED, p,
-                received[p], received[p].payload_bits(),
+                g, STAGE_DIAGNOSIS, TAG_RECEIVED, p, received[p], _word_bits(received[p])
             )
             claims[p] = Claims(flags.get(p), coded_obs, received_obs)
         return claims
@@ -861,7 +867,7 @@ class Execution:
     def _generation_step(
         self, g: int, p_match: list[int],
         vectors: dict[int, Sequence[bool] | None],
-        coded: dict[int, SymbolVector], received: dict[int, SymbolVector],
+        coded: dict[int, list], received: dict[int, list],
     ) -> dict | None:
         """Helper and re-send waves, checking, then decode or diagnose.
 
@@ -966,9 +972,14 @@ class Execution:
         )
 
 
-def _jsonable_payload(payload: Any) -> Any:
-    if isinstance(payload, SymbolVector):
-        return payload.to_jsonable()
+def _word_bits(word: list[bytes | None]) -> int:
+    """Broadcast size of a word: one presence bit per slot plus the present bytes."""
+    return len(word) + 8 * sum(len(v) for v in word if v is not None)
+
+
+def _jsonable_payload(tag: str, payload: Any) -> Any:
+    if payload is not None and tag in (TAG_CODED, TAG_RECEIVED):
+        return [None if v is None else v.hex() for v in payload]
     if isinstance(payload, tuple):
         return list(payload)
     return payload

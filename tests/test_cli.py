@@ -241,6 +241,13 @@ def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
         "1|match_bits|4": {"kind": "replace", "payload": [1, 0, 1, 1]}}}},
      "list of bools"),
     ({"expected": {"data_bits": 9600.5}}, "data_bits must be an integer"),
+    ({"faulty": [True]}, "faulty id True is not an integer"),
+    ({"faulty": [1, 1.0]}, "faulty id 1.0 is not an integer"),
+    ({"faulty": ["1"]}, "faulty id '1' is not an integer"),
+    ({"inputs": {"generator": "random", "seed": "abc"}}, "seed must be an integer"),
+    ({"inputs": {"generator": "random", "seed": 1.5}}, "seed must be an integer"),
+    ({"expected": {"outcome_kinds": "DECIDED"}},
+     "outcome_kinds must be a list of strings"),
 ])
 def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys):
     scenario = tmp_path / "s.json"

@@ -23,7 +23,7 @@ from codedbft.consensus import (
     run_diagnosis,
 )
 from codedbft.diagnosis import TrustGraph
-from codedbft.rs import CodeParams, SymbolVector, encode
+from codedbft.rs import CodeParams, encode
 
 PARAMS = CodeParams(4, 3)
 V_BLOCK = b"\x11\x22\x33"
@@ -136,7 +136,7 @@ def test_obligations_match_the_oracle(case):
 
 
 def test_reconstruction_sources_take_lowest_match_slots():
-    vec = SymbolVector(4, 1, [b"\x01", None, b"\x03", b"\x04"])
+    vec = [b"\x01", None, b"\x03", b"\x04"]
     assert reconstruction_sources(vec, [1, 2, 3], 2) == [1, 3]
     assert reconstruction_sources(vec, [1, 2], 2) is None
     assert reconstruction_sources(vec, [1, 3, 4], 3) == [1, 3, 4]
@@ -144,19 +144,19 @@ def test_reconstruction_sources_take_lowest_match_slots():
 
 def test_detection_flag_cases():
     members = (1, 2, 3, 4)
-    clean = CV.copy()
+    clean = list(CV)
     assert detection_flag(PARAMS, clean, CV, True, members) is False
-    erased = CV.copy()
-    erased.set(2, None)
+    erased = list(CV)
+    erased[1] = None
     assert detection_flag(PARAMS, erased, CV, True, members) is False
-    corrupt = CV.copy()
-    corrupt.set(2, b"\x99")
+    corrupt = list(CV)
+    corrupt[1] = b"\x99"
     assert detection_flag(PARAMS, corrupt, CV, True, members) is True
-    starved = SymbolVector(4, 1)
-    starved.set(1, b"\x11")
+    starved = [None] * 4
+    starved[0] = b"\x11"
     assert detection_flag(PARAMS, starved, CV, False, members) is True
     # consistent word that differs from own coded word: caught in-match only
-    other = CW.copy()
+    other = list(CW)
     assert detection_flag(PARAMS, other, CV, False, members) is False
     assert detection_flag(PARAMS, other, CV, True, members) is True
 
@@ -164,12 +164,12 @@ def test_detection_flag_cases():
 def test_nonmember_detects_missing_match_sources():
     # exactly k symbols present, so the codeword check is vacuous, but
     # only two of them sit on match-set slots: reconstruction failed
-    word = CV.copy()
-    word.set(1, None)
-    word.set(4, CW.get(4))
+    word = list(CV)
+    word[0] = None
+    word[3] = CW[3]
     assert detection_flag(PARAMS, word, CW, False, (1, 2, 3)) is True
     # the same word is fine for a processor whose match set covers it
-    assert detection_flag(PARAMS, CV.copy(), CW, False, (1, 2, 3)) is False
+    assert detection_flag(PARAMS, list(CV), CW, False, (1, 2, 3)) is False
 
 
 # ---------------------------------------------------------- diagnosis rules
@@ -185,7 +185,7 @@ def fresh_world(p_match=(1, 2, 3, 4)):
     g = TrustGraph(4, 1)
     obs = matching_obligations(g, p_match)
     claims = {
-        p: honest_claims(CV.copy(), CV.copy(), p in p_match, p_match)
+        p: honest_claims(list(CV), list(CV), p in p_match, p_match)
         for p in range(1, 5)
     }
     return g, obs, claims
@@ -208,9 +208,9 @@ def test_clean_claims_change_nothing():
 
 def test_value_dispute_removes_the_edge():
     g, obs, claims = fresh_world()
-    bad = CV.copy()
-    bad.set(2, b"\x99")
-    claims[3] = honest_claims(bad, CV.copy(), True)
+    bad = list(CV)
+    bad[1] = b"\x99"
+    claims[3] = honest_claims(bad, list(CV), True)
     result = diagnose(g, obs, claims)
     assert (RULE_DISPUTE, ("edge", 2, 3)) in result.events
     assert not g.edge_present(2, 3)
@@ -220,9 +220,9 @@ def test_value_dispute_removes_the_edge():
 
 def test_erasure_against_value_claim_disputes_too():
     g, obs, claims = fresh_world()
-    holey = CV.copy()
-    holey.set(2, None)
-    claims[3] = honest_claims(holey, CV.copy(), True)
+    holey = list(CV)
+    holey[1] = None
+    claims[3] = honest_claims(holey, list(CV), True)
     result = diagnose(g, obs, claims)
     assert (RULE_DISPUTE, ("edge", 2, 3)) in result.events
     assert result.decide_ids == [1, 2, 3, 4]
@@ -230,9 +230,9 @@ def test_erasure_against_value_claim_disputes_too():
 
 def test_member_with_noncodeword_claim_is_convicted():
     g, obs, claims = fresh_world()
-    junk = CV.copy()
-    junk.set(4, b"\x99")
-    claims[2] = Claims(False, junk, CV.copy())
+    junk = list(CV)
+    junk[3] = b"\x99"
+    claims[2] = Claims(False, junk, list(CV))
     result = diagnose(g, obs, claims)
     assert (RULE_NOT_CODEWORD, ("convicted", 2)) in result.events
     assert g.convicted == {2}
@@ -250,9 +250,9 @@ def test_silent_broadcaster_is_convicted():
 
 def test_incomplete_coded_claim_is_convicted():
     g, obs, claims = fresh_world()
-    holey = CV.copy()
-    holey.set(2, None)
-    claims[2] = Claims(False, holey, CV.copy())
+    holey = list(CV)
+    holey[1] = None
+    claims[2] = Claims(False, holey, list(CV))
     result = diagnose(g, obs, claims)
     assert (RULE_INCOMPLETE, ("convicted", 2)) in result.events
 
@@ -263,17 +263,17 @@ def test_nonmember_reconstruction_lie_is_convicted():
     obs = matching_obligations(g, p_match)
     # processor 4 rebuilt its slot from the match set, so an honest claim
     # shows encode-of-own-input overwritten at slot 4 with the rebuilt value
-    own = CW.copy()
-    own.set(4, CV.get(4))
-    received = CV.copy()
-    claims = {p: honest_claims(CV.copy(), CV.copy(), True) for p in (1, 2, 3)}
+    own = list(CW)
+    own[3] = CV[3]
+    received = list(CV)
+    claims = {p: honest_claims(list(CV), list(CV), True) for p in (1, 2, 3)}
     claims[4] = honest_claims(received, own, False)
     result = run_diagnosis(PARAMS, g, list(p_match), obs, claims, list(p_match), 3)
     assert result.events == []
     assert result.decide_ids == [1, 2, 3]
 
-    lying = CW.copy()  # kept its own slot despite claiming enough symbols
-    claims[4] = Claims(False, lying, CV.copy())
+    lying = list(CW)  # kept its own slot despite claiming enough symbols
+    claims[4] = Claims(False, lying, list(CV))
     g2 = TrustGraph(4, 1)
     result = run_diagnosis(
         PARAMS, g2, list(p_match), matching_obligations(g2, p_match), claims,
@@ -284,7 +284,7 @@ def test_nonmember_reconstruction_lie_is_convicted():
 
 def test_flag_contradicting_claims_is_convicted():
     g, obs, claims = fresh_world()
-    claims[2] = Claims(True, CV.copy(), CV.copy())
+    claims[2] = Claims(True, list(CV), list(CV))
     result = diagnose(g, obs, claims)
     assert (RULE_FLAG, ("convicted", 2)) in result.events
     assert result.decide_ids == [1, 3, 4]
@@ -294,13 +294,11 @@ def split_world():
     """Inputs split 2/2: everyone honestly received the slot mix."""
     g = TrustGraph(4, 1)
     obs = matching_obligations(g, [1, 2, 3, 4])
-    mix = SymbolVector(
-        4, 1, [CV.get(1), CW.get(2), CV.get(3), CW.get(4)]
-    )
+    mix = [CV[0], CW[1], CV[2], CW[3]]
     claims = {}
     for p in range(1, 5):
-        coded = CV.copy() if p in (1, 3) else CW.copy()
-        claims[p] = honest_claims(mix.copy(), coded, True)
+        coded = list(CV) if p in (1, 3) else list(CW)
+        claims[p] = honest_claims(list(mix), coded, True)
         assert claims[p].flag is True  # the mix is not a codeword
     return g, obs, claims
 
@@ -324,8 +322,8 @@ def test_faction_tie_breaks_to_lex_smallest():
 def test_mutually_accusing_split_claims_collapse_the_graph():
     """Receivers claiming full copies of their own word accuse senders."""
     g, obs, claims = fresh_world()
-    claims[2] = honest_claims(CW.copy(), CW.copy(), True)
-    claims[4] = honest_claims(CW.copy(), CW.copy(), True)
+    claims[2] = honest_claims(list(CW), list(CW), True)
+    claims[4] = honest_claims(list(CW), list(CW), True)
     result = diagnose(g, obs, claims, threshold=2)
     # every vertex loses two edges, so everyone is convicted at t=1
     assert g.convicted == {1, 2, 3, 4}
@@ -334,7 +332,7 @@ def test_mutually_accusing_split_claims_collapse_the_graph():
 
 def test_decision_domain_restricts_candidates():
     g, obs, claims = fresh_world(p_match=(1, 2, 3))
-    claims[4] = honest_claims(CV.copy(), CV.copy(), False)
+    claims[4] = honest_claims(list(CV), list(CV), False)
     result = run_diagnosis(
         PARAMS, g, [1, 2, 3], obs, claims, [1, 2, 3], 3
     )

@@ -12,16 +12,16 @@ from codedbft.rs import CodeParams, encode
 def test_match_bits_require_delivery_and_equality():
     params = CodeParams(4, 2)
     coded = encode(params, b"\xde\xad")
-    received = coded.copy()
-    received.set(2, None)
-    received.set(3, b"\x00")
+    received = list(coded)
+    received[1] = None
+    received[2] = b"\x00"
     assert compute_match_bits(received, coded) == (True, False, False, True)
 
 
 def test_match_bits_all_true_for_identical_words():
     params = CodeParams(4, 2)
     coded = encode(params, b"\x12\x34")
-    assert compute_match_bits(coded.copy(), coded) == (True,) * 4
+    assert compute_match_bits(list(coded), coded) == (True,) * 4
 
 
 def complete_vectors(n):

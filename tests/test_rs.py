@@ -20,13 +20,13 @@ from codedbft.rs import (
     InsufficientSymbolsError,
     NotACodewordError,
     ParameterError,
-    SymbolVector,
     _mul_row,
     _plan,
     decode,
     encode,
     is_codeword,
     min_distance_bruteforce,
+    parse_word,
     reconstruct_position,
 )
 
@@ -46,7 +46,7 @@ def oracle_generator(k: int) -> list[list[int]]:
     return oracle.generator_matrix(MAX_N, k)
 
 
-def oracle_vector(params: CodeParams, data: bytes) -> SymbolVector:
+def oracle_vector(params: CodeParams, data: bytes) -> list[bytes]:
     """Codeword of `data` as the sum of oracle generator rows, all lanes at once.
 
     Each data symbol is scaled byte by byte through a row of oracle
@@ -62,7 +62,7 @@ def oracle_vector(params: CodeParams, data: bytes) -> SymbolVector:
             scaled = bytes(map(oracle_row(row[pos]).__getitem__, sym))
             acc ^= int.from_bytes(scaled, "big")
         slots.append(acc.to_bytes(s, "big"))
-    return SymbolVector(n, s, slots)
+    return slots
 
 
 @st.composite
@@ -98,46 +98,36 @@ def test_param_validation():
         CodeParams(4, 2, sym_bytes=0)
 
 
-def test_distance_is_singleton_bound():
-    assert CodeParams(4, 3).distance == 2
-    assert CodeParams(7, 5).distance == 3
-    assert CodeParams(4, 1).distance == 4
-
-
 # ---------------------------------------------------------------- encode
 
 
 def test_encode_zero_block_gives_zero_codeword():
     vec = encode(CodeParams(4, 3), b"\x00\x00\x00")
-    assert all(vec.get(pos) == b"\x00" for pos in range(1, 5))
+    assert all(vec[pos - 1] == b"\x00" for pos in range(1, 5))
 
 
 def test_encode_repetition_code_copies_the_symbol():
     vec = encode(CodeParams(4, 1), b"\xa7")
-    assert [vec.get(pos) for pos in range(1, 5)] == [b"\xa7"] * 4
+    assert [vec[pos - 1] for pos in range(1, 5)] == [b"\xa7"] * 4
 
 
 def test_encode_systematic_prefix_is_the_data():
     vec = encode(CodeParams(7, 5, sym_bytes=2), bytes(range(10)))
     for pos in range(1, 6):
-        assert vec.get(pos) == bytes(range(10))[(pos - 1) * 2 : pos * 2]
+        assert vec[pos - 1] == bytes(range(10))[(pos - 1) * 2 : pos * 2]
 
 
 def test_parity_slot_matches_polynomial_oracle():
     vec = encode(CodeParams(3, 2), b"\x01\x02")
     expected = oracle.codeword(3, 2, [0x01, 0x02])
-    assert vec.get(3) == bytes([expected[2]])
+    assert vec[2] == bytes([expected[2]])
     # frozen: the interpolant through (1,01),(2,02) is p(x)=x
-    assert vec.get(3) == b"\x03"
+    assert vec[2] == b"\x03"
 
 
 def test_known_codewords_frozen_from_oracle():
-    assert encode(CodeParams(4, 2), b"\xde\xad") == SymbolVector(
-        4, 1, [b"\xde", b"\xad", b"\x77", b"\x4b"]
-    )
-    assert encode(CodeParams(4, 3), b"\xa7\x00\x5c") == SymbolVector(
-        4, 1, [b"\xa7", b"\x00", b"\x5c", b"\x01"]
-    )
+    assert encode(CodeParams(4, 2), b"\xde\xad") == [b"\xde", b"\xad", b"\x77", b"\x4b"]
+    assert encode(CodeParams(4, 3), b"\xa7\x00\x5c") == [b"\xa7", b"\x00", b"\x5c", b"\x01"]
 
 
 def test_encode_rejects_wrong_block_length():
@@ -166,8 +156,8 @@ def test_encode_is_linear(a, b):
     vx = encode(params, bytes(x ^ y for x, y in zip(a, b)))
     for pos in range(1, 7):
         assert bytes(
-            x ^ y for x, y in zip(va.get(pos), vb.get(pos))
-        ) == vx.get(pos)
+            x ^ y for x, y in zip(va[pos - 1], vb[pos - 1])
+        ) == vx[pos - 1]
 
 
 def test_lanes_are_independent():
@@ -178,7 +168,7 @@ def test_lanes_are_independent():
     for lane in range(2):
         narrow = encode(CodeParams(5, 3), block[lane::2])
         for pos in range(1, 6):
-            assert wide.get(pos)[lane] == narrow.get(pos)[0]
+            assert wide[pos - 1][lane] == narrow[pos - 1][0]
 
 
 # ------------------------------------------------------------ membership
@@ -192,15 +182,15 @@ def test_encode_output_is_codeword():
 def test_flipped_byte_is_not_a_codeword():
     params = CodeParams(4, 3)
     vec = encode(params, b"\x01\x02\x03")
-    vec.set(2, bytes([vec.get(2)[0] ^ 0x40]))
+    vec[1] = bytes([vec[1][0] ^ 0x40])
     assert not is_codeword(params, vec)
     # brute-force confirmation: no choice of k slots interpolates a
     # polynomial consistent with all four
     for subset in itertools.combinations(range(1, 5), 3):
-        points = [(pos, vec.get(pos)[0]) for pos in subset]
+        points = [(pos, vec[pos - 1][0]) for pos in subset]
         poly = oracle.lagrange_poly(points)
         fits = all(
-            oracle.poly_eval(poly, pos) == vec.get(pos)[0] for pos in range(1, 5)
+            oracle.poly_eval(poly, pos) == vec[pos - 1][0] for pos in range(1, 5)
         )
         assert not fits
 
@@ -208,15 +198,15 @@ def test_flipped_byte_is_not_a_codeword():
 def test_erased_slot_still_passes_membership():
     params = CodeParams(4, 3)
     vec = encode(params, b"\x01\x02\x03")
-    vec.set(2, None)
+    vec[1] = None
     assert is_codeword(params, vec)
 
 
 def test_membership_needs_k_present_slots():
     params = CodeParams(4, 3)
     vec = encode(params, b"\x01\x02\x03")
-    vec.set(1, None)
-    vec.set(3, None)
+    vec[0] = None
+    vec[2] = None
     with pytest.raises(InsufficientSymbolsError):
         is_codeword(params, vec)
 
@@ -224,21 +214,23 @@ def test_membership_needs_k_present_slots():
 def test_membership_follows_a_word_mutated_in_place():
     params = CodeParams(7, 3, 2)
     vec = encode(params, bytes(range(6)))
-    parity = vec.get(7)
+    parity = vec[6]
     assert is_codeword(params, vec)
-    vec.set(7, bytes([parity[0] ^ 1, parity[1]]))
+    vec[6] = bytes([parity[0] ^ 1, parity[1]])
     assert not is_codeword(params, vec)
     # every complete word is a codeword of the (7, 7) code
     assert is_codeword(CodeParams(7, 7, 2), vec)
-    vec.set(7, None)
+    vec[6] = None
     assert is_codeword(params, vec)
-    vec.set(1, b"\xff\xff")
+    vec[0] = b"\xff\xff"
     assert not is_codeword(params, vec)
 
 
 def test_membership_rejects_shape_mismatch():
     with pytest.raises(ParameterError):
-        is_codeword(CodeParams(4, 3), SymbolVector(5, 1))
+        is_codeword(CodeParams(4, 3), [None] * 5)
+    with pytest.raises(ParameterError):
+        is_codeword(CodeParams(4, 3), [b"\x00", b"\x00", b"\x00", b"\x00\x00"])
 
 
 @settings(max_examples=40)
@@ -256,7 +248,7 @@ def test_any_k_subset_interpolates_the_same_codeword(block, data):
         )
     )
     for pos in range(1, 8):
-        assert reconstruct_position(params, vec, pos, subset) == vec.get(pos)
+        assert reconstruct_position(params, vec, pos, subset) == vec[pos - 1]
 
 
 # -------------------------------------------------------- reconstruction
@@ -266,7 +258,7 @@ def test_reconstruct_parity_from_data_slots():
     params = CodeParams(7, 5)
     vec = encode(params, b"\x10\x20\x30\x40\x50")
     got = reconstruct_position(params, vec, 6, range(1, 6))
-    assert got == vec.get(6)
+    assert got == vec[5]
 
 
 def test_reconstruct_constant_code_from_any_slot():
@@ -291,7 +283,7 @@ def test_reconstruct_source_validation():
         reconstruct_position(params, vec, 1, [2, 2, 3])
     with pytest.raises(ParameterError):
         reconstruct_position(params, vec, 1, [2, 3, 5])
-    vec.set(4, None)
+    vec[3] = None
     with pytest.raises(InsufficientSymbolsError):
         reconstruct_position(params, vec, 1, [2, 3, 4])
 
@@ -305,10 +297,8 @@ def test_reconstruct_matches_oracle(case, data):
     sources = data.draw(st.permutations(range(1, n + 1)))[:k]
     # at a source position every other Lagrange weight is zero
     target = data.draw(st.sampled_from(sources) | st.integers(min_value=1, max_value=n))
-    vec = SymbolVector(
-        n, params.sym_bytes, [word.get(p) if p in sources else None for p in range(1, n + 1)]
-    )
-    assert reconstruct_position(params, vec, target, sources) == word.get(target)
+    vec = [word[p - 1] if p in sources else None for p in range(1, n + 1)]
+    assert reconstruct_position(params, vec, target, sources) == word[target - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,24 +315,22 @@ def test_plans_match_oracle_on_source_subsets(case, data):
     present = data.draw(
         st.sets(st.integers(min_value=1, max_value=n), min_size=k, max_size=n)
     )
-    vec = SymbolVector(
-        n, params.sym_bytes, [word.get(p) if p in present else None for p in range(1, n + 1)]
-    )
+    vec = [word[p - 1] if p in present else None for p in range(1, n + 1)]
     assert is_codeword(params, vec)
     sources = data.draw(st.permutations(sorted(present)))[:k]
     for target in (
         data.draw(st.sampled_from(sources)),
         data.draw(st.integers(min_value=1, max_value=n)),
     ):
-        assert reconstruct_position(params, vec, target, sources) == word.get(target)
+        assert reconstruct_position(params, vec, target, sources) == word[target - 1]
     if len(present) > k:
         # the present slots form an MDS code of distance >= 2
         pos = data.draw(st.sampled_from(sorted(present)))
-        sym = bytearray(vec.get(pos))
+        sym = bytearray(vec[pos - 1])
         sym[data.draw(st.integers(min_value=0, max_value=params.sym_bytes - 1))] ^= (
             data.draw(st.integers(min_value=1, max_value=255))
         )
-        vec.set(pos, bytes(sym))
+        vec[pos - 1] = bytes(sym)
         assert not is_codeword(params, vec)
 
 
@@ -356,7 +344,7 @@ def test_plan_cache_stays_bounded_through_more_plans_than_it_holds():
     n, k = 20, 3
     params = CodeParams(n, k, 1)
     word = oracle.codeword(n, k, [0x53, 0xCA, 0x01])
-    vec = SymbolVector(n, 1, [bytes([v]) for v in word])
+    vec = [bytes([v]) for v in word]
     pairs = [
         (sources, target)
         for sources in itertools.combinations(range(1, n + 1), k)
@@ -386,16 +374,16 @@ def test_decode_matches_oracle(case, data):
     n, k = params.n, params.k
     vec = oracle_vector(params, block)
     for pos in data.draw(st.sets(st.integers(min_value=1, max_value=n), max_size=n - k)):
-        vec.set(pos, None)
+        vec[pos - 1] = None
     assert decode(params, vec) == block
     assert decode(params, vec, checked=True) == block
-    present = vec.present_positions()
+    present = [pos for pos, value in enumerate(vec, start=1) if value is not None]
     if len(present) > k:
         pos = data.draw(st.sampled_from(present))
         lane = data.draw(st.integers(min_value=0, max_value=params.sym_bytes - 1))
-        sym = bytearray(vec.get(pos))
+        sym = bytearray(vec[pos - 1])
         sym[lane] ^= data.draw(st.integers(min_value=1, max_value=255))
-        vec.set(pos, bytes(sym))
+        vec[pos - 1] = bytes(sym)
         with pytest.raises(NotACodewordError):
             decode(params, vec)
 
@@ -404,8 +392,8 @@ def test_decode_recovers_from_max_erasures():
     params = CodeParams(7, 5)
     block = b"\x10\x20\x30\x40\x50"
     vec = encode(params, block)
-    vec.set(1, None)
-    vec.set(4, None)
+    vec[0] = None
+    vec[3] = None
     assert decode(params, vec) == block
 
 
@@ -416,7 +404,7 @@ def test_decode_zero_vector():
 def test_decode_rejects_corruption():
     params = CodeParams(4, 2)
     vec = encode(params, b"\x12\x34")
-    vec.set(3, bytes([vec.get(3)[0] ^ 1]))
+    vec[2] = bytes([vec[2][0] ^ 1])
     with pytest.raises(NotACodewordError):
         decode(params, vec)
 
@@ -425,7 +413,7 @@ def test_decode_needs_k_slots():
     params = CodeParams(4, 2)
     vec = encode(params, b"\x12\x34")
     for pos in (1, 2, 4):
-        vec.set(pos, None)
+        vec[pos - 1] = None
     with pytest.raises(InsufficientSymbolsError):
         decode(params, vec)
     with pytest.raises(InsufficientSymbolsError):
@@ -455,10 +443,10 @@ def test_min_distance_agrees_with_codeword_scans():
                 for tail in range(256**tail_len)
             ]
             weight = min(
-                sum(1 for pos in range(1, n + 1) if w.get(pos) != b"\x00")
+                sum(1 for pos in range(1, n + 1) if w[pos - 1] != b"\x00")
                 for w in canonical
             )
-            assert min_distance_bruteforce(params) == weight == params.distance
+            assert min_distance_bruteforce(params) == weight == n - k + 1
             if k == 1:
                 # independent confirmation: full pairwise scan
                 words = [encode(params, bytes([m])) for m in range(256)]
@@ -466,11 +454,11 @@ def test_min_distance_agrees_with_codeword_scans():
                     sum(
                         1
                         for pos in range(1, n + 1)
-                        if a.get(pos) != b.get(pos)
+                        if a[pos - 1] != b[pos - 1]
                     )
                     for a, b in itertools.combinations(words, 2)
                 )
-                assert pairwise == params.distance
+                assert pairwise == n - k + 1
 
 
 def test_min_distance_guard():
@@ -480,42 +468,19 @@ def test_min_distance_guard():
         min_distance_bruteforce(CodeParams(7, 4))
 
 
-# ----------------------------------------------------------- vector type
+# ------------------------------------------------------------ JSON words
 
 
-def test_symbol_vector_basics():
-    vec = SymbolVector(4, 2)
-    assert vec.present_positions() == []
-    assert not vec.is_complete()
-    vec.set(2, b"\xaa\xbb")
-    assert vec.get(2) == b"\xaa\xbb"
-    assert vec.present_positions() == [2]
-    assert vec.payload_bits() == 4 + 16
-    with pytest.raises(ParameterError):
-        vec.set(1, b"\xaa")
-    clone = vec.copy()
-    clone.set(2, None)
-    assert vec.get(2) == b"\xaa\xbb"
+def test_parse_word_reads_hex_and_erasures():
+    assert parse_word(4, 1, ["01", None, "0A", "ff"]) == [b"\x01", None, b"\x0a", b"\xff"]
+    assert parse_word(2, 2, [None, None]) == [None, None]
 
 
-def test_encoded_vector_still_checks_symbol_length():
-    vec = encode(CodeParams(4, 2, sym_bytes=2), b"\x01\x02\x03\x04")
-    with pytest.raises(ParameterError):
-        vec.set(1, b"\x01")
-    with pytest.raises(ParameterError):
-        vec.set(4, b"\x01\x02\x03")
-    with pytest.raises(ParameterError):
-        vec.copy().set(3, b"")
-    assert vec.get(1) == b"\x01\x02"
-
-
-def test_symbol_vector_jsonable_round_trip():
-    vec = SymbolVector(4, 1, [b"\x01", None, b"\x02", b"\x03"])
-    assert vec.to_jsonable() == ["01", None, "02", "03"]
-    assert SymbolVector.from_jsonable(4, 1, vec.to_jsonable()) == vec
-
-
-def test_canonical_bytes_distinguishes_erased_from_zero():
-    a = SymbolVector(2, 1, [b"\x00", None])
-    b = SymbolVector(2, 1, [None, b"\x00"])
-    assert a.canonical_bytes() != b.canonical_bytes()
+def test_parse_word_refuses_wrong_shapes():
+    with pytest.raises(ParameterError, match="expected 4 slots, got 3"):
+        parse_word(4, 1, ["01", "02", "03"])
+    for slot in ("01", "010203", ""):
+        with pytest.raises(ParameterError, match="macro-symbol must be 2 bytes"):
+            parse_word(2, 2, ["0102", slot])
+    with pytest.raises(ValueError):
+        parse_word(2, 1, ["01", "zz"])

@@ -19,7 +19,7 @@ from codedbft.consensus import (
     matching_obligations,
 )
 from codedbft.diagnosis import ConfigurationError, TrustGraph
-from codedbft.rs import CodeParams, SymbolVector, encode
+from codedbft.rs import CodeParams, ParameterError, encode
 from codedbft.sim import (
     ALG1,
     ALG2,
@@ -107,10 +107,24 @@ def test_validate_shapes_checks_payload_sizes():
     wrong_size.add_send(1, STEP_OWN, 4, 1, "corrupt", b"\xff\x00")
     with pytest.raises(ConfigurationError):
         wrong_size.validate_shapes(config)  # sym_bytes is 1 here
-    bad_vector = AdversaryScript([4])
-    bad_vector.add_broadcast(1, "coded", 4, "replace", ["00"] * 3)
-    with pytest.raises(ConfigurationError):
-        bad_vector.validate_shapes(config)
+    for slots in (["00"] * 3, ["00"] * 3 + ["0000"], ["00"] * 3 + [""]):
+        bad_vector = AdversaryScript([4])
+        bad_vector.add_broadcast(1, "received", 4, "replace", slots)
+        with pytest.raises(ConfigurationError, match="vector rule for 4 at g1"):
+            bad_vector.validate_shapes(config)
+
+
+def test_engine_refuses_a_faulty_symbol_of_the_wrong_length():
+    """A script that answers `send` past its validated rules still cannot
+    put a symbol of the wrong length into a received word."""
+
+    class LongSymbols(AdversaryScript):
+        def send(self, *args):
+            return b"\x00\x00"
+
+    config = fault_free_config(ALG1, 4, 1, None, 240, 24)  # sym_bytes is 1
+    with pytest.raises(ParameterError, match="macro-symbol must be 1 bytes, got 2"):
+        run_execution(config, LongSymbols([4]))
 
 
 def test_script_send_applies_its_rule_to_the_honest_symbol():
@@ -133,7 +147,7 @@ def test_script_send_applies_its_rule_to_the_honest_symbol():
 
 def test_script_broadcast_answers_in_the_engines_types():
     script = AdversaryScript([4])
-    honest = SymbolVector(4, 1, [b"\x01", None, b"\x03", b"\x04"])
+    honest = [b"\x01", None, b"\x03", b"\x04"]
     assert script.broadcast(1, TAG_CODED, 4, honest) is honest
     script.add_broadcast(1, TAG_DETECTED, 4, "silent")
     script.add_broadcast(1, TAG_CODED, 4, "replace", ["0A", None, "0b", "0c"])
@@ -141,8 +155,7 @@ def test_script_broadcast_answers_in_the_engines_types():
     script.add_broadcast(2, TAG_DETECTED, 4, "replace", True)
     assert script.broadcast(1, TAG_DETECTED, 4, False) is None
     claim = script.broadcast(1, TAG_CODED, 4, honest)
-    assert isinstance(claim, SymbolVector)
-    assert claim == SymbolVector(4, 1, [b"\x0a", None, b"\x0b", b"\x0c"])
+    assert claim == [b"\x0a", None, b"\x0b", b"\x0c"]
     assert script.broadcast(1, TAG_MATCH_BITS, 4, (True,) * 4) == [
         True, False, True, True
     ]
@@ -187,7 +200,7 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(algorithm, q)
             for e in result.transcript.of_type("SYMBOL_SENT")
         ]
         assert [
-            (g, tag, s, sim._jsonable_payload(payload))
+            (g, tag, s, sim._jsonable_payload(tag, payload))
             for (g, tag, s, _), payload in script.broadcasts
         ] == [
             (e["g"], e["tag"], e["sender"], e["payload"])
@@ -375,7 +388,7 @@ def test_obligations_follow_the_graph_after_diagnosis():
         waves = {}
         for step in sim._STEPS:
             records = [
-                bytes((ob.sender, ob.receiver, ob.slot)) + word.get(ob.slot)
+                bytes((ob.sender, ob.receiver, ob.slot)) + word[ob.slot - 1]
                 for ob in obligations if ob.step == step and ob.sender != 7
             ]
             if records:
@@ -512,9 +525,7 @@ def test_generation_words_slice_to_each_generations_codeword(data):
     for g in range(1, gens + 1):
         block = padded[(g - 1) * k * s : g * k * s]
         want = encode(CodeParams(n, k, s), block)
-        assert [w[g - 1 :: gens] for w in words] == [
-            want.get(pos) for pos in range(1, n + 1)
-        ]
+        assert [w[g - 1 :: gens] for w in words] == want
 
 
 def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
@@ -530,8 +541,8 @@ def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
         assert len({id(word) for word in coded.values()}) == 7
         for i in range(1, 8):
             assert coded[i] == encode(config.code_params(), config.input_block(i, g))
-            assert received[i].present_positions() == [i]
-            assert received[i].get(i) == coded[i].get(i)
+            own = coded[i][i - 1]
+            assert received[i] == [own if p == i else None for p in range(1, 8)]
     assert len(encoded) == 3
 
 
@@ -550,14 +561,14 @@ def test_reconstruction_writes_leave_other_words_and_generations_alone():
     execution = Execution(config, AdversaryScript())
     coded, _ = execution._fresh_state(1)
     # a non-member sharing its input overwrites its own slot, as reconstruction does
-    coded[5].set(5, bytes(b ^ 0xFF for b in coded[5].get(5)))
+    coded[5][4] = bytes(b ^ 0xFF for b in coded[5][4])
     for i in range(1, 5):
         assert coded[i] == encode(params, config.input_block(i, 1))
     for g in (1, 2):
         again, received = execution._fresh_state(g)
         for i in range(1, 8):
             assert again[i] == encode(params, config.input_block(i, g))
-            assert received[i].get(i) == again[i].get(i)
+            assert received[i][i - 1] == again[i][i - 1]
 
 
 # --------------------------------------------------- randomized batteries
@@ -618,7 +629,7 @@ def test_undecodable_accepted_word_is_a_violation(monkeypatch):
     def checking_then_erase(self, g, members, coded, received):
         flags = run_checking(self, g, members, coded, received)
         if g == 1:
-            received[1] = SymbolVector(self.config.n, self.config.sym_bytes)
+            received[1] = [None] * self.config.n
         return flags
 
     monkeypatch.setattr(Execution, "_run_checking", checking_then_erase)

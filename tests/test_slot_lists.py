@@ -14,7 +14,6 @@ from codedbft.rs import (
     CodeParams,
     InsufficientSymbolsError,
     NotACodewordError,
-    SymbolVector,
     decode,
     encode,
 )
@@ -26,7 +25,7 @@ def lie(symbol: bytes, rng: random.Random) -> bytes:
 
 
 @st.composite
-def codewords(draw, min_spare: int = 0) -> tuple[CodeParams, SymbolVector]:
+def codewords(draw, min_spare: int = 0) -> tuple[CodeParams, list[bytes]]:
     """An (n, k) code with n - k >= `min_spare`, and a codeword of a random
     block (hypothesis would draw mostly zero blocks, whose slots are all
     equal, so a walk that pairs the wrong slots would go unseen)."""
@@ -37,21 +36,21 @@ def codewords(draw, min_spare: int = 0) -> tuple[CodeParams, SymbolVector]:
 
 
 @st.composite
-def damaged(draw, word: SymbolVector, k: int, lies: bool = True) -> SymbolVector:
+def damaged(draw, word: list[bytes], k: int, lies: bool = True) -> list[bytes | None]:
     """`word` with erasures, either at random positions or of exactly one
     data slot (so a decoder must interpolate it), then, with `lies`, maybe
     one present slot changed."""
-    out = word.copy()
+    out = list(word)
     if draw(st.booleans()):
-        erased = draw(st.sets(st.integers(min_value=1, max_value=word.n)))
+        erased = draw(st.sets(st.integers(min_value=1, max_value=len(word))))
     else:
         erased = {draw(st.integers(min_value=1, max_value=k))}
     for pos in erased:
-        out.set(pos, None)
-    present = out.present_positions()
+        out[pos - 1] = None
+    present = [pos for pos, value in enumerate(out, start=1) if value is not None]
     if lies and present and draw(st.booleans()):
         pos = draw(st.sampled_from(present))
-        out.set(pos, lie(out.get(pos), draw(st.randoms())))
+        out[pos - 1] = lie(out[pos - 1], draw(st.randoms()))
     return out
 
 
@@ -81,8 +80,8 @@ def test_decode_matches_per_slot_reference(case, data):
 def test_decode_rejects_a_changed_slot_though_every_data_slot_is_present(case, data):
     params, codeword = case
     pos = data.draw(st.integers(min_value=1, max_value=params.n))
-    word = codeword.copy()
-    word.set(pos, lie(word.get(pos), data.draw(st.randoms())))
+    word = list(codeword)
+    word[pos - 1] = lie(word[pos - 1], data.draw(st.randoms()))
     assert oracle.is_codeword(word, params.k) is False
     with pytest.raises(NotACodewordError):
         decode(params, word)

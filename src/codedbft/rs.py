@@ -86,6 +86,11 @@ def parse_word(n: int, sym_bytes: int, data: Sequence[str | None]) -> list[bytes
     return word
 
 
+def word_hex(word: Sequence[bytes | None]) -> list[str | None]:
+    """The JSON form of a word, as `parse_word` reads it."""
+    return [None if v is None else v.hex() for v in word]
+
+
 # `bytes.translate` table: 1 for a zero byte, 0 for any other
 _ZERO_FLAG = b"\x01" + bytes(255)
 

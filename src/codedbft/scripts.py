@@ -32,7 +32,7 @@ from .consensus import (
     TAG_MATCH_BITS,
     TAG_RECEIVED,
 )
-from .rs import encode
+from .rs import encode, word_hex
 from .sim import (
     ALG1,
     BCAST_REPLACE,
@@ -126,7 +126,7 @@ def lying_received_claim_case(config: ExecutionConfig) -> CraftedCase:
     lie[victim - 1] = bytes(b ^ 0xFF for b in honest[victim - 1])
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
-    script.add_broadcast(1, TAG_RECEIVED, f, BCAST_REPLACE, [v.hex() for v in lie])
+    script.add_broadcast(1, TAG_RECEIVED, f, BCAST_REPLACE, word_hex(lie))
     return CraftedCase("broadcast-lie-received-claim", script, expected)
 
 
@@ -167,7 +167,7 @@ def noncodeword_claim_case(config: ExecutionConfig) -> CraftedCase:
     claim[0] = bytes(b ^ 0xFF for b in claim[0])
     script = AdversaryScript([f])
     script.add_send(1, STEP_OWN, f, 1, SEND_CORRUPT, _mask(config.sym_bytes))
-    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, [v.hex() for v in claim])
+    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, word_hex(claim))
     return CraftedCase("noncodeword-coded-claim", script, frozenset({RULE_NOT_CODEWORD}))
 
 
@@ -184,7 +184,7 @@ def wrong_reconstruction_case(config: ExecutionConfig) -> CraftedCase:
     claim[f - 1] = bytes(b ^ 0xFF for b in correct)
     script = AdversaryScript([f])
     script.add_broadcast(1, TAG_DETECTED, f, BCAST_REPLACE, True)
-    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, [v.hex() for v in claim])
+    script.add_broadcast(1, TAG_CODED, f, BCAST_REPLACE, word_hex(claim))
     return CraftedCase(
         "wrong-reconstruction-claim", script, frozenset({RULE_RECONSTRUCTION})
     )

@@ -55,6 +55,7 @@ from .rs import (
     encode,
     parse_word,
     reconstruct_position,
+    word_hex,
 )
 
 STAGE_MATCHING = "matching"
@@ -979,7 +980,7 @@ def _word_bits(word: list[bytes | None]) -> int:
 
 def _jsonable_payload(tag: str, payload: Any) -> Any:
     if payload is not None and tag in (TAG_CODED, TAG_RECEIVED):
-        return [None if v is None else v.hex() for v in payload]
+        return word_hex(payload)
     if isinstance(payload, tuple):
         return list(payload)
     return payload

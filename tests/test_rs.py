@@ -28,6 +28,7 @@ from codedbft.rs import (
     min_distance_bruteforce,
     parse_word,
     reconstruct_position,
+    word_hex,
 )
 
 
@@ -474,6 +475,9 @@ def test_min_distance_guard():
 def test_parse_word_reads_hex_and_erasures():
     assert parse_word(4, 1, ["01", None, "0A", "ff"]) == [b"\x01", None, b"\x0a", b"\xff"]
     assert parse_word(2, 2, [None, None]) == [None, None]
+    word = [b"\x01\x02", None, b"\xff\x00"]
+    assert word_hex(word) == ["0102", None, "ff00"]
+    assert parse_word(3, 2, word_hex(word)) == word
 
 
 def test_parse_word_refuses_wrong_shapes():

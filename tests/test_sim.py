@@ -107,11 +107,12 @@ def test_validate_shapes_checks_payload_sizes():
     wrong_size.add_send(1, STEP_OWN, 4, 1, "corrupt", b"\xff\x00")
     with pytest.raises(ConfigurationError):
         wrong_size.validate_shapes(config)  # sym_bytes is 1 here
-    for slots in (["00"] * 3, ["00"] * 3 + ["0000"], ["00"] * 3 + [""]):
-        bad_vector = AdversaryScript([4])
-        bad_vector.add_broadcast(1, "received", 4, "replace", slots)
-        with pytest.raises(ConfigurationError, match="vector rule for 4 at g1"):
-            bad_vector.validate_shapes(config)
+    for tag in ("coded", "received"):
+        for slots in (["00"] * 3, ["00"] * 3 + ["0000"], ["00"] * 3 + [""]):
+            bad_vector = AdversaryScript([4])
+            bad_vector.add_broadcast(1, tag, 4, "replace", slots)
+            with pytest.raises(ConfigurationError, match="vector rule for 4 at g1"):
+                bad_vector.validate_shapes(config)
 
 
 def test_engine_refuses_a_faulty_symbol_of_the_wrong_length():

@@ -20,6 +20,7 @@ from codedbft.rs import (
     InsufficientSymbolsError,
     NotACodewordError,
     ParameterError,
+    _log_weights,
     _mul_row,
     _plan,
     decode,
@@ -335,13 +336,35 @@ def test_plans_match_oracle_on_source_subsets(case, data):
         assert not is_codeword(params, vec)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=1, max_value=171), st.data())
+def test_wide_source_tuples_match_the_oracle_at_n255(k, data):
+    """Reconstruction through k random sources of an n=255 word, up to
+    the k=171 of alg1 at t=84, equals the oracle's evaluation of a random
+    polynomial of degree below k at a source and at two other points."""
+    n = 255
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    poly = list(rng.randbytes(k))
+    sources = rng.sample(range(1, n + 1), k)
+    targets = [data.draw(st.sampled_from(sources)), *rng.sample(range(1, n + 1), 2)]
+    vec = [None] * n
+    for p in sources:
+        vec[p - 1] = bytes([oracle.poly_eval(poly, p)])
+    params = CodeParams(n, k, 1)
+    for target in targets:
+        want = bytes([oracle.poly_eval(poly, target)])
+        assert reconstruct_position(params, vec, target, sources) == want
+
+
 # ---------------------------------------------------------------- decode
 
 
 def test_plan_cache_stays_bounded_through_more_plans_than_it_holds():
     """Reconstruct through more (sources, target) pairs than the plan
-    cache holds, twice, so that the second pass re-derives evicted plans:
-    the cache stays within its bound and every value matches the oracle."""
+    cache holds, over more source tuples than the weight cache holds,
+    twice, so that the second pass re-derives evicted plans and weights:
+    the caches stay within their bounds and every value matches the
+    oracle."""
     n, k = 20, 3
     params = CodeParams(n, k, 1)
     word = oracle.codeword(n, k, [0x53, 0xCA, 0x01])
@@ -352,13 +375,14 @@ def test_plan_cache_stays_bounded_through_more_plans_than_it_holds():
         for target in (1, n)
     ]
     assert len(pairs) > _plan.cache_info().maxsize == 2048
+    assert len(pairs) // 2 > _log_weights.cache_info().maxsize == 256
     for _ in range(2):
         for sources, target in pairs:
             assert reconstruct_position(params, vec, target, sources) == bytes(
                 [word[target - 1]]
             )
-    info = _plan.cache_info()
-    assert info.currsize <= info.maxsize
+    for info in (_plan.cache_info(), _log_weights.cache_info()):
+        assert info.currsize <= info.maxsize
 
 
 def test_decode_round_trip_exhaustive_n4_k2():

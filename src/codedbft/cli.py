@@ -193,32 +193,33 @@ def build_script(data: dict, config: ExecutionConfig) -> AdversaryScript:
     return AdversaryScript(data.get("faulty") or ())
 
 
-def check_expected(result, report, expected: dict) -> list[str]:
-    """Mismatches between a finished run and the scenario's `expected`."""
-    problems = []
-    if "verdict" in expected and result.verdict != expected["verdict"]:
-        problems.append(
-            f"verdict {result.verdict} != expected {expected['verdict']}"
-        )
+def read_expected(block: Any) -> dict:
+    """A scenario's `expected` block, its values checked before the run."""
+    expected = dict(require_known_keys("expected", block or {}, _EXPECTED_KEYS))
     if "outcome_kinds" in expected:
-        kinds = sorted({o["kind"] for o in result.outcomes})
-        want = expected["outcome_kinds"]
-        if not isinstance(want, list) or not all(isinstance(k, str) for k in want):
+        kinds = expected["outcome_kinds"]
+        if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
             raise ConfigurationError("expected outcome_kinds must be a list of strings")
-        want = sorted(want)
-        if kinds != want:
-            problems.append(f"outcome kinds {kinds} != expected {want}")
-    if "data_bits" in expected:
-        want = _coerce("data_bits", expected["data_bits"])
-        if report.data_bits != want:
-            problems.append(f"data bits {report.data_bits} != expected {want}")
-    if "diagnosis_count" in expected:
-        want = _coerce("diagnosis_count", expected["diagnosis_count"])
-        if result.diagnosis_count != want:
-            problems.append(
-                f"diagnosis count {result.diagnosis_count} != expected {want}"
-            )
-    return problems
+        expected["outcome_kinds"] = sorted(kinds)
+    for key in ("data_bits", "diagnosis_count"):
+        if key in expected:
+            expected[key] = _coerce(key, expected[key])
+    return expected
+
+
+def check_expected(result, report, expected: dict) -> list[str]:
+    """Mismatches between a finished run and a `read_expected` block."""
+    got = {
+        "verdict": result.verdict,
+        "outcome_kinds": sorted({o["kind"] for o in result.outcomes}),
+        "data_bits": report.data_bits,
+        "diagnosis_count": result.diagnosis_count,
+    }
+    return [
+        f"{key.replace('_', ' ')} {got[key]} != expected {expected[key]}"
+        for key in _EXPECTED_KEYS
+        if key in expected and got[key] != expected[key]
+    ]
 
 
 # ----------------------------------------------------------- subcommands
@@ -240,7 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.scenario:
         data = json.loads(Path(args.scenario).read_text())
         require_known_keys("scenario", data, _SCENARIO_KEYS)
-        require_known_keys("expected", data.get("expected") or {}, _EXPECTED_KEYS)
+    expected = read_expected(data.get("expected"))
     data.update(flag_overrides(args))
     if args.script:
         data["script"] = json.loads(Path(args.script).read_text())
@@ -260,7 +261,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.transcript.write_jsonl(out_dir / "transcript.jsonl")
-    mismatches = check_expected(result, report, data.get("expected") or {})
+    mismatches = check_expected(result, report, expected)
     report_doc = {
         "scenario": data.get("name"),
         "verdict": result.verdict,

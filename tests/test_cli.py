@@ -248,6 +248,9 @@ def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
     ({"inputs": {"generator": "random", "seed": 1.5}}, "seed must be an integer"),
     ({"expected": {"outcome_kinds": "DECIDED"}},
      "outcome_kinds must be a list of strings"),
+    ({"expected": {"outcome_kinds": ["DECIDED", 1]}},
+     "outcome_kinds must be a list of strings"),
+    ({"expected": {"diagnosis_count": "one"}}, "diagnosis_count must be an integer"),
 ])
 def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys):
     scenario = tmp_path / "s.json"
@@ -255,6 +258,15 @@ def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys
     scenario.write_text(json.dumps({**data, **change}))
     assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    # refused before the run: nothing is written
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_malformed_expected_block_before_the_run(tmp_path, capsys):
+    case = CASES / "outcome_kinds_string.json"
+    assert main(["run", str(case), "--out-dir", str(tmp_path)]) == 2
+    assert "outcome_kinds must be a list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "transcript.jsonl").exists()
 
 
 def test_replay_refuses_a_rule_that_is_not_an_object(capsys):

@@ -933,9 +933,11 @@ class Execution:
 
     def run(self) -> ExecutionResult:
         cfg = self.config
+        inputs, input_values = _distinct_values(cfg.inputs)
         self.transcript.append(
             "header",
-            config=cfg.to_jsonable(),
+            config={**cfg.to_jsonable(), "inputs": inputs},
+            input_values=input_values,
             script=self.script.to_jsonable(),
             original_l_bits=cfg.l_bits,
             padded_bits=cfg.generations * cfg.d_bits,
@@ -951,11 +953,14 @@ class Execution:
         }
         violations = judge(cfg, self.script.faulty, self.transcript.events, outputs)
         verdict = "PASS" if not violations else "VERDICT_FAIL"
+        holders = sorted(outputs)
+        indices, output_values = _distinct_values(outputs[p] for p in holders)
         self.transcript.append(
             "VERDICT",
             verdict=verdict,
             violations=list(violations),
-            outputs={str(p): v.hex() for p, v in sorted(outputs.items())},
+            outputs=dict(zip(map(str, holders), indices)),
+            output_values=[v.hex() for v in output_values],
             diagnosis_count=self.diagnosis_count,
             ledger=self.ledger.to_jsonable(),
             graph=self.graph.to_jsonable(),
@@ -971,6 +976,13 @@ class Execution:
             transcript=self.transcript,
             graph=self.graph,
         )
+
+
+def _distinct_values(values: Iterable[Any]) -> tuple[list[int], list[Any]]:
+    """Each value as an index into the distinct values, in first-seen order:
+    the transcript writes a value held by many processors once."""
+    table: dict[str, int] = {}
+    return [table.setdefault(v, len(table)) for v in values], list(table)
 
 
 def _word_bits(word: list[bytes | None]) -> int:

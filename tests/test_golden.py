@@ -2,10 +2,11 @@
 
 `golden_corpus.py` builds the corpus. A refactor or speed-up must leave
 every hash unchanged; a change that alters transcripts on purpose
-re-records the file and says why. The hashes are of v2 transcripts;
+re-records the file and says why. The hashes are of v3 transcripts;
 `v1_fixtures/` keeps four v1 transcripts of the corpus, with their v1
-golden hashes below, that `transcript_v1.v2_from_v1` must fold into
-today's transcripts byte for byte.
+golden hashes below, that `transcript_v1.v2_from_v1` and then
+`transcript_v2.v3_from_v2` must fold into today's transcripts byte for
+byte.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ from golden_corpus import (
 )
 from ledger_oracle import resum_ledger
 from transcript_v1 import v2_from_v1
+from transcript_v2 import v3_from_v2
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
 V1_FIXTURES = Path(__file__).parent / "v1_fixtures"
@@ -115,6 +117,22 @@ def test_v1_fixtures_fold_into_todays_transcripts():
         v1 = (V1_FIXTURES / name).read_bytes()
         assert digest(v1) == v1_hash, name
         config, script = cases[key]
-        v2 = run_execution(config, script).transcript.to_jsonl()
-        assert v2_from_v1(v1.decode()) == v2, name
-        assert digest(v2.encode()) == GOLDEN[section][key], name
+        v3 = run_execution(config, script).transcript.to_jsonl()
+        assert v3_from_v2(v2_from_v1(v1.decode())) == v3, name
+        assert digest(v3.encode()) == GOLDEN[section][key], name
+
+
+def test_inputs_and_outputs_read_back_from_the_transcript():
+    """Every processor's input from the header's indices into
+    `input_values`, and every fault-free output from `VERDICT`'s indices
+    into `output_values`."""
+    for key, (config, script) in all_cases().items():
+        result = run_execution(config, script)
+        events = result.transcript.events
+        header, verdict = events[0], events[-1]
+        inputs = [header["input_values"][i] for i in header["config"]["inputs"]]
+        assert inputs == list(config.inputs), key
+        outputs = {
+            int(p): verdict["output_values"][i] for p, i in verdict["outputs"].items()
+        }
+        assert outputs == {p: v.hex() for p, v in result.outputs.items()}, key

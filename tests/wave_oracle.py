@@ -44,9 +44,11 @@ def own_waves(events):
     k = n - config["t"] if config["algorithm"] == "alg1" else config["q"]
     rows = gf_oracle.generator_matrix(n, k)
     size = config["d_bits"] // 8
+    # each processor's input is an index into the header's distinct values
+    values = header["input_values"]
     padded = [
-        bytes.fromhex(value).ljust(header["generations"] * size, b"\0")
-        for value in config["inputs"]
+        bytes.fromhex(values[i]).ljust(header["generations"] * size, b"\0")
+        for i in config["inputs"]
     ]
     waves = []
     for g in reached:

@@ -116,13 +116,11 @@ def _log_weights(xs: tuple[int, ...]) -> tuple[int, ...]:
 def _plan(xs: tuple[int, ...], target: int) -> tuple[tuple[int, bytes], ...]:
     """(source index, product row) per nonzero Lagrange weight at `target`.
 
-    Evaluating the interpolant through the points `xs` at `target`
-    scales source s by its weight; a weight is zero exactly when target
-    is another source's point, and such sources are left out. Otherwise
+    At a source point only that source has a nonzero weight, 1. Elsewhere
     weight s is l(target) w_s / (target - x_s), with l(x) the product of
-    x - x_u over all sources and w_s the barycentric weight (Berrut and
-    Trefethen, SIAM Review 46(3), 2004), summed as logs: O(k) per target
-    once the source tuple's weights are known.
+    x - x_u over the sources and w_s the barycentric weight (Berrut and
+    Trefethen, SIAM Review 46(3), 2004): O(k) log-table sums per target
+    once the tuple's weights are known.
     """
     if target in xs:
         return ((xs.index(target), _mul_row(1)),)

@@ -981,7 +981,7 @@ class Execution:
 def _distinct_values(values: Iterable[Any]) -> tuple[list[int], list[Any]]:
     """Each value as an index into the distinct values, in first-seen order:
     the transcript writes a value held by many processors once."""
-    table: dict[str, int] = {}
+    table: dict[Any, int] = {}
     return [table.setdefault(v, len(table)) for v in values], list(table)
 
 

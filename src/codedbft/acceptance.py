@@ -280,11 +280,9 @@ def criterion_4(suite: Suite) -> tuple[bool, str]:
 
 
 def criterion_5() -> tuple[bool, str]:
-    rng = random.Random(5)
-    first, second = rng.randbytes(300).hex(), rng.randbytes(300).hex()
-    config = ExecutionConfig(
-        algorithm=ALG1, n=4, t=1, l_bits=2400, d_bits=240,
-        inputs=(first, first, second, second), seed=5,
+    # alg1 at the command line defaults: n=4, t=1, L=2400
+    config = build_config(
+        {"inputs": {"generator": "split"}, "seed": 5, "d_bits": 240}
     )
     result = run_execution(config, AdversaryScript())
     kinds = {o["kind"] for o in result.outcomes}

@@ -14,6 +14,7 @@ scenario file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import random
@@ -36,7 +37,6 @@ from .sim import (
     require_known_keys,
     run_execution,
     serialize_case,
-    sweep,
 )
 
 # every config field but the inputs: its flag or --override alias, and its
@@ -315,23 +315,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         algorithm, n, t, q_values, args.trials, given["seed"],
         args.l_bits, args.d_bits,
     )
-    report = sweep(cases)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.csv").write_text(report.to_csv())
-    for index in report.failures:
-        config, script = cases[index]
-        (out_dir / f"failure_{index:04d}.json").write_text(
-            serialize_case(config, script)
-        )
+    failures: list[int] = []
+    max_diagnoses = 0
+    # one row per run as it finishes; csv writes the None q of alg1 as ""
+    with open(out_dir / "summary.csv", "w", newline="") as summary:
+        rows = csv.writer(summary)
+        rows.writerow(["seed", "algorithm", "n", "t", "q", "L", "D", "verdict",
+                       "diagnosis_count", "p2p_bits", "bcast_bits"])
+        for index, (config, script) in enumerate(cases):
+            result = run_execution(config, script)
+            rows.writerow([
+                config.seed, config.algorithm, config.n, config.t, config.q,
+                config.l_bits, config.d_bits, result.verdict,
+                result.diagnosis_count, result.ledger.total("p2p_bits"),
+                result.ledger.total("bcast_charged_bits"),
+            ])
+            max_diagnoses = max(max_diagnoses, result.diagnosis_count)
+            if not result.passed:
+                failures.append(index)
+                (out_dir / f"failure_{index:04d}.json").write_text(
+                    serialize_case(config, script)
+                )
 
     print(
         f"sweep alg={algorithm} n={n} t={t} trials={len(cases)}"
-        f" failures={len(report.failures)}"
-        f" max_diagnoses={report.max_diagnosis_count()}"
+        f" failures={len(failures)} max_diagnoses={max_diagnoses}"
     )
     print(f"wrote {out_dir / 'summary.csv'}")
-    if report.failures:
+    if failures:
         print(f"replay files: {out_dir}/failure_*.json")
         return 1
     return 0

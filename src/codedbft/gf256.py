@@ -1,7 +1,7 @@
 """Arithmetic over GF(2^8) with the 0x11D reduction polynomial.
 
-Log and antilog tables are built once at import time; multiplication and
-division become table lookups, addition is XOR.
+Log and antilog tables are built once at import time; multiplication
+becomes a table lookup, addition is XOR.
 """
 
 from __future__ import annotations
@@ -33,10 +33,3 @@ def gf_mul(a: int, b: int) -> int:
         return 0
     return _EXP[_LOG[a] + _LOG[b]]
 
-
-def gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by 0 in GF(2^8)")
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] - _LOG[b]) % 255]

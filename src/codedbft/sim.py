@@ -203,6 +203,8 @@ class ExecutionConfig:
                     f"input {i} must be exactly {want} bytes of hex"
                 )
             padded.append(raw.ljust(self.padded_bytes, b"\x00"))
+        # one spelling per value (lowercase hex), so equal inputs compare equal
+        object.__setattr__(self, "inputs", tuple(p[:want].hex() for p in padded))
         object.__setattr__(self, "_padded_inputs", tuple(padded))
         if self.broadcast_coefficient < 1:
             raise ConfigurationError("broadcast coefficient must be >= 1")
@@ -243,10 +245,8 @@ class ExecutionConfig:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ExecutionConfig":
-        # older case files still carry the retired stop_when_no_match_set
-        known = [f.name for f in fields(cls) if f.init] + ["stop_when_no_match_set"]
+        known = [f.name for f in fields(cls) if f.init]
         data = require_known_keys("config", data, known)
-        data = {k: v for k, v in data.items() if k != "stop_when_no_match_set"}
         if not isinstance(inputs := data.get("inputs"), (list, tuple)):
             raise ConfigurationError("config inputs must be a list of hex")
         return cls(**{**data, "inputs": tuple(inputs)})
@@ -561,12 +561,6 @@ class Transcript:
 # --------------------------------------------------------------- results
 
 
-CSV_COLUMNS = [
-    "seed", "algorithm", "n", "t", "q", "L", "D",
-    "verdict", "diagnosis_count", "p2p_bits", "bcast_bits",
-]
-
-
 @dataclass
 class ExecutionResult:
     config: ExecutionConfig
@@ -582,22 +576,6 @@ class ExecutionResult:
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
-
-    def csv_row(self) -> dict[str, Any]:
-        cfg = self.config
-        return {
-            "seed": cfg.seed,
-            "algorithm": cfg.algorithm,
-            "n": cfg.n,
-            "t": cfg.t,
-            "q": "" if cfg.q is None else cfg.q,
-            "L": cfg.l_bits,
-            "D": cfg.d_bits,
-            "verdict": self.verdict,
-            "diagnosis_count": self.diagnosis_count,
-            "p2p_bits": self.ledger.total("p2p_bits"),
-            "bcast_bits": self.ledger.total("bcast_charged_bits"),
-        }
 
 
 # ---------------------------------------------------------------- engine
@@ -1067,7 +1045,7 @@ def check_complexity(result: ExecutionResult) -> ComplexityReport:
     )
 
 
-# ----------------------------------------------------- scripts and sweeps
+# ---------------------------------------------------------- random cases
 
 
 def random_inputs(
@@ -1140,37 +1118,6 @@ def random_script(
                     ]
                     script.add_broadcast(g, tag, s, BCAST_REPLACE, slots)
     return script
-
-
-@dataclass
-class SweepReport:
-    results: list[ExecutionResult]
-    failures: list[int] = field(default_factory=list)
-
-    @property
-    def rows(self) -> list[dict]:
-        return [r.csv_row() for r in self.results]
-
-    def max_diagnosis_count(self) -> int:
-        return max((r.diagnosis_count for r in self.results), default=0)
-
-    def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
-        return buf.getvalue()
-
-
-def sweep(cases: Iterable[tuple[ExecutionConfig, AdversaryScript]]) -> SweepReport:
-    """Run many independent executions; results keep case order."""
-    results = [run_execution(config, script) for config, script in cases]
-    failures = [i for i, r in enumerate(results) if not r.passed]
-    return SweepReport(results=results, failures=failures)
 
 
 # ---------------------------------------------------------------- replay

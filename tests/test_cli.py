@@ -197,6 +197,52 @@ def test_sweep_writes_summary(tmp_path, capsys):
     assert len(lines) == 9 and lines[0].startswith("seed,algorithm")
 
 
+def test_sweep_collects_rows_and_failures(tmp_path, capsys):
+    assert main([
+        "sweep", "--n", "4", "--t", "1", "--trials", "6", "--l-bits", "72",
+        "--d-bits", "24", "--seed", "0", "--out-dir", str(tmp_path),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "trials=6 failures=0" in out
+    assert int(out.split("max_diagnoses=")[1].split()[0]) <= 3
+    lines = (tmp_path / "summary.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == (
+        "seed,algorithm,n,t,q,L,D,verdict,diagnosis_count,p2p_bits,bcast_bits"
+    )
+    assert len(lines) == 8 and lines[-1] == ""
+    assert [line.split(",")[:7] for line in lines[1:3]] == [
+        [str(seed), "alg1", "4", "1", "", "72", "24"] for seed in (0, 1)
+    ]
+    assert not list(tmp_path.glob("failure_*.json"))
+
+
+def test_sweep_writes_a_replay_file_per_failure(tmp_path, capsys, monkeypatch):
+    # fail every other run: the rows, files and exit code follow
+    run = cli.run_execution
+
+    def every_other_fails(config, script):
+        result = run(config, script)
+        return dataclasses.replace(
+            result, verdict="FAIL" if config.seed % 2 else result.verdict
+        )
+
+    monkeypatch.setattr(cli, "run_execution", every_other_fails)
+    assert main([
+        "sweep", "--n", "4", "--t", "1", "--trials", "4",
+        "--seed", "5", "--out-dir", str(tmp_path),
+    ]) == 1
+    assert "trials=4 failures=2" in capsys.readouterr().out
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[7] for row in rows] == ["FAIL", "PASS"] * 2
+    assert sorted(p.name for p in tmp_path.glob("failure_*.json")) == [
+        "failure_0000.json", "failure_0002.json"
+    ]
+    monkeypatch.undo()
+    case = str(tmp_path / "failure_0002.json")
+    assert main(["replay", case]) == 0
+    assert "verdict=PASS identical=yes" in capsys.readouterr().out
+
+
 def test_sweep_quorum_grid_needs_q(tmp_path):
     assert main([
         "sweep", "--alg", "alg2", "--n", "7", "--t", "2",
@@ -384,15 +430,9 @@ def test_repro_line_reruns_to_the_same_transcript(flags, tmp_path, capsys):
     assert first == second
 
 
-def test_replay_loads_a_case_with_the_retired_option(tmp_path):
-    from codedbft.sim import random_script, serialize_case
-
-    config = build_config({"l_bits": 72, "d_bits": 24, "seed": 12})
-    doc = json.loads(serialize_case(config, random_script(config, 12)))
-    doc["config"]["stop_when_no_match_set"] = True
-    case = tmp_path / "case.json"
-    case.write_text(json.dumps(doc))
-    assert main(["replay", str(case)]) == 0
+def test_replay_refuses_the_retired_option(capsys):
+    assert main(["replay", str(CASES / "retired_config_key.json")]) == 2
+    assert "stop_when_no_match_set" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

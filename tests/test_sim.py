@@ -23,7 +23,6 @@ from codedbft.rs import CodeParams, ParameterError, encode
 from codedbft.sim import (
     ALG1,
     ALG2,
-    CSV_COLUMNS,
     OUTCOME_DECIDED,
     OUTCOME_DIAGNOSED,
     OUTCOME_TERMINATED,
@@ -39,7 +38,6 @@ from codedbft.sim import (
     replay_identical,
     run_execution,
     serialize_case,
-    sweep,
 )
 import wave_oracle
 from golden_corpus import all_cases
@@ -464,7 +462,8 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
         )
     ]
     assert len(cases) == 600
-    sweep(cases)
+    for config, script in cases:
+        run_execution(config, script)
     # every state of the sweep was derived once and is still held
     assert len(derived) == len(sim._PLANS) > 128
     held = sum(_plan_size(plan) for plan in sim._PLANS.values())
@@ -606,20 +605,6 @@ def test_random_adversaries_never_violate(n, t):
         assert result.diagnosis_count <= bound
 
 
-def test_sweep_collects_rows_and_failures():
-    configs = []
-    for seed in range(6):
-        config = fault_free_config(ALG1, 4, 1, None, 72, 24, seed=seed)
-        configs.append((config, random_script(config, seed)))
-    report = sweep(configs)
-    assert len(report.results) == 6
-    assert report.failures == []
-    assert report.max_diagnosis_count() <= 3
-    lines = report.to_csv().strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 7
-
-
 # ----------------------------------------------- checker's impossible states
 
 
@@ -671,10 +656,26 @@ def test_case_round_trip_preserves_everything():
     loaded_config, loaded_script = load_case(serialize_case(config, script))
     assert loaded_config == config
     assert loaded_script.to_jsonable() == script.to_jsonable()
-    # case files written while the config still had this option keep loading
+    # the retired stop_when_no_match_set is refused like any unknown key
     written_before = json.loads(serialize_case(config, script))
     written_before["config"]["stop_when_no_match_set"] = False
-    assert load_case(json.dumps(written_before))[0] == config
+    with pytest.raises(ConfigurationError, match="stop_when_no_match_set"):
+        load_case(json.dumps(written_before))
+
+
+def test_inputs_are_kept_as_lowercase_hex_so_one_value_is_written_once():
+    def config(*inputs):
+        return ExecutionConfig(
+            algorithm=ALG1, n=4, t=1, l_bits=24, d_bits=24, inputs=inputs
+        )
+
+    spelled = config("abcdef", "ABCDEF", "ab cd ef", "AbCdEf")
+    assert spelled.inputs == ("abcdef",) * 4
+    assert spelled == config(*["abcdef"] * 4)
+    result = run_execution(spelled, AdversaryScript())
+    header = result.transcript.of_type("header")[0]
+    assert header["input_values"] == ["abcdef"]
+    assert header["config"]["inputs"] == [0, 0, 0, 0]
 
 
 def test_transcript_header_records_padding_policy():

@@ -7,7 +7,9 @@ three-generation cases with 64-byte symbols, the input styles rotating
 as in `codedbft sweep`. It also holds every crafted adversary of
 `codedbft.scripts` at n=7, t=2 with three one-unit generations, for alg1
 and alg2 at q=3, 4, 5 (29 cases), which reach the diagnosis rules and
-the helper wave that random scripts miss.
+the helper wave that random scripts miss. Two more sweep trials at
+n=7, t=2 (`EXIT_TRIALS`) end an alg2 generation `DEFAULT` after
+diagnosis, the one way out of a generation the cases above never take.
 """
 
 import json
@@ -22,6 +24,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 N, T = 7, 2
 POINTS = ((ALG1, None), (ALG2, 3), (ALG2, 4), (ALG2, 5))
+# (q, trial) of `codedbft sweep --alg alg2 --n 7 --t 2 --q Q` at seed 0: a
+# match set is found, diagnosis runs and the decide set comes back empty
+EXIT_TRIALS = ((5, 10), (4, 115))
 
 
 def scenario_case(name: str) -> tuple:
@@ -68,6 +73,15 @@ def crafted_corpus(algorithm: str, q: int | None) -> dict:
     }
 
 
+def exit_cases() -> dict:
+    """The `EXIT_TRIALS` sweep runs by their golden key: (config, script)."""
+    cases = {}
+    for q, trial in EXIT_TRIALS:
+        config, script = cli.sweep_cases(ALG2, N, T, [q], trial + 1, 0)[trial]
+        cases[case_key(config)] = (config, script)
+    return cases
+
+
 def all_cases() -> dict:
     """Every corpus case by its golden key: (config, script)."""
     cases = {path.name: scenario_case(path.name) for path in SCENARIOS.glob("*.json")}
@@ -75,4 +89,5 @@ def all_cases() -> dict:
         for config, script in corpus_sweeps(algorithm, q):
             cases[case_key(config)] = (config, script)
         cases.update(crafted_corpus(algorithm, q))
+    cases.update(exit_cases())
     return cases

@@ -18,6 +18,15 @@ from pathlib import Path
 import pytest
 
 from codedbft import cli
+from codedbft.consensus import (
+    ALG1,
+    ALG2,
+    OUTCOME_DECIDED,
+    OUTCOME_DEFAULT,
+    OUTCOME_DIAGNOSED,
+    OUTCOME_TERMINATED,
+    RULE_SILENT_MATCH_VECTOR,
+)
 from codedbft.sim import run_execution
 from golden_corpus import (
     POINTS,
@@ -26,6 +35,7 @@ from golden_corpus import (
     case_key,
     corpus_sweeps,
     crafted_corpus,
+    exit_cases,
 )
 from ledger_oracle import resum_ledger
 from transcript_v1 import v2_from_v1
@@ -102,9 +112,47 @@ def test_crafted_transcript_hashes(algorithm, q):
     assert got == {key: GOLDEN["crafted"][key] for key in got}
 
 
+def test_exit_transcript_hashes():
+    got = {
+        key: digest(run_execution(config, script).transcript.to_jsonl().encode())
+        for key, (config, script) in exit_cases().items()
+    }
+    assert got == GOLDEN["exits"]
+
+
+def test_corpus_reaches_every_generation_exit():
+    """Each way a generation ends, as (algorithm, outcome, diagnosed in
+    that generation), plus alg2's silent-match-vector convictions. alg1
+    never terminates undiagnosed: the match set it carries is the last
+    decide set, which holds no processor convicted by then."""
+    seen = set()
+    for config, script in all_cases().values():
+        events = run_execution(config, script).transcript.events
+        diagnosed = {
+            e["g"] for e in events
+            if e["type"] == "BROADCAST" and e["tag"] == "coded"
+        }
+        for e in events:
+            if e["type"] == "DECIDED" or e["type"] == OUTCOME_TERMINATED:
+                kind = e.get("kind", OUTCOME_TERMINATED)
+                seen.add((config.algorithm, kind, e["g"] in diagnosed))
+            elif e.get("rule") == RULE_SILENT_MATCH_VECTOR:
+                seen.add(RULE_SILENT_MATCH_VECTOR)
+    assert seen == {
+        (ALG1, OUTCOME_DECIDED, False),
+        (ALG2, OUTCOME_DECIDED, False),
+        (ALG1, OUTCOME_DIAGNOSED, True),
+        (ALG2, OUTCOME_DIAGNOSED, True),
+        (ALG1, OUTCOME_TERMINATED, True),
+        (ALG2, OUTCOME_DEFAULT, False),
+        (ALG2, OUTCOME_DEFAULT, True),
+        RULE_SILENT_MATCH_VECTOR,
+    }
+
+
 def test_ledgers_resum_from_the_transcript():
     cases = all_cases()
-    assert len(cases) == 84
+    assert len(cases) == 86
     for key, (config, script) in cases.items():
         events = run_execution(config, script).transcript.events
         assert resum_ledger(events) == events[-1]["ledger"], key

@@ -703,7 +703,7 @@ def rendered_lines(events):
 
 def test_templates_render_the_golden_corpus_like_the_encoder():
     cases = all_cases()
-    assert len(cases) == 84
+    assert len(cases) == 86
     for key, (config, script) in cases.items():
         events = run_execution(config, script).transcript.events
         got, want = rendered_lines(events), encoder_lines(events)

@@ -593,6 +593,8 @@ class Execution:
         self.ledger = CostLedger()
         self.transcript = Transcript()
         self.diagnosis_count = 0
+        # each generation's outcome, recorded as it is settled
+        self.outcomes: list[dict] = []
         self.fault_free = [
             p for p in range(1, config.n + 1) if p not in script.faulty
         ]
@@ -760,19 +762,7 @@ class Execution:
             if j not in members:
                 received[j][j - 1] = coded[j][j - 1]
 
-    # -------------------------------------------------- checking + claims
-
-    def _run_checking(
-        self, g: int, members: set[int],
-        coded: dict[int, list], received: dict[int, list],
-    ) -> dict[int, bool | None]:
-        flags: dict[int, bool | None] = {}
-        for p in self.graph.unconvicted():
-            live = detection_flag(
-                self.params, received[p], coded[p], p in members, members
-            )
-            flags[p] = self._broadcast(g, STAGE_CHECKING, TAG_DETECTED, p, live, 1)
-        return flags
+    # ------------------------------------------------------------ claims
 
     def _collect_claims(
         self, g: int, flags: dict[int, bool | None],
@@ -791,36 +781,36 @@ class Execution:
 
     # ------------------------------------------------------- generations
 
-    def _terminated_tail(self, g: int) -> list[dict]:
-        self.transcript.append(OUTCOME_TERMINATED, g=g)
-        return [
-            {"g": h, "kind": OUTCOME_TERMINATED, "value": None, "decide_set": []}
-            for h in range(g, self.config.generations + 1)
-        ]
+    def _run_generations(self) -> None:
+        """Each generation: matching, checking, then decode or diagnose.
 
-    def _run_generations(self) -> list[dict]:
-        """Each generation chooses its match set, then takes the shared step.
-
-        alg1 carries the match set forward (the last decide set, less the
-        convicted) and terminates once it falls below n-t. alg2 first
-        runs the matching stage for everyone, broadcasts match bits and
-        takes the smallest q-clique; without one the generation defaults.
+        With every flag FALSE each fault-free processor decodes its own
+        word; otherwise everyone's claims are diagnosed. The protocols
+        differ in three places. alg1 carries its match set forward (the
+        last decide set, less the convicted) and terminates below n-t;
+        alg2 broadcasts match bits after a full matching stage and takes
+        the smallest q-clique, defaulting without one. alg1 decides among
+        the match set at threshold n-t; alg2 first convicts silent match
+        vectors and decides among everyone at threshold q, counting
+        convicted claims. An empty decide set terminates alg1 and
+        defaults alg2.
         """
         cfg = self.config
+        alg1 = cfg.algorithm == ALG1
         everyone = list(range(1, cfg.n + 1))
-        outcomes: list[dict] = []
+        default = dict.fromkeys(self.fault_free, bytes(cfg.block_bytes))
         p_match: list[int] | None = everyone
         for g in range(1, cfg.generations + 1):
+            coded, received = self._fresh_state(g)
             vectors: dict[int, Sequence[bool] | None] = {}
-            if cfg.algorithm == ALG1:
+            if alg1:
+                # patched runs only: the carried decide set holds no convicted processor
                 p_match = [p for p in p_match if p not in self.graph.convicted]
                 if len(p_match) < cfg.n - cfg.t:
-                    return outcomes + self._terminated_tail(g)
-                coded, received = self._fresh_state(g)
-                plan = _matching_plan(self.graph, p_match)
-                self._send_wave(g, plan.own, coded, received)
+                    return self._terminate(g)
+                own = _matching_plan(self.graph, p_match).own
+                self._send_wave(g, own, coded, received)
             else:
-                coded, received = self._fresh_state(g)
                 plan = _matching_plan(self.graph, everyone)
                 self._send_wave(g, plan.own, coded, received)
                 self._send_wave(g, plan.helper, coded, received)
@@ -832,80 +822,70 @@ class Execution:
                 p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
                 self.transcript.append("MATCH_SET", g=g, members=p_match)
                 if p_match is None:
-                    default = dict.fromkeys(self.fault_free, bytes(cfg.block_bytes))
-                    outcomes.append(self._settle(g, OUTCOME_DEFAULT, default, []))
+                    self._settle(g, OUTCOME_DEFAULT, default)
                     continue
-            outcome = self._generation_step(g, p_match, vectors, coded, received)
-            if outcome is None:
-                return outcomes + self._terminated_tail(g)
-            outcomes.append(outcome)
-            if outcome["decide_set"]:
-                p_match = outcome["decide_set"]
-        return outcomes
+            plan = _matching_plan(self.graph, p_match)
+            self._helper_and_reconstruct(g, p_match, plan, coded, received)
+            members = set(p_match)
+            flags: dict[int, bool | None] = {}
+            for p in self.graph.unconvicted():
+                live = detection_flag(
+                    self.params, received[p], coded[p], p in members, members
+                )
+                flags[p] = self._broadcast(g, STAGE_CHECKING, TAG_DETECTED, p, live, 1)
+            if all(v is False for v in flags.values()):
+                values = {p: self._decode_accepted(received[p]) for p in self.fault_free}
+                self._settle(g, OUTCOME_DECIDED, values)
+                continue
+            self.diagnosis_count += 1
+            if not alg1:
+                for p in list(self.graph.unconvicted()):
+                    if vectors.get(p) is None:
+                        convicted = self.graph.convict(p)
+                        self._graph_events(
+                            g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in convicted]
+                        )
+            claims = self._collect_claims(g, flags, coded, received)
+            result = run_diagnosis(
+                self.params, self.graph, p_match, plan.obligations, claims,
+                p_match if alg1 else everyone,
+                cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
+            )
+            self._graph_events(g, result.events)
+            if result.decide_ids:
+                self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
+                p_match = result.decide_ids
+                values = dict.fromkeys(self.fault_free, result.decide_value)
+                self._settle(g, OUTCOME_DIAGNOSED, values, p_match)
+            elif alg1:
+                return self._terminate(g)
+            else:
+                self._settle(g, OUTCOME_DEFAULT, default)
 
-    def _generation_step(
-        self, g: int, p_match: list[int],
-        vectors: dict[int, Sequence[bool] | None],
-        coded: dict[int, list], received: dict[int, list],
-    ) -> dict | None:
-        """Helper and re-send waves, checking, then decode or diagnose.
-
-        With every flag FALSE each fault-free processor decodes its own
-        word. Otherwise everyone's claims are diagnosed. alg1 decides
-        among the match set at threshold n-t and terminates (None) on an
-        empty decide set. alg2 first convicts silent match vectors,
-        decides among everyone at threshold q counting convicted claims,
-        and defaults on an empty decide set.
-        """
-        cfg = self.config
-        alg1 = cfg.algorithm == ALG1
-        plan = _matching_plan(self.graph, p_match)
-        self._helper_and_reconstruct(g, p_match, plan, coded, received)
-        flags = self._run_checking(g, set(p_match), coded, received)
-        if all(v is False for v in flags.values()):
-            values = {p: self._decode_accepted(received[p]) for p in self.fault_free}
-            return self._settle(g, OUTCOME_DECIDED, values, [])
-        self.diagnosis_count += 1
-        if not alg1:
-            for p in list(self.graph.unconvicted()):
-                if vectors.get(p) is None:
-                    convicted = self.graph.convict(p)
-                    self._graph_events(
-                        g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in convicted]
-                    )
-        claims = self._collect_claims(g, flags, coded, received)
-        result = run_diagnosis(
-            self.params, self.graph, p_match,
-            plan.obligations, claims,
-            p_match if alg1 else list(range(1, cfg.n + 1)),
-            cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
+    def _terminate(self, g: int) -> None:
+        """alg1 stops at `g`; every output becomes the all-zero default."""
+        self.transcript.append(OUTCOME_TERMINATED, g=g)
+        self.outcomes += (
+            {"g": h, "kind": OUTCOME_TERMINATED, "value": None, "decide_set": []}
+            for h in range(g, self.config.generations + 1)
         )
-        self._graph_events(g, result.events)
-        if result.decide_ids:
-            self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
-            kind, value = OUTCOME_DIAGNOSED, result.decide_value
-        elif alg1:
-            return None
-        else:
-            kind, value = OUTCOME_DEFAULT, bytes(cfg.block_bytes)
-        values = dict.fromkeys(self.fault_free, value)
-        return self._settle(g, kind, values, result.decide_ids)
 
     def _settle(
-        self, g: int, kind: str, values: dict[int, bytes], decide_set: list[int]
-    ) -> dict:
+        self, g: int, kind: str, values: dict[int, bytes],
+        decide_set: Sequence[int] = (),
+    ) -> None:
         """Store each fault-free processor's block and record the outcome;
         the event also maps each fault-free processor to its block when
         the blocks differ."""
         for p in self.fault_free:
             self.decided[p].append(values[p])
         value = values[self.fault_free[0]].hex()
-        outcome = {"g": g, "kind": kind, "value": value, "decide_set": decide_set}
+        outcome = {"g": g, "kind": kind, "value": value, "decide_set": list(decide_set)}
+        self.outcomes.append(outcome)
         event = dict(outcome)
         if len({values[p] for p in self.fault_free}) > 1:
             event["values"] = {str(p): values[p].hex() for p in self.fault_free}
         self.transcript.append("DECIDED", **event)
-        return outcome
 
     # ----------------------------------------------------------- driver
 
@@ -922,9 +902,9 @@ class Execution:
             padding="zero-fill-tail",
             generations=cfg.generations,
         )
-        outcomes = self._run_generations()
+        self._run_generations()
         # only alg1 terminates, and then every output is the all-zero default
-        terminated = any(o["kind"] == OUTCOME_TERMINATED for o in outcomes)
+        terminated = any(o["kind"] == OUTCOME_TERMINATED for o in self.outcomes)
         outputs = {
             p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
             for p in self.fault_free
@@ -948,7 +928,7 @@ class Execution:
             verdict=verdict,
             violations=violations,
             outputs=outputs,
-            outcomes=outcomes,
+            outcomes=self.outcomes,
             diagnosis_count=self.diagnosis_count,
             ledger=self.ledger,
             transcript=self.transcript,

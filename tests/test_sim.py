@@ -609,16 +609,17 @@ def test_random_adversaries_never_violate(n, t):
 
 
 def test_undecodable_accepted_word_is_a_violation(monkeypatch):
-    # erase processor 1's received word after every flag came back FALSE
-    run_checking = Execution._run_checking
+    # erase processor 1's received word right after its g1 flag, the first one
+    real, calls = sim.detection_flag, []
 
-    def checking_then_erase(self, g, members, coded, received):
-        flags = run_checking(self, g, members, coded, received)
-        if g == 1:
-            received[1] = [None] * self.config.n
-        return flags
+    def flag_then_erase(params, received, *args):
+        flag = real(params, received, *args)
+        if not calls:
+            received[:] = [None] * len(received)
+        calls.append(flag)
+        return flag
 
-    monkeypatch.setattr(Execution, "_run_checking", checking_then_erase)
+    monkeypatch.setattr(sim, "detection_flag", flag_then_erase)
     result = run_execution(
         fault_free_config(ALG1, 4, 1, None, 72, 24), AdversaryScript()
     )

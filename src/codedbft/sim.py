@@ -369,7 +369,8 @@ class AdversaryScript:
         return payload
 
     def validate_shapes(self, config: ExecutionConfig) -> None:
-        """Fail fast if any rule payload does not fit the configuration."""
+        """Fail fast if a rule's generation, receiver or payload does not
+        fit the configuration."""
         if len(self.faulty) > config.t:
             raise ConfigurationError(
                 f"script declares {len(self.faulty)} faulty, bound is t={config.t}"
@@ -377,7 +378,15 @@ class AdversaryScript:
         for p in self.faulty:
             if not 1 <= p <= config.n:
                 raise ConfigurationError(f"faulty id {p} out of range")
-        sym = config.sym_bytes
+        sym, gens = config.sym_bytes, config.generations
+        for key in [*self._sends, *self._bcasts]:
+            rule = "|".join(map(str, key))
+            if not 1 <= key[0] <= gens:
+                raise ConfigurationError(f"rule {rule}: generation outside 1..{gens}")
+            if len(key) == 4 and (key[3] == key[2] or not 1 <= key[3] <= config.n):
+                raise ConfigurationError(
+                    f"send rule {rule}: receiver is the sender or outside 1..{config.n}"
+                )
         for key, (kind, data) in self._sends.items():
             if kind in (SEND_CORRUPT, SEND_REPLACE) and len(data) != sym:
                 raise ConfigurationError(

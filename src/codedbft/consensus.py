@@ -267,14 +267,17 @@ def run_diagnosis(
         if not is_codeword(params, claims[m].coded):
             convict(m, RULE_NOT_CODEWORD)
 
-    for j in sorted(claims):
-        if j in members or j in graph.convicted:
+    # each non-member's sources, read by rule 3 and by the re-send check below
+    sources = {
+        j: reconstruction_sources(c.received, members, params.k)
+        for j, c in claims.items()
+        if j not in members and c.received is not None
+    }
+    for j in sorted(sources):
+        if j in graph.convicted or sources[j] is None:
             continue
         c = claims[j]
-        sources = reconstruction_sources(c.received, members, params.k)
-        if sources is None:
-            continue
-        expected = reconstruct_position(params, c.received, j, sources)
+        expected = reconstruct_position(params, c.received, j, sources[j])
         if c.coded[j - 1] != expected:
             convict(j, RULE_RECONSTRUCTION)
 
@@ -289,13 +292,7 @@ def run_diagnosis(
     # to skip the re-send wave; receivers then keep the first-wave
     # value for that slot, which the own-step obligation already
     # polices, so the re-send obligation yields no new evidence
-    resend_silent = {
-        j
-        for j, c in claims.items()
-        if j not in members
-        and c.received is not None
-        and reconstruction_sources(c.received, members, params.k) is None
-    }
+    resend_silent = {j for j, found in sources.items() if found is None}
     for ob in obligations:
         if ob.sender in graph.convicted or ob.receiver in graph.convicted:
             continue

@@ -369,24 +369,21 @@ class AdversaryScript:
         return payload
 
     def validate_shapes(self, config: ExecutionConfig) -> None:
-        """Fail fast if a rule's generation, receiver or payload does not
-        fit the configuration."""
+        """Fail fast if any rule does not fit the configuration."""
         if len(self.faulty) > config.t:
             raise ConfigurationError(
                 f"script declares {len(self.faulty)} faulty, bound is t={config.t}"
             )
+        n, sym, gens = config.n, config.sym_bytes, config.generations
         for p in self.faulty:
-            if not 1 <= p <= config.n:
+            if not 1 <= p <= n:
                 raise ConfigurationError(f"faulty id {p} out of range")
-        sym, gens = config.sym_bytes, config.generations
         for key in [*self._sends, *self._bcasts]:
             rule = "|".join(map(str, key))
             if not 1 <= key[0] <= gens:
                 raise ConfigurationError(f"rule {rule}: generation outside 1..{gens}")
-            if len(key) == 4 and (key[3] == key[2] or not 1 <= key[3] <= config.n):
-                raise ConfigurationError(
-                    f"send rule {rule}: receiver is the sender or outside 1..{config.n}"
-                )
+            if len(key) == 4 and (key[3] == key[2] or not 1 <= key[3] <= n):
+                raise ConfigurationError(f"send rule {rule}: receiver not a peer in 1..{n}")
         for key, (kind, data) in self._sends.items():
             if kind in (SEND_CORRUPT, SEND_REPLACE) and len(data) != sym:
                 raise ConfigurationError(
@@ -395,13 +392,11 @@ class AdversaryScript:
         for (g, tag, s), (kind, payload) in self._bcasts.items():
             if kind != BCAST_REPLACE:
                 continue
-            if tag == TAG_MATCH_BITS and len(payload) != config.n:
-                raise ConfigurationError(
-                    f"match_bits rule for {s} at g{g} needs {config.n} bits"
-                )
+            if tag == TAG_MATCH_BITS and len(payload) != n:
+                raise ConfigurationError(f"match_bits rule for {s} at g{g} needs {n} bits")
             if tag in (TAG_CODED, TAG_RECEIVED):
                 try:
-                    parse_word(config.n, sym, payload)
+                    parse_word(n, sym, payload)
                 except (ParameterError, ValueError) as exc:
                     raise ConfigurationError(
                         f"vector rule for {s} at g{g} does not fit: {exc}"

@@ -299,9 +299,9 @@ def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
     ({"expected": {"diagnosis_count": "one"}}, "diagnosis_count must be an integer"),
     # rules that can never fire: n4.json runs 34 generations of 4 processors
     ({"script": {"faulty": [4], "sends": {"1|own|4|5": {"kind": "silent"}}}},
-     "send rule 1|own|4|5: receiver is the sender or outside 1..4"),
+     "send rule 1|own|4|5: receiver not a peer in 1..4"),
     ({"script": {"faulty": [4], "sends": {"9|own|4|4": {"kind": "silent"}}}},
-     "send rule 9|own|4|4: receiver is the sender"),
+     "send rule 9|own|4|4: receiver not a peer"),
     ({"script": {"faulty": [4], "sends": {"0|helper|4|1": {"kind": "silent"}}}},
      "rule 0|helper|4|1: generation outside 1..34"),
     ({"script": {"faulty": [4], "broadcasts": {"35|detected|4": {"kind": "silent"}}}},

@@ -812,8 +812,8 @@ class Execution:
                 p_match = [p for p in p_match if p not in self.graph.convicted]
                 if len(p_match) < cfg.n - cfg.t:
                     return self._terminate(g)
-                own = _matching_plan(self.graph, p_match).own
-                self._send_wave(g, own, coded, received)
+                plan = _matching_plan(self.graph, p_match)
+                self._send_wave(g, plan.own, coded, received)
             else:
                 plan = _matching_plan(self.graph, everyone)
                 self._send_wave(g, plan.own, coded, received)

@@ -133,7 +133,7 @@ def test_corpus_reaches_every_generation_exit():
             if e["type"] == "BROADCAST" and e["tag"] == "coded"
         }
         for e in events:
-            if e["type"] == "DECIDED" or e["type"] == OUTCOME_TERMINATED:
+            if e["type"] in ("DECIDED", OUTCOME_TERMINATED):
                 kind = e.get("kind", OUTCOME_TERMINATED)
                 seen.add((config.algorithm, kind, e["g"] in diagnosed))
             elif e.get("rule") == RULE_SILENT_MATCH_VECTOR:

@@ -39,10 +39,10 @@ from .sim import (
     serialize_case,
 )
 
-# every config field but the inputs: its flag or --override alias, and its
-# default on the command line (d_bits=None is sized by choose_d); a field
-# without a flag in the parser is set by --override alone
-_FIELDS: dict[str, tuple[str, Any]] = {
+# every config field but the inputs: its flag and its default on the
+# command line (d_bits=None is sized by choose_d); broadcast_coefficient
+# has no flag, so only scenario files set it
+_FIELDS: dict[str, tuple[str | None, Any]] = {
     "algorithm": ("alg", ALG1),
     "n": ("n", 4),
     "t": ("t", 1),
@@ -50,9 +50,7 @@ _FIELDS: dict[str, tuple[str, Any]] = {
     "l_bits": ("l-bits", 2400),
     "d_bits": ("d-bits", None),
     "seed": ("seed", ExecutionConfig.seed),
-    "broadcast_coefficient": (
-        "broadcast-coefficient", ExecutionConfig.broadcast_coefficient
-    ),
+    "broadcast_coefficient": (None, ExecutionConfig.broadcast_coefficient),
 }
 
 # the top-level keys of a scenario file, and the keys of its `expected` block
@@ -101,30 +99,17 @@ def _coerce(key: str, value: Any) -> Any:
     raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
-def _flag_value(args: argparse.Namespace, flag: str) -> Any:
-    return getattr(args, flag.replace("-", "_"), None)
-
-
-def parse_override(text: str) -> tuple[str, Any]:
-    """One KEY=VALUE pair from --override."""
-    key, sep, value = text.partition("=")
-    if not sep or not key:
-        raise ConfigurationError(f"override {text!r} is not KEY=VALUE")
-    key = next((name for name, (flag, _) in _FIELDS.items() if flag == key), key)
-    if key not in _FIELDS:
-        raise ConfigurationError(f"unknown override key {key!r}")
-    if key == "q" and value.lower() in ("none", ""):
-        return key, None
-    return key, _coerce(key, value)
+def _flag_value(args: argparse.Namespace, flag: str | None) -> Any:
+    return getattr(args, flag.replace("-", "_"), None) if flag else None
 
 
 def flag_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    """Config fields taken from dedicated flags plus --override pairs."""
-    merged = dict(map(parse_override, getattr(args, "override", None) or []))
-    for name, (flag, _) in _FIELDS.items():
-        if (value := _flag_value(args, flag)) is not None:
-            merged[name] = value
-    return merged
+    """Config fields given as flags."""
+    return {
+        name: value
+        for name, (flag, _) in _FIELDS.items()
+        if (value := _flag_value(args, flag)) is not None
+    }
 
 
 def generate_inputs(layout: Any, n: int, l_bits: int, seed: int) -> tuple[str, ...]:
@@ -163,7 +148,7 @@ def sweep_layout(style: int, n: int, t: int, q: int | None) -> dict:
 
 
 def build_config(data: dict) -> ExecutionConfig:
-    """Scenario dictionary (after overrides) to a validated config."""
+    """Scenario dictionary (after flags) to a validated config."""
     fields = {
         name: default if data.get(name) is None else _coerce(name, data[name])
         for name, (_, default) in _FIELDS.items()
@@ -229,7 +214,6 @@ def _repro_line(args: argparse.Namespace, config: ExecutionConfig) -> str:
     """Scenario and seed, then every config and adversary flag given."""
     scenario = shlex.quote(args.scenario or "-")
     words = [f"repro: scenario={scenario} seed={config.seed}"]
-    words += [f"--override {shlex.quote(text)}" for text in args.override or []]
     for flag in (*(flag for flag, _ in _FIELDS.values()), "faulty", "script"):
         if (value := _flag_value(args, flag)) is not None:
             words.append(f"--{flag} {shlex.quote(str(value))}")
@@ -427,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", nargs="?", help="scenario JSON file")
     _add_config_flags(run_p)
     run_p.add_argument("--q", type=int, help="match quorum size (alg2)")
-    run_p.add_argument("--override", action="append", metavar="KEY=VALUE",
-                       help="set one config field (repeatable)")
     run_p.add_argument("--faulty", help="comma separated faulty ids (no script)")
     run_p.add_argument("--script", help="adversary script JSON file")
     run_p.add_argument("--out-dir", default="out", dest="out_dir",

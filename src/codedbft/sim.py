@@ -2,11 +2,11 @@
 
 One execution runs one configuration against one adversary script:
 lockstep rounds deliver exactly the obligated messages, the script may
-corrupt or withhold anything a faulty processor sends, every delivered
-bit is charged to a cost ledger, and every observable event lands in a
-canonical JSON-lines transcript. At the end `check.judge` lists any
-violations of the agreement properties, and the transcript's verdict
-records them instead of raising, so that failing adversarial runs stay
+corrupt or withhold anything a faulty processor sends, and every
+observable event lands in a canonical JSON-lines transcript. At the end
+`check.judge` lists any violations of the agreement properties, the cost
+ledger is summed from the transcript's traffic events, and the
+transcript's verdict records both, so that failing adversarial runs stay
 inspectable and replayable.
 """
 
@@ -57,11 +57,6 @@ from .rs import (
     reconstruct_position,
     word_hex,
 )
-
-STAGE_MATCHING = "matching"
-STAGE_CHECKING = "checking"
-STAGE_DIAGNOSIS = "diagnosis"
-
 
 class _Wave(NamedTuple):
     """One step's obligations in plan order, and the record prefix
@@ -379,7 +374,7 @@ class AdversaryScript:
             if not 1 <= p <= n:
                 raise ConfigurationError(f"faulty id {p} out of range")
         for key in [*self._sends, *self._bcasts]:
-            rule = "|".join(map(str, key))
+            rule = _rule_text(key)
             if not 1 <= key[0] <= gens:
                 raise ConfigurationError(f"rule {rule}: generation outside 1..{gens}")
             if len(key) == 4 and (key[3] == key[2] or not 1 <= key[3] <= n):
@@ -387,7 +382,7 @@ class AdversaryScript:
         for key, (kind, data) in self._sends.items():
             if kind in (SEND_CORRUPT, SEND_REPLACE) and len(data) != sym:
                 raise ConfigurationError(
-                    f"send rule {key} carries {len(data)} bytes, need {sym}"
+                    f"send rule {_rule_text(key)} carries {len(data)} bytes, need {sym}"
                 )
         for (g, tag, s), (kind, payload) in self._bcasts.items():
             if kind != BCAST_REPLACE:
@@ -403,86 +398,114 @@ class AdversaryScript:
                     ) from exc
 
     def to_jsonable(self) -> dict:
-        sends = {}
-        for (g, step, s, r), (kind, data) in sorted(self._sends.items()):
-            sends[f"{g}|{step}|{s}|{r}"] = {
-                "kind": kind,
-                "data": None if data is None else data.hex(),
-            }
-        bcasts = {}
-        for (g, tag, s), (kind, payload) in sorted(self._bcasts.items()):
-            bcasts[f"{g}|{tag}|{s}"] = {"kind": kind, "payload": payload}
+        sends = {
+            _rule_text(key): {"kind": kind, "data": None if data is None else data.hex()}
+            for key, (kind, data) in sorted(self._sends.items())
+        }
+        bcasts = {
+            _rule_text(key): {"kind": kind, "payload": payload}
+            for key, (kind, payload) in sorted(self._bcasts.items())
+        }
         return {"faulty": sorted(self.faulty), "sends": sends, "broadcasts": bcasts}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "AdversaryScript":
         require_known_keys("script", data, ("faulty", "sends", "broadcasts"))
         script = cls(data.get("faulty", ()))
-        sends = _require_object("sends", data.get("sends", {}))
-        bcasts = _require_object("broadcasts", data.get("broadcasts", {}))
-        for key, rule in sends.items():
-            g, step, s, r = key.split("|")
-            raw = _require_object(f"send rule {key}", rule).get("data")
-            script.add_send(
-                int(g), step, int(s), int(r), rule["kind"],
-                None if raw is None else bytes.fromhex(raw),
-            )
-        for key, rule in bcasts.items():
-            g, tag, s = key.split("|")
-            payload = _require_object(f"broadcast rule {key}", rule).get("payload")
-            script.add_broadcast(int(g), tag, int(s), rule["kind"], payload)
+        for table, what, form, value_key, add in (
+            ("sends", "send rule", "g|step|sender|receiver", "data", script.add_send),
+            ("broadcasts", "broadcast rule", "g|tag|sender", "payload",
+             script.add_broadcast),
+        ):
+            for key, rule in _require_object(table, data.get(table, {})).items():
+                name = f"{what} {key}"
+                require_known_keys(name, rule, ("kind", value_key))
+                if "kind" not in rule:
+                    raise ConfigurationError(f"{name} has no kind")
+                try:
+                    # every part but the step or tag is an integer
+                    parts = [p if i == 1 else int(p) for i, p in enumerate(key.split("|"))]
+                except ValueError:
+                    parts = []
+                # written as to_jsonable writes it, so no two keys name one rule
+                if len(parts) != form.count("|") + 1 or _rule_text(parts) != key:
+                    raise ConfigurationError(f"{name} is not of the form {form}")
+                value = rule.get(value_key)
+                try:
+                    if value_key == "data" and value is not None:
+                        value = bytes.fromhex(value)
+                    add(*parts, rule["kind"], value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(f"{name}: {exc}") from exc
         return script
+
+
+def _rule_text(key: tuple) -> str:
+    """A rule's key as scripts write it: g|step|sender|receiver or g|tag|sender."""
+    return "|".join(map(str, key))
 
 
 # --------------------------------------------------------------- ledger
 
 
+# the stage each broadcast tag is charged to; every point-to-point symbol
+# is matching-stage data
+_STAGE_OF_TAG = {
+    TAG_MATCH_BITS: "matching",
+    TAG_DETECTED: "checking",
+    TAG_CODED: "diagnosis",
+    TAG_RECEIVED: "diagnosis",
+}
+
+
 class CostLedger:
-    """Bit and symbol counts per (generation, stage)."""
+    """Bit and symbol counts per (generation, stage), summed from the
+    traffic events of a finished run: nothing is charged during it.
+
+    Each `WAVE` is `count` matching-stage symbols of 8 x sym_bytes bits
+    and each faulty `SYMBOL_SENT` one. Each `BROADCAST` charges its
+    `payload_bits` x `broadcast_coefficient` x n^2 transport bits to the
+    stage of its tag, the scale at which bit-by-bit error-free broadcast
+    constructions run; a silent one still opens its cell, at zero bits.
+    So any transcript, read back from its text, sums to its `VERDICT`
+    ledger.
+    """
 
     FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
 
-    def __init__(self) -> None:
-        self._cells: dict[tuple[int, str], dict[str, int]] = {}
-
-    def _cell(self, generation: int, stage: str) -> dict[str, int]:
-        key = (generation, stage)
-        if key not in self._cells:
-            self._cells[key] = {f: 0 for f in self.FIELDS}
-        return self._cells[key]
-
-    def add_symbols(
-        self, generation: int, stage: str, count: int, symbol_bits: int
-    ) -> None:
-        cell = self._cell(generation, stage)
-        cell["p2p_symbols"] += count
-        cell["p2p_bits"] += count * symbol_bits
-
-    def add_broadcast(
-        self, generation: int, stage: str, payload_bits: int, charged_bits: int
-    ) -> None:
-        cell = self._cell(generation, stage)
-        cell["bcast_payload_bits"] += payload_bits
-        cell["bcast_charged_bits"] += charged_bits
+    def __init__(self, config: ExecutionConfig, events: Iterable[dict]) -> None:
+        symbols: dict[tuple[int, str], int] = {}
+        payload_bits: dict[tuple[int, str], int] = {}
+        for event in events:
+            kind = event["type"]
+            if kind == "BROADCAST":
+                key = (event["g"], _STAGE_OF_TAG[event["tag"]])
+                payload_bits[key] = payload_bits.get(key, 0) + event["payload_bits"]
+            elif kind == "WAVE" or kind == "SYMBOL_SENT":
+                key = (event["g"], "matching")
+                symbols[key] = symbols.get(key, 0) + event.get("count", 1)
+        symbol_bits = 8 * config.sym_bytes
+        scale = config.broadcast_coefficient * config.n * config.n
+        # each cell holds FIELDS in order; both bit fields scale its counts
+        self._cells: dict[tuple[int, str], tuple[int, ...]] = {}
+        for key in symbols.keys() | payload_bits.keys():
+            sent, bits = symbols.get(key, 0), payload_bits.get(key, 0)
+            self._cells[key] = (sent, sent * symbol_bits, bits, bits * scale)
 
     def total(self, fieldname: str) -> int:
-        return sum(cell[fieldname] for cell in self._cells.values())
+        i = self.FIELDS.index(fieldname)
+        return sum(cell[i] for cell in self._cells.values())
 
-    def stage_total(self, stage: str, fieldname: str) -> int:
-        return sum(
-            cell[fieldname] for (_, s), cell in self._cells.items() if s == stage
-        )
-
-    def per_generation(self, stage: str, fieldname: str) -> dict[int, int]:
+    def per_generation(self, fieldname: str) -> dict[int, int]:
+        i = self.FIELDS.index(fieldname)
         out: dict[int, int] = {}
-        for (g, s), cell in self._cells.items():
-            if s == stage:
-                out[g] = out.get(g, 0) + cell[fieldname]
-        return dict(sorted(out.items()))
+        for (g, _), cell in sorted(self._cells.items()):
+            out[g] = out.get(g, 0) + cell[i]
+        return out
 
     def to_jsonable(self) -> dict:
         return {
-            f"{g}:{stage}": dict(cell)
+            f"{g}:{stage}": dict(zip(self.FIELDS, cell))
             for (g, stage), cell in sorted(self._cells.items())
         }
 
@@ -594,7 +617,6 @@ class Execution:
         self.script = script
         self.params = config.code_params()
         self.graph = TrustGraph(config.n, config.t)
-        self.ledger = CostLedger()
         self.transcript = Transcript()
         self.diagnosis_count = 0
         # each generation's outcome, recorded as it is settled
@@ -630,14 +652,13 @@ class Execution:
         honest sender's slot is copied slot to slot and recorded in one
         `WAVE` event after the faulty ones: the count of honest symbols
         and the SHA-256 of their records `bytes((sender, receiver, slot))
-        + value` in plan order. The ledger is charged once per wave."""
+        + value` in plan order."""
         if not wave.obligations:
             return
         script, faulty, step = self.script, self.script.faulty, wave.step
         sym = self.params.sym_bytes
         events = self.transcript.events
         records: list[bytes] = []
-        faulty_sent = 0
         for (sender, receiver, slot, _), prefix in zip(wave.obligations, wave.prefixes):
             if sender in faulty:
                 value = script.send(
@@ -651,7 +672,6 @@ class Execution:
                         f"macro-symbol must be {sym} bytes, got {len(value)}"
                     )
                 received[receiver][slot - 1] = value
-                faulty_sent += 1
                 events.append({
                     "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
                     "receiver": receiver, "slot": slot, "value": value.hex(),
@@ -665,11 +685,9 @@ class Execution:
                 "type": "WAVE", "g": g, "step": step, "count": honest_sent,
                 "sha256": sha256(b"".join(records)).hexdigest(),
             })
-        if sent := faulty_sent + honest_sent:
-            self.ledger.add_symbols(g, STAGE_MATCHING, sent, 8 * sym)
 
     def _broadcast(
-        self, g: int, stage: str, tag: str, sender: int,
+        self, g: int, tag: str, sender: int,
         honest_payload: Any, honest_bits: int,
     ) -> Any:
         """Broadcast with script override; returns the observed payload.
@@ -678,18 +696,13 @@ class Execution:
         every processor observes the identical payload, and the sender
         cannot be forged. One transcript event is what everyone observes,
         so the script may pick a faulty sender's payload or withhold it,
-        but never split it. What is left to model is cost: each payload
-        bit is charged `broadcast_coefficient` x n^2 transport bits, the
-        scale at which bit-by-bit error-free broadcast constructions run.
+        but never split it. What is left to model is cost, which
+        `CostLedger` reads from the event's `payload_bits`.
         """
         payload = honest_payload
         if sender in self.script.faulty:
             payload = self.script.broadcast(g, tag, sender, honest_payload)
         bits = 0 if payload is None else honest_bits
-        n = self.config.n
-        self.ledger.add_broadcast(
-            g, stage, bits, bits * self.config.broadcast_coefficient * n * n
-        )
         self.transcript.events.append({
             "type": "BROADCAST", "g": g, "tag": tag, "sender": sender,
             "payload": _jsonable_payload(tag, payload), "payload_bits": bits,
@@ -774,11 +787,9 @@ class Execution:
     ) -> dict[int, Claims]:
         claims: dict[int, Claims] = {}
         for p in self.graph.unconvicted():
-            coded_obs = self._broadcast(
-                g, STAGE_DIAGNOSIS, TAG_CODED, p, coded[p], _word_bits(coded[p])
-            )
+            coded_obs = self._broadcast(g, TAG_CODED, p, coded[p], _word_bits(coded[p]))
             received_obs = self._broadcast(
-                g, STAGE_DIAGNOSIS, TAG_RECEIVED, p, received[p], _word_bits(received[p])
+                g, TAG_RECEIVED, p, received[p], _word_bits(received[p])
             )
             claims[p] = Claims(flags.get(p), coded_obs, received_obs)
         return claims
@@ -820,9 +831,7 @@ class Execution:
                 self._send_wave(g, plan.helper, coded, received)
                 for p in self.graph.unconvicted():
                     live = compute_match_bits(received[p], coded[p])
-                    vectors[p] = self._broadcast(
-                        g, STAGE_MATCHING, TAG_MATCH_BITS, p, live, cfg.n
-                    )
+                    vectors[p] = self._broadcast(g, TAG_MATCH_BITS, p, live, cfg.n)
                 p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
                 self.transcript.append("MATCH_SET", g=g, members=p_match)
                 if p_match is None:
@@ -836,7 +845,7 @@ class Execution:
                 live = detection_flag(
                     self.params, received[p], coded[p], p in members, members
                 )
-                flags[p] = self._broadcast(g, STAGE_CHECKING, TAG_DETECTED, p, live, 1)
+                flags[p] = self._broadcast(g, TAG_DETECTED, p, live, 1)
             if all(v is False for v in flags.values()):
                 values = {p: self._decode_accepted(received[p]) for p in self.fault_free}
                 self._settle(g, OUTCOME_DECIDED, values)
@@ -914,6 +923,7 @@ class Execution:
             for p in self.fault_free
         }
         violations = judge(cfg, self.script.faulty, self.transcript.events, outputs)
+        ledger = CostLedger(cfg, self.transcript.events)
         verdict = "PASS" if not violations else "VERDICT_FAIL"
         holders = sorted(outputs)
         indices, output_values = _distinct_values(outputs[p] for p in holders)
@@ -924,7 +934,7 @@ class Execution:
             outputs=dict(zip(map(str, holders), indices)),
             output_values=[v.hex() for v in output_values],
             diagnosis_count=self.diagnosis_count,
-            ledger=self.ledger.to_jsonable(),
+            ledger=ledger.to_jsonable(),
             graph=self.graph.to_jsonable(),
         )
         return ExecutionResult(
@@ -934,7 +944,7 @@ class Execution:
             outputs=outputs,
             outcomes=self.outcomes,
             diagnosis_count=self.diagnosis_count,
-            ledger=self.ledger,
+            ledger=ledger,
             transcript=self.transcript,
             graph=self.graph,
         )
@@ -1013,17 +1023,11 @@ def check_complexity(result: ExecutionResult) -> ComplexityReport:
     else:
         formula = (2 * cfg.n - cfg.q) * (cfg.n - 1) * padded_l // cfg.q
         bound = (2 * cfg.n - cfg.q) * (cfg.n - 1)
-        per_gen = result.ledger.per_generation(STAGE_MATCHING, "p2p_symbols")
-    data_bits = result.ledger.stage_total(STAGE_MATCHING, "p2p_bits")
-    overhead = (
-        result.ledger.total("bcast_charged_bits")
-        + result.ledger.total("p2p_bits")
-        - data_bits
-    )
+        per_gen = result.ledger.per_generation("p2p_symbols")
     return ComplexityReport(
-        data_bits=data_bits,
+        data_bits=result.ledger.total("p2p_bits"),
         data_formula_bits=formula,
-        overhead_bits=overhead,
+        overhead_bits=result.ledger.total("bcast_charged_bits"),
         alg2_symbols_per_generation=per_gen,
         alg2_symbol_bound=bound,
     )

@@ -1,4 +1,4 @@
-"""Command line behaviour: block sizing, overrides, exit codes, files."""
+"""Command line behaviour: block sizing, flags, exit codes, files."""
 
 import dataclasses
 import json
@@ -18,7 +18,6 @@ from codedbft.cli import (
     choose_d,
     generate_inputs,
     main,
-    parse_override,
 )
 from codedbft.diagnosis import ConfigurationError
 from codedbft.sim import ExecutionConfig
@@ -64,16 +63,6 @@ def test_choose_d_is_aligned_and_balanced(blocks, shape):
 
 
 # ----------------------------------------------------- scenario plumbing
-
-
-def test_parse_override_accepts_aliases():
-    assert parse_override("t=2") == ("t", 2)
-    assert parse_override("alg=alg2") == ("algorithm", "alg2")
-    assert parse_override("l-bits=480") == ("l_bits", 480)
-    assert parse_override("q=none") == ("q", None)
-    for bad in ("t", "=3", "mystery=1"):
-        with pytest.raises(ConfigurationError):
-            parse_override(bad)
 
 
 def test_generate_inputs_layouts():
@@ -142,18 +131,10 @@ def test_run_scenario_writes_outputs(tmp_path, capsys):
 
 def test_run_rejects_inconsistent_override(tmp_path, capsys):
     code = main([
-        "run", "scenarios/n4.json", "--override", "t=2",
-        "--out-dir", str(tmp_path),
+        "run", "scenarios/n4.json", "--t", "2", "--out-dir", str(tmp_path),
     ])
     assert code == 2
     assert "n >= 3t+1" in capsys.readouterr().err
-
-
-def test_run_rejects_unknown_override(tmp_path):
-    assert main([
-        "run", "scenarios/n4.json", "--override", "bogus=1",
-        "--out-dir", str(tmp_path),
-    ]) == 2
 
 
 def test_run_rejects_missing_scenario(tmp_path):
@@ -306,6 +287,38 @@ def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
      "rule 0|helper|4|1: generation outside 1..34"),
     ({"script": {"faulty": [4], "broadcasts": {"35|detected|4": {"kind": "silent"}}}},
      "rule 35|detected|4: generation outside 1..34"),
+    # a rule key of the wrong form, a rule object with a wrong or missing
+    # key, and a rule the script refuses: every message names its rule
+    ({"script": {"faulty": [4], "sends": {"1|own|4": {"kind": "silent"}}}},
+     "send rule 1|own|4 is not of the form g|step|sender|receiver"),
+    ({"script": {"faulty": [4], "sends": {"x|own|4|1": {"kind": "silent"}}}},
+     "send rule x|own|4|1 is not of the form g|step|sender|receiver"),
+    ({"script": {"faulty": [4], "broadcasts": {"1|detected|4|1": {"kind": "silent"}}}},
+     "broadcast rule 1|detected|4|1 is not of the form g|tag|sender"),
+    ({"script": {"faulty": [4], "broadcasts": {"1|detected|four": {"kind": "silent"}}}},
+     "broadcast rule 1|detected|four is not of the form g|tag|sender"),
+    ({"script": {"faulty": [4], "sends": {"1|own|4|1": {"kind": "silent", "dta": "ff"}}}},
+     "unknown send rule 1|own|4|1 keys ['dta']"),
+    ({"script": {"faulty": [4], "sends": {"1|own|4|1": {"data": "ff"}}}},
+     "send rule 1|own|4|1 has no kind"),
+    ({"script": {"faulty": [4], "sends": {"1|own|4|1": {"kind": "mute"}}}},
+     "send rule 1|own|4|1: unknown send action 'mute'"),
+    ({"script": {"faulty": [4], "sends": {
+        "1|own|4|1": {"kind": "replace", "data": "zz"}}}},
+     "send rule 1|own|4|1: non-hexadecimal number"),
+    ({"script": {"faulty": [4], "broadcasts": {
+        "1|detected|4": {"kind": "silent", "paylod": True}}}},
+     "unknown broadcast rule 1|detected|4 keys ['paylod']"),
+    ({"script": {"faulty": [4], "broadcasts": {"1|detected|4": {}}}},
+     "broadcast rule 1|detected|4 has no kind"),
+    ({"script": {"faulty": [4], "broadcasts": {"1|flag|4": {"kind": "silent"}}}},
+     "broadcast rule 1|flag|4: unknown broadcast tag 'flag'"),
+    ({"script": {"faulty": [4], "sends": {"1|own|3|1": {"kind": "silent"}}}},
+     "send rule 1|own|3|1: processor 3 is not in the faulty set"),
+    # "01" would silently replace the rule "1|own|4|1" of the same script
+    ({"script": {"faulty": [4], "sends": {
+        "1|own|4|1": {"kind": "replace", "data": "aa"}, "01|own|4|1": {"kind": "silent"}}}},
+     "send rule 01|own|4|1 is not of the form g|step|sender|receiver"),
 ])
 def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys):
     scenario = tmp_path / "s.json"
@@ -327,6 +340,14 @@ def test_run_refuses_a_malformed_expected_block_before_the_run(tmp_path, capsys)
 def test_replay_refuses_a_rule_that_is_not_an_object(capsys):
     assert main(["replay", str(CASES / "script_rule_not_an_object.json")]) == 2
     assert "send rule 1|own|4|1 must be a JSON object" in capsys.readouterr().err
+
+
+def test_run_refuses_a_send_rule_key_of_three_parts(tmp_path, capsys):
+    case = CASES / "script_rule_key_short.json"
+    assert main(["run", str(case), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "send rule 1|own|4 is not of the form g|step|sender|receiver" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_replay_round_trips_a_case(tmp_path):
@@ -413,7 +434,7 @@ def test_run_refuses_faulty_next_to_a_script_or_crafted_case(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--alg", "alg2", "--n", "7", "--t", "2", "--q", "5", "--l-bits", "840",
      "--faulty", "7"],
-    [str(SCENARIOS / "n4.json"), "--override", "seed=5", "--d-bits", "48",
+    [str(SCENARIOS / "n4.json"), "--seed", "5", "--d-bits", "48",
      "--script", "{script}"],
 ])
 def test_repro_line_reruns_to_the_same_transcript(flags, tmp_path, capsys):

@@ -27,7 +27,7 @@ from codedbft.consensus import (
     OUTCOME_TERMINATED,
     RULE_SILENT_MATCH_VECTOR,
 )
-from codedbft.sim import run_execution
+from codedbft.sim import CostLedger, ExecutionConfig, run_execution
 from golden_corpus import (
     POINTS,
     SCENARIOS,
@@ -156,6 +156,20 @@ def test_ledgers_resum_from_the_transcript():
     for key, (config, script) in cases.items():
         events = run_execution(config, script).transcript.events
         assert resum_ledger(events) == events[-1]["ledger"], key
+
+
+def test_ledger_sums_again_from_a_transcript_read_back_from_its_text():
+    """The config rebuilt from the header and the ledger summed from the
+    parsed lines; the case's silent broadcasts charge zero bits."""
+    config, script = all_cases()["alg1-qNone-total-silence"]
+    result = run_execution(config, script)
+    events = [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
+    assert any(e["type"] == "BROADCAST" and e["payload_bits"] == 0 for e in events)
+    header = events[0]
+    inputs = [header["input_values"][i] for i in header["config"]["inputs"]]
+    read = ExecutionConfig.from_jsonable({**header["config"], "inputs": inputs})
+    ledger = CostLedger(read, events).to_jsonable()
+    assert ledger == events[-1]["ledger"] == result.ledger.to_jsonable()
 
 
 def test_v1_fixtures_fold_into_todays_transcripts():

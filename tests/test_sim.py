@@ -103,7 +103,8 @@ def test_validate_shapes_checks_payload_sizes():
         too_many.validate_shapes(config)
     wrong_size = AdversaryScript([4])
     wrong_size.add_send(1, STEP_OWN, 4, 1, "corrupt", b"\xff\x00")
-    with pytest.raises(ConfigurationError):
+    message = r"^send rule 1\|own\|4\|1 carries 2 bytes, need 1$"
+    with pytest.raises(ConfigurationError, match=message):
         wrong_size.validate_shapes(config)  # sym_bytes is 1 here
     for tag in ("coded", "received"):
         for slots in (["00"] * 3, ["00"] * 3 + ["0000"], ["00"] * 3 + [""]):

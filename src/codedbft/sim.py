@@ -17,7 +17,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -59,12 +59,14 @@ from .rs import (
 )
 
 class _Wave(NamedTuple):
-    """One step's obligations in plan order, and the record prefix
-    `bytes((sender, receiver, slot))` of each for the `WAVE` digest."""
+    """One step's obligations in plan order, grouped into runs: maximal
+    stretches with one (sender, slot), each held as (sender, slot, its
+    receivers, the record prefix `bytes((sender, receiver, slot))` of
+    each receiver for the `WAVE` digest)."""
 
     step: str
     obligations: tuple[SendObligation, ...]
-    prefixes: tuple[bytes, ...]
+    runs: tuple[tuple[int, int, tuple[int, ...], tuple[bytes, ...]], ...]
 
 
 class _MatchingPlan(NamedTuple):
@@ -107,7 +109,11 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
     waves = []
     for step in _STEPS:
         wave = tuple(ob for ob in obligations if ob.step == step)
-        waves.append(_Wave(step, wave, tuple(bytes(ob[:3]) for ob in wave)))
+        runs = []
+        for (s, k), run in groupby(wave, lambda ob: (ob.sender, ob.slot)):
+            receivers = tuple(ob.receiver for ob in run)
+            runs.append((s, k, receivers, tuple(bytes((s, r, k)) for r in receivers)))
+        waves.append(_Wave(step, wave, tuple(runs)))
     plan = _MatchingPlan(*waves, tuple(local_helper_copies(graph, p_match)))
     plan = _PLANS[key] = plan._replace(own=_OWN_WAVES.setdefault(key[:2], plan.own))
     _plans_held += len(obligations)
@@ -645,42 +651,47 @@ class Execution:
         coded: dict[int, list], received: dict[int, list],
         suppressed: frozenset[int] | set[int] = frozenset(),
     ) -> None:
-        """Deliver one wave of a plan; `suppressed` senders stay silent.
+        """Deliver one wave of a plan, run by run; `suppressed` senders
+        stay silent.
 
-        A faulty sender's symbol comes from the script's `send`, must be
-        sym_bytes long and is recorded as its own `SYMBOL_SENT` event. An
-        honest sender's slot is copied slot to slot and recorded in one
-        `WAVE` event after the faulty ones: the count of honest symbols
-        and the SHA-256 of their records `bytes((sender, receiver, slot))
-        + value` in plan order."""
+        A faulty sender's run asks the script's `send` once per receiver;
+        each symbol must be sym_bytes long and is recorded as its own
+        `SYMBOL_SENT` event. An honest sender's run reads its slot once,
+        stores it into every receiver's word and is recorded in one `WAVE`
+        event after the faulty ones: the count of honest symbols and the
+        SHA-256 of their records `bytes((sender, receiver, slot)) + value`
+        in plan order, which for one run is `value.join(prefixes) + value`.
+        """
         if not wave.obligations:
             return
         script, faulty, step = self.script, self.script.faulty, wave.step
         sym = self.params.sym_bytes
         events = self.transcript.events
         records: list[bytes] = []
-        for (sender, receiver, slot, _), prefix in zip(wave.obligations, wave.prefixes):
+        honest_sent = 0
+        for sender, slot, receivers, prefixes in wave.runs:
+            honest = coded[sender][slot - 1]
             if sender in faulty:
-                value = script.send(
-                    g, step, sender, receiver, coded[sender][slot - 1],
-                    sender in suppressed,
-                )
-                if value is None:
-                    continue
-                if len(value) != sym:
-                    raise ParameterError(
-                        f"macro-symbol must be {sym} bytes, got {len(value)}"
-                    )
-                received[receiver][slot - 1] = value
-                events.append({
-                    "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
-                    "receiver": receiver, "slot": slot, "value": value.hex(),
-                })
+                skip = sender in suppressed
+                for receiver in receivers:
+                    value = script.send(g, step, sender, receiver, honest, skip)
+                    if value is None:
+                        continue
+                    if len(value) != sym:
+                        raise ParameterError(
+                            f"macro-symbol must be {sym} bytes, got {len(value)}"
+                        )
+                    received[receiver][slot - 1] = value
+                    events.append({
+                        "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+                        "receiver": receiver, "slot": slot, "value": value.hex(),
+                    })
             elif sender not in suppressed:
-                value = coded[sender][slot - 1]
-                received[receiver][slot - 1] = value
-                records += (prefix, value)
-        if honest_sent := len(records) // 2:
+                for receiver in receivers:
+                    received[receiver][slot - 1] = honest
+                records += (honest.join(prefixes), honest)
+                honest_sent += len(receivers)
+        if honest_sent:
             events.append({
                 "type": "WAVE", "g": g, "step": step, "count": honest_sent,
                 "sha256": sha256(b"".join(records)).hexdigest(),

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from codedbft import sim
@@ -313,6 +313,61 @@ def test_own_waves_match_the_wave_oracle(data):
     assert own == wave_oracle.own_waves(events)
 
 
+# without the explain phase a failure reports in under a minute, not five
+@settings(max_examples=50, derandomize=True, deadline=None, database=None,
+          phases=set(Phase) - {Phase.explain})
+@given(st.data())
+def test_send_wave_delivers_like_the_per_obligation_oracle(data):
+    """Every wave of a plan, on a graph with removed edges, with faulty
+    senders under send rules of every kind and suppressed senders, leaves
+    the same received words and records the same `SYMBOL_SENT` and `WAVE`
+    events as `wave_oracle.deliver`, obligation by obligation."""
+    n = data.draw(st.integers(4, 10), label="n")
+    t = (n - 1) // 3
+    sym = data.draw(st.integers(1, 2), label="sym_bytes")
+    config = fault_free_config(ALG1, n, t, None, 16 * (n - t) * sym, 8 * (n - t) * sym)
+    everyone = range(1, n + 1)
+    graph = TrustGraph(n, t)
+    pairs = [(i, j) for i in everyone for j in everyone if i < j]
+    for i, j in data.draw(
+        st.lists(st.sampled_from(pairs), max_size=n, unique=True), label="removed"
+    ):
+        graph.remove_edge(i, j)
+    members = sorted(data.draw(st.sets(st.sampled_from(everyone), min_size=1), label="members"))
+    faulty = data.draw(st.sets(st.sampled_from(everyone), max_size=t), label="faulty")
+    suppressed = data.draw(st.sets(st.sampled_from(everyone)), label="suppressed")
+    g = data.draw(st.integers(1, config.generations), label="g")
+    script = AdversaryScript(faulty)
+    kinds = ("honest", SEND_SILENT, "corrupt", "replace")
+    if faulty:
+        rules = st.tuples(
+            st.integers(1, config.generations), st.sampled_from(sim._STEPS),
+            st.sampled_from(sorted(faulty)), st.sampled_from(everyone),
+            st.sampled_from(kinds), st.binary(min_size=sym, max_size=sym),
+        )
+        for rule_g, step, s, r, kind, value in data.draw(
+            st.lists(rules, max_size=4 * n), label="rules"
+        ):
+            if r != s:
+                script.add_send(rule_g, step, s, r, kind, value)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="words"))
+    coded = {p: [rng.randbytes(sym) for _ in everyone] for p in everyone}
+    received = {p: [rng.choice((None, rng.randbytes(sym))) for _ in everyone] for p in everyone}
+    expected = {p: list(word) for p, word in received.items()}
+    execution = Execution(config, script)
+    events = execution.transcript.events
+    plan = sim._matching_plan(graph, members)
+    obligations = matching_obligations(graph, members)
+    for wave in (plan.own, plan.helper, plan.reconstructed):
+        before = len(events)
+        execution._send_wave(g, wave, coded, received, suppressed)
+        assert events[before:] == wave_oracle.deliver(
+            g, wave.step, [ob[:3] for ob in obligations if ob.step == wave.step],
+            coded, expected, faulty, script.send, suppressed,
+        )
+        assert received == expected
+
+
 # ------------------------------------------------------ verdict shapes
 
 
@@ -431,9 +486,20 @@ def test_graphs_in_one_state_share_one_plan():
     assert plan.obligations == tuple(matching_obligations(a, members))
     for wave in (plan.own, plan.helper, plan.reconstructed):
         assert {ob.step for ob in wave.obligations} <= {wave.step}
-        assert wave.prefixes == tuple(
-            bytes((ob.sender, ob.receiver, ob.slot)) for ob in wave.obligations
-        )
+        # the runs flatten back to the obligations, in order
+        assert tuple(
+            (s, r, k, wave.step)
+            for s, k, receivers, _ in wave.runs for r in receivers
+        ) == wave.obligations
+        for s, k, receivers, prefixes in wave.runs:
+            assert prefixes == tuple(bytes((s, r, k)) for r in receivers)
+        # runs are maximal: neighbours differ in (sender, slot)
+        keys = [(s, k) for s, k, _, _ in wave.runs]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+    # one run per sender in waves 1 and 3: every processor, and the two
+    # non-members
+    assert [s for s, _, _, _ in plan.own.runs] == list(range(1, 8))
+    assert [s for s, _, _, _ in plan.reconstructed.runs] == [6, 7]
     assert plan.copies == tuple(local_helper_copies(a, members))
     b.remove_edge(1, 5)
     assert sim._matching_plan(b, members).own != plan.own

@@ -1,4 +1,8 @@
-"""Own-wave `WAVE` events of a fault-free run, recomputed from its header.
+"""Reference wave delivery, and the own-wave `WAVE` events of a fault-free
+run recomputed from its header. No imports from the package under test.
+
+`deliver` walks a wave's obligations one at a time: the reference the
+engine's run-by-run delivery is checked against.
 
 Wave 1 of every generation has each processor s offer slot s of its own
 coded block to every peer it trusts, in (sender, receiver) order. A
@@ -6,13 +10,47 @@ fault-free run removes no trust edge, so every processor trusts every
 other and the digest follows from the inputs alone: encode each
 processor's block of the generation with the `gf_oracle` generator
 matrix, byte lane by byte lane, and hash the records
-`bytes((sender, receiver, slot)) + symbol`. No imports from the package
-under test.
+`bytes((sender, receiver, slot)) + symbol`.
 """
 
 import hashlib
 
 import gf_oracle
+
+
+def deliver(g, step, obligations, coded, received, faulty, send, suppressed):
+    """Deliver one wave obligation by obligation and return its events.
+
+    `obligations` are (sender, receiver, slot) in plan order; `coded` and
+    `received` map each processor to its word, a list of symbols, and
+    `received` is written in place. A faulty sender's symbol is
+    `send(g, step, sender, receiver, honest, sender in suppressed)`, None
+    for silence, and each one sent is a `SYMBOL_SENT` event. Any other
+    sender not in `suppressed` sends its slot, and those symbols become
+    one `WAVE` event after the rest: their count and the SHA-256 of the
+    records `bytes((sender, receiver, slot)) + symbol` in plan order.
+    """
+    events, records = [], []
+    for sender, receiver, slot in obligations:
+        honest = coded[sender][slot - 1]
+        if sender in faulty:
+            value = send(g, step, sender, receiver, honest, sender in suppressed)
+            if value is None:
+                continue
+            received[receiver][slot - 1] = value
+            events.append({
+                "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+                "receiver": receiver, "slot": slot, "value": value.hex(),
+            })
+        elif sender not in suppressed:
+            received[receiver][slot - 1] = honest
+            records.append(bytes((sender, receiver, slot)) + honest)
+    if records:
+        events.append({
+            "type": "WAVE", "g": g, "step": step, "count": len(records),
+            "sha256": hashlib.sha256(b"".join(records)).hexdigest(),
+        })
+    return events
 
 
 def symbol_at(rows, k, block, pos):

@@ -175,7 +175,8 @@ def build_script(data: dict, config: ExecutionConfig) -> AdversaryScript:
             if case.name == name:
                 return case.script
         raise ConfigurationError(f"no crafted case named {name!r}")
-    return AdversaryScript(data.get("faulty") or ())
+    faulty = data.get("faulty")
+    return AdversaryScript.from_jsonable({"faulty": [] if faulty is None else faulty})
 
 
 def read_expected(block: Any) -> dict:

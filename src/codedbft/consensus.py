@@ -202,7 +202,7 @@ def run_diagnosis(
     params: CodeParams,
     graph: TrustGraph,
     p_match: Sequence[int],
-    obligations: Sequence[SendObligation],
+    sends: Iterable[tuple[int, int, int, str]],
     claims: Mapping[int, Claims],
     decision_domain: Sequence[int],
     threshold: int,
@@ -224,14 +224,14 @@ def run_diagnosis(
          symbols must show exactly the reconstruction they imply.
       4. a flag that does not follow from the broadcaster's own claims
          proves it faulty (honest flags are a function of the claims).
-      5. for every obligation, the sender's coded claim and the
-         receiver's received claim must agree on the slot; any
-         difference, including a value against an erasure, removes the
-         trust edge between them. In a synchronous network one of the
-         two lied: a delivered symbol is received, a withheld one is
-         not. A re-send obligation whose sender's received claim shows
-         no usable source set expects an erasure instead, because the
-         honest behaviour for a starved processor is silence.
+      5. for every send (sender, receiver, slot, step), in plan order,
+         the sender's coded claim and the receiver's received claim
+         must agree on the slot; any difference, including a value
+         against an erasure, removes the trust edge between them. In a
+         synchronous network one of the two lied: a delivered symbol is
+         received, a withheld one is not. A re-send whose sender's
+         received claim shows no usable source set expects an erasure
+         instead: a starved processor honestly stays silent.
     Then the decision set is the largest group of domain processors
     with bit-identical complete-codeword coded claims (ties:
     lexicographically smallest id list); below `threshold` it is empty.
@@ -293,14 +293,14 @@ def run_diagnosis(
     # value for that slot, which the own-step obligation already
     # polices, so the re-send obligation yields no new evidence
     resend_silent = {j for j, found in sources.items() if found is None}
-    for ob in obligations:
-        if ob.sender in graph.convicted or ob.receiver in graph.convicted:
+    for sender, receiver, slot, step in sends:
+        # a removed edge can convict a sender partway through its sends
+        if sender in graph.convicted or receiver in graph.convicted:
             continue
-        if ob.step == STEP_RECONSTRUCTED and ob.sender in resend_silent:
+        if step == STEP_RECONSTRUCTED and sender in resend_silent:
             continue
-        sent = claims[ob.sender].coded[ob.slot - 1]
-        if sent != claims[ob.receiver].received[ob.slot - 1]:
-            for ev in graph.remove_edge(ob.sender, ob.receiver):
+        if claims[sender].coded[slot - 1] != claims[receiver].received[slot - 1]:
+            for ev in graph.remove_edge(sender, receiver):
                 events.append((RULE_DISPUTE, ev))
 
     decide_ids, decide_value = select_decision(

@@ -38,7 +38,6 @@ from .consensus import (
     TAG_MATCH_BITS,
     TAG_RECEIVED,
     Claims,
-    SendObligation,
     detection_flag,
     local_helper_copies,
     matching_obligations,
@@ -59,36 +58,36 @@ from .rs import (
 )
 
 class _Wave(NamedTuple):
-    """One step's obligations in plan order, grouped into runs: maximal
+    """One step's sends in plan order, grouped into runs: maximal
     stretches with one (sender, slot), each held as (sender, slot, its
     receivers, the record prefix `bytes((sender, receiver, slot))` of
     each receiver for the `WAVE` digest)."""
 
     step: str
-    obligations: tuple[SendObligation, ...]
     runs: tuple[tuple[int, int, tuple[int, ...], tuple[bytes, ...]], ...]
 
 
 class _MatchingPlan(NamedTuple):
-    """A matching stage's waves and its local helper copies; shared by
-    every execution that reaches it, so immutable."""
+    """A matching stage's waves, its local helper copies and its number
+    of sends; shared by every execution that reaches it, so immutable."""
 
     own: _Wave
     helper: _Wave
     reconstructed: _Wave
     copies: tuple[tuple[int, int], ...]
+    size: int
 
-    @property
-    def obligations(self) -> tuple[SendObligation, ...]:
-        return (
-            self.own.obligations + self.helper.obligations
-            + self.reconstructed.obligations
-        )
+    def sends(self) -> Iterator[tuple[int, int, int, str]]:
+        """Every send as (sender, receiver, slot, step), in plan order."""
+        for wave in (self.own, self.helper, self.reconstructed):
+            for sender, slot, receivers, _ in wave.runs:
+                for receiver in receivers:
+                    yield sender, receiver, slot, wave.step
 
 
-# plans, least recently used first, and the obligations they hold; a budget
-# in obligations keeps every state of a small-n sweep yet caps n=255 (up to
-# about 86k obligations a plan) at three plans
+# plans, least recently used first, and the sends they hold; a budget in
+# sends keeps every state of a small-n sweep yet caps n=255 (up to about
+# 86k sends a plan) at three plans
 _PLANS: OrderedDict[tuple, _MatchingPlan] = OrderedDict()
 _PLAN_BUDGET = 1 << 18
 _plans_held = 0
@@ -105,23 +104,20 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
     if plan is not None:
         _PLANS.move_to_end(key)
         return plan
-    obligations = matching_obligations(graph, p_match)
-    waves = []
-    for step in _STEPS:
-        wave = tuple(ob for ob in obligations if ob.step == step)
-        runs = []
-        for (s, k), run in groupby(wave, lambda ob: (ob.sender, ob.slot)):
-            receivers = tuple(ob.receiver for ob in run)
-            runs.append((s, k, receivers, tuple(bytes((s, r, k)) for r in receivers)))
-        waves.append(_Wave(step, wave, tuple(runs)))
-    plan = _MatchingPlan(*waves, tuple(local_helper_copies(graph, p_match)))
+    sends = matching_obligations(graph, p_match)
+    runs: dict[str, list] = {step: [] for step in _STEPS}
+    for (step, s, k), run in groupby(sends, lambda o: (o.step, o.sender, o.slot)):
+        receivers = tuple(o.receiver for o in run)
+        runs[step].append((s, k, receivers, tuple(bytes((s, r, k)) for r in receivers)))
+    waves = [_Wave(step, tuple(runs[step])) for step in _STEPS]
+    plan = _MatchingPlan(*waves, tuple(local_helper_copies(graph, p_match)), len(sends))
     plan = _PLANS[key] = plan._replace(own=_OWN_WAVES.setdefault(key[:2], plan.own))
-    _plans_held += len(obligations)
+    _plans_held += plan.size
     # the plan just derived stays even when it alone exceeds the budget
     while _plans_held > _PLAN_BUDGET and len(_PLANS) > 1:
         old_key, old = _PLANS.popitem(last=False)
         _OWN_WAVES.pop(old_key[:2], None)
-        _plans_held -= len(old.obligations)
+        _plans_held -= old.size
     return plan
 
 
@@ -390,18 +386,17 @@ class AdversaryScript:
                 raise ConfigurationError(
                     f"send rule {_rule_text(key)} carries {len(data)} bytes, need {sym}"
                 )
-        for (g, tag, s), (kind, payload) in self._bcasts.items():
+        for key, (kind, payload) in self._bcasts.items():
+            rule, tag = f"broadcast rule {_rule_text(key)}", key[1]
             if kind != BCAST_REPLACE:
                 continue
             if tag == TAG_MATCH_BITS and len(payload) != n:
-                raise ConfigurationError(f"match_bits rule for {s} at g{g} needs {n} bits")
+                raise ConfigurationError(f"{rule} carries {len(payload)} bits, need {n}")
             if tag in (TAG_CODED, TAG_RECEIVED):
                 try:
                     parse_word(n, sym, payload)
                 except (ParameterError, ValueError) as exc:
-                    raise ConfigurationError(
-                        f"vector rule for {s} at g{g} does not fit: {exc}"
-                    ) from exc
+                    raise ConfigurationError(f"{rule} does not fit: {exc}") from exc
 
     def to_jsonable(self) -> dict:
         sends = {
@@ -417,7 +412,10 @@ class AdversaryScript:
     @classmethod
     def from_jsonable(cls, data: dict) -> "AdversaryScript":
         require_known_keys("script", data, ("faulty", "sends", "broadcasts"))
-        script = cls(data.get("faulty", ()))
+        faulty = data.get("faulty", [])
+        if not isinstance(faulty, list):
+            raise ConfigurationError(f"faulty must be a JSON list, got {faulty!r}")
+        script = cls(faulty)
         for table, what, form, value_key, add in (
             ("sends", "send rule", "g|step|sender|receiver", "data", script.add_send),
             ("broadcasts", "broadcast rule", "g|tag|sender", "payload",
@@ -662,8 +660,6 @@ class Execution:
         SHA-256 of their records `bytes((sender, receiver, slot)) + value`
         in plan order, which for one run is `value.join(prefixes) + value`.
         """
-        if not wave.obligations:
-            return
         script, faulty, step = self.script, self.script.faulty, wave.step
         sym = self.params.sym_bytes
         events = self.transcript.events
@@ -871,7 +867,7 @@ class Execution:
                         )
             claims = self._collect_claims(g, flags, coded, received)
             result = run_diagnosis(
-                self.params, self.graph, p_match, plan.obligations, claims,
+                self.params, self.graph, p_match, plan.sends(), claims,
                 p_match if alg1 else everyone,
                 cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
             )

@@ -319,6 +319,16 @@ def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
     ({"script": {"faulty": [4], "sends": {
         "1|own|4|1": {"kind": "replace", "data": "aa"}, "01|own|4|1": {"kind": "silent"}}}},
      "send rule 01|own|4|1 is not of the form g|step|sender|receiver"),
+    # a match_bits payload of the wrong length, named as scripts write it
+    ({"script": {"faulty": [4], "broadcasts": {
+        "1|match_bits|4": {"kind": "replace", "payload": [True, False]}}}},
+     "broadcast rule 1|match_bits|4 carries 2 bits, need 4"),
+    # a faulty set that is not a JSON list, as a scenario key or in a script
+    ({"faulty": 3}, "faulty must be a JSON list"),
+    ({"faulty": "34"}, "faulty must be a JSON list"),
+    ({"faulty": 0}, "faulty must be a JSON list"),
+    ({"script": {"faulty": 3}}, "faulty must be a JSON list"),
+    ({"script": {"faulty": "34"}}, "faulty must be a JSON list"),
 ])
 def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys):
     scenario = tmp_path / "s.json"

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import obligation_oracle
+from codedbft import sim
 from codedbft.consensus import (
     RULE_DISPUTE,
     RULE_FLAG,
@@ -124,9 +125,11 @@ def helpers_out_of_receiver_order():
 @example(helpers_out_of_receiver_order())
 def test_obligations_match_the_oracle(case):
     g, p_match = case
-    assert matching_obligations(g, p_match) == obligation_oracle.matching_obligations(
-        g, p_match
-    )
+    expected = obligation_oracle.matching_obligations(g, p_match)
+    assert matching_obligations(g, p_match) == expected
+    # the engine's cached plan holds the same sends, as runs
+    plan = sim._matching_plan(g, p_match)
+    assert list(plan.sends()) == expected and plan.size == len(expected)
     assert local_helper_copies(g, p_match) == obligation_oracle.local_helper_copies(
         g, p_match
     )

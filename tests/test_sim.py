@@ -110,7 +110,8 @@ def test_validate_shapes_checks_payload_sizes():
         for slots in (["00"] * 3, ["00"] * 3 + ["0000"], ["00"] * 3 + [""]):
             bad_vector = AdversaryScript([4])
             bad_vector.add_broadcast(1, tag, 4, "replace", slots)
-            with pytest.raises(ConfigurationError, match="vector rule for 4 at g1"):
+            message = rf"^broadcast rule 1\|{tag}\|4 does not fit: "
+            with pytest.raises(ConfigurationError, match=message):
                 bad_vector.validate_shapes(config)
 
 
@@ -483,14 +484,10 @@ def test_graphs_in_one_state_share_one_plan():
     b.remove_edge(2, 1)
     plan = sim._matching_plan(a, members)
     assert sim._matching_plan(b, members) is plan
-    assert plan.obligations == tuple(matching_obligations(a, members))
+    # the runs flatten back to the obligations, in order, with the size
+    assert list(plan.sends()) == matching_obligations(a, members)
+    assert plan.size == len(matching_obligations(a, members))
     for wave in (plan.own, plan.helper, plan.reconstructed):
-        assert {ob.step for ob in wave.obligations} <= {wave.step}
-        # the runs flatten back to the obligations, in order
-        assert tuple(
-            (s, r, k, wave.step)
-            for s, k, receivers, _ in wave.runs for r in receivers
-        ) == wave.obligations
         for s, k, receivers, prefixes in wave.runs:
             assert prefixes == tuple(bytes((s, r, k)) for r in receivers)
         # runs are maximal: neighbours differ in (sender, slot)
@@ -503,10 +500,6 @@ def test_graphs_in_one_state_share_one_plan():
     assert plan.copies == tuple(local_helper_copies(a, members))
     b.remove_edge(1, 5)
     assert sim._matching_plan(b, members).own != plan.own
-
-
-def _plan_size(plan):
-    return len(plan.obligations)
 
 
 def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
@@ -533,7 +526,8 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
         run_execution(config, script)
     # every state of the sweep was derived once and is still held
     assert len(derived) == len(sim._PLANS) > 128
-    held = sum(_plan_size(plan) for plan in sim._PLANS.values())
+    held = sum(plan.size for plan in sim._PLANS.values())
+    assert all(plan.size == len(list(plan.sends())) for plan in sim._PLANS.values())
     assert sim._plans_held == held <= sim._PLAN_BUDGET
     # plans of one graph state share one own wave
     states = {key[:2] for key in sim._PLANS}
@@ -567,7 +561,7 @@ def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
     monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] - 1)
     plan = sim._matching_plan(g, six)
     assert list(sim._PLANS.values()) == [plan]
-    assert sim._plans_held == size[six] == _plan_size(plan)
+    assert sim._plans_held == size[six] == plan.size
 
 
 def counting_encode(monkeypatch):

@@ -8,17 +8,20 @@ budgets. Criteria 6-7 cover the quorum variant's q-validity and its
 erasure codec directly and criterion 9 re-runs serialized cases to prove
 byte-identical replay.
 
-`run_all` executes everything and reports per-criterion pass/fail lines;
-the heavyweight random suite is built once and shared by criteria 3, 4,
-and 9.
+Each criterion is a function of `quick` that returns (passed, detail).
+`CRITERIA` lists them with their titles and wall-time budgets, and
+`run_criterion` times one, applies its budget and renders its line. The
+heavyweight random suite is built once per process and shared by
+criteria 3, 4, and 9.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cli import build_config, sweep_layout
 from .rs import (
@@ -44,61 +47,16 @@ from .sim import (
     run_execution,
 )
 
-_TITLES = {
-    1: "fault-free baseline traffic is bit exact",
-    2: "broadcast overhead identity and block-size scaling",
-    3: "random and crafted adversaries never break the properties",
-    4: "diagnosis episode counts stay within their bounds",
-    5: "split inputs terminate on identical default outputs",
-    6: "q-validity holds whenever q fault-free processors agree",
-    7: "fault-free quorum-variant symbol counts are exact",
-    8: "codec round-trip, minimum distance, and reconstruction",
-    9: "serialized cases replay byte-identically",
-}
 
 # per-protocol ceiling on diagnosis episodes in one execution
 def _diagnosis_bound(algorithm: str, t: int) -> int:
     return t + t * (t + 1) if algorithm == ALG1 else t * (t + 1)
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"criterion {self.number} {status} ({self.seconds:.2f}s)"
-            f" {self.title}: {self.detail}"
-        )
-
-
-@dataclass
-class AcceptanceReport:
-    results: list[CriterionResult]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
-
-    def summary(self) -> str:
-        passed = sum(1 for r in self.results if r.passed)
-        total = sum(r.seconds for r in self.results)
-        return f"{passed}/{len(self.results)} criteria passed in {total:.1f}s"
-
-
 # ------------------------------------------------------ correctness suite
 
 
-@dataclass
-class SuiteRun:
+class SuiteRun(NamedTuple):
     """One finished execution, trimmed to what later criteria inspect."""
 
     label: str
@@ -107,14 +65,7 @@ class SuiteRun:
     verdict: str
     diagnosis_count: int
     fired_rules: frozenset[str]
-    expected_rules: frozenset[str] | None
-    crafted: bool
-
-
-@dataclass
-class Suite:
-    runs: list[SuiteRun]
-    build_seconds: float
+    expected_rules: frozenset[str] | None  # None exactly for random runs
 
 
 def _execute(
@@ -122,7 +73,6 @@ def _execute(
     config: ExecutionConfig,
     script: AdversaryScript,
     expected_rules: frozenset[str] | None = None,
-    crafted: bool = False,
 ) -> SuiteRun:
     result = run_execution(config, script)
     fired = frozenset(
@@ -131,14 +81,8 @@ def _execute(
         for event in result.transcript.of_type(kind)
     )
     return SuiteRun(
-        label=label,
-        config=config,
-        script=script,
-        verdict=result.verdict,
-        diagnosis_count=result.diagnosis_count,
-        fired_rules=fired,
-        expected_rules=expected_rules,
-        crafted=crafted,
+        label, config, script, result.verdict, result.diagnosis_count,
+        fired, expected_rules,
     )
 
 
@@ -153,9 +97,9 @@ def _suite_config(
     })
 
 
-def correctness_suite(quick: bool = False) -> Suite:
+@functools.cache
+def correctness_suite(quick: bool = False) -> tuple[SuiteRun, ...]:
     """Random plus crafted adversaries for (n,t) in {(4,1),(7,2)}."""
-    start = time.perf_counter()
     runs: list[SuiteRun] = []
     for n, t in ((4, 1), (7, 2)):
         target = 60 if quick else 500
@@ -178,17 +122,15 @@ def correctness_suite(quick: bool = False) -> Suite:
             for case in crafted_cases(config):
                 runs.append(_execute(
                     f"crafted {case.name} {algorithm} n={n} t={t} q={q}",
-                    config, case.script,
-                    expected_rules=case.expected_rules, crafted=True,
+                    config, case.script, expected_rules=case.expected_rules,
                 ))
-    return Suite(runs=runs, build_seconds=time.perf_counter() - start)
+    return tuple(runs)
 
 
 # -------------------------------------------------------------- criteria
 
 
-def criterion_1() -> tuple[bool, str]:
-    start = time.perf_counter()
+def criterion_1(quick: bool) -> tuple[bool, str]:
     points = (((4, 1, 2400, 240), 9600), ((7, 2, 8400, 840), 70560))
     ok, parts = True, []
     for (n, t, l_bits, d_bits), want in points:
@@ -204,13 +146,10 @@ def criterion_1() -> tuple[bool, str]:
         )
         ok &= good
         parts.append(f"n={n},t={t}: data_bits={report.data_bits} want {want}")
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 1.0
-    parts.append(f"{elapsed:.2f}s of 1s budget")
     return ok, "; ".join(parts)
 
 
-def criterion_2() -> tuple[bool, str]:
+def criterion_2(quick: bool) -> tuple[bool, str]:
     ok, parts = True, []
     for n, t, l_bits, d_points in ((4, 1, 2400, (240, 120)), (7, 2, 8400, (840, 400))):
         per_flag = n * n  # one flag bit charged at n^2 per broadcast
@@ -232,32 +171,23 @@ def criterion_2() -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_3(suite: Suite) -> tuple[bool, str]:
-    failures = [r.label for r in suite.runs if r.verdict != "PASS"]
+def criterion_3(quick: bool) -> tuple[bool, str]:
+    runs = correctness_suite(quick)
+    failures = [r.label for r in runs if r.verdict != "PASS"]
     rule_misses = [
-        r.label for r in suite.runs
+        r.label for r in runs
         if r.expected_rules is not None
         and not r.expected_rules <= r.fired_rules
     ]
     coverage_ok = True
     parts = []
     for n, t in ((4, 1), (7, 2)):
-        rand = sum(
-            1 for r in suite.runs if not r.crafted and r.config.n == n
-        )
-        craft = sum(1 for r in suite.runs if r.crafted and r.config.n == n)
+        of_n = [r for r in runs if r.config.n == n]
+        craft = sum(r.expected_rules is not None for r in of_n)
         coverage_ok &= craft >= 8
-        parts.append(f"n={n}: {rand} random + {craft} crafted")
-    ok = (
-        not failures
-        and not rule_misses
-        and coverage_ok
-        and suite.build_seconds < 120.0
-    )
-    parts.append(
-        f"failures={len(failures)} rule-misses={len(rule_misses)}"
-        f" built in {suite.build_seconds:.1f}s of 120s budget"
-    )
+        parts.append(f"n={n}: {len(of_n) - craft} random + {craft} crafted")
+    ok = not failures and not rule_misses and coverage_ok
+    parts.append(f"failures={len(failures)} rule-misses={len(rule_misses)}")
     if failures:
         parts.append("first failure: " + failures[0])
     if rule_misses:
@@ -265,10 +195,10 @@ def criterion_3(suite: Suite) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_4(suite: Suite) -> tuple[bool, str]:
+def criterion_4(quick: bool) -> tuple[bool, str]:
     ok = True
     worst: dict[tuple[str, int], int] = {}
-    for r in suite.runs:
+    for r in correctness_suite(quick):
         key = (r.config.algorithm, r.config.t)
         worst[key] = max(worst.get(key, 0), r.diagnosis_count)
         ok &= r.diagnosis_count <= _diagnosis_bound(*key)
@@ -279,7 +209,7 @@ def criterion_4(suite: Suite) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_5() -> tuple[bool, str]:
+def criterion_5(quick: bool) -> tuple[bool, str]:
     # alg1 at the command line defaults: n=4, t=1, L=2400
     config = build_config(
         {"inputs": {"generator": "split"}, "seed": 5, "d_bits": 240}
@@ -302,28 +232,22 @@ def _q_validity_problems(
     result = run_execution(config, script)
     label = f"q={config.q} seed={config.seed}"
     problems = []
+    # the judge fails a decided block that is no fault-free input, or that
+    # is not the shared block when q is a majority
     if not result.passed:
         problems.append(f"{label}: verdict {result.verdict}")
-    faulty = set(script.faulty)
-    fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
-    for outcome in result.outcomes:
-        g, kind, value = outcome["g"], outcome["kind"], outcome["value"]
-        if kind not in (OUTCOME_DECIDED, OUTCOME_DIAGNOSED):
-            problems.append(f"{label} g{g}: unexpected outcome {kind}")
-            continue
-        legal = {config.input_block(p, g).hex() for p in fault_free}
-        if value not in legal:
-            problems.append(f"{label} g{g}: value outside fault-free inputs")
-        elif config.q >= (config.n + 2) // 2 and value != config.input_block(1, g).hex():
-            problems.append(f"{label} g{g}: strong quorum, wrong value")
+    problems.extend(
+        f"{label} g{o['g']}: unexpected outcome {o['kind']}"
+        for o in result.outcomes
+        if o["kind"] not in (OUTCOME_DECIDED, OUTCOME_DIAGNOSED)
+    )
     return problems
 
 
-def criterion_6(quick: bool = False) -> tuple[bool, str]:
+def criterion_6(quick: bool) -> tuple[bool, str]:
     n, t = 7, 2
     per_q = 10 if quick else 40
-    problems: list[str] = []
-    checked = 0
+    cases: list[tuple[ExecutionConfig, AdversaryScript]] = []
     for q in (3, 4, 5):
         l_bits = 8 * q * 3
         base = build_config({
@@ -331,9 +255,7 @@ def criterion_6(quick: bool = False) -> tuple[bool, str]:
             "d_bits": 8 * q, "seed": 60 + q,
             "inputs": {"generator": "shared-prefix", "sharers": n - t},
         })
-        for case in crafted_cases(base):
-            problems.extend(_q_validity_problems(base, case.script))
-            checked += 1
+        cases.extend((base, case.script) for case in crafted_cases(base))
         for i in range(per_q):
             seed = 600 + 100 * q + i
             rng = random.Random(seed)
@@ -346,17 +268,15 @@ def criterion_6(quick: bool = False) -> tuple[bool, str]:
                 l_bits=l_bits, d_bits=8 * q, inputs=inputs, seed=seed,
             )
             chosen = sorted(rng.sample((6, 7), rng.randint(1, t)))
-            script = random_script(config, seed, faulty=chosen)
-            problems.extend(_q_validity_problems(config, script))
-            checked += 1
-    ok = not problems
-    detail = f"{checked} runs over q in (3,4,5); problems={len(problems)}"
+            cases.append((config, random_script(config, seed, faulty=chosen)))
+    problems = [p for case in cases for p in _q_validity_problems(*case)]
+    detail = f"{len(cases)} runs over q in (3,4,5); problems={len(problems)}"
     if problems:
         detail += "; first: " + problems[0]
-    return ok, detail
+    return not problems, detail
 
 
-def criterion_7() -> tuple[bool, str]:
+def criterion_7(quick: bool) -> tuple[bool, str]:
     n, t = 7, 2
     ok, parts = True, []
     for q in (3, 4, 5):
@@ -380,8 +300,7 @@ def criterion_7() -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_8(quick: bool = False) -> tuple[bool, str]:
-    start = time.perf_counter()
+def criterion_8(quick: bool) -> tuple[bool, str]:
     # lane w of the two data symbols is word w (byte lanes are independent codewords)
     words = 1 << 16
     params = CodeParams(4, 2, words)
@@ -415,22 +334,20 @@ def criterion_8(quick: bool = False) -> tuple[bool, str]:
         sources = rng.sample([s for s in range(1, n + 1) if s != target], k)
         recon_ok &= reconstruct_position(p, vec, target, sources) == vec[target - 1]
 
-    elapsed = time.perf_counter() - start
-    ok = distance_ok and recon_ok and elapsed < 30.0
+    ok = distance_ok and recon_ok
     return ok, (
         f"{words} words round-trip whole and under 6 erasure patterns;"
         f" distance table {'ok' if distance_ok else 'WRONG'};"
-        f" {trials} reconstructions {'ok' if recon_ok else 'WRONG'};"
-        f" {elapsed:.1f}s of 30s budget"
+        f" {trials} reconstructions {'ok' if recon_ok else 'WRONG'}"
     )
 
 
-def criterion_9(suite: Suite, quick: bool = False) -> tuple[bool, str]:
+def criterion_9(quick: bool) -> tuple[bool, str]:
     sample = 5 if quick else 20
-    adversarial = [r for r in suite.runs if r.script.faulty]
+    adversarial = [r for r in correctness_suite(quick) if r.script.faulty]
     stride = max(1, len(adversarial) // sample)
     picked = adversarial[::stride][:sample]
-    bad = [r.label for r in picked if not replay_identical(r.config, r.script)]
+    bad = [r.label for r in picked if not replay_identical(r.config, r.script)[1]]
     ok = len(picked) == sample and not bad
     detail = f"{len(picked)} cases replayed; mismatches={len(bad)}"
     if bad:
@@ -440,32 +357,36 @@ def criterion_9(suite: Suite, quick: bool = False) -> tuple[bool, str]:
 
 # --------------------------------------------------------------- driver
 
+# number -> (title, wall-time budget in seconds or None, criterion);
+# criterion 3's budget covers building the suite it shares with 4 and 9
+CRITERIA = {
+    1: ("fault-free baseline traffic is bit exact", 1.0, criterion_1),
+    2: ("broadcast overhead identity and block-size scaling", None, criterion_2),
+    3: ("random and crafted adversaries never break the properties", 120.0,
+        criterion_3),
+    4: ("diagnosis episode counts stay within their bounds", None, criterion_4),
+    5: ("split inputs terminate on identical default outputs", None, criterion_5),
+    6: ("q-validity holds whenever q fault-free processors agree", None,
+        criterion_6),
+    7: ("fault-free quorum-variant symbol counts are exact", None, criterion_7),
+    8: ("codec round-trip, minimum distance, and reconstruction", 30.0,
+        criterion_8),
+    9: ("serialized cases replay byte-identically", None, criterion_9),
+}
 
-def run_all(quick: bool = False) -> AcceptanceReport:
-    results: list[CriterionResult] = []
 
-    def record(number: int, check) -> None:
-        start = time.perf_counter()
-        passed, detail = check()
-        results.append(CriterionResult(
-            number, _TITLES[number], passed, detail,
-            time.perf_counter() - start,
-        ))
+def run_criterion(number: int, quick: bool = False) -> tuple[bool, str]:
+    """Run one criterion under its budget: (passed, its printed line)."""
+    title, budget, criterion = CRITERIA[number]
+    start = time.perf_counter()
+    passed, detail = criterion(quick)
+    seconds = time.perf_counter() - start
+    if budget is not None:
+        passed &= seconds < budget
+        detail += f"; {seconds:.2f}s of {budget:g}s budget"
+    status = "PASS" if passed else "FAIL"
+    return passed, f"criterion {number} {status} ({seconds:.2f}s) {title}: {detail}"
 
-    record(1, criterion_1)
-    record(2, criterion_2)
-    suite: Suite | None = None
 
-    def build_and_check_3() -> tuple[bool, str]:
-        nonlocal suite
-        suite = correctness_suite(quick=quick)
-        return criterion_3(suite)
-
-    record(3, build_and_check_3)
-    record(4, lambda: criterion_4(suite))
-    record(5, criterion_5)
-    record(6, lambda: criterion_6(quick=quick))
-    record(7, criterion_7)
-    record(8, lambda: criterion_8(quick=quick))
-    record(9, lambda: criterion_9(suite, quick=quick))
-    return AcceptanceReport(results)
+def run_all(quick: bool = False) -> list[tuple[bool, str]]:
+    return [run_criterion(number, quick) for number in CRITERIA]

@@ -2,8 +2,9 @@
 
 Four subcommands: `run` executes one scenario and writes its transcript,
 `sweep` runs batches of randomly scripted adversaries, `acceptance`
-executes the acceptance checklist, and `replay` re-runs a serialized
-case twice and compares transcripts byte for byte.
+executes the acceptance checklist, and `replay` runs a serialized case,
+writes it back out, runs the reloaded copy and compares the two
+transcripts byte for byte.
 
 Exit codes follow the usual convention: 0 for success, 1 for a run or
 sweep that found a violation (or missed an expected outcome), 2 for
@@ -20,6 +21,7 @@ import math
 import random
 import shlex
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -34,6 +36,7 @@ from .sim import (
     load_case,
     random_inputs,
     random_script,
+    replay_identical,
     require_known_keys,
     run_execution,
     serialize_case,
@@ -367,23 +370,20 @@ def sweep_cases(
 def cmd_acceptance(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
+    start = time.perf_counter()
     results = run_all(quick=args.quick)
-    for line in results.lines():
+    for _, line in results:
         print(line)
-    print(results.summary())
-    return 0 if results.all_passed else 1
+    passed = sum(ok for ok, _ in results)
+    seconds = time.perf_counter() - start
+    print(f"{passed}/{len(results)} criteria passed in {seconds:.1f}s")
+    return 0 if passed == len(results) else 1
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    text = Path(args.case).read_text()
-    config, script = load_case(text)
-    first = run_execution(config, script)
-    second = run_execution(*load_case(text))
-    identical = first.transcript.to_jsonl() == second.transcript.to_jsonl()
-    print(
-        f"replay verdict={first.verdict}"
-        f" identical={'yes' if identical else 'NO'}"
-    )
+    config, script = load_case(Path(args.case).read_text())
+    verdict, identical = replay_identical(config, script)
+    print(f"replay verdict={verdict} identical={'yes' if identical else 'NO'}")
     return 0 if identical else 1
 
 

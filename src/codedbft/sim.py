@@ -1134,9 +1134,12 @@ def load_case(text: str) -> tuple[ExecutionConfig, AdversaryScript]:
     )
 
 
-def replay_identical(config: ExecutionConfig, script: AdversaryScript) -> bool:
-    """Serialize, reload, re-run: the transcript must be byte-identical."""
-    first = run_execution(config, script).transcript.to_jsonl()
+def replay_identical(
+    config: ExecutionConfig, script: AdversaryScript
+) -> tuple[str, bool]:
+    """Run, serialize, reload, re-run: the first run's verdict, and whether
+    the two transcripts are byte-identical."""
+    first = run_execution(config, script)
     config2, script2 = load_case(serialize_case(config, script))
     second = run_execution(config2, script2).transcript.to_jsonl()
-    return first == second
+    return first.verdict, first.transcript.to_jsonl() == second

@@ -1,72 +1,60 @@
-"""Acceptance gate: one test and one printed verdict line per criterion.
+"""Acceptance gate: one test and one printed line per criterion.
 
-The heavyweight random suite is built once per module and shared by the
-criteria that inspect it, mirroring what `codedbft acceptance` does.
+Each test goes through `acceptance.run_criterion`, the path `codedbft
+acceptance` takes, so a criterion over its wall-time budget fails here
+too. The heavyweight random suite is built once per process and shared
+by the criteria that inspect it.
 """
-
-import pytest
 
 from codedbft import acceptance
 
 
-@pytest.fixture(scope="module")
-def suite():
-    return acceptance.correctness_suite(quick=False)
-
-
-def emit(capsys, number, passed, detail):
-    status = "PASS" if passed else "FAIL"
+def passes(capsys, number):
+    passed, line = acceptance.run_criterion(number)
     with capsys.disabled():
-        print(f"\ncriterion {number} {status}: {detail}")
-    assert passed, detail
+        print("\n" + line)
+    assert passed, line
 
 
 def test_criterion_1_fault_free_traffic(capsys):
-    passed, detail = acceptance.criterion_1()
-    emit(capsys, 1, passed, detail)
+    passes(capsys, 1)
 
 
 def test_criterion_2_overhead_identity(capsys):
-    passed, detail = acceptance.criterion_2()
-    emit(capsys, 2, passed, detail)
+    passes(capsys, 2)
 
 
-def test_criterion_3_adversarial_battery(suite, capsys):
-    passed, detail = acceptance.criterion_3(suite)
-    emit(capsys, 3, passed, detail)
+def test_criterion_3_adversarial_battery(capsys):
+    passes(capsys, 3)
 
 
-def test_criterion_4_diagnosis_bounds(suite, capsys):
-    passed, detail = acceptance.criterion_4(suite)
-    emit(capsys, 4, passed, detail)
+def test_criterion_4_diagnosis_bounds(capsys):
+    passes(capsys, 4)
 
 
 def test_criterion_5_split_inputs_default(capsys):
-    passed, detail = acceptance.criterion_5()
-    emit(capsys, 5, passed, detail)
+    passes(capsys, 5)
 
 
 def test_criterion_6_q_validity(capsys):
-    passed, detail = acceptance.criterion_6()
-    emit(capsys, 6, passed, detail)
+    passes(capsys, 6)
 
 
 def test_criterion_7_quorum_symbol_counts(capsys):
-    passed, detail = acceptance.criterion_7()
-    emit(capsys, 7, passed, detail)
+    passes(capsys, 7)
 
 
 def test_criterion_8_codec(capsys):
-    passed, detail = acceptance.criterion_8()
-    emit(capsys, 8, passed, detail)
+    passes(capsys, 8)
 
 
-def test_criterion_9_replay(suite, capsys):
-    passed, detail = acceptance.criterion_9(suite)
-    emit(capsys, 9, passed, detail)
+def test_criterion_9_replay(capsys):
+    passes(capsys, 9)
 
 
-def test_quick_mode_covers_all_criteria():
-    report = acceptance.run_all(quick=True)
-    assert [r.number for r in report.results] == list(range(1, 10))
-    assert report.all_passed, "\n".join(report.lines())
+def test_a_criterion_over_its_budget_fails(monkeypatch):
+    title, _, criterion = acceptance.CRITERIA[1]
+    monkeypatch.setitem(acceptance.CRITERIA, 1, (title, 0, criterion))
+    passed, line = acceptance.run_criterion(1)
+    assert not passed
+    assert line.startswith("criterion 1 FAIL (") and line.endswith("s of 0s budget")

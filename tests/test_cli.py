@@ -491,9 +491,12 @@ def test_run_writes_the_bytes_of_to_jsonl(scenario, tmp_path, monkeypatch):
 
 def test_acceptance_quick_passes(capsys):
     code = main(["acceptance", "--quick"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert out.count("PASS") >= 9 and "criteria passed" in out
+    assert len(lines) == 10, lines
+    for number, line in enumerate(lines[:9], 1):
+        assert line.startswith(f"criterion {number} PASS ("), line
+    assert lines[9].startswith("9/9 criteria passed in "), lines[9]
 
 
 # ------------------------------------------------------------------ fuzz

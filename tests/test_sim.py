@@ -229,7 +229,7 @@ def test_vector_override_is_recorded_as_the_parsed_vector():
         e["payload"] for e in result.transcript.of_type("BROADCAST")
         if e["tag"] == TAG_CODED and e["sender"] == 4
     ] == [["ab", None, "cd", "ef"]]
-    assert replay_identical(config, script)
+    assert replay_identical(config, script) == ("PASS", True)
 
 
 # -------------------------------------------------- fault-free identities
@@ -708,7 +708,7 @@ def test_missed_match_set_is_a_violation(monkeypatch):
 def test_serialized_case_replays_byte_identical():
     config = fault_free_config(ALG1, 4, 1, None, 72, 24, seed=31)
     script = random_script(config, 31)
-    assert replay_identical(config, script)
+    assert replay_identical(config, script) == ("PASS", True)
 
 
 def test_case_round_trip_preserves_everything():

@@ -58,3 +58,12 @@ def test_a_criterion_over_its_budget_fails(monkeypatch):
     passed, line = acceptance.run_criterion(1)
     assert not passed
     assert line.startswith("criterion 1 FAIL (") and line.endswith("s of 0s budget")
+
+
+def test_quick_mode_covers_all_criteria():
+    results = acceptance.run_all(quick=True)
+    lines = [line for _, line in results]
+    for number, line in enumerate(lines, 1):
+        assert line.startswith(f"criterion {number} "), line
+    assert len(results) == 9, lines
+    assert all(passed for passed, _ in results), "\n".join(lines)

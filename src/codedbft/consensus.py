@@ -141,12 +141,46 @@ def reconstruction_sources(
     return present[:k]
 
 
+# one generation's codeword verdicts, by word as a tuple of its slots
+Verdicts = dict[tuple, bool]
+
+
+def _codeword(
+    params: CodeParams, word: Sequence[bytes | None], verdicts: Verdicts | None
+) -> bool:
+    """Whether `word` is a codeword with at least k non-erased slots.
+
+    `verdicts` (None: judge afresh) holds the generation's verdicts, so
+    each distinct word is judged once. A word of n slots, k or more of
+    them present, that shows a judged codeword's symbols on every
+    present slot lies on that codeword's polynomial: it is a codeword
+    without a check.
+    """
+    verdicts = {} if verdicts is None else verdicts
+    key = tuple(word)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        present = [i for i, v in enumerate(key) if v is not None]
+        if len(key) == params.n and len(present) >= params.k and any(
+            ok and all(c[i] == key[i] for i in present) for c, ok in verdicts.items()
+        ):
+            verdict = True
+        else:
+            try:
+                verdict = is_codeword(params, word)
+            except InsufficientSymbolsError:
+                verdict = False
+        verdicts[key] = verdict
+    return verdict
+
+
 def detection_flag(
     params: CodeParams,
     received: Sequence[bytes | None],
     coded: Sequence[bytes | None] | None,
     in_match: bool,
     p_match: Iterable[int],
+    verdicts: Verdicts | None = None,
 ) -> bool:
     """TRUE when the received word is implausible or contradicts own S.
 
@@ -155,12 +189,10 @@ def detection_flag(
     at all). A processor outside the match set also detects when it
     could not gather k match-set symbols: with exactly k symbols the
     codeword check is vacuous, so a starved processor must announce
-    the failure rather than decode an unverifiable word.
+    the failure rather than decode an unverifiable word. `verdicts`
+    holds the generation's codeword verdicts, one per distinct word.
     """
-    try:
-        if not is_codeword(params, received):
-            return True
-    except InsufficientSymbolsError:
+    if not _codeword(params, received, verdicts):
         return True
     if in_match:
         if coded is not None:
@@ -207,6 +239,7 @@ def run_diagnosis(
     decision_domain: Sequence[int],
     threshold: int,
     count_convicted: bool = False,
+    verdicts: Verdicts | None = None,
 ) -> DiagnosisResult:
     """Apply the diagnosis rules to everyone's broadcast claims.
 
@@ -239,8 +272,11 @@ def run_diagnosis(
     convicted by the rules above: the claims were already broadcast, so
     counting them is deterministic, and any group of `threshold` or
     more claims contains a fault-free one whose codeword fixes the
-    value. Without it only unconvicted processors count.
+    value. Without it only unconvicted processors count. Rules 2 and 4
+    and the decision judge each distinct word once, sharing `verdicts`
+    with the checking stage of the same generation.
     """
+    verdicts = {} if verdicts is None else verdicts
     events: list[tuple[str, tuple]] = []
 
     def convict(p: int, rule: str) -> None:
@@ -264,7 +300,7 @@ def run_diagnosis(
     for m in sorted(members):
         if m in graph.convicted or m not in claims:
             continue
-        if not is_codeword(params, claims[m].coded):
+        if not _codeword(params, claims[m].coded, verdicts):
             convict(m, RULE_NOT_CODEWORD)
 
     # each non-member's sources, read by rule 3 and by the re-send check below
@@ -285,7 +321,8 @@ def run_diagnosis(
         if p in graph.convicted:
             continue
         c = claims[p]
-        if c.flag != detection_flag(params, c.received, c.coded, p in members, members):
+        flag = detection_flag(params, c.received, c.coded, p in members, members, verdicts)
+        if c.flag != flag:
             convict(p, RULE_FLAG)
 
     # senders whose own claims show no usable source set were obliged
@@ -304,7 +341,7 @@ def run_diagnosis(
                 events.append((RULE_DISPUTE, ev))
 
     decide_ids, decide_value = select_decision(
-        params, graph, claims, decision_domain, threshold, count_convicted
+        params, graph, claims, decision_domain, threshold, count_convicted, verdicts
     )
     return DiagnosisResult(events, decide_ids, decide_value)
 
@@ -316,12 +353,13 @@ def select_decision(
     decision_domain: Sequence[int],
     threshold: int,
     count_convicted: bool = False,
+    verdicts: Verdicts | None = None,
 ) -> tuple[list[int], bytes | None]:
     """Largest equal-coded-claim group meeting the threshold, if any.
 
     Only complete codeword claims are eligible: the group's value must
     decode, and a fault-free processor's coded claim in the domain is
-    always a complete codeword.
+    always a complete codeword. Claims are judged through `verdicts`.
     """
     factions: dict[tuple, list[int]] = {}
     for p in sorted(set(decision_domain)):
@@ -332,7 +370,7 @@ def select_decision(
         coded = claims[p].coded
         if coded is None or None in coded:
             continue
-        if not is_codeword(params, coded):
+        if not _codeword(params, coded, verdicts):
             continue
         factions.setdefault(tuple(coded), []).append(p)
     if not factions:

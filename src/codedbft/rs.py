@@ -166,34 +166,24 @@ def _seed(
     return present, [vec[pos - 1] for pos in present[: params.k]]
 
 
-# (params, slot snapshot) of the last word is_codeword judged, and its verdict
-_last_judged: tuple[tuple, bool] = ((), False)
-
-
 def is_codeword(params: CodeParams, vec: Sequence[bytes | None]) -> bool:
     """Consistency of every non-erased slot with one degree-below-k polynomial.
 
     Interpolates through the k lowest non-erased slots and checks the rest.
     Raises ParameterError unless the word has n slots of sym_bytes bytes
     or None, and InsufficientSymbolsError when fewer than k are present;
-    callers in the protocol treat that as a detection. The last verdict is
-    kept, keyed on a snapshot of the slots: words often repeat in a row.
+    callers in the protocol treat that as a detection.
     """
-    global _last_judged
-    key = (params, tuple(vec))
-    if key != _last_judged[0]:
-        if len(vec) != params.n or any(
-            value is not None and len(value) != params.sym_bytes for value in vec
-        ):
-            raise ParameterError("vector shape does not match code parameters")
-        present, symbols = _seed(params, vec)
-        xs = tuple(present[: params.k])
-        verdict = all(
-            vec[pos - 1] == _eval_at(xs, symbols, pos, params.sym_bytes)
-            for pos in present[params.k :]
-        )
-        _last_judged = (key, verdict)
-    return _last_judged[1]
+    if len(vec) != params.n or any(
+        value is not None and len(value) != params.sym_bytes for value in vec
+    ):
+        raise ParameterError("vector shape does not match code parameters")
+    present, symbols = _seed(params, vec)
+    xs = tuple(present[: params.k])
+    return all(
+        vec[pos - 1] == _eval_at(xs, symbols, pos, params.sym_bytes)
+        for pos in present[params.k :]
+    )
 
 
 def reconstruct_position(

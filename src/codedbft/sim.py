@@ -847,14 +847,29 @@ class Execution:
             plan = _matching_plan(self.graph, p_match)
             self._helper_and_reconstruct(g, p_match, plan, coded, received)
             members = set(p_match)
+            # this generation's codeword verdicts, flags and accepted blocks,
+            # each computed once per distinct word and shared by its holders
+            verdicts: dict[tuple, bool] = {}
+            live_flags: dict[tuple, bool] = {}
             flags: dict[int, bool | None] = {}
             for p in self.graph.unconvicted():
-                live = detection_flag(
-                    self.params, received[p], coded[p], p in members, members
-                )
+                in_match = p in members
+                key = (in_match, tuple(received[p]), tuple(coded[p]) if in_match else None)
+                live = live_flags.get(key)
+                if live is None:
+                    live = live_flags[key] = detection_flag(
+                        self.params, received[p], coded[p], in_match, members, verdicts
+                    )
                 flags[p] = self._broadcast(g, TAG_DETECTED, p, live, 1)
             if all(v is False for v in flags.values()):
-                values = {p: self._decode_accepted(received[p]) for p in self.fault_free}
+                blocks: dict[tuple, bytes] = {}
+                values = {}
+                for p in self.fault_free:
+                    word = tuple(received[p])
+                    block = blocks.get(word)
+                    if block is None:
+                        block = blocks[word] = self._decode_accepted(received[p])
+                    values[p] = block
                 self._settle(g, OUTCOME_DECIDED, values)
                 continue
             self.diagnosis_count += 1
@@ -869,7 +884,8 @@ class Execution:
             result = run_diagnosis(
                 self.params, self.graph, p_match, plan.sends(), claims,
                 p_match if alg1 else everyone,
-                cfg.n - cfg.t if alg1 else cfg.q, count_convicted=not alg1,
+                cfg.n - cfg.t if alg1 else cfg.q,
+                count_convicted=not alg1, verdicts=verdicts,
             )
             self._graph_events(g, result.events)
             if result.decide_ids:

@@ -7,6 +7,11 @@ skews every other block; `detection_flag` raises false alarms;
 between two; `find_match_set` finds nothing or picks the wrong q. Each
 run's violation list, text and order, must stay as recorded. Run this
 file as a script to re-record the lists after a deliberate change.
+
+The engine asks `decode` and `detection_flag` once per distinct word
+in a generation and hands the answer to every processor holding that
+word, so the counting patches (decode-fails, decode-skews and
+false-alarms) act once per distinct word, not once per processor.
 """
 
 import dataclasses
@@ -17,9 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from codedbft import sim
+from codedbft import rs, sim
 from codedbft.rs import InsufficientSymbolsError
-from codedbft.sim import ALG1, ALG2, AdversaryScript, ExecutionConfig, random_script
+from codedbft.sim import (
+    ALG1,
+    ALG2,
+    SEND_SILENT,
+    STEP_OWN,
+    AdversaryScript,
+    ExecutionConfig,
+    random_script,
+)
 from ledger_oracle import resum_ledger
 
 FROZEN = Path(__file__).parent / "violation_lists.json"
@@ -191,6 +204,53 @@ def test_violation_lists_are_frozen(monkeypatch):
     assert run_corpus(monkeypatch) == json.loads(FROZEN.read_text())
 
 
+def once_per_word(monkeypatch):
+    """Ask the engine's `decode` and `detection_flag` once per distinct
+    word per generation and hand every later caller holding that word
+    the same answer (or the same exception)."""
+    memo: dict = {}
+    fresh_state = sim.Execution._fresh_state
+
+    def new_generation(self, g):
+        memo.clear()
+        return fresh_state(self, g)
+    monkeypatch.setattr(sim.Execution, "_fresh_state", new_generation)
+
+    def keyed(name, key):
+        real = getattr(sim, name)
+
+        def wrapper(*args, **kw):
+            k = (name, key(*args))
+            if k not in memo:
+                try:
+                    memo[k] = (real(*args, **kw), None)
+                except InsufficientSymbolsError as error:
+                    memo[k] = (None, error)
+            value, error = memo[k]
+            if error is not None:
+                raise error
+            return value
+        monkeypatch.setattr(sim, name, wrapper)
+
+    keyed("decode", lambda params, vec, *rest: tuple(vec))
+    keyed("detection_flag", lambda params, received, coded, in_match, *rest: (
+        in_match, tuple(received), tuple(coded) if in_match else None
+    ))
+
+
+def test_counting_patches_act_once_per_word(monkeypatch):
+    """The frozen lists are what an engine that asks per processor gives
+    when each patch is consulted once per distinct word per generation:
+    run against such an engine, this proves the lists' re-record."""
+    got = {}
+    for key, config, script, patch in corpus():
+        with monkeypatch.context() as m:
+            patch(m, config, script)
+            once_per_word(m)
+            got[key] = sim.run_execution(config, script).violations
+    assert got == json.loads(FROZEN.read_text())
+
+
 def test_ledgers_resum_from_the_transcript(monkeypatch):
     for key, config, script, patch in corpus():
         with monkeypatch.context() as m:
@@ -199,9 +259,22 @@ def test_ledgers_resum_from_the_transcript(monkeypatch):
         assert resum_ledger(events) == events[-1]["ledger"], key
 
 
+def withholding_script(config, receivers=(1, 2, 3)) -> AdversaryScript:
+    """Faulty processor n withholds its own-wave symbol from `receivers` in
+    every generation. The erased slot is a parity slot, so their words
+    stay codewords and no flag is raised, but every generation has two
+    distinct accepted words: theirs and everyone else's."""
+    script = AdversaryScript([config.n])
+    for g in range(1, config.generations + 1):
+        for r in receivers:
+            script.add_send(g, STEP_OWN, config.n, r, SEND_SILENT)
+    return script
+
+
 def test_decided_events_map_each_block_when_blocks_differ(monkeypatch):
     config = point_config(ALG1, 7, 2, None, ())
-    script = AdversaryScript()
+    script = withholding_script(config)
+    # the second distinct word of each generation is skewed
     patch_decode_skews(monkeypatch, config, script)
     execution = sim.Execution(config, script)
     result = execution.run()
@@ -218,6 +291,62 @@ def test_decided_events_map_each_block_when_blocks_differ(monkeypatch):
             assert "values" not in event
     assert differ == 3
     assert "g1: fault-free processors decided different blocks" in result.violations
+
+
+def counted(monkeypatch, name) -> list:
+    """The argument tuples of every call the engine makes to `sim.<name>`."""
+    real, calls = getattr(sim, name), []
+
+    def wrapper(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+    monkeypatch.setattr(sim, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("withheld, words", [((), 1), ((1, 2, 3), 2)])
+def test_each_distinct_word_is_judged_once_per_generation(monkeypatch, withheld, words):
+    # all-zero inputs: every generation holds the same words, so a verdict
+    # kept from one generation to the next would show as a missing call
+    config = point_config(ALG1, 7, 2, None, tuple(range(1, 8)))
+    script = withholding_script(config, withheld)
+    flags = counted(monkeypatch, "detection_flag")
+    decodes = counted(monkeypatch, "decode")
+    result = sim.run_execution(config, script)
+    assert result.passed
+    assert [o["kind"] for o in result.outcomes] == ["DECIDED"] * config.generations
+    assert len(flags) == len(decodes) == words * config.generations
+    for g in range(config.generations):
+        asked = flags[words * g : words * (g + 1)]
+        assert len({tuple(received) for _, received, *_ in asked}) == words
+
+
+def test_back_to_back_executions_do_the_same_codec_work(monkeypatch):
+    # a one-generation fault-free run ends judging the word the next run
+    # judges first, and an adversarial run diagnoses; neither may reuse
+    # a verdict from the run before
+    real, calls = rs._eval_at, [0]
+
+    def eval_at(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(rs, "_eval_at", eval_at)
+    fault_free = point_config(ALG1, 7, 2, None, ())
+    one_generation = dataclasses.replace(
+        fault_free, l_bits=fault_free.d_bits,
+        inputs=tuple(v[: 2 * fault_free.k] for v in fault_free.inputs),
+    )
+    adversarial = point_config(ALG2, 7, 2, 3, (6, 7))
+    for config, script in (
+        (one_generation, AdversaryScript()),
+        (adversarial, random_script(adversarial, 2)),
+    ):
+        work = []
+        for _ in range(2):
+            calls[0] = 0
+            sim.run_execution(config, script)
+            work.append(calls[0])
+        assert work[0] == work[1] > 0
 
 
 def test_frozen_corpus_reaches_every_message():

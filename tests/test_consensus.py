@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import obligation_oracle
-from codedbft import sim
+from codedbft import consensus, rs, sim
 from codedbft.consensus import (
     RULE_DISPUTE,
     RULE_FLAG,
@@ -22,9 +22,10 @@ from codedbft.consensus import (
     matching_obligations,
     reconstruction_sources,
     run_diagnosis,
+    select_decision,
 )
 from codedbft.diagnosis import TrustGraph
-from codedbft.rs import CodeParams, encode
+from codedbft.rs import CodeParams, encode, reconstruct_position
 
 PARAMS = CodeParams(4, 3)
 V_BLOCK = b"\x11\x22\x33"
@@ -176,6 +177,30 @@ def test_nonmember_detects_missing_match_sources():
 
 
 # ---------------------------------------------------------- diagnosis rules
+
+
+def test_a_word_showing_a_judged_codeword_needs_no_check(monkeypatch):
+    asked = []
+
+    def is_codeword(params, word):
+        asked.append(list(word))
+        return rs.is_codeword(params, word)
+    monkeypatch.setattr(consensus, "is_codeword", is_codeword)
+    verdicts = {}
+    members = (1, 2, 3, 4)
+    erased = [CV[0], None, CV[2], CV[3]]
+    starved = [CV[0], None, None, CV[3]]
+    corrupt = [CV[0], b"\x99", CV[2], CV[3]]
+    assert detection_flag(PARAMS, list(CV), CV, True, members, verdicts) is False
+    assert detection_flag(PARAMS, erased, CV, True, members, verdicts) is False
+    assert detection_flag(PARAMS, list(CV), CV, True, members, verdicts) is False
+    # below k present slots, or off the codeword, the word is judged itself
+    assert detection_flag(PARAMS, starved, CV, True, members, verdicts) is True
+    assert detection_flag(PARAMS, corrupt, CV, True, members, verdicts) is True
+    assert asked == [list(CV), starved, corrupt]
+    assert verdicts == {
+        tuple(CV): True, tuple(erased): True, tuple(starved): False, tuple(corrupt): False
+    }
 
 
 def honest_claims(received, coded, in_match, p_match=(1, 2, 3, 4)):
@@ -351,3 +376,87 @@ def test_convicted_processors_cannot_join_the_decision():
     claims[2] = Claims(None, None, None)
     result = diagnose(g, obs, claims, threshold=2)
     assert 2 not in result.decide_ids
+
+
+# ------------------------------------------------------- decision factions
+
+P10 = CodeParams(10, 4)
+A_BLOCK, B_BLOCK = b"\x01\x02\x03\x04", b"\x0a\x0b\x0c\x0d"
+
+
+def test_select_decision_takes_the_largest_codeword_faction():
+    a, b = encode(P10, A_BLOCK), encode(P10, B_BLOCK)
+    not_codeword = list(a)
+    not_codeword[9] = bytes([a[9][0] ^ 1])
+    incomplete = list(a)
+    incomplete[0] = None
+    base = {1: b, 2: a, 3: a, 4: b, 5: a}
+
+    def decide(junk=None, threshold=2, convicted=(), count_convicted=False):
+        graph = TrustGraph(10, 3)
+        for p in convicted:
+            graph.convict(p)
+        # four equal junk claims from 6..9 would be the largest faction
+        words = {**base, **dict.fromkeys(range(6, 10), junk)}
+        claims = {p: Claims(False, w and list(w), w and list(w)) for p, w in words.items()}
+        return select_decision(
+            P10, graph, claims, range(1, 11), threshold, count_convicted
+        )
+
+    # the larger faction wins over the one holding the lowest id
+    assert decide() == ([2, 3, 5], A_BLOCK)
+    # claims that are no codeword or are incomplete never count
+    assert decide(not_codeword) == ([2, 3, 5], A_BLOCK)
+    assert decide(incomplete) == ([2, 3, 5], A_BLOCK)
+    # with 5 convicted the factions tie at two, and [1, 4] < [2, 3]
+    assert decide(convicted=[5]) == ([1, 4], B_BLOCK)
+    assert decide(convicted=[5], count_convicted=True) == ([2, 3, 5], A_BLOCK)
+    # below the threshold nothing is decided
+    assert decide(threshold=4) == ([], None)
+    assert decide(threshold=3, convicted=[5]) == ([], None)
+
+
+# ----------------------------------------------------- rule 5's wave order
+
+
+def test_rule_5_checks_the_own_wave_before_the_helper_wave():
+    """One own-wave dispute convicts processor 4 (its second lost edge),
+    so the helper-wave and re-send checks that would blame it on another
+    edge first never run.
+
+    n=4, t=1, edge (1,4) already removed, match set {1,2,3}: processor 2
+    helps 4 to slot 1, and non-member 4 re-sends slot 4 to 2 and 3.
+    4's received claim is wrong on slot 1 (against 2's helper send) and
+    on slot 3 (against 3's own-wave send); 2's received claim is wrong on
+    slot 4 (against 4's re-send). In plan order the own wave reaches
+    3 -> 4 first: edge (3,4) goes, 4 is convicted and loses (2,4).
+    Checked helper or re-send first, (2,4) would go first instead.
+    """
+    g = TrustGraph(4, 1)
+    g.remove_edge(1, 4)
+    p_match = [1, 2, 3]
+    plan = sim._matching_plan(g, p_match)
+    assert [(s, r, k) for s, k, receivers, _ in plan.helper.runs for r in receivers] == [
+        (2, 4, 1)
+    ]
+    received_4 = list(CV)
+    received_4[0] = bytes([CV[0][0] ^ 1])
+    received_4[2] = bytes([CV[2][0] ^ 1])
+    coded_4 = list(CV)
+    coded_4[3] = received_4[3] = reconstruct_position(PARAMS, received_4, 4, [1, 2, 3])
+    received_2 = list(CV)
+    received_2[3] = bytes([coded_4[3][0] ^ 1])
+    words = {1: (list(CV), list(CV)), 2: (received_2, list(CV)), 3: (list(CV), list(CV)),
+             4: (received_4, coded_4)}
+    claims = {
+        p: honest_claims(received, coded, p in p_match, p_match)
+        for p, (received, coded) in words.items()
+    }
+    result = run_diagnosis(PARAMS, g, p_match, plan.sends(), claims, p_match, 3)
+    assert result.events == [
+        (RULE_DISPUTE, ("edge", 3, 4)),
+        (RULE_DISPUTE, ("convicted", 4)),
+        (RULE_DISPUTE, ("edge", 2, 4)),
+    ]
+    assert g.convicted == {4}
+    assert result.decide_ids == [1, 2, 3]

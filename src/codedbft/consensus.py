@@ -148,14 +148,10 @@ Verdicts = dict[tuple, bool]
 def _codeword(
     params: CodeParams, word: Sequence[bytes | None], verdicts: Verdicts | None
 ) -> bool:
-    """Whether `word` is a codeword with at least k non-erased slots.
-
-    `verdicts` (None: judge afresh) holds the generation's verdicts, so
-    each distinct word is judged once. A word of n slots, k or more of
-    them present, that shows a judged codeword's symbols on every
-    present slot lies on that codeword's polynomial: it is a codeword
-    without a check.
-    """
+    """Whether `word` is a codeword with at least k non-erased slots, judged
+    once per distinct word of `verdicts` (None: judged afresh). A word of n
+    slots, k or more present, that shows a judged codeword's symbols on
+    every present slot lies on that codeword's polynomial: no check."""
     verdicts = {} if verdicts is None else verdicts
     key = tuple(word)
     verdict = verdicts.get(key)
@@ -273,10 +269,9 @@ def run_diagnosis(
     counting them is deterministic, and any group of `threshold` or
     more claims contains a fault-free one whose codeword fixes the
     value. Without it only unconvicted processors count. Rules 2 and 4
-    and the decision judge each distinct word once, sharing `verdicts`
-    with the checking stage of the same generation.
+    and the decision read the generation's `verdicts`, which the
+    checking stage filled.
     """
-    verdicts = {} if verdicts is None else verdicts
     events: list[tuple[str, tuple]] = []
 
     def convict(p: int, rule: str) -> None:

@@ -725,18 +725,22 @@ class Execution:
             else:
                 self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
 
-    def _decode_accepted(self, vec: list[bytes | None]) -> bytes:
-        """Block of a word that a fault-free processor flagged FALSE.
+    def _decode_accepted(self, vec: list[bytes | None], blocks: dict[tuple, bytes]) -> bytes:
+        """Block of a word that a fault-free processor flagged FALSE,
+        decoded once per distinct word of the generation's `blocks`.
 
         A FALSE flag means `detection_flag` found the word a codeword with
         at least k symbols, so the check is not repeated, and failing to
         decode the word is a bug: return no block, which the judge
         reports and which also leaves the final output short.
         """
-        try:
-            return decode(self.params, vec, checked=True)
-        except InsufficientSymbolsError:
-            return b""
+        word = tuple(vec)
+        if word not in blocks:
+            try:
+                blocks[word] = decode(self.params, vec, checked=True)
+            except InsufficientSymbolsError:
+                blocks[word] = b""
+        return blocks[word]
 
     # ---------------------------------------------------- matching waves
 
@@ -863,13 +867,9 @@ class Execution:
                 flags[p] = self._broadcast(g, TAG_DETECTED, p, live, 1)
             if all(v is False for v in flags.values()):
                 blocks: dict[tuple, bytes] = {}
-                values = {}
-                for p in self.fault_free:
-                    word = tuple(received[p])
-                    block = blocks.get(word)
-                    if block is None:
-                        block = blocks[word] = self._decode_accepted(received[p])
-                    values[p] = block
+                values = {
+                    p: self._decode_accepted(received[p], blocks) for p in self.fault_free
+                }
                 self._settle(g, OUTCOME_DECIDED, values)
                 continue
             self.diagnosis_count += 1

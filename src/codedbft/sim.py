@@ -852,8 +852,9 @@ class Execution:
             self._helper_and_reconstruct(g, p_match, plan, coded, received)
             members = set(p_match)
             # this generation's codeword verdicts, flags and accepted blocks,
-            # each computed once per distinct word and shared by its holders
-            verdicts: dict[tuple, bool] = {}
+            # each computed once per distinct word and shared by its holders;
+            # a member's coded word is still the codeword its input encodes to
+            verdicts = dict.fromkeys((tuple(coded[m]) for m in members), True)
             live_flags: dict[tuple, bool] = {}
             flags: dict[int, bool | None] = {}
             for p in self.graph.unconvicted():

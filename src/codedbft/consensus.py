@@ -230,7 +230,7 @@ def run_diagnosis(
     params: CodeParams,
     graph: TrustGraph,
     p_match: Sequence[int],
-    sends: Iterable[tuple[int, int, int, str]],
+    sends: Iterable[tuple[int, int, int]],
     claims: Mapping[int, Claims],
     decision_domain: Sequence[int],
     threshold: int,
@@ -253,14 +253,12 @@ def run_diagnosis(
          symbols must show exactly the reconstruction they imply.
       4. a flag that does not follow from the broadcaster's own claims
          proves it faulty (honest flags are a function of the claims).
-      5. for every send (sender, receiver, slot, step), in plan order,
+      5. for every send (sender, receiver, slot), in plan order,
          the sender's coded claim and the receiver's received claim
          must agree on the slot; any difference, including a value
          against an erasure, removes the trust edge between them. In a
          synchronous network one of the two lied: a delivered symbol is
-         received, a withheld one is not. A re-send whose sender's
-         received claim shows no usable source set expects an erasure
-         instead: a starved processor honestly stays silent.
+         received, a withheld one is not.
     Then the decision set is the largest group of domain processors
     with bit-identical complete-codeword coded claims (ties:
     lexicographically smallest id list); below `threshold` it is empty.
@@ -298,18 +296,14 @@ def run_diagnosis(
         if not _codeword(params, claims[m].coded, verdicts):
             convict(m, RULE_NOT_CODEWORD)
 
-    # each non-member's sources, read by rule 3 and by the re-send check below
-    sources = {
-        j: reconstruction_sources(c.received, members, params.k)
-        for j, c in claims.items()
-        if j not in members and c.received is not None
-    }
-    for j in sorted(sources):
-        if j in graph.convicted or sources[j] is None:
+    for j in sorted(claims):
+        if j in members or j in graph.convicted:
             continue
         c = claims[j]
-        expected = reconstruct_position(params, c.received, j, sources[j])
-        if c.coded[j - 1] != expected:
+        sources = reconstruction_sources(c.received, members, params.k)
+        if sources is None:
+            continue
+        if c.coded[j - 1] != reconstruct_position(params, c.received, j, sources):
             convict(j, RULE_RECONSTRUCTION)
 
     for p in sorted(claims):
@@ -320,16 +314,9 @@ def run_diagnosis(
         if c.flag != flag:
             convict(p, RULE_FLAG)
 
-    # senders whose own claims show no usable source set were obliged
-    # to skip the re-send wave; receivers then keep the first-wave
-    # value for that slot, which the own-step obligation already
-    # polices, so the re-send obligation yields no new evidence
-    resend_silent = {j for j, found in sources.items() if found is None}
-    for sender, receiver, slot, step in sends:
+    for sender, receiver, slot in sends:
         # a removed edge can convict a sender partway through its sends
         if sender in graph.convicted or receiver in graph.convicted:
-            continue
-        if step == STEP_RECONSTRUCTED and sender in resend_silent:
             continue
         if claims[sender].coded[slot - 1] != claims[receiver].received[slot - 1]:
             for ev in graph.remove_edge(sender, receiver):

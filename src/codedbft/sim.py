@@ -77,12 +77,13 @@ class _MatchingPlan(NamedTuple):
     copies: tuple[tuple[int, int], ...]
     size: int
 
-    def sends(self) -> Iterator[tuple[int, int, int, str]]:
-        """Every send as (sender, receiver, slot, step), in plan order."""
-        for wave in (self.own, self.helper, self.reconstructed):
+    def sends(self) -> Iterator[tuple[int, int, int]]:
+        """The own and helper waves' sends as (sender, receiver, slot), in
+        plan order: every re-send repeats an own-wave triple."""
+        for wave in (self.own, self.helper):
             for sender, slot, receivers, _ in wave.runs:
                 for receiver in receivers:
-                    yield sender, receiver, slot, wave.step
+                    yield sender, receiver, slot
 
 
 # plans, least recently used first, and the sends they hold; a budget in

@@ -6,7 +6,7 @@ validated `edge_present` query, by way of the `trusts` and `match_helper`
 rules below, and the whole list is sorted at the end. Obligations come
 out as plain (sender, receiver, slot, step) tuples. No imports from the
 package under test; tests compare `codedbft.consensus` against these
-functions.
+functions, and an engine plan against them with `assert_plan_matches`.
 """
 
 STEP_ORDER = {"own": 0, "helper": 1, "reconstructed": 2}
@@ -62,3 +62,14 @@ def local_helper_copies(graph, p_match):
         if missing and match_helper(graph, r, members) == r:
             copies.extend((r, k) for k in missing)
     return copies
+
+
+def assert_plan_matches(plan, graph, p_match):
+    """A matching plan's `sends()` are the own and helper triples, its
+    re-send runs flatten to the re-send triples, and `size` counts all
+    three waves."""
+    expected = matching_obligations(graph, p_match)
+    resends = [ob[:3] for ob in expected if ob[3] == "reconstructed"]
+    assert list(plan.sends()) == [ob[:3] for ob in expected if ob[3] != "reconstructed"]
+    assert [(s, r, k) for s, k, rs, _ in plan.reconstructed.runs for r in rs] == resends
+    assert plan.size == len(expected)

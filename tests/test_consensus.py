@@ -1,5 +1,7 @@
 """Obligation derivation, detection flags, and claim-diagnosis rules."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -129,8 +131,7 @@ def test_obligations_match_the_oracle(case):
     expected = obligation_oracle.matching_obligations(g, p_match)
     assert matching_obligations(g, p_match) == expected
     # the engine's cached plan holds the same sends, as runs
-    plan = sim._matching_plan(g, p_match)
-    assert list(plan.sends()) == expected and plan.size == len(expected)
+    obligation_oracle.assert_plan_matches(sim._matching_plan(g, p_match), g, p_match)
     assert local_helper_copies(g, p_match) == obligation_oracle.local_helper_copies(
         g, p_match
     )
@@ -209,25 +210,30 @@ def honest_claims(received, coded, in_match, p_match=(1, 2, 3, 4)):
     )
 
 
+def plan_sends(g, p_match):
+    """The (sender, receiver, slot) triples the engine hands diagnosis."""
+    return list(sim._matching_plan(g, p_match).sends())
+
+
 def fresh_world(p_match=(1, 2, 3, 4)):
     g = TrustGraph(4, 1)
-    obs = matching_obligations(g, p_match)
+    sends = plan_sends(g, p_match)
     claims = {
         p: honest_claims(list(CV), list(CV), p in p_match, p_match)
         for p in range(1, 5)
     }
-    return g, obs, claims
+    return g, sends, claims
 
 
-def diagnose(g, obs, claims, p_match=(1, 2, 3, 4), threshold=3):
+def diagnose(g, sends, claims, p_match=(1, 2, 3, 4), threshold=3):
     return run_diagnosis(
-        PARAMS, g, list(p_match), obs, claims, list(p_match), threshold
+        PARAMS, g, list(p_match), sends, claims, list(p_match), threshold
     )
 
 
 def test_clean_claims_change_nothing():
-    g, obs, claims = fresh_world()
-    result = diagnose(g, obs, claims)
+    g, sends, claims = fresh_world()
+    result = diagnose(g, sends, claims)
     assert result.events == []
     assert result.decide_ids == [1, 2, 3, 4]
     assert result.decide_value == V_BLOCK
@@ -235,11 +241,11 @@ def test_clean_claims_change_nothing():
 
 
 def test_value_dispute_removes_the_edge():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     bad = list(CV)
     bad[1] = b"\x99"
     claims[3] = honest_claims(bad, list(CV), True)
-    result = diagnose(g, obs, claims)
+    result = diagnose(g, sends, claims)
     assert (RULE_DISPUTE, ("edge", 2, 3)) in result.events
     assert not g.edge_present(2, 3)
     assert g.convicted == set()
@@ -247,21 +253,21 @@ def test_value_dispute_removes_the_edge():
 
 
 def test_erasure_against_value_claim_disputes_too():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     holey = list(CV)
     holey[1] = None
     claims[3] = honest_claims(holey, list(CV), True)
-    result = diagnose(g, obs, claims)
+    result = diagnose(g, sends, claims)
     assert (RULE_DISPUTE, ("edge", 2, 3)) in result.events
     assert result.decide_ids == [1, 2, 3, 4]
 
 
 def test_member_with_noncodeword_claim_is_convicted():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     junk = list(CV)
     junk[3] = b"\x99"
     claims[2] = Claims(False, junk, list(CV))
-    result = diagnose(g, obs, claims)
+    result = diagnose(g, sends, claims)
     assert (RULE_NOT_CODEWORD, ("convicted", 2)) in result.events
     assert g.convicted == {2}
     assert result.decide_ids == [1, 3, 4]
@@ -269,26 +275,26 @@ def test_member_with_noncodeword_claim_is_convicted():
 
 
 def test_silent_broadcaster_is_convicted():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     claims[2] = Claims(None, None, None)
-    result = diagnose(g, obs, claims)
+    result = diagnose(g, sends, claims)
     assert (RULE_INCOMPLETE, ("convicted", 2)) in result.events
     assert result.decide_ids == [1, 3, 4]
 
 
 def test_incomplete_coded_claim_is_convicted():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     holey = list(CV)
     holey[1] = None
     claims[2] = Claims(False, holey, list(CV))
-    result = diagnose(g, obs, claims)
+    result = diagnose(g, sends, claims)
     assert (RULE_INCOMPLETE, ("convicted", 2)) in result.events
 
 
 def test_nonmember_reconstruction_lie_is_convicted():
     p_match = (1, 2, 3)
     g = TrustGraph(4, 1)
-    obs = matching_obligations(g, p_match)
+    sends = plan_sends(g, p_match)
     # processor 4 rebuilt its slot from the match set, so an honest claim
     # shows encode-of-own-input overwritten at slot 4 with the rebuilt value
     own = list(CW)
@@ -296,7 +302,7 @@ def test_nonmember_reconstruction_lie_is_convicted():
     received = list(CV)
     claims = {p: honest_claims(list(CV), list(CV), True) for p in (1, 2, 3)}
     claims[4] = honest_claims(received, own, False)
-    result = run_diagnosis(PARAMS, g, list(p_match), obs, claims, list(p_match), 3)
+    result = run_diagnosis(PARAMS, g, list(p_match), sends, claims, list(p_match), 3)
     assert result.events == []
     assert result.decide_ids == [1, 2, 3]
 
@@ -304,16 +310,16 @@ def test_nonmember_reconstruction_lie_is_convicted():
     claims[4] = Claims(False, lying, list(CV))
     g2 = TrustGraph(4, 1)
     result = run_diagnosis(
-        PARAMS, g2, list(p_match), matching_obligations(g2, p_match), claims,
+        PARAMS, g2, list(p_match), plan_sends(g2, p_match), claims,
         list(p_match), 3,
     )
     assert (RULE_RECONSTRUCTION, ("convicted", 4)) in result.events
 
 
 def test_flag_contradicting_claims_is_convicted():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     claims[2] = Claims(True, list(CV), list(CV))
-    result = diagnose(g, obs, claims)
+    result = diagnose(g, sends, claims)
     assert (RULE_FLAG, ("convicted", 2)) in result.events
     assert result.decide_ids == [1, 3, 4]
 
@@ -321,19 +327,19 @@ def test_flag_contradicting_claims_is_convicted():
 def split_world():
     """Inputs split 2/2: everyone honestly received the slot mix."""
     g = TrustGraph(4, 1)
-    obs = matching_obligations(g, [1, 2, 3, 4])
+    sends = plan_sends(g, [1, 2, 3, 4])
     mix = [CV[0], CW[1], CV[2], CW[3]]
     claims = {}
     for p in range(1, 5):
         coded = list(CV) if p in (1, 3) else list(CW)
         claims[p] = honest_claims(list(mix), coded, True)
         assert claims[p].flag is True  # the mix is not a codeword
-    return g, obs, claims
+    return g, sends, claims
 
 
 def test_split_factions_below_threshold_decide_nothing():
-    g, obs, claims = split_world()
-    result = diagnose(g, obs, claims)
+    g, sends, claims = split_world()
+    result = diagnose(g, sends, claims)
     assert result.events == []
     assert g.convicted == set()
     assert result.decide_ids == []
@@ -341,40 +347,40 @@ def test_split_factions_below_threshold_decide_nothing():
 
 
 def test_faction_tie_breaks_to_lex_smallest():
-    g, obs, claims = split_world()
-    result = diagnose(g, obs, claims, threshold=2)
+    g, sends, claims = split_world()
+    result = diagnose(g, sends, claims, threshold=2)
     assert result.decide_ids == [1, 3]
     assert result.decide_value == V_BLOCK
 
 
 def test_mutually_accusing_split_claims_collapse_the_graph():
     """Receivers claiming full copies of their own word accuse senders."""
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     claims[2] = honest_claims(list(CW), list(CW), True)
     claims[4] = honest_claims(list(CW), list(CW), True)
-    result = diagnose(g, obs, claims, threshold=2)
+    result = diagnose(g, sends, claims, threshold=2)
     # every vertex loses two edges, so everyone is convicted at t=1
     assert g.convicted == {1, 2, 3, 4}
     assert result.decide_ids == []
 
 
 def test_decision_domain_restricts_candidates():
-    g, obs, claims = fresh_world(p_match=(1, 2, 3))
+    g, sends, claims = fresh_world(p_match=(1, 2, 3))
     claims[4] = honest_claims(list(CV), list(CV), False)
     result = run_diagnosis(
-        PARAMS, g, [1, 2, 3], obs, claims, [1, 2, 3], 3
+        PARAMS, g, [1, 2, 3], sends, claims, [1, 2, 3], 3
     )
     assert result.decide_ids == [1, 2, 3]
     wider = run_diagnosis(
-        PARAMS, TrustGraph(4, 1), [1, 2, 3], obs, claims, [1, 2, 3, 4], 4
+        PARAMS, TrustGraph(4, 1), [1, 2, 3], sends, claims, [1, 2, 3, 4], 4
     )
     assert wider.decide_ids == [1, 2, 3, 4]
 
 
 def test_convicted_processors_cannot_join_the_decision():
-    g, obs, claims = fresh_world()
+    g, sends, claims = fresh_world()
     claims[2] = Claims(None, None, None)
-    result = diagnose(g, obs, claims, threshold=2)
+    result = diagnose(g, sends, claims, threshold=2)
     assert 2 not in result.decide_ids
 
 
@@ -421,16 +427,16 @@ def test_select_decision_takes_the_largest_codeword_faction():
 
 def test_rule_5_checks_the_own_wave_before_the_helper_wave():
     """One own-wave dispute convicts processor 4 (its second lost edge),
-    so the helper-wave and re-send checks that would blame it on another
-    edge first never run.
+    so the helper-wave check that would blame it on another edge first
+    never runs.
 
     n=4, t=1, edge (1,4) already removed, match set {1,2,3}: processor 2
-    helps 4 to slot 1, and non-member 4 re-sends slot 4 to 2 and 3.
+    helps 4 to slot 1, and non-member 4 sends slot 4 to 2 and 3.
     4's received claim is wrong on slot 1 (against 2's helper send) and
     on slot 3 (against 3's own-wave send); 2's received claim is wrong on
-    slot 4 (against 4's re-send). In plan order the own wave reaches
-    3 -> 4 first: edge (3,4) goes, 4 is convicted and loses (2,4).
-    Checked helper or re-send first, (2,4) would go first instead.
+    slot 4 (against 4's send of it). In plan order the own wave reaches
+    3 -> 4 before 4 -> 2: edge (3,4) goes, 4 is convicted and loses (2,4).
+    Checked helper first, (2,4) would go first instead.
     """
     g = TrustGraph(4, 1)
     g.remove_edge(1, 4)
@@ -460,3 +466,67 @@ def test_rule_5_checks_the_own_wave_before_the_helper_wave():
     ]
     assert g.convicted == {4}
     assert result.decide_ids == [1, 2, 3]
+
+
+@st.composite
+def worlds_with_lying_claims(draw):
+    """A worn graph and match set, and claims that start as one codeword
+    and lie on random slots: a changed symbol or an erasure, in either
+    vector. Flags follow the claims, so a lie in a received vector alone
+    convicts no one before rule 5, and a few flags are flipped."""
+    g, p_match = draw(graphs_and_match_sets())
+    params = CodeParams(g.n, g.n - g.t)
+    word = encode(params, draw(st.binary(min_size=params.k, max_size=params.k)))
+    ids = st.integers(min_value=1, max_value=g.n)
+    lie = st.one_of(st.none(), st.binary(min_size=1, max_size=1))
+    vectors = {p: (list(word), list(word)) for p in range(1, g.n + 1)}
+    for p, which, slot, value in draw(st.lists(
+        st.tuples(ids, st.sampled_from([0, 1]), ids, lie), max_size=2 * g.n
+    )):
+        vectors[p][which][slot - 1] = value
+    flipped = draw(st.lists(ids, max_size=2))
+    claims = {
+        p: Claims(
+            detection_flag(params, received, coded, p in p_match, p_match) != (p in flipped),
+            coded,
+            received,
+        )
+        for p, (coded, received) in vectors.items()
+    }
+    return params, g, p_match, claims, draw(st.booleans())
+
+
+def one_resend_dispute():
+    """Member 2 received a wrong slot 4 from non-member 4: one dispute and
+    no conviction, so the re-send check meets the edge already removed."""
+    received_2 = list(CV)
+    received_2[3] = b"\x99"
+    claims = {p: honest_claims(list(CV), list(CV), p != 4, (1, 2, 3)) for p in range(1, 5)}
+    claims[2] = honest_claims(received_2, list(CV), True, (1, 2, 3))
+    return PARAMS, TrustGraph(4, 1), [1, 2, 3], claims, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(worlds_with_lying_claims())
+@example(one_resend_dispute())
+def test_rule_5_learns_nothing_from_the_resend_wave(world):
+    """Every re-send (s, r, s) repeats an own-wave check of the same two
+    claim fields; convictions only grow and a removed edge stays removed,
+    so checking the re-sends after the plan's sends changes nothing."""
+    params, g, p_match, claims, count_convicted = world
+    sends = plan_sends(g, p_match)
+    resends = [
+        ob[:3] for ob in matching_obligations(g, p_match) if ob.step == STEP_RECONSTRUCTED
+    ]
+    outcomes = []
+    for checked in (sends, sends + resends):
+        graph = copy.deepcopy(g)
+        result = run_diagnosis(
+            params, graph, p_match, checked, claims, range(1, g.n + 1),
+            g.n - g.t, count_convicted,
+        )
+        outcomes.append((
+            result.events, graph.removed, graph.convicted,
+            result.decide_ids, result.decide_value,
+        ))
+    assert outcomes[0] == outcomes[1]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from codedbft import sim
 from codedbft.consensus import (
+    STEP_HELPER,
     STEP_RECONSTRUCTED,
     TAG_CODED,
     TAG_DETECTED,
@@ -39,6 +40,7 @@ from codedbft.sim import (
     run_execution,
     serialize_case,
 )
+import obligation_oracle
 import wave_oracle
 from golden_corpus import all_cases
 
@@ -484,9 +486,8 @@ def test_graphs_in_one_state_share_one_plan():
     b.remove_edge(2, 1)
     plan = sim._matching_plan(a, members)
     assert sim._matching_plan(b, members) is plan
-    # the runs flatten back to the obligations, in order, with the size
-    assert list(plan.sends()) == matching_obligations(a, members)
-    assert plan.size == len(matching_obligations(a, members))
+    # the runs flatten back to the oracle's sends, in order, with the size
+    obligation_oracle.assert_plan_matches(plan, a, members)
     for wave in (plan.own, plan.helper, plan.reconstructed):
         for s, k, receivers, prefixes in wave.runs:
             assert prefixes == tuple(bytes((s, r, k)) for r in receivers)
@@ -527,7 +528,12 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     # every state of the sweep was derived once and is still held
     assert len(derived) == len(sim._PLANS) > 128
     held = sum(plan.size for plan in sim._PLANS.values())
-    assert all(plan.size == len(list(plan.sends())) for plan in sim._PLANS.values())
+    for (n, removed, members), plan in sim._PLANS.items():
+        graph = TrustGraph(n, 2)
+        for i, j in removed:
+            graph.remove_edge(i, j)
+        assert graph.removed == removed
+        obligation_oracle.assert_plan_matches(plan, graph, members)
     assert sim._plans_held == held <= sim._PLAN_BUDGET
     # plans of one graph state share one own wave
     states = {key[:2] for key in sim._PLANS}
@@ -664,6 +670,31 @@ def test_random_adversaries_never_violate(n, t):
         assert result.passed, f"seed {seed}: {result.violations}"
         bound = bound_alg1 if algorithm == ALG1 else bound_alg2
         assert result.diagnosis_count <= bound
+
+
+@pytest.mark.xfail(
+    strict=True, reason="rule 5 never checks alg2's helper wave before the match set"
+)
+def test_alg2_helper_lies_before_the_match_set_stay_within_the_bound():
+    """alg2 runs a helper wave of `_matching_plan(graph, everyone)` before
+    it picks the match set, and diagnosis checks only the match-set plan.
+    Faulty 7's corrupt re-send to 3 costs edge (3,7) in g1. From g2 on,
+    faulty 1 is 3's lowest helper for slot 7 and poisons it; with match
+    set {1,2,3} no later send of slot 7 reaches 3. Every generation
+    diagnoses, yet no further edge goes and 1 is never convicted: 10
+    diagnoses, over alg2's t(t+1) = 6."""
+    from codedbft import cli
+
+    config = cli.build_config({
+        "algorithm": ALG2, "n": 7, "t": 2, "q": 3, "l_bits": 240, "d_bits": 24,
+        "inputs": {"generator": "shared-prefix", "sharers": 5}, "seed": 1,
+    })
+    script = AdversaryScript([1, 7]).add_send(1, STEP_RECONSTRUCTED, 7, 3, "corrupt", b"\x01")
+    for g in range(2, 11):
+        script.add_send(g, STEP_HELPER, 1, 3, "corrupt", b"\x01")
+    result = run_execution(config, script)
+    assert result.passed
+    assert result.diagnosis_count <= config.t * (config.t + 1)
 
 
 # ----------------------------------------------- checker's impossible states

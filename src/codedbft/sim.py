@@ -654,12 +654,14 @@ class Execution:
         stay silent.
 
         A faulty sender's run asks the script's `send` once per receiver;
-        each symbol must be sym_bytes long and is recorded as its own
-        `SYMBOL_SENT` event. An honest sender's run reads its slot once,
-        stores it into every receiver's word and is recorded in one `WAVE`
-        event after the faulty ones: the count of honest symbols and the
-        SHA-256 of their records `bytes((sender, receiver, slot)) + value`
-        in plan order, which for one run is `value.join(prefixes) + value`.
+        each symbol must be sym_bytes long. An honest sender's run reads
+        its slot once and stores it into every receiver's word. Every
+        symbol equal to its sender's slot, from a sender not suppressed,
+        is recorded in one `WAVE` event after the rest: their count and
+        the SHA-256 of their records `bytes((sender, receiver, slot)) +
+        value` in plan order, which for an honest run is
+        `value.join(prefixes) + value`. Any other faulty symbol is
+        recorded as its own `SYMBOL_SENT` event.
         """
         script, faulty, step = self.script, self.script.faulty, wave.step
         sym = self.params.sym_bytes
@@ -670,7 +672,7 @@ class Execution:
             honest = coded[sender][slot - 1]
             if sender in faulty:
                 skip = sender in suppressed
-                for receiver in receivers:
+                for receiver, prefix in zip(receivers, prefixes):
                     value = script.send(g, step, sender, receiver, honest, skip)
                     if value is None:
                         continue
@@ -679,6 +681,10 @@ class Execution:
                             f"macro-symbol must be {sym} bytes, got {len(value)}"
                         )
                     received[receiver][slot - 1] = value
+                    if value == honest and not skip:
+                        records += (prefix, value)
+                        honest_sent += 1
+                        continue
                     events.append({
                         "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
                         "receiver": receiver, "slot": slot, "value": value.hex(),

@@ -2,11 +2,12 @@
 
 `golden_corpus.py` builds the corpus. A refactor or speed-up must leave
 every hash unchanged; a change that alters transcripts on purpose
-re-records the file and says why. The hashes are of v3 transcripts;
+re-records the file and says why. The hashes are of v4 transcripts;
 `v1_fixtures/` keeps four v1 transcripts of the corpus, with their v1
-golden hashes below, that `transcript_v1.v2_from_v1` and then
+golden hashes below, that `transcript_v1.v4_waves_from_v1` and then
 `transcript_v2.v3_from_v2` must fold into today's transcripts byte for
-byte.
+byte. Folded with `v2_from_v1` instead, they give the v3 transcripts,
+from which v4 differs only in its `WAVE` and `SYMBOL_SENT` lines.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from codedbft.consensus import (
     OUTCOME_TERMINATED,
     RULE_SILENT_MATCH_VECTOR,
 )
-from codedbft.sim import CostLedger, ExecutionConfig, run_execution
+from codedbft.sim import CostLedger, Execution, ExecutionConfig, run_execution
 from golden_corpus import (
     POINTS,
     SCENARIOS,
@@ -38,8 +39,9 @@ from golden_corpus import (
     exit_cases,
 )
 from ledger_oracle import resum_ledger
-from transcript_v1 import v2_from_v1
+from transcript_v1 import v2_from_v1, v4_waves_from_v1
 from transcript_v2 import v3_from_v2
+import wave_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
 V1_FIXTURES = Path(__file__).parent / "v1_fixtures"
@@ -179,9 +181,69 @@ def test_v1_fixtures_fold_into_todays_transcripts():
         v1 = (V1_FIXTURES / name).read_bytes()
         assert digest(v1) == v1_hash, name
         config, script = cases[key]
-        v3 = run_execution(config, script).transcript.to_jsonl()
-        assert v3_from_v2(v2_from_v1(v1.decode())) == v3, name
-        assert digest(v3.encode()) == GOLDEN[section][key], name
+        v4 = run_execution(config, script).transcript.to_jsonl()
+        assert v3_from_v2(v4_waves_from_v1(v1.decode())) == v4, name
+        assert digest(v4.encode()) == GOLDEN[section][key], name
+
+
+def test_every_corpus_wave_delivers_like_the_oracle(monkeypatch):
+    """Each wave of every corpus run leaves the received words and writes
+    the events that `wave_oracle.deliver` gives, obligation by obligation."""
+    real_send_wave, waves = Execution._send_wave, [0]
+
+    def send_wave(self, g, wave, coded, received, suppressed=frozenset()):
+        expected = {p: list(word) for p, word in received.items()}
+        obligations = [
+            (sender, receiver, slot)
+            for sender, slot, receivers, _ in wave.runs for receiver in receivers
+        ]
+        want = wave_oracle.deliver(
+            g, wave.step, obligations, coded, expected,
+            self.script.faulty, self.script.send, suppressed,
+        )
+        before = len(self.transcript.events)
+        real_send_wave(self, g, wave, coded, received, suppressed)
+        assert self.transcript.events[before:] == want
+        assert received == expected
+        waves[0] += 1
+    monkeypatch.setattr(Execution, "_send_wave", send_wave)
+    hashes = {key: h for section in GOLDEN.values() for key, h in section.items()}
+    for key, (config, script) in all_cases().items():
+        transcript = run_execution(config, script).transcript.to_jsonl()
+        assert digest(transcript.encode()) == hashes[key], key
+    assert waves[0] > 1000
+
+
+def test_v4_rewrites_only_the_traffic_of_v3():
+    """Each fixture's v3 transcript against its v4 one: every line but the
+    `WAVE` and `SYMBOL_SENT` ones is kept in order, v4's `SYMBOL_SENT`
+    lines are a subsequence of v3's, and each (g, step) keeps its symbol
+    total, the `WAVE` counts plus the `SYMBOL_SENT` lines."""
+    traffic = ("WAVE", "SYMBOL_SENT")
+
+    def parts(text):
+        events = [(line, json.loads(line)) for line in text.splitlines()]
+        totals = {}
+        for _, e in events:
+            if e["type"] in traffic:
+                key = (e["g"], e["step"])
+                totals[key] = totals.get(key, 0) + e.get("count", 1)
+        return (
+            [line for line, e in events if e["type"] not in traffic],
+            [line for line, e in events if e["type"] == "SYMBOL_SENT"],
+            totals,
+        )
+
+    folded = 0
+    for name in V1_GOLDEN:
+        v1 = (V1_FIXTURES / name).read_text()
+        v3_kept, v3_lines, v3_totals = parts(v3_from_v2(v2_from_v1(v1)))
+        v4_kept, v4_lines, v4_totals = parts(v3_from_v2(v4_waves_from_v1(v1)))
+        assert v4_kept == v3_kept and v4_totals == v3_totals, name
+        rest = iter(v3_lines)
+        assert all(line in rest for line in v4_lines), name
+        folded += len(v3_lines) - len(v4_lines)
+    assert folded
 
 
 def test_inputs_and_outputs_read_back_from_the_transcript():

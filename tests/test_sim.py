@@ -185,23 +185,59 @@ class RecordingScript(AdversaryScript):
 
 
 @pytest.mark.parametrize("algorithm, q", [(ALG1, None), (ALG2, 3)])
-def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(algorithm, q):
-    symbols = silences = 0
+def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
+    algorithm, q, monkeypatch
+):
+    """One `send` per faulty obligation of every wave, in plan order. The
+    sends that deviate (a symbol other than the sender's slot, or any
+    symbol from a suppressed sender) are exactly the `SYMBOL_SENT` lines;
+    the rest join their wave's `WAVE` count with the honest senders'."""
+    real_send_wave = sim.Execution._send_wave
+    counts: dict = {}  # (g, step) -> symbols the `WAVE` line must count
+
+    def send_wave(self, g, wave, coded, received, suppressed=frozenset()):
+        sends, faulty = self.script.sends, self.script.faulty
+        before = len(sends)
+        real_send_wave(self, g, wave, coded, received, suppressed)
+        assert [(s, r) for (_, _, s, r, _, _), _ in sends[before:]] == [
+            (s, r) for s, _, rs, _ in wave.runs if s in faulty for r in rs
+        ]
+        honest = sum(
+            len(rs) for s, _, rs, _ in wave.runs
+            if s not in faulty and s not in suppressed
+        )
+        agreeing = sum(
+            value == honest_value and not skip
+            for (*_, honest_value, skip), value in sends[before:] if value
+        )
+        counts[g, wave.step] = counts.get((g, wave.step), 0) + honest + agreeing
+
+    symbols = silences = deviations = 0
     for seed in range(6):
         config = fault_free_config(algorithm, 7, 2, q, 480, 120, seed=seed)
         plain = random_script(config, seed, faulty=(2, 6))
         script = RecordingScript.from_jsonable(plain.to_jsonable())
-        result = run_execution(config, script)
+        counts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sim.Execution, "_send_wave", send_wave)
+            result = run_execution(config, script)
         assert result.transcript.to_jsonl() == (
             run_execution(config, plain).transcript.to_jsonl()
         )
-        assert [
+        deviating = [
             (g, step, s, r, value.hex())
-            for (g, step, s, r, _, _), value in script.sends if value is not None
-        ] == [
+            for (g, step, s, r, honest, skip), value in script.sends
+            if value is not None and (value != honest or skip)
+        ]
+        assert deviating == [
             (e["g"], e["step"], e["sender"], e["receiver"], e["value"])
             for e in result.transcript.of_type("SYMBOL_SENT")
         ]
+        # alg2 sends a helper wave before and after its match set
+        waves: dict = {}
+        for e in result.transcript.of_type("WAVE"):
+            waves[e["g"], e["step"]] = waves.get((e["g"], e["step"]), 0) + e["count"]
+        assert waves == {key: count for key, count in counts.items() if count}
         assert [
             (g, tag, s, sim._jsonable_payload(tag, payload))
             for (g, tag, s, _), payload in script.broadcasts
@@ -212,7 +248,9 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(algorithm, q)
         symbols += sum(value is not None for _, value in script.sends)
         silences += sum(value is None for _, value in script.sends)
         silences += sum(payload is None for _, payload in script.broadcasts)
-    assert symbols and silences  # the scripts send and withhold something
+        deviations += len(deviating)
+    # the scripts send honest symbols, deviate and withhold something
+    assert symbols > deviations > 0 and silences
 
 
 def test_vector_override_is_recorded_as_the_parsed_vector():
@@ -232,6 +270,60 @@ def test_vector_override_is_recorded_as_the_parsed_vector():
         if e["tag"] == TAG_CODED and e["sender"] == 4
     ] == [["ab", None, "cd", "ef"]]
     assert replay_identical(config, script) == ("PASS", True)
+
+
+def test_a_faulty_symbol_equal_to_the_senders_slot_joins_the_wave():
+    """A replace rule that sends the sender's own slot writes no line and
+    adds one to the `WAVE` count: the run matches the run without it."""
+    config = fault_free_config(ALG1, 4, 1, None, 240, 24)
+    slot = encode(config.code_params(), config.input_block(4, 1))[3]
+
+    def run(rule):
+        script = AdversaryScript([4])
+        if rule:
+            script.add_send(1, STEP_OWN, 4, 1, "replace", rule)
+        return run_execution(config, script).transcript.events
+
+    plain, same, other = run(None), run(slot), run(bytes([slot[0] ^ 1]))
+    assert same[1:] == plain[1:]
+    assert same[0]["script"]["sends"] == {"1|own|4|1": {"kind": "replace", "data": slot.hex()}}
+
+    def own_wave(events):
+        lines = [e for e in events if e.get("g") == 1 and e.get("step") == STEP_OWN]
+        return [e["type"] for e in lines], lines[-1]["count"]
+
+    assert own_wave(same) == (["WAVE"], 12)
+    assert own_wave(other) == (["SYMBOL_SENT", "WAVE"], 11)
+
+
+def test_a_suppressed_senders_symbol_stays_a_line_even_when_equal():
+    """Faulty member 3 withholds its own slot from faulty non-member 7,
+    which so gathers only two of k = 3 match-set symbols and skips its
+    re-send wave. A replace rule still sends 7's own-input slot, the
+    symbol `send` is handed, and it is written as a `SYMBOL_SENT` line."""
+    config = fault_free_config(ALG2, 7, 2, 3, 24, 24, sharers=range(1, 6))
+    own_slot = encode(config.code_params(), config.input_block(7, 1))[6]
+
+    def run(rule):
+        script = RecordingScript([3, 7]).add_send(1, STEP_OWN, 3, 7, SEND_SILENT)
+        if rule:
+            script.add_send(1, STEP_RECONSTRUCTED, 7, 1, "replace", rule)
+        events = run_execution(config, script).transcript.events
+        assert [e["members"] for e in events if e["type"] == "MATCH_SET"] == [[1, 2, 3]]
+        return script.sends, [e for e in events if e.get("step") == STEP_RECONSTRUCTED]
+
+    sends, plain = run(None)
+    # 7 is asked for every re-send, suppressed, and sends nothing
+    resends = [(args, value) for args, value in sends if args[1] == STEP_RECONSTRUCTED]
+    assert resends and all(
+        args[2] == 7 and args[5] and value is None for args, value in resends
+    )
+    _, ruled = run(own_slot)
+    assert ruled == [
+        {"type": "SYMBOL_SENT", "g": 1, "step": STEP_RECONSTRUCTED, "sender": 7,
+         "receiver": 1, "slot": 7, "value": own_slot.hex()},
+        *plain,
+    ]
 
 
 # -------------------------------------------------- fault-free identities
@@ -324,7 +416,9 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
     """Every wave of a plan, on a graph with removed edges, with faulty
     senders under send rules of every kind and suppressed senders, leaves
     the same received words and records the same `SYMBOL_SENT` and `WAVE`
-    events as `wave_oracle.deliver`, obligation by obligation."""
+    events as `wave_oracle.deliver`, obligation by obligation. Corrupt
+    and replace rules may yield the sender's own slot, which joins the
+    `WAVE` records unless the sender is suppressed."""
     n = data.draw(st.integers(4, 10), label="n")
     t = (n - 1) // 3
     sym = data.draw(st.integers(1, 2), label="sym_bytes")
@@ -340,6 +434,8 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
     faulty = data.draw(st.sets(st.sampled_from(everyone), max_size=t), label="faulty")
     suppressed = data.draw(st.sets(st.sampled_from(everyone)), label="suppressed")
     g = data.draw(st.integers(1, config.generations), label="g")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="words"))
+    coded = {p: [rng.randbytes(sym) for _ in everyone] for p in everyone}
     script = AdversaryScript(faulty)
     kinds = ("honest", SEND_SILENT, "corrupt", "replace")
     if faulty:
@@ -347,14 +443,18 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
             st.integers(1, config.generations), st.sampled_from(sim._STEPS),
             st.sampled_from(sorted(faulty)), st.sampled_from(everyone),
             st.sampled_from(kinds), st.binary(min_size=sym, max_size=sym),
+            st.integers(0, 2),
         )
-        for rule_g, step, s, r, kind, value in data.draw(
+        for rule_g, step, s, r, kind, value, honest in data.draw(
             st.lists(rules, max_size=4 * n), label="rules"
         ):
+            # a zero mask, or one of the sender's slots, as often as not
+            if kind == "corrupt" and honest:
+                value = bytes(sym)
+            elif kind == "replace" and honest:
+                value = coded[s][(r if honest == 1 else s) - 1]
             if r != s:
                 script.add_send(rule_g, step, s, r, kind, value)
-    rng = random.Random(data.draw(st.integers(0, 2**32), label="words"))
-    coded = {p: [rng.randbytes(sym) for _ in everyone] for p in everyone}
     received = {p: [rng.choice((None, rng.randbytes(sym))) for _ in everyone] for p in everyone}
     expected = {p: list(word) for p, word in received.items()}
     execution = Execution(config, script)
@@ -438,33 +538,25 @@ def test_obligations_follow_the_graph_after_diagnosis():
     word = encode(config.code_params(), config.input_block(1, 2))
 
     def traffic(obligations):
-        """Processor 7's sends, and each wave's honest count and digest."""
-        faulty = [
-            (ob.step, ob.sender, ob.receiver, ob.slot)
-            for ob in obligations if ob.sender == 7
-        ]
+        """Each wave's count and digest: processor 7 follows no rule in g2,
+        so its symbols join the waves with everyone else's."""
         waves = {}
         for step in sim._STEPS:
             records = [
                 bytes((ob.sender, ob.receiver, ob.slot)) + word[ob.slot - 1]
-                for ob in obligations if ob.step == step and ob.sender != 7
+                for ob in obligations if ob.step == step
             ]
             if records:
                 digest = hashlib.sha256(b"".join(records)).hexdigest()
                 waves[step] = (len(records), digest)
-        return faulty, waves
+        return waves
 
     events = [ev for ev in result.transcript.events if ev.get("g") == 2]
-    sent = (
-        [
-            (ev["step"], ev["sender"], ev["receiver"], ev["slot"])
-            for ev in events if ev["type"] == "SYMBOL_SENT"
-        ],
-        {
-            ev["step"]: (ev["count"], ev["sha256"])
-            for ev in events if ev["type"] == "WAVE"
-        },
-    )
+    assert not [ev for ev in events if ev["type"] == "SYMBOL_SENT"]
+    sent = {
+        ev["step"]: (ev["count"], ev["sha256"])
+        for ev in events if ev["type"] == "WAVE"
+    }
     graph = TrustGraph(7, 2)
     for ev in result.transcript.of_type("EDGE_REMOVED"):
         if ev["g"] == 1:

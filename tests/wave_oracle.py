@@ -25,26 +25,30 @@ def deliver(g, step, obligations, coded, received, faulty, send, suppressed):
     `received` map each processor to its word, a list of symbols, and
     `received` is written in place. A faulty sender's symbol is
     `send(g, step, sender, receiver, honest, sender in suppressed)`, None
-    for silence, and each one sent is a `SYMBOL_SENT` event. Any other
-    sender not in `suppressed` sends its slot, and those symbols become
-    one `WAVE` event after the rest: their count and the SHA-256 of the
-    records `bytes((sender, receiver, slot)) + symbol` in plan order.
+    for silence; any other sender not in `suppressed` sends its slot. A
+    symbol equal to its sender's slot from a sender not in `suppressed`
+    is a record `bytes((sender, receiver, slot)) + symbol`, and the
+    records become one `WAVE` event after the rest: their count and the
+    SHA-256 of the records in plan order. Every other faulty symbol sent
+    is a `SYMBOL_SENT` event.
     """
     events, records = [], []
     for sender, receiver, slot in obligations:
         honest = coded[sender][slot - 1]
         if sender in faulty:
             value = send(g, step, sender, receiver, honest, sender in suppressed)
-            if value is None:
-                continue
-            received[receiver][slot - 1] = value
+        else:
+            value = None if sender in suppressed else honest
+        if value is None:
+            continue
+        received[receiver][slot - 1] = value
+        if value == honest and sender not in suppressed:
+            records.append(bytes((sender, receiver, slot)) + value)
+        else:
             events.append({
                 "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
                 "receiver": receiver, "slot": slot, "value": value.hex(),
             })
-        elif sender not in suppressed:
-            received[receiver][slot - 1] = honest
-            records.append(bytes((sender, receiver, slot)) + honest)
     if records:
         events.append({
             "type": "WAVE", "g": g, "step": step, "count": len(records),

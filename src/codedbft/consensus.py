@@ -199,6 +199,15 @@ def detection_flag(
     return reconstruction_sources(received, p_match, params.k) is None
 
 
+def flag_key(
+    received: Sequence[bytes | None], coded: Sequence[bytes | None], in_match: bool
+) -> tuple:
+    """All that `detection_flag` reads of one processor in a generation:
+    whether it is a match-set member, its received word and, for a member,
+    its coded word. A generation's flags are asked once per key."""
+    return (in_match, tuple(received), tuple(coded) if in_match else None)
+
+
 @dataclass
 class Claims:
     """One processor's diagnosis broadcasts; None marks silence."""
@@ -252,7 +261,8 @@ def run_diagnosis(
       3. a non-member whose received claims contain enough match-set
          symbols must show exactly the reconstruction they imply.
       4. a flag that does not follow from the broadcaster's own claims
-         proves it faulty (honest flags are a function of the claims).
+         proves it faulty (honest flags are a function of the claims);
+         each distinct `flag_key` is asked once.
       5. for every send (sender, receiver, slot), in plan order,
          the sender's coded claim and the receiver's received claim
          must agree on the slot; any difference, including a value
@@ -306,12 +316,17 @@ def run_diagnosis(
         if c.coded[j - 1] != reconstruct_position(params, c.received, j, sources):
             convict(j, RULE_RECONSTRUCTION)
 
+    flags: dict[tuple, bool] = {}
     for p in sorted(claims):
         if p in graph.convicted:
             continue
         c = claims[p]
-        flag = detection_flag(params, c.received, c.coded, p in members, members, verdicts)
-        if c.flag != flag:
+        key = flag_key(c.received, c.coded, p in members)
+        if key not in flags:
+            flags[key] = detection_flag(
+                params, c.received, c.coded, p in members, members, verdicts
+            )
+        if c.flag != flags[key]:
             convict(p, RULE_FLAG)
 
     for sender, receiver, slot in sends:

@@ -39,6 +39,7 @@ from .consensus import (
     TAG_RECEIVED,
     Claims,
     detection_flag,
+    flag_key,
     local_helper_copies,
     matching_obligations,
     reconstruction_sources,
@@ -866,7 +867,7 @@ class Execution:
             flags: dict[int, bool | None] = {}
             for p in self.graph.unconvicted():
                 in_match = p in members
-                key = (in_match, tuple(received[p]), tuple(coded[p]) if in_match else None)
+                key = flag_key(received[p], coded[p], in_match)
                 live = live_flags.get(key)
                 if live is None:
                     live = live_flags[key] = detection_flag(

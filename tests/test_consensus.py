@@ -324,6 +324,25 @@ def test_flag_contradicting_claims_is_convicted():
     assert result.decide_ids == [1, 3, 4]
 
 
+def test_rule_4_asks_once_per_flag_key(monkeypatch):
+    """Claimants 1, 3 and 4 share a key, and 2's lie about its flag does
+    not change it; 4 as a non-member, with the same words, has another."""
+    asked = []
+    real = consensus.detection_flag
+
+    def counted(params, received, coded, in_match, *rest):
+        asked.append(consensus.flag_key(received, coded, in_match))
+        return real(params, received, coded, in_match, *rest)
+    monkeypatch.setattr(consensus, "detection_flag", counted)
+    for p_match in ((1, 2, 3, 4), (1, 2, 3)):
+        g, sends, claims = fresh_world(p_match)
+        claims[2] = Claims(True, list(CV), list(CV))
+        asked.clear()
+        result = diagnose(g, sends, claims, p_match)
+        assert (RULE_FLAG, ("convicted", 2)) in result.events
+        assert len(asked) == len(set(asked)) == 1 + (len(p_match) < 4)
+
+
 def split_world():
     """Inputs split 2/2: everyone honestly received the slot mix."""
     g = TrustGraph(4, 1)

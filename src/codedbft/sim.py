@@ -856,7 +856,7 @@ class Execution:
                 if p_match is None:
                     self._settle(g, OUTCOME_DEFAULT, default)
                     continue
-            plan = _matching_plan(self.graph, p_match)
+                plan = _matching_plan(self.graph, p_match)
             self._helper_and_reconstruct(g, p_match, plan, coded, received)
             members = set(p_match)
             # this generation's codeword verdicts, flags and accepted blocks,

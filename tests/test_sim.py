@@ -595,6 +595,22 @@ def test_graphs_in_one_state_share_one_plan():
     assert sim._matching_plan(b, members).own != plan.own
 
 
+@pytest.mark.parametrize("algorithm, q, per_generation", [(ALG1, None, 1), (ALG2, 3, 2)])
+def test_each_generation_derives_each_plan_once(algorithm, q, per_generation, monkeypatch):
+    """alg1 derives its match set's plan once; alg2 derives everyone's
+    plan, then the plan of the match set it found."""
+    real, calls = sim._matching_plan, []
+
+    def matching_plan(graph, p_match):
+        calls.append(tuple(p_match))
+        return real(graph, p_match)
+    monkeypatch.setattr(sim, "_matching_plan", matching_plan)
+    config = fault_free_config(algorithm, 7, 2, q, 480, 120, sharers=range(1, 8))
+    result = run_execution(config, AdversaryScript())
+    assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
+    assert len(calls) == per_generation * config.generations
+
+
 def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     from collections import OrderedDict
 

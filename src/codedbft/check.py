@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .consensus import ALG1, OUTCOME_DECIDED, OUTCOME_DEFAULT
-from .quorum import smallest_clique
+from .quorum import first_clique
 
 if TYPE_CHECKING:
     from .sim import ExecutionConfig
@@ -70,8 +70,14 @@ def judge(
         elif kind == "MATCH_SET" and e["members"] is None:
             # a trusting fault-free group sharing a block must yield a match set
             _, sharers = sharers_of(g)
-            trust = {a: {b for b in sharers if (a, b) not in removed} for a in sharers}
-            if len(sharers) >= config.q and smallest_clique(trust, config.q):
+            # bit p-1 stands for processor p, with its trusted sharers as its row
+            rows = [0] * config.n
+            for a in sharers:
+                rows[a - 1] = sum(
+                    1 << (b - 1) for b in sharers if b != a and (a, b) not in removed
+                )
+            pool = sum(1 << (a - 1) for a in sharers)
+            if len(sharers) >= config.q and first_clique(rows, pool, config.q):
                 out.append(
                     f"g{g}: no match set found despite a trusting "
                     f"fault-free group sharing a block"

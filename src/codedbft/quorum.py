@@ -6,28 +6,86 @@ word, and the match set is the lexicographically smallest q-clique of
 the resulting mutual-match graph. All processors see the same vectors,
 so they select the identical set with no extra communication.
 
-The clique search is an ordered branch-and-bound in the style of
-Bron-Kerbosch (CACM 1973, Algorithm 457). It first peels away every
-vertex with fewer than q-1 live neighbours, which no q-clique can
-contain, then extends a partial clique in ascending vertex order. A
-branch is cut once too few candidates remain to reach q, or once a
-greedy colouring of the candidates (the bound of Tomita and Seki's
-MCQ, DMTCS 2003) uses too few colours: a clique has at most one vertex
-of each colour. Branches are tried in lexicographic order and a cut
+A match vector is one int, an n-bit mask: bit j-1 is set iff slot j
+matched. The clique search is bit-parallel (San Segundo, Rodriguez-Losada
+and Jimenez, Computers & OR 38(2), 2011): a vertex set is a mask and each
+vertex's neighbours are a row mask. It first peels away every vertex
+with fewer than q-1 live neighbours (`int.bit_count`), which no q-clique
+can contain, then extends a partial clique by the lowest candidate bit.
+A branch is cut once too few candidates remain to reach q, or once a
+greedy colouring of the candidates (the bound of Tomita and Seki's MCQ,
+DMTCS 2003) uses too few colours: a clique has at most one vertex of
+each colour. Branches are tried in ascending vertex order and a cut
 never removes a q-clique, so the first clique found is the
 lexicographically smallest one.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from itertools import compress
+from operator import eq
+from typing import Iterable, Iterator, Mapping, Sequence
+
+# bit j of a match vector, by slot index j
+_POW2 = tuple(1 << j for j in range(256))
 
 
 def compute_match_bits(
     received: Sequence[bytes | None], coded: Sequence[bytes | None]
-) -> tuple[bool, ...]:
-    """bits[j-1] is TRUE iff slot j was delivered and equals own S[j]."""
-    return tuple([r is not None and r == s for r, s in zip(received, coded)])
+) -> int:
+    """Bit j-1 is set iff slot j was delivered and equals own S[j]."""
+    bits = sum(compress(_POW2, map(eq, received, coded)))
+    if not all(coded):  # a slot missing from both words is still no match
+        bits &= ~sum(compress(_POW2, [r is None for r in received]))
+    return bits
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bit positions of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def first_clique(rows: Sequence[int], live: int, q: int) -> list[int] | None:
+    """Lexicographically smallest q-clique (ascending bit positions) of
+    the vertices in the mask `live`, where `rows[v]` is the mask of v's
+    neighbours: symmetric, and without v itself."""
+    # peel: a vertex of a q-clique keeps its q-1 clique neighbours live
+    while drop := sum(1 << v for v in _bits(live) if (rows[v] & live).bit_count() < q - 1):
+        live ^= drop
+    if live.bit_count() < q:
+        return None
+
+    def extend(size: int, candidates: int) -> list[int] | None:
+        if size == q:
+            return []
+        # greedy colouring, one colour class at a time in ascending order,
+        # stopped once enough colours are in use: a clique takes one vertex
+        # per colour class at most
+        need, uncoloured, colours = q - size, candidates, 0
+        while uncoloured and colours < need:
+            colours += 1
+            free = uncoloured
+            while free:
+                low = free & -free
+                uncoloured ^= low
+                free &= ~(low | rows[low.bit_length() - 1])
+        if colours < need:
+            return None
+        while candidates:
+            if size + candidates.bit_count() < q:
+                return None
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            found = extend(size + 1, candidates & rows[v])
+            if found is not None:
+                return [v, *found]
+        return None
+
+    return extend(0, live)
 
 
 def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | None:
@@ -35,72 +93,45 @@ def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | No
 
     `adjacency` maps each vertex to its neighbours; an edge is read only
     where both ends list each other, and neighbours outside the mapping
-    are ignored.
+    are ignored. The vertices are numbered in sorted order for
+    `first_clique`.
     """
-    live = {v: {u for u in nbrs if u != v and v in adjacency.get(u, ())}
-            for v, nbrs in adjacency.items()}
-    # peel: a vertex of a q-clique keeps its q-1 clique neighbours live
-    low = [v for v, nbrs in live.items() if len(nbrs) < q - 1]
-    while low:
-        v = low.pop()
-        for u in live.pop(v):
-            nbrs = live[u]
-            nbrs.discard(v)
-            if len(nbrs) == q - 2:
-                low.append(u)
-    if len(live) < q:
-        return None
-
-    def extend(clique: list[int], candidates: list[int]) -> list[int] | None:
-        if len(clique) == q:
-            return clique
-        # greedy colouring, stopped once enough colours are in use: a
-        # clique takes one vertex per colour class at most
-        need = q - len(clique)
-        classes: list[set[int]] = []
-        for v in candidates:
-            nbrs = live[v]
-            for cls in classes:
-                if cls.isdisjoint(nbrs):
-                    cls.add(v)
-                    break
-            else:
-                classes.append({v})
-                if len(classes) == need:
-                    break
-        if len(classes) < need:
-            return None
-        for index, v in enumerate(candidates):
-            if len(clique) + len(candidates) - index < q:
-                return None
-            nbrs = live[v]
-            found = extend(
-                clique + [v], [u for u in candidates[index + 1:] if u in nbrs]
-            )
-            if found is not None:
-                return found
-        return None
-
-    return extend([], sorted(live))
+    order = sorted(adjacency)
+    index = {v: i for i, v in enumerate(order)}
+    rows = [
+        sum(1 << index[u] for u in adjacency[v] if u != v and v in adjacency.get(u, ()))
+        for v in order
+    ]
+    found = first_clique(rows, (1 << len(order)) - 1, q)
+    return None if found is None else [order[i] for i in found]
 
 
 def find_match_set(
-    vectors: Mapping[int, Sequence[bool] | None],
-    candidates: Sequence[int],
-    q: int,
+    vectors: Mapping[int, int | None], candidates: Iterable[int], q: int
 ) -> list[int] | None:
     """Lexicographically smallest q-clique of the mutual-match graph.
 
     Vertices are the distinct candidates. Candidates i and j are joined
-    when vi[j-1] and vj[i-1] are both TRUE; a processor that withheld
-    its vector (None) matches nobody. Each candidate's neighbour set is
-    built once and searched by `smallest_clique` (see the module notes),
-    so the set found is the one an exhaustive search in
-    `itertools.combinations` order would return.
+    when bit j-1 of vi and bit i-1 of vj are both set; a processor that
+    withheld its vector (None) matches nobody. Candidate i's row is vi
+    without its own bit, ANDed with its column so only mutual bits stay
+    (a non-candidate's row is empty, so its bits go too), and
+    `first_clique` searches the rows (see the module notes), so the set
+    found is the one an exhaustive search in `itertools.combinations`
+    order would return.
     """
     pool = set(candidates)
-    adjacency: dict[int, set[int]] = {}
-    for i in pool:
-        vi = vectors.get(i)
-        adjacency[i] = set() if vi is None else {j for j in pool if vi[j - 1]}
-    return smallest_clique(adjacency, q)
+    width = max(pool, default=0)
+    rows = [0] * width
+    for c in pool:
+        if (v := vectors.get(c)) is not None:
+            rows[c - 1] = v & ~_POW2[c - 1]
+    # a vertex of a q-clique matches q-1 others, one way at least
+    if sum(row.bit_count() >= q - 1 for row in rows) < q:
+        return None
+    # the columns, read off the rows as bit strings up to the widest
+    # candidate: char i of column j is bit j of row i
+    text = [format(row, f"0{width}b")[::-1] for row in rows]
+    rows = [row & int("".join(col)[::-1], 2) for row, col in zip(rows, zip(*text))]
+    found = first_clique(rows, sum(_POW2[c - 1] for c in pool), q)
+    return None if found is None else [i + 1 for i in found]

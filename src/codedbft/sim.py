@@ -356,7 +356,8 @@ class AdversaryScript:
     def broadcast(self, generation: int, tag: str, sender: int, honest: Any) -> Any:
         """The payload `sender` broadcasts for `honest`, or None for
         silence; a vector override is parsed into a word shaped like
-        `honest`, whose own slot the sender always holds."""
+        `honest`, whose own slot the sender always holds, and a match-bit
+        override into a mask."""
         rule = self._bcasts.get((generation, tag, sender))
         if rule is None:
             return honest
@@ -365,6 +366,8 @@ class AdversaryScript:
             return None
         if tag in (TAG_CODED, TAG_RECEIVED):
             return parse_word(len(honest), len(honest[sender - 1]), payload)
+        if tag == TAG_MATCH_BITS:
+            return sum(1 << j for j, bit in enumerate(payload) if bit)
         return payload
 
     def validate_shapes(self, config: ExecutionConfig) -> None:
@@ -551,15 +554,14 @@ class Transcript:
         """Each event as `_JSONL_ENCODER.encode(event) + "\\n"`.
 
         The hot event shape, BROADCAST with a payload that is a bool, None
-        or a list of bools (match bits), is filled into a fixed template
-        whose keys are in sorted order. An event takes it only when it has
-        exactly the template's keys, every int field is an int (a bool
-        would print as True), every bit is a bool (an int 1 would print
-        as true), and the tag is a known one; any other event goes
+        or a string of 0s and 1s (match bits), is filled into a fixed
+        template whose keys are in sorted order. An event takes it only
+        when it has exactly the template's keys, every int field is an int
+        (a bool would print as True), a string payload holds nothing JSON
+        would escape, and the tag is a known one; any other event goes
         through the encoder.
         """
         encode = _JSONL_ENCODER.encode
-        literal = _JSON_LITERALS.__getitem__
         for e in self.events:
             if e.get("type") == "BROADCAST" and len(e) == 6:
                 try:
@@ -570,8 +572,8 @@ class Transcript:
                 else:
                     if payload is None or type(payload) is bool:
                         text = _JSON_LITERALS[payload]
-                    elif type(payload) is list and set(map(type, payload)) <= {bool}:
-                        text = f"[{','.join(map(literal, payload))}]"
+                    elif type(payload) is str and not payload.strip("01"):
+                        text = f'"{payload}"'
                     else:
                         text = None
                     if (
@@ -720,7 +722,8 @@ class Execution:
         bits = 0 if payload is None else honest_bits
         self.transcript.events.append({
             "type": "BROADCAST", "g": g, "tag": tag, "sender": sender,
-            "payload": _jsonable_payload(tag, payload), "payload_bits": bits,
+            "payload": _jsonable_payload(tag, payload, self.config.n),
+            "payload_bits": bits,
         })
         return payload
 
@@ -836,7 +839,7 @@ class Execution:
         p_match: list[int] | None = everyone
         for g in range(1, cfg.generations + 1):
             coded, received = self._fresh_state(g)
-            vectors: dict[int, Sequence[bool] | None] = {}
+            vectors: dict[int, int | None] = {}
             if alg1:
                 # patched runs only: the carried decide set holds no convicted processor
                 p_match = [p for p in p_match if p not in self.graph.convicted]
@@ -994,12 +997,14 @@ def _word_bits(word: list[bytes | None]) -> int:
     return len(word) + 8 * sum(len(v) for v in word if v is not None)
 
 
-def _jsonable_payload(tag: str, payload: Any) -> Any:
-    if payload is not None and tag in (TAG_CODED, TAG_RECEIVED):
-        return word_hex(payload)
-    if isinstance(payload, tuple):
-        return list(payload)
-    return payload
+def _jsonable_payload(tag: str, payload: Any, n: int) -> Any:
+    """A flag as it is, match bits as the n-character string whose
+    character j-1 is 1 iff slot j matched, and a word as `word_hex`."""
+    if payload is None or tag == TAG_DETECTED:
+        return payload
+    if tag == TAG_MATCH_BITS:
+        return format(payload, f"0{n}b")[::-1]
+    return word_hex(payload)
 
 
 def run_execution(config: ExecutionConfig, script: AdversaryScript) -> ExecutionResult:

@@ -2,12 +2,14 @@
 
 `golden_corpus.py` builds the corpus. A refactor or speed-up must leave
 every hash unchanged; a change that alters transcripts on purpose
-re-records the file and says why. The hashes are of v4 transcripts;
+re-records the file and says why. The hashes are of v5 transcripts;
 `v1_fixtures/` keeps four v1 transcripts of the corpus, with their v1
-golden hashes below, that `transcript_v1.v4_waves_from_v1` and then
-`transcript_v2.v3_from_v2` must fold into today's transcripts byte for
-byte. Folded with `v2_from_v1` instead, they give the v3 transcripts,
-from which v4 differs only in its `WAVE` and `SYMBOL_SENT` lines.
+golden hashes below, that `transcript_v1.v4_waves_from_v1`, then
+`transcript_v2.v3_from_v2` and then `transcript_v4.v5_from_v4` must fold
+into today's transcripts byte for byte. Folded with `v2_from_v1`
+instead, they give the v3 transcripts, from which v4 differs only in its
+`WAVE` and `SYMBOL_SENT` lines; v5 differs from v4 only in its match-bit
+payloads.
 """
 
 import contextlib
@@ -41,6 +43,7 @@ from golden_corpus import (
 from ledger_oracle import resum_ledger
 from transcript_v1 import v2_from_v1, v4_waves_from_v1
 from transcript_v2 import v3_from_v2
+from transcript_v4 import v4_from_v5, v5_from_v4
 import wave_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
@@ -181,9 +184,12 @@ def test_v1_fixtures_fold_into_todays_transcripts():
         v1 = (V1_FIXTURES / name).read_bytes()
         assert digest(v1) == v1_hash, name
         config, script = cases[key]
-        v4 = run_execution(config, script).transcript.to_jsonl()
-        assert v3_from_v2(v4_waves_from_v1(v1.decode())) == v4, name
-        assert digest(v4.encode()) == GOLDEN[section][key], name
+        v5 = run_execution(config, script).transcript.to_jsonl()
+        v4 = v3_from_v2(v4_waves_from_v1(v1.decode()))
+        assert v5_from_v4(v4) == v5 and v4_from_v5(v5) == v4, name
+        assert digest(v5.encode()) == GOLDEN[section][key], name
+        # only the alg2 fixture broadcasts match bits
+        assert (v4 != v5) == name.startswith("alg2"), name
 
 
 def test_every_corpus_wave_delivers_like_the_oracle(monkeypatch):

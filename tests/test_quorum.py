@@ -15,17 +15,27 @@ def test_match_bits_require_delivery_and_equality():
     received = list(coded)
     received[1] = None
     received[2] = b"\x00"
-    assert compute_match_bits(received, coded) == (True, False, False, True)
+    assert compute_match_bits(received, coded) == 0b1001
 
 
 def test_match_bits_all_true_for_identical_words():
     params = CodeParams(4, 2)
     coded = encode(params, b"\x12\x34")
-    assert compute_match_bits(list(coded), coded) == (True,) * 4
+    assert compute_match_bits(list(coded), coded) == 0b1111
+
+
+def mask(bits):
+    """A match vector from its bools: bit j-1 is set iff bits[j-1]."""
+    return sum(1 << j for j, bit in enumerate(bits) if bit)
+
+
+def bools(vector, n):
+    """A match vector as the tuple of bools `clique_oracle` reads."""
+    return None if vector is None else tuple(vector >> j & 1 == 1 for j in range(n))
 
 
 def complete_vectors(n):
-    return {i: tuple(True for _ in range(n)) for i in range(1, n + 1)}
+    return {i: (1 << n) - 1 for i in range(1, n + 1)}
 
 
 def test_complete_graph_selects_lex_smallest_clique():
@@ -37,7 +47,7 @@ def test_two_small_cliques_cannot_make_a_big_one():
     vectors = {}
     for i in range(1, 8):
         side = a if i in a else b
-        vectors[i] = tuple(j in side for j in range(1, 8))
+        vectors[i] = mask(j in side for j in range(1, 8))
     assert find_match_set(vectors, range(1, 8), 5) is None
     assert find_match_set(vectors, range(1, 8), 4) == [1, 2, 3, 4]
     assert find_match_set(vectors, range(1, 8), 3) == [1, 2, 3]
@@ -45,7 +55,7 @@ def test_two_small_cliques_cannot_make_a_big_one():
 
 def test_match_must_be_mutual():
     vectors = complete_vectors(4)
-    vectors[2] = (True, True, False, True)  # 2 does not match 3
+    vectors[2] = 0b1011  # 2 does not match 3
     assert find_match_set(vectors, range(1, 5), 3) == [1, 2, 4]
 
 
@@ -66,7 +76,8 @@ def test_candidate_filter_excludes_convicted():
 
 @st.composite
 def match_vectors(draw):
-    """Vector maps with a planted dense core, None and missing vectors."""
+    """Vector maps, as masks, with a planted dense core, None and missing
+    vectors."""
     n = draw(st.integers(1, 12))
     core = draw(st.sets(st.integers(1, n)))
     vectors = {}
@@ -78,7 +89,7 @@ def match_vectors(draw):
             vectors[i] = None
             continue
         bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        vectors[i] = tuple(
+        vectors[i] = mask(
             b or (i in core and j in core) for j, b in enumerate(bits, start=1)
         )
     candidates = draw(
@@ -95,9 +106,10 @@ def match_vectors(draw):
 @given(match_vectors())
 def test_find_match_set_matches_oracle(case):
     n, vectors, candidates = case
+    as_bools = {i: bools(v, n) for i, v in vectors.items()}
     for q in range(1, n + 1):
         assert find_match_set(vectors, candidates, q) == oracle.find_match_set(
-            vectors, candidates, q
+            as_bools, candidates, q
         ), f"q={q}"
 
 
@@ -131,14 +143,17 @@ def turan_vectors(n, parts, layout):
     else:
         part = {i: (i - 1) * parts // n for i in range(1, n + 1)}
     vectors = {
-        i: tuple(part[i] != part[j] for j in range(1, n + 1))
-        for i in range(1, n + 1)
+        i: mask(part[i] != part[j] for j in range(1, n + 1)) for i in range(1, n + 1)
     }
     return vectors, part
 
 
 @pytest.mark.parametrize("layout", ["interleaved", "blocks"])
-@pytest.mark.parametrize("n,q", [(19, 7), (22, 8), (26, 9), (30, 10), (34, 11)])
+@pytest.mark.parametrize("n,q", [
+    (19, 7), (22, 8), (26, 9), (30, 10), (34, 11),
+    # ids above 63, past one machine word, up to the codec's n=255
+    (64, 22), (127, 43), (200, 67), (255, 85), (255, 128),
+])
 def test_turan_graph_has_no_q_clique(n, q, layout):
     vectors, part = turan_vectors(n, q - 1, layout)
     assert find_match_set(vectors, range(1, n + 1), q) is None

@@ -159,9 +159,8 @@ def test_script_broadcast_answers_in_the_engines_types():
     assert script.broadcast(1, TAG_DETECTED, 4, False) is None
     claim = script.broadcast(1, TAG_CODED, 4, honest)
     assert claim == [b"\x0a", None, b"\x0b", b"\x0c"]
-    assert script.broadcast(1, TAG_MATCH_BITS, 4, (True,) * 4) == [
-        True, False, True, True
-    ]
+    # bit j-1 for slot j, as `compute_match_bits` builds it
+    assert script.broadcast(1, TAG_MATCH_BITS, 4, 0b1111) == 0b1101
     assert script.broadcast(2, TAG_DETECTED, 4, False) is True
     assert script.broadcast(2, TAG_RECEIVED, 4, honest) is honest
 
@@ -239,7 +238,7 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
             waves[e["g"], e["step"]] = waves.get((e["g"], e["step"]), 0) + e["count"]
         assert waves == {key: count for key, count in counts.items() if count}
         assert [
-            (g, tag, s, sim._jsonable_payload(tag, payload))
+            (g, tag, s, sim._jsonable_payload(tag, payload, config.n))
             for (g, tag, s, _), payload in script.broadcasts
         ] == [
             (e["g"], e["tag"], e["sender"], e["payload"])
@@ -930,6 +929,7 @@ def hot_events(draw):
             st.booleans() | st.none()
             | st.lists(st.none() | st.text(max_size=4), max_size=4)
             | st.lists(st.booleans(), max_size=8)
+            | st.text(alphabet='01x"\\\n', max_size=8)
             | st.lists(st.booleans() | st.integers(0, 1) | st.none(), max_size=4)
         ),
         "payload_bits": draw(_INTS),
@@ -988,17 +988,20 @@ def test_only_off_shape_events_reach_the_encoder(monkeypatch):
 
 def test_match_bit_lists_take_the_template(monkeypatch):
     broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "match_bits",
-                 "payload": [], "payload_bits": 0}
+                 "payload": "", "payload_bits": 0}
     templated = [
         broadcast,
-        dict(broadcast, payload=[True]),
-        dict(broadcast, payload=[False, True, True, False]),
+        dict(broadcast, payload="1"),
+        dict(broadcast, payload="0110"),
     ]
+    # strings the template would not quote as JSON does, and the v4 lists
     off_shape = [
-        dict(broadcast, payload=[True, 1]),
-        dict(broadcast, payload=[0]),
-        dict(broadcast, payload=[None, True]),
-        dict(broadcast, payload=["true"]),
+        dict(broadcast, payload="01x"),
+        dict(broadcast, payload='0"'),
+        dict(broadcast, payload="0\\"),
+        dict(broadcast, payload="1\n"),
+        dict(broadcast, payload="\u00e91"),
+        dict(broadcast, payload=[False, True]),
         dict(broadcast, payload=(True, False)),
     ]
     events = templated + off_shape

@@ -128,6 +128,8 @@ def test_match_bits_match_per_slot_reference(case, data):
     params, codeword = case
     received = data.draw(damaged(codeword, params.k))
     coded = data.draw(st.one_of(st.just(codeword), damaged(codeword, params.k)))
-    assert compute_match_bits(received, coded) == oracle.match_bits(
-        params.n, received, coded
+    # the reference's bools, bit j-1 for slot j
+    bits = oracle.match_bits(params.n, received, coded)
+    assert compute_match_bits(received, coded) == sum(
+        1 << j for j, bit in enumerate(bits) if bit
     )

@@ -46,8 +46,9 @@ def judge(
             groups.setdefault(blocks[holder[p]], []).append(p)
         return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
     out: list[str] = []
-    # removed trust edges, in both orientations, and convicted processors
-    removed: set[tuple[int, int]] = set()
+    # each processor's removed trust edges, as a mask with bit p-1 for
+    # processor p, and the convicted processors
+    removed = [0] * (config.n + 1)
     convicted: set[int] = set()
     # alg1's match set: the last decide set, less the convicted; and the
     # first holders of its fault-free members' inputs
@@ -60,7 +61,8 @@ def judge(
         g = e.get("g")
         if kind == "EDGE_REMOVED":
             i, j = e["i"], e["j"]
-            removed.update({(i, j), (j, i)})
+            removed[i] |= 1 << (j - 1)
+            removed[j] |= 1 << (i - 1)
             if i not in faulty and j not in faulty:
                 out.append(f"g{g}: edge ({i},{j}) between fault-free processors removed")
         elif kind == "CONVICTED":
@@ -70,13 +72,8 @@ def judge(
         elif kind == "MATCH_SET" and e["members"] is None:
             # a trusting fault-free group sharing a block must yield a match set
             _, sharers = sharers_of(g)
-            # bit p-1 stands for processor p, with its trusted sharers as its row
-            rows = [0] * config.n
-            for a in sharers:
-                rows[a - 1] = sum(
-                    1 << (b - 1) for b in sharers if b != a and (a, b) not in removed
-                )
-            pool = sum(1 << (a - 1) for a in sharers)
+            pool = sum(1 << (p - 1) for p in sharers)
+            rows = [pool & ~removed[p] & ~(1 << (p - 1)) for p in range(1, config.n + 1)]
             if len(sharers) >= config.q and first_clique(rows, pool, config.q):
                 out.append(
                     f"g{g}: no match set found despite a trusting "

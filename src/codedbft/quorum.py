@@ -6,27 +6,26 @@ word, and the match set is the lexicographically smallest q-clique of
 the resulting mutual-match graph. All processors see the same vectors,
 so they select the identical set with no extra communication.
 
-A match vector is one int, an n-bit mask: bit j-1 is set iff slot j
-matched. The clique search is bit-parallel (San Segundo, Rodriguez-Losada
-and Jimenez, Computers & OR 38(2), 2011): a vertex set is a mask and each
-vertex's neighbours are a row mask. It first peels away every vertex
-with fewer than q-1 live neighbours (`int.bit_count`), which no q-clique
-can contain, then extends a partial clique by the lowest candidate bit.
-A branch is cut once too few candidates remain to reach q, or once a
-greedy colouring of the candidates (the bound of Tomita and Seki's MCQ,
-DMTCS 2003) uses too few colours: a clique has at most one vertex of
-each colour. Branches are tried in ascending vertex order and a cut
-never removes a q-clique, so the first clique found is the
-lexicographically smallest one.
+A match vector is an n-bit int: bit j-1 is set iff slot j matched. The
+clique search is bit-parallel (San Segundo, Rodriguez-Losada and
+Jimenez, Computers & OR 38(2), 2011): vertex sets and neighbourhoods
+are masks. It first peels away every vertex with fewer than q-1 live
+neighbours, which no q-clique can contain, then extends a partial
+clique by its lowest candidate bit. A branch is cut once too few
+candidates remain to reach q, or once a greedy colouring of the
+candidates (the bound of Tomita and Seki's MCQ, DMTCS 2003) uses too
+few colours: a clique has at most one vertex of each colour. Branches
+are tried in ascending vertex order and a cut never removes a q-clique,
+so the first clique found is the lexicographically smallest one.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import eq
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-# bit j of a match vector, by slot index j
+# bit j of a mask, by j
 _POW2 = tuple(1 << j for j in range(256))
 
 
@@ -40,20 +39,15 @@ def compute_match_bits(
     return bits
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bit positions of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def first_clique(rows: Sequence[int], live: int, q: int) -> list[int] | None:
-    """Lexicographically smallest q-clique (ascending bit positions) of
-    the vertices in the mask `live`, where `rows[v]` is the mask of v's
-    neighbours: symmetric, and without v itself."""
+    """Lexicographically smallest q-clique, as ascending bit positions, of
+    the vertices in the mask `live`; `rows[v]` is the mask of v's
+    neighbours, symmetric and without v."""
     # peel: a vertex of a q-clique keeps its q-1 clique neighbours live
-    while drop := sum(1 << v for v in _bits(live) if (rows[v] & live).bit_count() < q - 1):
+    while drop := sum(
+        1 << v for v, row in enumerate(rows)
+        if live >> v & 1 and (row & live).bit_count() < q - 1
+    ):
         live ^= drop
     if live.bit_count() < q:
         return None
@@ -64,19 +58,16 @@ def first_clique(rows: Sequence[int], live: int, q: int) -> list[int] | None:
         # greedy colouring, one colour class at a time in ascending order,
         # stopped once enough colours are in use: a clique takes one vertex
         # per colour class at most
-        need, uncoloured, colours = q - size, candidates, 0
-        while uncoloured and colours < need:
-            colours += 1
+        uncoloured = candidates
+        for _ in range(q - size):
+            if not uncoloured:
+                return None
             free = uncoloured
             while free:
                 low = free & -free
                 uncoloured ^= low
                 free &= ~(low | rows[low.bit_length() - 1])
-        if colours < need:
-            return None
-        while candidates:
-            if size + candidates.bit_count() < q:
-                return None
+        while size + candidates.bit_count() >= q:
             low = candidates & -candidates
             candidates ^= low
             v = low.bit_length() - 1
@@ -93,8 +84,7 @@ def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | No
 
     `adjacency` maps each vertex to its neighbours; an edge is read only
     where both ends list each other, and neighbours outside the mapping
-    are ignored. The vertices are numbered in sorted order for
-    `first_clique`.
+    are ignored.
     """
     order = sorted(adjacency)
     index = {v: i for i, v in enumerate(order)}
@@ -113,24 +103,21 @@ def find_match_set(
 
     Vertices are the distinct candidates. Candidates i and j are joined
     when bit j-1 of vi and bit i-1 of vj are both set; a processor that
-    withheld its vector (None) matches nobody. Candidate i's row is vi
-    without its own bit, ANDed with its column so only mutual bits stay
-    (a non-candidate's row is empty, so its bits go too), and
-    `first_clique` searches the rows (see the module notes), so the set
-    found is the one an exhaustive search in `itertools.combinations`
+    withheld its vector (None) matches nobody. Each row keeps only mutual
+    bits, and a non-candidate's row is empty, so the set `first_clique`
+    finds is the one an exhaustive search in `itertools.combinations`
     order would return.
     """
     pool = set(candidates)
     width = max(pool, default=0)
-    rows = [0] * width
-    for c in pool:
-        if (v := vectors.get(c)) is not None:
-            rows[c - 1] = v & ~_POW2[c - 1]
+    rows = [
+        (vectors.get(i) or 0) & ~_POW2[i - 1] if i in pool else 0
+        for i in range(1, width + 1)
+    ]
     # a vertex of a q-clique matches q-1 others, one way at least
     if sum(row.bit_count() >= q - 1 for row in rows) < q:
         return None
-    # the columns, read off the rows as bit strings up to the widest
-    # candidate: char i of column j is bit j of row i
+    # columns up to the widest candidate: char i of column j is bit j of row i
     text = [format(row, f"0{width}b")[::-1] for row in rows]
     rows = [row & int("".join(col)[::-1], 2) for row, col in zip(rows, zip(*text))]
     found = first_clique(rows, sum(_POW2[c - 1] for c in pool), q)

@@ -25,7 +25,7 @@ from itertools import compress
 from operator import eq
 from typing import Iterable, Mapping, Sequence
 
-# bit j of a mask, by j
+# 1 << j by j, for `compress` to pick the bits of the selected slots
 _POW2 = tuple(1 << j for j in range(256))
 
 

@@ -17,7 +17,9 @@ set, and the decision threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagnosis import TrustGraph
 from .rs import (
@@ -48,81 +50,88 @@ OUTCOME_DEFAULT = "DEFAULT"
 OUTCOME_TERMINATED = "TERMINATED_DEFAULT"
 
 
-class SendObligation(NamedTuple):
-    """One required point-to-point send, derivable by every processor.
+# one wave's sends from one sender of one slot, in plan order: (sender,
+# slot, receivers, the record prefix bytes((sender, receiver, slot)) of
+# each receiver, which an engine hashes into its wave digest)
+Run = tuple[int, int, tuple[int, ...], tuple[bytes, ...]]
 
-    Diagnosis depends on all processors reconstructing the identical
-    obligation list from (trust graph, match set) alone, so obligations
-    never depend on private state or on delivered content.
+
+def _run(sender: int, slot: int, receivers: Iterable[int]) -> Run:
+    receivers = tuple(receivers)
+    return sender, slot, receivers, tuple(bytes((sender, r, slot)) for r in receivers)
+
+
+@dataclass(frozen=True)
+class MatchingPlan:
+    """Every network send of one matching stage, and the local copies.
+
+    Diagnosis depends on all processors deriving the identical plan from
+    (trust graph, match set) alone, so a plan never depends on private
+    state or on delivered content. Each wave's sends, by (sender,
+    receiver, slot), are held as runs: maximal stretches with one
+    (sender, slot). `len()` of a plan is `size`, its number of sends.
     """
 
-    sender: int
-    receiver: int
-    slot: int
-    step: str
+    own: tuple[Run, ...]
+    helper: tuple[Run, ...]
+    reconstructed: tuple[Run, ...]
+    copies: tuple[tuple[int, int], ...]
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def sends(self) -> Iterator[tuple[int, int, int]]:
+        """The own and helper waves' sends as (sender, receiver, slot), in
+        plan order: every re-send repeats an own-wave triple."""
+        for runs in (self.own, self.helper):
+            for sender, slot, receivers, _ in runs:
+                for receiver in receivers:
+                    yield sender, receiver, slot
 
 
-def _helpers(graph: TrustGraph, members: list[int]) -> Iterator[tuple]:
-    """(helper, receiver, missing slots) for each receiver that trusts
-    a match-set member but not all of them; the helper is the
-    lowest-index trusted member, possibly the receiver itself."""
+def matching_obligations(
+    graph: TrustGraph, p_match: Iterable[int], own: tuple[Run, ...] | None = None
+) -> MatchingPlan:
+    """The plan of one matching stage; `own`, when given, is the own wave
+    already derived for this graph state.
+
+    Wave 1: each processor offers its own slot to every trusted peer,
+    one run per sender with a neighbour left. Wave 2: for each receiver
+    that trusts a match-set member but not all of them, the lowest-index
+    trusted member re-sends the slots the receiver cannot obtain
+    directly; a member that is its own lowest trusted helper copies them
+    locally instead. Wave 3: processors outside the match set re-send
+    their own slot after rebuilding it from match-set symbols, the
+    non-members' wave-1 runs. Self-deliveries are local, free, and not
+    sends.
+    """
+    members = sorted(set(p_match))
+    if own is None:
+        own = tuple(
+            _run(s, s, sorted(graph.neighbours(s)))
+            for s in range(1, graph.n + 1) if graph.neighbours(s)
+        )
+    helps: list[tuple[int, int, int]] = []
+    copies: list[tuple[int, int]] = []
     for r in range(1, graph.n + 1):
         trusted = graph.neighbours(r)
         missing = [k for k in members if k != r and k not in trusted]
         helper = next((m for m in members if m == r or m in trusted), None)
-        if missing and helper is not None:
-            yield helper, r, missing
-
-
-def matching_obligations(
-    graph: TrustGraph, p_match: Iterable[int]
-) -> list[SendObligation]:
-    """Every network send of one matching stage, canonically ordered.
-
-    Wave 1: each processor offers its own slot to every trusted peer.
-    Wave 2: for each receiver, the lowest-index trusted match-set
-    member re-sends the match-set slots the receiver cannot obtain
-    directly. Wave 3: processors outside the match set re-send their
-    own slot after rebuilding it from match-set symbols. Self-deliveries
-    are local, free, and not obligations. Waves come in order, each by
-    (sender, receiver, slot): waves 1 and 3 come out in it, and wave 2
-    is sorted.
-    """
-    members = sorted(set(p_match))
-    n = graph.n
-    obligations = [
-        SendObligation(s, r, s, STEP_OWN)
-        for s in range(1, n + 1)
-        for r in sorted(graph.neighbours(s))
-    ]
-    obligations += sorted(
-        SendObligation(helper, r, k, STEP_HELPER)
-        for helper, r, missing in _helpers(graph, members)
-        if helper != r
-        for k in missing
+        if not missing or helper is None:
+            continue
+        if helper == r:
+            copies += ((r, k) for k in missing)
+        else:
+            helps += ((helper, r, k) for k in missing)
+    helper_runs = tuple(
+        _run(s, k, [r for _, r, _ in stretch])
+        for (s, k), stretch in groupby(sorted(helps), itemgetter(0, 2))
     )
-    obligations += [
-        SendObligation(s, r, s, STEP_RECONSTRUCTED)
-        for s in sorted(set(range(1, n + 1)).difference(members))
-        for r in sorted(graph.neighbours(s))
-    ]
-    return obligations
-
-
-def local_helper_copies(
-    graph: TrustGraph, p_match: Iterable[int]
-) -> list[tuple[int, int]]:
-    """(receiver, slot) pairs a receiver fills from its own coded word.
-
-    When a match-set member is its own lowest trusted helper, the
-    helper send degenerates to a free local copy.
-    """
-    return [
-        (r, k)
-        for helper, r, missing in _helpers(graph, sorted(set(p_match)))
-        if helper == r
-        for k in missing
-    ]
+    outside = set(range(1, graph.n + 1)).difference(members)
+    resends = tuple(run for run in own if run[0] in outside)
+    size = sum(len(run[2]) for run in own + resends) + len(helps)
+    return MatchingPlan(own, helper_runs, resends, tuple(copies), size)
 
 
 def reconstruction_sources(

@@ -79,23 +79,6 @@ def first_clique(rows: Sequence[int], live: int, q: int) -> list[int] | None:
     return extend(0, live)
 
 
-def smallest_clique(adjacency: Mapping[int, set[int]], q: int) -> list[int] | None:
-    """Lexicographically smallest q-clique (sorted) of an undirected graph.
-
-    `adjacency` maps each vertex to its neighbours; an edge is read only
-    where both ends list each other, and neighbours outside the mapping
-    are ignored.
-    """
-    order = sorted(adjacency)
-    index = {v: i for i, v in enumerate(order)}
-    rows = [
-        sum(1 << index[u] for u in adjacency[v] if u != v and v in adjacency.get(u, ()))
-        for v in order
-    ]
-    found = first_clique(rows, (1 << len(order)) - 1, q)
-    return None if found is None else [order[i] for i in found]
-
-
 def find_match_set(
     vectors: Mapping[int, int | None], candidates: Iterable[int], q: int
 ) -> list[int] | None:

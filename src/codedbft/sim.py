@@ -17,9 +17,9 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
-from itertools import groupby, islice
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .check import judge
 from .consensus import (
@@ -38,9 +38,10 @@ from .consensus import (
     TAG_MATCH_BITS,
     TAG_RECEIVED,
     Claims,
+    MatchingPlan,
+    Run,
     detection_flag,
     flag_key,
-    local_helper_copies,
     matching_obligations,
     reconstruction_sources,
     run_diagnosis,
@@ -58,47 +59,18 @@ from .rs import (
     word_hex,
 )
 
-class _Wave(NamedTuple):
-    """One step's sends in plan order, grouped into runs: maximal
-    stretches with one (sender, slot), each held as (sender, slot, its
-    receivers, the record prefix `bytes((sender, receiver, slot))` of
-    each receiver for the `WAVE` digest)."""
-
-    step: str
-    runs: tuple[tuple[int, int, tuple[int, ...], tuple[bytes, ...]], ...]
-
-
-class _MatchingPlan(NamedTuple):
-    """A matching stage's waves, its local helper copies and its number
-    of sends; shared by every execution that reaches it, so immutable."""
-
-    own: _Wave
-    helper: _Wave
-    reconstructed: _Wave
-    copies: tuple[tuple[int, int], ...]
-    size: int
-
-    def sends(self) -> Iterator[tuple[int, int, int]]:
-        """The own and helper waves' sends as (sender, receiver, slot), in
-        plan order: every re-send repeats an own-wave triple."""
-        for wave in (self.own, self.helper):
-            for sender, slot, receivers, _ in wave.runs:
-                for receiver in receivers:
-                    yield sender, receiver, slot
-
-
 # plans, least recently used first, and the sends they hold; a budget in
 # sends keeps every state of a small-n sweep yet caps n=255 (up to about
 # 86k sends a plan) at three plans
-_PLANS: OrderedDict[tuple, _MatchingPlan] = OrderedDict()
+_PLANS: OrderedDict[tuple, MatchingPlan] = OrderedDict()
 _PLAN_BUDGET = 1 << 18
 _plans_held = 0
 # own waves by (n, removed edges), which alone fix them, shared by the plans
 # of a state; an entry leaves with any plan of its state
-_OWN_WAVES: dict[tuple, _Wave] = {}
+_OWN_WAVES: dict[tuple, tuple[Run, ...]] = {}
 
 
-def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
+def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> MatchingPlan:
     """The plan of `p_match` on `graph`, derived on the first request."""
     global _plans_held
     key = (graph.n, graph.removed, tuple(p_match))
@@ -106,14 +78,8 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> _MatchingPlan:
     if plan is not None:
         _PLANS.move_to_end(key)
         return plan
-    sends = matching_obligations(graph, p_match)
-    runs: dict[str, list] = {step: [] for step in _STEPS}
-    for (step, s, k), run in groupby(sends, lambda o: (o.step, o.sender, o.slot)):
-        receivers = tuple(o.receiver for o in run)
-        runs[step].append((s, k, receivers, tuple(bytes((s, r, k)) for r in receivers)))
-    waves = [_Wave(step, tuple(runs[step])) for step in _STEPS]
-    plan = _MatchingPlan(*waves, tuple(local_helper_copies(graph, p_match)), len(sends))
-    plan = _PLANS[key] = plan._replace(own=_OWN_WAVES.setdefault(key[:2], plan.own))
+    plan = _PLANS[key] = matching_obligations(graph, p_match, _OWN_WAVES.get(key[:2]))
+    _OWN_WAVES[key[:2]] = plan.own
     _plans_held += plan.size
     # the plan just derived stays even when it alone exceeds the budget
     while _plans_held > _PLAN_BUDGET and len(_PLANS) > 1:
@@ -649,7 +615,7 @@ class Execution:
     # ------------------------------------------------------- primitives
 
     def _send_wave(
-        self, g: int, wave: _Wave,
+        self, g: int, step: str, runs: tuple[Run, ...],
         coded: dict[int, list], received: dict[int, list],
         suppressed: frozenset[int] | set[int] = frozenset(),
     ) -> None:
@@ -666,12 +632,12 @@ class Execution:
         `value.join(prefixes) + value`. Any other faulty symbol is
         recorded as its own `SYMBOL_SENT` event.
         """
-        script, faulty, step = self.script, self.script.faulty, wave.step
+        script, faulty = self.script, self.script.faulty
         sym = self.params.sym_bytes
         events = self.transcript.events
         records: list[bytes] = []
         honest_sent = 0
-        for sender, slot, receivers, prefixes in wave.runs:
+        for sender, slot, receivers, prefixes in runs:
             honest = coded[sender][slot - 1]
             if sender in faulty:
                 skip = sender in suppressed
@@ -775,14 +741,14 @@ class Execution:
         self,
         g: int,
         p_match: Sequence[int],
-        plan: _MatchingPlan,
+        plan: MatchingPlan,
         coded: dict[int, list],
         received: dict[int, list],
     ) -> None:
         """Helper wave, non-member reconstruction, re-send wave."""
         cfg = self.config
         members = set(p_match)
-        self._send_wave(g, plan.helper, coded, received)
+        self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
         for r, slot in plan.copies:
             received[r][slot - 1] = coded[r][slot - 1]
         # a non-member that cannot gather enough match-set symbols keeps
@@ -796,7 +762,9 @@ class Execution:
                 failed.add(j)
                 continue
             coded[j][j - 1] = reconstruct_position(self.params, received[j], j, sources)
-        self._send_wave(g, plan.reconstructed, coded, received, failed)
+        self._send_wave(
+            g, STEP_RECONSTRUCTED, plan.reconstructed, coded, received, failed
+        )
         for j in range(1, cfg.n + 1):
             if j not in members:
                 received[j][j - 1] = coded[j][j - 1]
@@ -846,11 +814,11 @@ class Execution:
                 if len(p_match) < cfg.n - cfg.t:
                     return self._terminate(g)
                 plan = _matching_plan(self.graph, p_match)
-                self._send_wave(g, plan.own, coded, received)
+                self._send_wave(g, STEP_OWN, plan.own, coded, received)
             else:
                 plan = _matching_plan(self.graph, everyone)
-                self._send_wave(g, plan.own, coded, received)
-                self._send_wave(g, plan.helper, coded, received)
+                self._send_wave(g, STEP_OWN, plan.own, coded, received)
+                self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
                 for p in self.graph.unconvicted():
                     live = compute_match_bits(received[p], coded[p])
                     vectors[p] = self._broadcast(g, TAG_MATCH_BITS, p, live, cfg.n)

@@ -5,8 +5,8 @@ These are the engine's first `matching_obligations` and
 validated `edge_present` query, by way of the `trusts` and `match_helper`
 rules below, and the whole list is sorted at the end. Obligations come
 out as plain (sender, receiver, slot, step) tuples. No imports from the
-package under test; tests compare `codedbft.consensus` against these
-functions, and an engine plan against them with `assert_plan_matches`.
+package under test; tests compare a plan of `codedbft.consensus` against
+these functions with `assert_plan_matches`.
 """
 
 STEP_ORDER = {"own": 0, "helper": 1, "reconstructed": 2}
@@ -64,12 +64,31 @@ def local_helper_copies(graph, p_match):
     return copies
 
 
+def flatten(plan):
+    """A matching plan's sends as (sender, receiver, slot, step) tuples,
+    wave by wave and run by run."""
+    return [
+        (s, r, k, step)
+        for step in STEP_ORDER
+        for s, k, receivers, _ in getattr(plan, step)
+        for r in receivers
+    ]
+
+
 def assert_plan_matches(plan, graph, p_match):
-    """A matching plan's `sends()` are the own and helper triples, its
-    re-send runs flatten to the re-send triples, and `size` counts all
-    three waves."""
+    """A matching plan's runs flatten to the oracle's sends, its `sends()`
+    are the own and helper triples, `size` and `len()` count all three
+    waves, and its local copies are the oracle's. Each run is maximal,
+    one (sender, slot) apart from its neighbours, and holds the record
+    prefix of each of its sends."""
     expected = matching_obligations(graph, p_match)
-    resends = [ob[:3] for ob in expected if ob[3] == "reconstructed"]
+    assert flatten(plan) == expected
     assert list(plan.sends()) == [ob[:3] for ob in expected if ob[3] != "reconstructed"]
-    assert [(s, r, k) for s, k, rs, _ in plan.reconstructed.runs for r in rs] == resends
-    assert plan.size == len(expected)
+    assert plan.size == len(plan) == len(expected)
+    assert list(plan.copies) == local_helper_copies(graph, p_match)
+    for step in STEP_ORDER:
+        runs = getattr(plan, step)
+        for s, k, receivers, prefixes in runs:
+            assert prefixes == tuple(bytes((s, r, k)) for r in receivers)
+        keys = [(s, k) for s, k, _, _ in runs]
+        assert all(a != b for a, b in zip(keys, keys[1:]))

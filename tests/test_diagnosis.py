@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedbft.consensus import STEP_HELPER, local_helper_copies, matching_obligations
+from codedbft.consensus import matching_obligations
 from codedbft.diagnosis import ConfigurationError, TrustGraph
 
 
@@ -198,8 +198,8 @@ def test_removed_edges_take_a_threshold_conviction():
 def helper_sends(g, p_match, receiver):
     """(helper, slot) of each helper-wave send to `receiver`."""
     return [
-        (ob.sender, ob.slot) for ob in matching_obligations(g, p_match)
-        if ob.step == STEP_HELPER and ob.receiver == receiver
+        (s, k) for s, k, receivers, _ in matching_obligations(g, p_match).helper
+        if receiver in receivers
     ]
 
 
@@ -213,7 +213,7 @@ def test_match_helper_prefers_lowest_trusted_member():
     g.remove_edge(3, 5)
     # 3 trusts no member, so nobody helps it
     assert helper_sends(g, {5}, 3) == []
-    assert local_helper_copies(g, {5}) == []
+    assert matching_obligations(g, {5}).copies == ()
 
 
 def test_match_helper_uses_self_trust():
@@ -222,7 +222,7 @@ def test_match_helper_uses_self_trust():
     g.remove_edge(3, 2)
     # member 3 is its own lowest trusted member: a local copy, no send
     assert helper_sends(g, {1, 2, 3}, 3) == []
-    assert {(3, 1), (3, 2)} <= set(local_helper_copies(g, {1, 2, 3}))
+    assert {(3, 1), (3, 2)} <= set(matching_obligations(g, {1, 2, 3}).copies)
 
 
 # ------------------------------------------------------------ transcript

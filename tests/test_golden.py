@@ -197,18 +197,18 @@ def test_every_corpus_wave_delivers_like_the_oracle(monkeypatch):
     the events that `wave_oracle.deliver` gives, obligation by obligation."""
     real_send_wave, waves = Execution._send_wave, [0]
 
-    def send_wave(self, g, wave, coded, received, suppressed=frozenset()):
+    def send_wave(self, g, step, runs, coded, received, suppressed=frozenset()):
         expected = {p: list(word) for p, word in received.items()}
         obligations = [
             (sender, receiver, slot)
-            for sender, slot, receivers, _ in wave.runs for receiver in receivers
+            for sender, slot, receivers, _ in runs for receiver in receivers
         ]
         want = wave_oracle.deliver(
-            g, wave.step, obligations, coded, expected,
+            g, step, obligations, coded, expected,
             self.script.faulty, self.script.send, suppressed,
         )
         before = len(self.transcript.events)
-        real_send_wave(self, g, wave, coded, received, suppressed)
+        real_send_wave(self, g, step, runs, coded, received, suppressed)
         assert self.transcript.events[before:] == want
         assert received == expected
         waves[0] += 1

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clique_oracle as oracle
-from codedbft.quorum import compute_match_bits, find_match_set, smallest_clique
+from codedbft.quorum import compute_match_bits, find_match_set, first_clique
 from codedbft.rs import CodeParams, encode
 
 
@@ -130,9 +130,18 @@ def adjacency_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(adjacency_maps())
 def test_smallest_clique_matches_oracle(adjacency):
+    """`first_clique` on row masks: vertex v is bit `index[v]`, and an
+    edge is read only where both ends list each other."""
+    order = sorted(adjacency)
+    index = {v: i for i, v in enumerate(order)}
+    rows = [
+        sum(1 << index[u] for u in adjacency[v] if u != v and v in adjacency.get(u, ()))
+        for v in order
+    ]
     for q in range(1, len(adjacency) + 1):
-        assert smallest_clique(adjacency, q) == oracle.smallest_clique(
-            adjacency, q
+        found = first_clique(rows, (1 << len(order)) - 1, q)
+        assert (None if found is None else [order[i] for i in found]) == (
+            oracle.smallest_clique(adjacency, q)
         ), f"q={q}"
 
 

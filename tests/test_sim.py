@@ -1,5 +1,6 @@
 """End-to-end executions: traffic identities, verdicts, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,8 +17,6 @@ from codedbft.consensus import (
     TAG_DETECTED,
     TAG_MATCH_BITS,
     TAG_RECEIVED,
-    local_helper_copies,
-    matching_obligations,
 )
 from codedbft.diagnosis import ConfigurationError, TrustGraph
 from codedbft.rs import CodeParams, ParameterError, encode
@@ -194,22 +193,22 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
     real_send_wave = sim.Execution._send_wave
     counts: dict = {}  # (g, step) -> symbols the `WAVE` line must count
 
-    def send_wave(self, g, wave, coded, received, suppressed=frozenset()):
+    def send_wave(self, g, step, runs, coded, received, suppressed=frozenset()):
         sends, faulty = self.script.sends, self.script.faulty
         before = len(sends)
-        real_send_wave(self, g, wave, coded, received, suppressed)
+        real_send_wave(self, g, step, runs, coded, received, suppressed)
         assert [(s, r) for (_, _, s, r, _, _), _ in sends[before:]] == [
-            (s, r) for s, _, rs, _ in wave.runs if s in faulty for r in rs
+            (s, r) for s, _, rs, _ in runs if s in faulty for r in rs
         ]
         honest = sum(
-            len(rs) for s, _, rs, _ in wave.runs
+            len(rs) for s, _, rs, _ in runs
             if s not in faulty and s not in suppressed
         )
         agreeing = sum(
             value == honest_value and not skip
             for (*_, honest_value, skip), value in sends[before:] if value
         )
-        counts[g, wave.step] = counts.get((g, wave.step), 0) + honest + agreeing
+        counts[g, step] = counts.get((g, step), 0) + honest + agreeing
 
     symbols = silences = deviations = 0
     for seed in range(6):
@@ -459,12 +458,12 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
     execution = Execution(config, script)
     events = execution.transcript.events
     plan = sim._matching_plan(graph, members)
-    obligations = matching_obligations(graph, members)
-    for wave in (plan.own, plan.helper, plan.reconstructed):
+    obligations = obligation_oracle.matching_obligations(graph, members)
+    for step in sim._STEPS:
         before = len(events)
-        execution._send_wave(g, wave, coded, received, suppressed)
+        execution._send_wave(g, step, getattr(plan, step), coded, received, suppressed)
         assert events[before:] == wave_oracle.deliver(
-            g, wave.step, [ob[:3] for ob in obligations if ob.step == wave.step],
+            g, step, [ob[:3] for ob in obligations if ob[3] == step],
             coded, expected, faulty, script.send, suppressed,
         )
         assert received == expected
@@ -542,8 +541,8 @@ def test_obligations_follow_the_graph_after_diagnosis():
         waves = {}
         for step in sim._STEPS:
             records = [
-                bytes((ob.sender, ob.receiver, ob.slot)) + word[ob.slot - 1]
-                for ob in obligations if ob.step == step
+                bytes((s, r, k)) + word[k - 1]
+                for s, r, k, ob_step in obligations if ob_step == step
             ]
             if records:
                 digest = hashlib.sha256(b"".join(records)).hexdigest()
@@ -561,8 +560,10 @@ def test_obligations_follow_the_graph_after_diagnosis():
         if ev["g"] == 1:
             graph.remove_edge(ev["i"], ev["j"])
     assert graph.removed
-    assert sent == traffic(matching_obligations(graph, range(1, 8)))
-    assert sent != traffic(matching_obligations(TrustGraph(7, 2), range(1, 8)))
+    assert sent == traffic(obligation_oracle.matching_obligations(graph, range(1, 8)))
+    assert sent != traffic(
+        obligation_oracle.matching_obligations(TrustGraph(7, 2), range(1, 8))
+    )
 
 
 # ------------------------------------------------- shared plans and words
@@ -577,19 +578,14 @@ def test_graphs_in_one_state_share_one_plan():
     b.remove_edge(2, 1)
     plan = sim._matching_plan(a, members)
     assert sim._matching_plan(b, members) is plan
-    # the runs flatten back to the oracle's sends, in order, with the size
+    # maximal runs that flatten back to the oracle's sends, in order, with
+    # their record prefixes, the size and the local copies
     obligation_oracle.assert_plan_matches(plan, a, members)
-    for wave in (plan.own, plan.helper, plan.reconstructed):
-        for s, k, receivers, prefixes in wave.runs:
-            assert prefixes == tuple(bytes((s, r, k)) for r in receivers)
-        # runs are maximal: neighbours differ in (sender, slot)
-        keys = [(s, k) for s, k, _, _ in wave.runs]
-        assert all(a != b for a, b in zip(keys, keys[1:]))
     # one run per sender in waves 1 and 3: every processor, and the two
-    # non-members
-    assert [s for s, _, _, _ in plan.own.runs] == list(range(1, 8))
-    assert [s for s, _, _, _ in plan.reconstructed.runs] == [6, 7]
-    assert plan.copies == tuple(local_helper_copies(a, members))
+    # non-members, each re-send run the non-member's own-wave run itself
+    assert [s for s, _, _, _ in plan.own] == list(range(1, 8))
+    assert plan.reconstructed == plan.own[5:]
+    assert all(x is y for x, y in zip(plan.reconstructed, plan.own[5:]))
     b.remove_edge(1, 5)
     assert sim._matching_plan(b, members).own != plan.own
 
@@ -647,6 +643,10 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     assert len({id(plan.own) for plan in sim._PLANS.values()}) == len(states)
 
     def immutable(x):
+        if dataclasses.is_dataclass(x):
+            return x.__dataclass_params__.frozen and all(
+                immutable(getattr(x, f.name)) for f in dataclasses.fields(x)
+            )
         return type(x) in (int, str, bytes) or (
             isinstance(x, tuple) and all(immutable(y) for y in x)
         )
@@ -661,7 +661,9 @@ def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
     monkeypatch.setattr(sim, "_OWN_WAVES", {})
     g = TrustGraph(7, 2)
     everyone, six, five = range(1, 8), range(1, 7), range(1, 6)
-    size = {m: len(matching_obligations(g, m)) for m in (everyone, six, five)}
+    size = {
+        m: len(obligation_oracle.matching_obligations(g, m)) for m in (everyone, six, five)
+    }
     assert size[everyone] < size[six] < size[five]
     monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] + size[five])
     first = sim._matching_plan(g, everyone)

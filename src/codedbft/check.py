@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .consensus import ALG1, OUTCOME_DECIDED, OUTCOME_DEFAULT
-from .quorum import first_clique
 
 if TYPE_CHECKING:
     from .sim import ExecutionConfig
@@ -46,9 +45,6 @@ def judge(
             groups.setdefault(blocks[holder[p]], []).append(p)
         return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
     out: list[str] = []
-    # each processor's removed trust edges, as a mask with bit p-1 for
-    # processor p, and the convicted processors
-    removed = [0] * (config.n + 1)
     convicted: set[int] = set()
     # alg1's match set: the last decide set, less the convicted; and the
     # first holders of its fault-free members' inputs
@@ -61,8 +57,6 @@ def judge(
         g = e.get("g")
         if kind == "EDGE_REMOVED":
             i, j = e["i"], e["j"]
-            removed[i] |= 1 << (j - 1)
-            removed[j] |= 1 << (i - 1)
             if i not in faulty and j not in faulty:
                 out.append(f"g{g}: edge ({i},{j}) between fault-free processors removed")
         elif kind == "CONVICTED":
@@ -70,11 +64,10 @@ def judge(
             if p not in faulty:
                 out.append(f"g{g}: fault-free processor {p} convicted")
         elif kind == "MATCH_SET" and e["members"] is None:
-            # a trusting fault-free group sharing a block must yield a match set
-            _, sharers = sharers_of(g)
-            pool = sum(1 << (p - 1) for p in sharers)
-            rows = [pool & ~removed[p] & ~(1 << (p - 1)) for p in range(1, config.n + 1)]
-            if len(sharers) >= config.q and first_clique(rows, pool, config.q):
+            # q fault-free processors sharing a block must yield a match set:
+            # until an edge between two of them goes, which is flagged above,
+            # they trust each other pairwise
+            if len(sharers_of(g)[1]) >= config.q:
                 out.append(
                     f"g{g}: no match set found despite a trusting "
                     f"fault-free group sharing a block"

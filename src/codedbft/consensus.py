@@ -106,13 +106,14 @@ def matching_obligations(
     non-members' wave-1 runs. Self-deliveries are local, free, and not
     sends.
     """
-    members = sorted(set(p_match))
+    chosen = set(p_match)
+    members = sorted(chosen)
     if own is None:
         own = tuple(
             _run(s, s, sorted(graph.neighbours(s)))
             for s in range(1, graph.n + 1) if graph.neighbours(s)
         )
-    helps: list[tuple[int, int, int]] = []
+    helper_sends: list[tuple[int, int, int]] = []
     copies: list[tuple[int, int]] = []
     for r in range(1, graph.n + 1):
         trusted = graph.neighbours(r)
@@ -123,14 +124,13 @@ def matching_obligations(
         if helper == r:
             copies += ((r, k) for k in missing)
         else:
-            helps += ((helper, r, k) for k in missing)
+            helper_sends += ((helper, r, k) for k in missing)
     helper_runs = tuple(
         _run(s, k, [r for _, r, _ in stretch])
-        for (s, k), stretch in groupby(sorted(helps), itemgetter(0, 2))
+        for (s, k), stretch in groupby(sorted(helper_sends), itemgetter(0, 2))
     )
-    outside = set(range(1, graph.n + 1)).difference(members)
-    resends = tuple(run for run in own if run[0] in outside)
-    size = sum(len(run[2]) for run in own + resends) + len(helps)
+    resends = tuple(run for run in own if run[0] not in chosen)
+    size = sum(len(run[2]) for run in own + resends) + len(helper_sends)
     return MatchingPlan(own, helper_runs, resends, tuple(copies), size)
 
 

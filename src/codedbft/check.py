@@ -6,6 +6,7 @@ and walks the transcript events once, in order.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .consensus import ALG1, OUTCOME_DECIDED, OUTCOME_DEFAULT
@@ -28,46 +29,56 @@ def judge(
     it also takes `outputs[p]`, fault-free processor p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
-    # each fault-free processor's first fault-free holder of its input: a
-    # generation's blocks are sliced once per distinct input
+    # each fault-free processor's first fault-free holder of its input, and
+    # each first holder's number of fault-free holders: a generation's
+    # blocks are sliced once per distinct input and counted by weight
     firsts: dict[bytes, int] = {}
     holder = {p: firsts.setdefault(config.padded_input(p), p) for p in fault_free}
+    weight = Counter(holder.values())
+    size = config.block_bytes
 
-    def blocks_of(g: int) -> dict[int, bytes]:
-        """Generation g's input block of each first holder."""
-        return {h: config.input_block(h, g) for h in firsts.values()}
-
-    def sharers_of(g: int) -> tuple[bytes, list[int]]:
-        """Generation g's most widely shared fault-free block and its holders."""
-        blocks = blocks_of(g)
-        groups: dict[bytes, list[int]] = {}
-        for p in fault_free:
-            groups.setdefault(blocks[holder[p]], []).append(p)
-        return min(groups.items(), key=lambda kv: (-len(kv[1]), kv[1]))
+    def shared(g: int) -> dict[bytes, int]:
+        """Generation g's fault-free blocks and their numbers of holders,
+        in the order of their lowest holders."""
+        counts: dict[bytes, int] = {}
+        for padded, h in firsts.items():
+            block = padded[(g - 1) * size : g * size]
+            counts[block] = counts.get(block, 0) + weight[h]
+        return counts
     out: list[str] = []
     convicted: set[int] = set()
+    # removed trust edges (i, j), i < j: a conviction removes every edge
+    # its processor has left, in ascending order of the other end
+    removed: set[tuple[int, int]] = set()
     # alg1's match set: the last decide set, less the convicted; and the
     # first holders of its fault-free members' inputs
     p_match: Iterable[int] = range(1, config.n + 1)
     member_holders = set(firsts.values())
+
+    def edge_removed(g: int, i: int, j: int) -> None:
+        removed.add((i, j))
+        if i not in faulty and j not in faulty:
+            out.append(f"g{g}: edge ({i},{j}) between fault-free processors removed")
     for e in events:
         kind = e["type"]
-        if kind in ("BROADCAST", "WAVE", "SYMBOL_SENT"):
+        if kind in ("ROUND", "BROADCAST", "WAVE", "SYMBOL_SENT"):
             continue  # traffic, most of the events, carries no verdict
         g = e.get("g")
         if kind == "EDGE_REMOVED":
-            i, j = e["i"], e["j"]
-            if i not in faulty and j not in faulty:
-                out.append(f"g{g}: edge ({i},{j}) between fault-free processors removed")
+            edge_removed(g, e["i"], e["j"])
         elif kind == "CONVICTED":
             convicted.add(p := e["processor"])
             if p not in faulty:
                 out.append(f"g{g}: fault-free processor {p} convicted")
+            for u in range(1, config.n + 1):
+                edge = (min(p, u), max(p, u))
+                if u != p and edge not in removed:
+                    edge_removed(g, *edge)
         elif kind == "MATCH_SET" and e["members"] is None:
             # q fault-free processors sharing a block must yield a match set:
             # until an edge between two of them goes, which is flagged above,
             # they trust each other pairwise
-            if len(sharers_of(g)[1]) >= config.q:
+            if max(shared(g).values()) >= config.q:
                 out.append(
                     f"g{g}: no match set found despite a trusting "
                     f"fault-free group sharing a block"
@@ -97,10 +108,13 @@ def judge(
             elif e["kind"] != OUTCOME_DEFAULT:
                 # a default is legal; any other decision is a fault-free input,
                 # and the block a majority-sized fault-free quorum shares wins
-                if values[0] not in blocks_of(g).values():
+                counts = shared(g)
+                if values[0] not in counts:
                     out.append(f"g{g}: decided block is no fault-free input")
-                block, sharers = sharers_of(g)
-                if len(sharers) >= config.q >= (config.n + 2) // 2 and values[0] != block:
+                # the most widely held block; of a tie, the lowest holder's
+                most = max(counts.values())
+                block = next(b for b, c in counts.items() if c == most)
+                if most >= config.q >= (config.n + 2) // 2 and values[0] != block:
                     out.append(
                         f"g{g}: majority quorum decided a block other than the shared one"
                     )

@@ -438,12 +438,12 @@ class CostLedger:
     traffic events of a finished run: nothing is charged during it.
 
     Each `WAVE` is `count` matching-stage symbols of 8 x sym_bytes bits
-    and each faulty `SYMBOL_SENT` one. Each `BROADCAST` charges its
-    `payload_bits` x `broadcast_coefficient` x n^2 transport bits to the
-    stage of its tag, the scale at which bit-by-bit error-free broadcast
-    constructions run; a silent one still opens its cell, at zero bits.
-    So any transcript, read back from its text, sums to its `VERDICT`
-    ledger.
+    and each faulty `SYMBOL_SENT` one. Each `ROUND` and `BROADCAST`
+    charges its `payload_bits` x `broadcast_coefficient` x n^2 transport
+    bits to the stage of its tag, the scale at which bit-by-bit
+    error-free broadcast constructions run; every round opens its cell,
+    at zero bits if all its senders were silent. So any transcript, read
+    back from its text, sums to its `VERDICT` totals.
     """
 
     FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
@@ -453,7 +453,7 @@ class CostLedger:
         payload_bits: dict[tuple[int, str], int] = {}
         for event in events:
             kind = event["type"]
-            if kind == "BROADCAST":
+            if kind == "ROUND" or kind == "BROADCAST":
                 key = (event["g"], _STAGE_OF_TAG[event["tag"]])
                 payload_bits[key] = payload_bits.get(key, 0) + event["payload_bits"]
             elif kind == "WAVE" or kind == "SYMBOL_SENT":
@@ -470,6 +470,9 @@ class CostLedger:
     def total(self, fieldname: str) -> int:
         i = self.FIELDS.index(fieldname)
         return sum(cell[i] for cell in self._cells.values())
+
+    def totals(self) -> dict[str, int]:
+        return {name: self.total(name) for name in self.FIELDS}
 
     def per_generation(self, fieldname: str) -> dict[int, int]:
         i = self.FIELDS.index(fieldname)
@@ -490,7 +493,6 @@ class CostLedger:
 
 # one stateless encoder for every event; json.dumps would build one per call
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_JSON_LITERALS = {True: "true", False: "false", None: "null"}
 # transcript lines per write when `codedbft run` streams them to a file
 _WRITE_CHUNK_LINES = 4096
 
@@ -517,42 +519,9 @@ class Transcript:
                 out.write(chunk)
 
     def _lines(self) -> Iterator[str]:
-        """Each event as `_JSONL_ENCODER.encode(event) + "\\n"`.
-
-        The hot event shape, BROADCAST with a payload that is a bool, None
-        or a string of 0s and 1s (match bits), is filled into a fixed
-        template whose keys are in sorted order. An event takes it only
-        when it has exactly the template's keys, every int field is an int
-        (a bool would print as True), a string payload holds nothing JSON
-        would escape, and the tag is a known one; any other event goes
-        through the encoder.
-        """
+        """Each event as one line of JSON with sorted keys and no spaces."""
         encode = _JSONL_ENCODER.encode
         for e in self.events:
-            if e.get("type") == "BROADCAST" and len(e) == 6:
-                try:
-                    g, payload, bits = e["g"], e["payload"], e["payload_bits"]
-                    sender, tag = e["sender"], e["tag"]
-                except KeyError:
-                    pass
-                else:
-                    if payload is None or type(payload) is bool:
-                        text = _JSON_LITERALS[payload]
-                    elif type(payload) is str and not payload.strip("01"):
-                        text = f'"{payload}"'
-                    else:
-                        text = None
-                    if (
-                        text is not None
-                        and type(g) is int and type(bits) is int and type(sender) is int
-                        and type(tag) is str and tag in _TAGS
-                    ):
-                        yield (
-                            f'{{"g":{g},"payload":{text},'
-                            f'"payload_bits":{bits},"sender":{sender},'
-                            f'"tag":"{tag}","type":"BROADCAST"}}\n'
-                        )
-                        continue
             yield encode(e) + "\n"
 
     def of_type(self, event_type: str) -> list[dict]:
@@ -669,38 +638,82 @@ class Execution:
                 "sha256": sha256(b"".join(records)).hexdigest(),
             })
 
-    def _broadcast(
-        self, g: int, tag: str, sender: int,
-        honest_payload: Any, honest_bits: int,
-    ) -> Any:
-        """Broadcast with script override; returns the observed payload.
+    def _round(self, g: int, tag: str, honest: dict[int, Any]) -> dict[int, Any]:
+        """One broadcast round: each sender in `honest` broadcasts its
+        honest payload, or what the script makes of it if faulty; returns
+        every payload observed, None for silence.
 
         Both protocols assume a black-box broadcast with two guarantees:
         every processor observes the identical payload, and the sender
-        cannot be forged. One transcript event is what everyone observes,
+        cannot be forged. The transcript records what everyone observes,
         so the script may pick a faulty sender's payload or withhold it,
         but never split it. What is left to model is cost, which
-        `CostLedger` reads from the event's `payload_bits`.
+        `CostLedger` reads from `payload_bits`: a flag is 1 bit, match
+        bits n and a word `_word_bits`, whatever a faulty sender put in.
+
+        The round is one `ROUND` line. A `detected` round's `payload` has
+        character j-1 `0` or `1` for processor j's flag, `-` when j sent
+        none; a `match_bits` round's `payload` holds each vector as a
+        hex mask (bit j-1 for slot j), null when none was sent. A claim
+        (`coded`, `received`) equal to its sender's word joins the round's
+        `count` and `sha256`, the SHA-256 of one record per claim in sender
+        order: the sender's id byte, then per slot 01 and its bytes, or
+        1 + sym_bytes zero bytes for an empty slot. Any other claim is
+        its own `BROADCAST` line, written before the round's line.
         """
-        payload = honest_payload
-        if sender in self.script.faulty:
-            payload = self.script.broadcast(g, tag, sender, honest_payload)
-        bits = 0 if payload is None else honest_bits
-        self.transcript.events.append({
-            "type": "BROADCAST", "g": g, "tag": tag, "sender": sender,
-            "payload": _jsonable_payload(tag, payload, self.config.n),
-            "payload_bits": bits,
-        })
-        return payload
+        script, n = self.script, self.config.n
+        events = self.transcript.events
+        observed = {
+            p: script.broadcast(g, tag, p, v) if p in script.faulty else v
+            for p, v in honest.items()
+        }
+        line = {"type": "ROUND", "g": g, "tag": tag}
+        sent = [p for p, v in observed.items() if v is not None]
+        if tag == TAG_DETECTED:
+            flags = ["-"] * n
+            for p in sent:
+                flags[p - 1] = "1" if observed[p] else "0"
+            line.update(payload="".join(flags), payload_bits=len(sent))
+        elif tag == TAG_MATCH_BITS:
+            masks: list[str | None] = [None] * n
+            for p in sent:
+                masks[p - 1] = format(observed[p], f"0{-(-n // 4)}x")
+            line.update(payload=masks, payload_bits=n * len(sent))
+        else:
+            absent = bytes(1 + self.params.sym_bytes)
+            records: list[bytes] = []
+            count = bits = 0
+            for p, word in honest.items():
+                claim, size = observed[p], _word_bits(word)
+                if claim == word:
+                    records.append(bytes((p,)))
+                    records += (absent if v is None else b"\x01" + v for v in word)
+                    count, bits = count + 1, bits + size
+                    continue
+                events.append({
+                    "type": "BROADCAST", "g": g, "tag": tag, "sender": p,
+                    "payload": None if claim is None else word_hex(claim),
+                    "payload_bits": 0 if claim is None else size,
+                })
+            line.update(
+                count=count, payload_bits=bits,
+                sha256=sha256(b"".join(records)).hexdigest(),
+            )
+        events.append(line)
+        return observed
 
     def _graph_events(self, g: int, tagged: list[tuple[str, tuple]]) -> None:
+        """`CONVICTED` and `EDGE_REMOVED` lines; a conviction drops every
+        remaining edge of its processor, and writes none of them."""
+        convicted: set[int] = set()
         for rule, event in tagged:
-            if event[0] == "edge":
+            if event[0] != "edge":
+                convicted.add(event[1])
+                self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
+            elif not convicted.intersection(event[1:]):
                 self.transcript.append(
                     "EDGE_REMOVED", g=g, i=event[1], j=event[2], rule=rule
                 )
-            else:
-                self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
 
     def _decode_accepted(self, vec: list[bytes | None], blocks: dict[tuple, bytes]) -> bytes:
         """Block of a word that a fault-free processor flagged FALSE,
@@ -775,14 +788,10 @@ class Execution:
         self, g: int, flags: dict[int, bool | None],
         coded: dict[int, list], received: dict[int, list],
     ) -> dict[int, Claims]:
-        claims: dict[int, Claims] = {}
-        for p in self.graph.unconvicted():
-            coded_obs = self._broadcast(g, TAG_CODED, p, coded[p], _word_bits(coded[p]))
-            received_obs = self._broadcast(
-                g, TAG_RECEIVED, p, received[p], _word_bits(received[p])
-            )
-            claims[p] = Claims(flags.get(p), coded_obs, received_obs)
-        return claims
+        live = self.graph.unconvicted()
+        coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
+        received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
+        return {p: Claims(flags.get(p), coded_obs[p], received_obs[p]) for p in live}
 
     # ------------------------------------------------------- generations
 
@@ -819,9 +828,10 @@ class Execution:
                 plan = _matching_plan(self.graph, everyone)
                 self._send_wave(g, STEP_OWN, plan.own, coded, received)
                 self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
-                for p in self.graph.unconvicted():
-                    live = compute_match_bits(received[p], coded[p])
-                    vectors[p] = self._broadcast(g, TAG_MATCH_BITS, p, live, cfg.n)
+                vectors = self._round(g, TAG_MATCH_BITS, {
+                    p: compute_match_bits(received[p], coded[p])
+                    for p in self.graph.unconvicted()
+                })
                 p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
                 self.transcript.append("MATCH_SET", g=g, members=p_match)
                 if p_match is None:
@@ -835,16 +845,16 @@ class Execution:
             # a member's coded word is still the codeword its input encodes to
             verdicts = dict.fromkeys((tuple(coded[m]) for m in members), True)
             live_flags: dict[tuple, bool] = {}
-            flags: dict[int, bool | None] = {}
+            live: dict[int, bool] = {}
             for p in self.graph.unconvicted():
                 in_match = p in members
                 key = flag_key(received[p], coded[p], in_match)
-                live = live_flags.get(key)
-                if live is None:
-                    live = live_flags[key] = detection_flag(
+                if key not in live_flags:
+                    live_flags[key] = detection_flag(
                         self.params, received[p], coded[p], in_match, members, verdicts
                     )
-                flags[p] = self._broadcast(g, TAG_DETECTED, p, live, 1)
+                live[p] = live_flags[key]
+            flags = self._round(g, TAG_DETECTED, live)
             if all(v is False for v in flags.values()):
                 blocks: dict[tuple, bytes] = {}
                 values = {
@@ -935,9 +945,9 @@ class Execution:
             verdict=verdict,
             violations=list(violations),
             outputs=dict(zip(map(str, holders), indices)),
-            output_values=[v.hex() for v in output_values],
+            output_sha256=[sha256(v).hexdigest() for v in output_values],
             diagnosis_count=self.diagnosis_count,
-            ledger=ledger.to_jsonable(),
+            ledger=ledger.totals(),
             graph=self.graph.to_jsonable(),
         )
         return ExecutionResult(
@@ -963,16 +973,6 @@ def _distinct_values(values: Iterable[Any]) -> tuple[list[int], list[Any]]:
 def _word_bits(word: list[bytes | None]) -> int:
     """Broadcast size of a word: one presence bit per slot plus the present bytes."""
     return len(word) + 8 * sum(len(v) for v in word if v is not None)
-
-
-def _jsonable_payload(tag: str, payload: Any, n: int) -> Any:
-    """A flag as it is, match bits as the n-character string whose
-    character j-1 is 1 iff slot j matched, and a word as `word_hex`."""
-    if payload is None or tag == TAG_DETECTED:
-        return payload
-    if tag == TAG_MATCH_BITS:
-        return format(payload, f"0{n}b")[::-1]
-    return word_hex(payload)
 
 
 def run_execution(config: ExecutionConfig, script: AdversaryScript) -> ExecutionResult:

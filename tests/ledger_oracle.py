@@ -1,9 +1,9 @@
 """A run's cost ledger summed again from its transcript events alone.
 
-The engine charges the ledger in bulk, once per wave of symbols; this
+The engine sums its ledger in one pass over each cell's events; this
 reference charges it one event at a time, so a test can compare the two
-for every (generation, stage) cell of the `VERDICT` ledger. No imports
-from the package under test.
+for every (generation, stage) cell of the run's in-memory ledger and for
+the totals its `VERDICT` records. No imports from the package under test.
 """
 
 # the stage each broadcast tag is charged to
@@ -17,12 +17,12 @@ FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
 
 
 def resum_ledger(events):
-    """Ledger cells keyed "g:stage", as the `VERDICT` event records them.
+    """Ledger cells keyed "g:stage", as `CostLedger.to_jsonable` writes them.
 
     Every faulty sender's `SYMBOL_SENT` is one matching-stage symbol of
     8 * sym_bytes bits, and every `WAVE` is `count` honest ones; every
-    `BROADCAST` charges its payload bits times the broadcast coefficient
-    times n^2.
+    `ROUND` and `BROADCAST` charges its payload bits times the broadcast
+    coefficient times n^2.
     """
     config = events[0]["config"]
     n = config["n"]
@@ -40,8 +40,14 @@ def resum_ledger(events):
             sums = cell(event["g"], "matching")
             sums["p2p_symbols"] += symbols
             sums["p2p_bits"] += symbols * symbol_bits
-        elif event["type"] == "BROADCAST":
+        elif event["type"] in ("ROUND", "BROADCAST"):
             sums = cell(event["g"], STAGE_OF_TAG[event["tag"]])
             sums["bcast_payload_bits"] += event["payload_bits"]
             sums["bcast_charged_bits"] += event["payload_bits"] * scale
     return cells
+
+
+def ledger_totals(cells):
+    """The totals of every field over `resum_ledger`'s cells, as `VERDICT`
+    records them."""
+    return {name: sum(cell[name] for cell in cells.values()) for name in FIELDS}

@@ -33,7 +33,7 @@ from codedbft.sim import (
     ExecutionConfig,
     random_script,
 )
-from ledger_oracle import resum_ledger
+from ledger_oracle import ledger_totals, resum_ledger
 
 FROZEN = Path(__file__).parent / "violation_lists.json"
 
@@ -255,8 +255,11 @@ def test_ledgers_resum_from_the_transcript(monkeypatch):
     for key, config, script, patch in corpus():
         with monkeypatch.context() as m:
             patch(m, config, script)
-            events = sim.run_execution(config, script).transcript.events
-        assert resum_ledger(events) == events[-1]["ledger"], key
+            result = sim.run_execution(config, script)
+        events = result.transcript.events
+        cells = resum_ledger(events)
+        assert cells == result.ledger.to_jsonable(), key
+        assert ledger_totals(cells) == events[-1]["ledger"], key
 
 
 def withholding_script(config, receivers=(1, 2, 3)) -> AdversaryScript:

@@ -2,14 +2,14 @@
 
 `golden_corpus.py` builds the corpus. A refactor or speed-up must leave
 every hash unchanged; a change that alters transcripts on purpose
-re-records the file and says why. The hashes are of v5 transcripts;
+re-records the file and says why. The hashes are of v6 transcripts;
 `v1_fixtures/` keeps four v1 transcripts of the corpus, with their v1
 golden hashes below, that `transcript_v1.v4_waves_from_v1`, then
-`transcript_v2.v3_from_v2` and then `transcript_v4.v5_from_v4` must fold
-into today's transcripts byte for byte. Folded with `v2_from_v1`
-instead, they give the v3 transcripts, from which v4 differs only in its
-`WAVE` and `SYMBOL_SENT` lines; v5 differs from v4 only in its match-bit
-payloads.
+`transcript_v2.v3_from_v2`, `transcript_v4.v5_from_v4` and
+`transcript_v5.v6_from_v5` must fold into today's transcripts byte for
+byte. Folded with `v2_from_v1` instead, they give the v3 transcripts,
+from which v4 differs only in its `WAVE` and `SYMBOL_SENT` lines; v5
+differs from v4 only in its match-bit payloads.
 """
 
 import contextlib
@@ -40,10 +40,12 @@ from golden_corpus import (
     crafted_corpus,
     exit_cases,
 )
-from ledger_oracle import resum_ledger
+from event_state import rebuilt_graph, rebuilt_outputs
+from ledger_oracle import ledger_totals, resum_ledger
 from transcript_v1 import v2_from_v1, v4_waves_from_v1
 from transcript_v2 import v3_from_v2
 from transcript_v4 import v4_from_v5, v5_from_v4
+from transcript_v5 import digest_claims, v5_from_v6, v6_from_v5
 import wave_oracle
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_transcripts.json").read_text())
@@ -135,7 +137,7 @@ def test_corpus_reaches_every_generation_exit():
         events = run_execution(config, script).transcript.events
         diagnosed = {
             e["g"] for e in events
-            if e["type"] == "BROADCAST" and e["tag"] == "coded"
+            if e["type"] == "ROUND" and e["tag"] == "coded"
         }
         for e in events:
             if e["type"] in ("DECIDED", OUTCOME_TERMINATED):
@@ -159,8 +161,11 @@ def test_ledgers_resum_from_the_transcript():
     cases = all_cases()
     assert len(cases) == 86
     for key, (config, script) in cases.items():
-        events = run_execution(config, script).transcript.events
-        assert resum_ledger(events) == events[-1]["ledger"], key
+        result = run_execution(config, script)
+        events = result.transcript.events
+        cells = resum_ledger(events)
+        assert cells == result.ledger.to_jsonable(), key
+        assert ledger_totals(cells) == events[-1]["ledger"], key
 
 
 def test_ledger_sums_again_from_a_transcript_read_back_from_its_text():
@@ -170,11 +175,13 @@ def test_ledger_sums_again_from_a_transcript_read_back_from_its_text():
     result = run_execution(config, script)
     events = [json.loads(line) for line in result.transcript.to_jsonl().splitlines()]
     assert any(e["type"] == "BROADCAST" and e["payload_bits"] == 0 for e in events)
+    assert any(e["type"] == "ROUND" and "-" in e.get("payload", "") for e in events)
     header = events[0]
     inputs = [header["input_values"][i] for i in header["config"]["inputs"]]
     read = ExecutionConfig.from_jsonable({**header["config"], "inputs": inputs})
-    ledger = CostLedger(read, events).to_jsonable()
-    assert ledger == events[-1]["ledger"] == result.ledger.to_jsonable()
+    ledger = CostLedger(read, events)
+    assert ledger.to_jsonable() == result.ledger.to_jsonable()
+    assert ledger.totals() == events[-1]["ledger"] == result.ledger.totals()
 
 
 def test_v1_fixtures_fold_into_todays_transcripts():
@@ -184,10 +191,12 @@ def test_v1_fixtures_fold_into_todays_transcripts():
         v1 = (V1_FIXTURES / name).read_bytes()
         assert digest(v1) == v1_hash, name
         config, script = cases[key]
-        v5 = run_execution(config, script).transcript.to_jsonl()
+        v6 = run_execution(config, script).transcript.to_jsonl()
         v4 = v3_from_v2(v4_waves_from_v1(v1.decode()))
-        assert v5_from_v4(v4) == v5 and v4_from_v5(v5) == v4, name
-        assert digest(v5.encode()) == GOLDEN[section][key], name
+        v5 = v5_from_v4(v4)
+        assert v4_from_v5(v5) == v4, name
+        assert v6_from_v5(v5) == v6 and v5_from_v6(v6) == digest_claims(v5), name
+        assert digest(v6.encode()) == GOLDEN[section][key], name
         # only the alg2 fixture broadcasts match bits
         assert (v4 != v5) == name.startswith("alg2"), name
 
@@ -254,15 +263,55 @@ def test_v4_rewrites_only_the_traffic_of_v3():
 
 def test_inputs_and_outputs_read_back_from_the_transcript():
     """Every processor's input from the header's indices into
-    `input_values`, and every fault-free output from `VERDICT`'s indices
-    into `output_values`."""
+    `input_values`, and every fault-free output rebuilt from the
+    `DECIDED` lines, whose SHA-256 `VERDICT`'s indices into
+    `output_sha256` give."""
     for key, (config, script) in all_cases().items():
         result = run_execution(config, script)
         events = result.transcript.events
         header, verdict = events[0], events[-1]
         inputs = [header["input_values"][i] for i in header["config"]["inputs"]]
         assert inputs == list(config.inputs), key
-        outputs = {
-            int(p): verdict["output_values"][i] for p, i in verdict["outputs"].items()
-        }
-        assert outputs == {p: v.hex() for p, v in result.outputs.items()}, key
+        outputs = rebuilt_outputs(events)
+        assert outputs == result.outputs, key
+        assert {
+            int(p): verdict["output_sha256"][i] for p, i in verdict["outputs"].items()
+        } == {p: digest(v) for p, v in outputs.items()}, key
+
+
+def test_trust_graphs_read_back_from_the_transcript():
+    """The graph rebuilt from the `EDGE_REMOVED` and `CONVICTED` lines is
+    the one `VERDICT` records, though no line follows a conviction."""
+    convictions = 0
+    for key, (config, script) in all_cases().items():
+        result = run_execution(config, script)
+        events = result.transcript.events
+        graph = result.graph.to_jsonable()
+        assert rebuilt_graph(events) == events[-1]["graph"] == graph, key
+        convictions += len(graph["convicted"])
+    assert convictions
+
+
+def test_claim_lines_are_the_claims_the_script_rules():
+    """Each claim round writes a `BROADCAST` line for exactly the senders
+    the header's script has a rule for, and counts the others. The engine
+    folds a claim by its value, so no corpus rule repeats an honest claim."""
+    ruled_lines = 0
+    for key, (config, script) in all_cases().items():
+        events = run_execution(config, script).transcript.events
+        rules = events[0]["script"]["broadcasts"]
+        convicted, lines = set(), []
+        for e in events:
+            if e["type"] == "CONVICTED":
+                convicted.add(e["processor"])
+            elif e["type"] == "BROADCAST":
+                lines.append(e["sender"])
+            elif e["type"] == "ROUND" and e["tag"] in ("coded", "received"):
+                senders = [p for p in range(1, config.n + 1) if p not in convicted]
+                ruled = [p for p in senders if f"{e['g']}|{e['tag']}|{p}" in rules]
+                assert lines == ruled, key
+                assert e["count"] == len(senders) - len(ruled), key
+                ruled_lines += len(lines)
+                lines = []
+        assert not lines, key
+    assert ruled_lines

@@ -17,8 +17,8 @@ def test_judge_reports_a_hand_built_alg2_run():
     config = one_block_config(ALG2, (shared, shared, shared, other), q=3)
     events = [
         {"type": "header"},
-        {"type": "BROADCAST", "g": 1, "tag": "detected", "sender": 1,
-         "payload": True, "payload_bits": 1},
+        {"type": "ROUND", "g": 1, "tag": "detected", "payload": "1000",
+         "payload_bits": 4},
         {"type": "MATCH_SET", "g": 1, "members": [1, 2, 3]},
         {"type": "EDGE_REMOVED", "g": 1, "i": 3, "j": 4, "rule": "dispute"},
         {"type": "EDGE_REMOVED", "g": 1, "i": 1, "j": 2, "rule": "dispute"},
@@ -27,11 +27,37 @@ def test_judge_reports_a_hand_built_alg2_run():
          "value": outside.hex(), "decide_set": [1, 2, 4]},
     ]
     outputs = dict.fromkeys((1, 2, 3), outside)
+    # convicting 3 removes its edges to 1 and 2 as well: (3,4) is gone
     assert judge(config, {4}, events, outputs) == [
         "g1: edge (1,2) between fault-free processors removed",
         "g1: fault-free processor 3 convicted",
+        "g1: edge (1,3) between fault-free processors removed",
+        "g1: edge (2,3) between fault-free processors removed",
         "g1: decided block is no fault-free input",
         "g1: majority quorum decided a block other than the shared one",
+        "fault-free processor 3 ended convicted",
+    ]
+
+
+def test_a_conviction_removes_the_edges_its_processor_has_left():
+    """No `EDGE_REMOVED` line follows a `CONVICTED` one: the judge removes
+    each edge the processor has left, lowest other end first, and
+    reports those between fault-free processors after the conviction."""
+    a = b"\x01" * 3
+    config = one_block_config(ALG1, (a, a, a, a))
+    events = [
+        {"type": "EDGE_REMOVED", "g": 1, "i": 1, "j": 3, "rule": "dispute"},
+        {"type": "CONVICTED", "g": 1, "processor": 3, "rule": "flag"},
+        # 4's edges to 1 and 2 are left; (3,4) went with 3
+        {"type": "CONVICTED", "g": 2, "processor": 4, "rule": "flag"},
+        {"type": "EDGE_REMOVED", "g": 2, "i": 1, "j": 2, "rule": "dispute"},
+    ]
+    outputs = dict.fromkeys((1, 2, 3), a)
+    assert judge(config, {4}, events, outputs) == [
+        "g1: edge (1,3) between fault-free processors removed",
+        "g1: fault-free processor 3 convicted",
+        "g1: edge (2,3) between fault-free processors removed",
+        "g2: edge (1,2) between fault-free processors removed",
         "fault-free processor 3 ended convicted",
     ]
 

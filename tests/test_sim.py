@@ -19,7 +19,7 @@ from codedbft.consensus import (
     TAG_RECEIVED,
 )
 from codedbft.diagnosis import ConfigurationError, TrustGraph
-from codedbft.rs import CodeParams, ParameterError, encode
+from codedbft.rs import CodeParams, ParameterError, encode, word_hex
 from codedbft.sim import (
     ALG1,
     ALG2,
@@ -41,6 +41,7 @@ from codedbft.sim import (
 )
 import obligation_oracle
 import wave_oracle
+from event_state import rebuilt_graph
 from golden_corpus import all_cases
 
 
@@ -164,6 +165,37 @@ def test_script_broadcast_answers_in_the_engines_types():
     assert script.broadcast(2, TAG_RECEIVED, 4, honest) is honest
 
 
+CLAIM_TAGS = (TAG_CODED, TAG_RECEIVED)
+
+
+def observed_broadcasts(events, senders):
+    """(g, tag, sender, payload) of every broadcast of `senders`, in the
+    order the engine asks a script for them: a flag or mask from its
+    round, a claim's hex from its `BROADCAST` line, "honest" for a claim
+    its round counts; None for silence. Convicted senders broadcast
+    nothing."""
+    observed, convicted, lines = [], set(), {}
+    for e in events:
+        if e["type"] == "CONVICTED":
+            convicted.add(e["processor"])
+        elif e["type"] == "BROADCAST":
+            lines[e["sender"]] = e["payload"]
+        elif e["type"] == "ROUND":
+            for s in senders:
+                if s in convicted:
+                    continue
+                if e["tag"] in CLAIM_TAGS:
+                    payload = lines.get(s, "honest")
+                elif e["tag"] == TAG_DETECTED:
+                    payload = {"-": None, "0": False, "1": True}[e["payload"][s - 1]]
+                else:
+                    mask = e["payload"][s - 1]
+                    payload = None if mask is None else int(mask, 16)
+                observed.append((e["g"], e["tag"], s, payload))
+            lines = {}
+    return observed
+
+
 class RecordingScript(AdversaryScript):
     """Records each question the engine asks, with the script's answer."""
 
@@ -236,13 +268,13 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
         for e in result.transcript.of_type("WAVE"):
             waves[e["g"], e["step"]] = waves.get((e["g"], e["step"]), 0) + e["count"]
         assert waves == {key: count for key, count in counts.items() if count}
+        # a claim equal to the honest word joins its round's digest
         assert [
-            (g, tag, s, sim._jsonable_payload(tag, payload, config.n))
-            for (g, tag, s, _), payload in script.broadcasts
-        ] == [
-            (e["g"], e["tag"], e["sender"], e["payload"])
-            for e in result.transcript.of_type("BROADCAST") if e["sender"] in (2, 6)
-        ]
+            (g, tag, s, "honest" if tag in CLAIM_TAGS and payload == honest
+             else word_hex(payload) if tag in CLAIM_TAGS and payload is not None
+             else payload)
+            for (g, tag, s, honest), payload in script.broadcasts
+        ] == observed_broadcasts(result.transcript.events, (2, 6))
         symbols += sum(value is not None for _, value in script.sends)
         silences += sum(value is None for _, value in script.sends)
         silences += sum(payload is None for _, payload in script.broadcasts)
@@ -501,11 +533,9 @@ def test_starved_outsider_is_not_blamed():
     assert result.passed
     want = config.padded_input(2)  # the shared value survives
     assert all(out == want for out in result.outputs.values())
-    removed = {
-        (ev["i"], ev["j"]) for ev in result.transcript.of_type("EDGE_REMOVED")
-    }
-    assert removed <= {(1, 4)}
-    assert not result.transcript.of_type("CONVICTED")
+    graph = rebuilt_graph(result.transcript.events)
+    assert {tuple(edge) for edge in graph["removed_edges"]} <= {(1, 4)}
+    assert not graph["convicted"]
 
 
 def test_two_faulty_equivocators_lose_their_votes():
@@ -555,10 +585,12 @@ def test_obligations_follow_the_graph_after_diagnosis():
         ev["step"]: (ev["count"], ev["sha256"])
         for ev in events if ev["type"] == "WAVE"
     }
+    first = result.transcript.events[:1] + [
+        ev for ev in result.transcript.events if ev.get("g") == 1
+    ]
     graph = TrustGraph(7, 2)
-    for ev in result.transcript.of_type("EDGE_REMOVED"):
-        if ev["g"] == 1:
-            graph.remove_edge(ev["i"], ev["j"])
+    for i, j in rebuilt_graph(first)["removed_edges"]:
+        graph.remove_edge(i, j)
     assert graph.removed
     assert sent == traffic(obligation_oracle.matching_obligations(graph, range(1, 8)))
     assert sent != traffic(
@@ -893,121 +925,15 @@ def test_transcript_header_records_padding_policy():
 # --------------------------------------------------------- serialization
 
 
-def encoder_lines(events):
-    return [sim._JSONL_ENCODER.encode(e) + "\n" for e in events]
-
-
-def rendered_lines(events):
-    transcript = sim.Transcript()
-    transcript.events = list(events)
-    return list(transcript._lines())
-
-
-def test_templates_render_the_golden_corpus_like_the_encoder():
+def test_transcripts_read_back_to_their_events():
+    """Every line of every corpus transcript is canonical JSON, sorted
+    keys and no spaces, and parses back to the event it was written from."""
     cases = all_cases()
     assert len(cases) == 86
     for key, (config, script) in cases.items():
-        events = run_execution(config, script).transcript.events
-        got, want = rendered_lines(events), encoder_lines(events)
-        assert len(got) == len(want), key
-        for event, line, expected in zip(events, got, want):
-            assert line == expected, (key, event)
-
-
-_INTS = st.integers()
-_FIELD_VALUES = st.one_of(
-    _INTS, st.booleans(), st.none(), st.text(max_size=8),
-    st.lists(_INTS, max_size=3), st.floats(allow_nan=False),
-)
-
-
-@st.composite
-def hot_events(draw):
-    """BROADCAST events, well formed or slightly off."""
-    event = {
-        "type": "BROADCAST", "g": draw(_INTS), "sender": draw(_INTS),
-        "tag": draw(st.sampled_from(sim._TAGS) | st.text(max_size=8)),
-        "payload": draw(
-            st.booleans() | st.none()
-            | st.lists(st.none() | st.text(max_size=4), max_size=4)
-            | st.lists(st.booleans(), max_size=8)
-            | st.text(alphabet='01x"\\\n', max_size=8)
-            | st.lists(st.booleans() | st.integers(0, 1) | st.none(), max_size=4)
-        ),
-        "payload_bits": draw(_INTS),
-    }
-    change = draw(st.sampled_from(["none", "extra", "missing", "retype"]))
-    fields = sorted(k for k in event if k != "type")
-    if change == "extra":
-        event[draw(st.text(max_size=6))] = draw(_FIELD_VALUES)
-    elif change == "missing":
-        del event[draw(st.sampled_from(fields))]
-    elif change == "retype":
-        event[draw(st.sampled_from(fields))] = draw(_FIELD_VALUES)
-    return event
-
-
-@settings(deadline=None)
-@given(st.lists(hot_events(), max_size=6))
-def test_templates_render_hot_events_like_the_encoder(events):
-    assert rendered_lines(events) == encoder_lines(events)
-
-
-def encoder_spy(monkeypatch):
-    """The list of events that reach the encoder from now on."""
-    encoder = sim._JSONL_ENCODER
-    encoded = []
-
-    class Spy:
-        def encode(self, event):
-            encoded.append(event)
-            return encoder.encode(event)
-
-    monkeypatch.setattr(sim, "_JSONL_ENCODER", Spy())
-    return encoded
-
-
-def test_only_off_shape_events_reach_the_encoder(monkeypatch):
-    broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "coded",
-                 "payload": None, "payload_bits": 0}
-    off_shape = [
-        {"type": "SYMBOL_SENT", "g": 1, "receiver": 2, "sender": 3,
-         "slot": 3, "step": STEP_OWN, "value": "ab"},
-        {"type": "WAVE", "count": 2, "g": 1, "sha256": "ab", "step": STEP_OWN},
-        dict(broadcast, note=1),
-        {k: v for k, v in broadcast.items() if k != "sender"},
-        dict(broadcast, g=True),
-        dict(broadcast, tag='co"ded'),
-        dict(broadcast, payload=1),
-        dict(broadcast, payload_bits=False),
-    ]
-    events = [broadcast] + off_shape
-    want = encoder_lines(events)
-    encoded = encoder_spy(monkeypatch)
-    assert rendered_lines(events) == want
-    assert encoded == off_shape
-
-
-def test_match_bit_lists_take_the_template(monkeypatch):
-    broadcast = {"type": "BROADCAST", "g": 1, "sender": 2, "tag": "match_bits",
-                 "payload": "", "payload_bits": 0}
-    templated = [
-        broadcast,
-        dict(broadcast, payload="1"),
-        dict(broadcast, payload="0110"),
-    ]
-    # strings the template would not quote as JSON does, and the v4 lists
-    off_shape = [
-        dict(broadcast, payload="01x"),
-        dict(broadcast, payload='0"'),
-        dict(broadcast, payload="0\\"),
-        dict(broadcast, payload="1\n"),
-        dict(broadcast, payload="\u00e91"),
-        dict(broadcast, payload=[False, True]),
-        dict(broadcast, payload=(True, False)),
-    ]
-    events = templated + off_shape
-    want = encoder_lines(events)
-    encoded = encoder_spy(monkeypatch)
-    assert rendered_lines(events) == want
-    assert encoded == off_shape
+        transcript = run_execution(config, script).transcript
+        lines = transcript.to_jsonl().splitlines(keepends=True)
+        assert len(lines) == len(transcript.events), key
+        for event, line in zip(transcript.events, lines):
+            assert line == json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            assert json.loads(line) == event, key

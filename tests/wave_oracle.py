@@ -75,12 +75,12 @@ def own_waves(events):
     """(g, count, sha256) of each generation's own wave, in order, for
     the fault-free run whose transcript events are `events`.
 
-    A generation that runs its matching stage broadcasts match bits
-    (alg2) or detection flags (alg1) after its own wave; an alg1
-    generation that terminates before matching broadcasts nothing.
+    A generation that runs its matching stage has a broadcast round of
+    match bits (alg2) or detection flags (alg1) after its own wave; an
+    alg1 generation that terminates before matching has none.
     """
     header = events[0]
-    reached = sorted({e["g"] for e in events if e["type"] == "BROADCAST"})
+    reached = sorted({e["g"] for e in events if e["type"] == "ROUND"})
     config = header["config"]
     n = config["n"]
     k = n - config["t"] if config["algorithm"] == "alg1" else config["q"]

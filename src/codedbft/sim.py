@@ -703,8 +703,10 @@ class Execution:
         return observed
 
     def _graph_events(self, g: int, tagged: list[tuple[str, tuple]]) -> None:
-        """`CONVICTED` and `EDGE_REMOVED` lines; a conviction drops every
-        remaining edge of its processor, and writes none of them."""
+        """`CONVICTED` and `EDGE_REMOVED` lines. A conviction drops every
+        remaining edge of its processor, and writes none of them: those
+        are the edges after it that touch a processor convicted in the
+        list, since a convicted processor has no edge left to dispute."""
         convicted: set[int] = set()
         for rule, event in tagged:
             if event[0] != "edge":

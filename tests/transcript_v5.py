@@ -53,16 +53,20 @@ def digest_claims(text):
     header = json.loads(lines[0])
     sym, rules = _sym_bytes(header["config"]), header["script"]["broadcasts"]
     out = [lines[0]]
-    # per claim tag of the open generation: its ruled lines and the round
+    # per claim tag of the open round: its ruled lines, then g, count,
+    # payload bits and records of the claims it folds
     ruled, rounds = {}, {}
 
     def close():
         for tag in CLAIM_TAGS:
             if tag in rounds:
+                g, count, bits, records = rounds.pop(tag)
                 out.extend(ruled.pop(tag))
-                line = rounds.pop(tag)
-                line["sha256"] = hashlib.sha256(b"".join(line["sha256"])).hexdigest()
-                out.append(dumps(line))
+                out.append(dumps({
+                    "type": "ROUND", "g": g, "tag": tag, "count": count,
+                    "payload_bits": bits,
+                    "sha256": hashlib.sha256(b"".join(records)).hexdigest(),
+                }))
 
     for line in lines[1:-1]:
         e = json.loads(line)
@@ -72,15 +76,13 @@ def digest_claims(text):
             continue
         g, tag, sender = e["g"], e["tag"], e["sender"]
         if tag not in rounds:
-            ruled[tag] = []
-            rounds[tag] = {"type": "ROUND", "g": g, "tag": tag, "count": 0,
-                           "payload_bits": 0, "sha256": []}
+            ruled[tag], rounds[tag] = [], (g, 0, 0, [])
         if f"{g}|{tag}|{sender}" in rules:
             ruled[tag].append(line)
             continue
-        rounds[tag]["count"] += 1
-        rounds[tag]["payload_bits"] += e["payload_bits"]
-        rounds[tag]["sha256"].append(claim_record(sender, e["payload"], sym))
+        _, count, bits, records = rounds[tag]
+        records.append(claim_record(sender, e["payload"], sym))
+        rounds[tag] = (g, count + 1, bits + e["payload_bits"], records)
     verdict = json.loads(lines[-1])
     cells = verdict["ledger"].values()
     verdict["ledger"] = {

@@ -16,6 +16,7 @@ import json
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from hashlib import sha256
 from itertools import islice
 from pathlib import Path
@@ -252,6 +253,7 @@ class AdversaryScript:
         self.faulty = frozenset(faulty)
         self._sends: dict[tuple[int, str, int, int], tuple[str, bytes | None]] = {}
         self._bcasts: dict[tuple[int, str, int], tuple[str, Any]] = {}
+        self._named: set[int] = set()  # the generations some rule names
 
     def _require_faulty(self, sender: int) -> None:
         if sender not in self.faulty:
@@ -274,6 +276,7 @@ class AdversaryScript:
         if kind in (SEND_CORRUPT, SEND_REPLACE) and not data:
             raise ValueError(f"{kind} needs a byte argument")
         self._sends[(generation, step, sender, receiver)] = (kind, data)
+        self._named.add(generation)
         return self
 
     def add_broadcast(
@@ -300,6 +303,7 @@ class AdversaryScript:
                     raise ValueError("vector override must be a list of hex or None")
                 payload = list(payload)
         self._bcasts[(generation, tag, sender)] = (kind, payload)
+        self._named.add(generation)
         return self
 
     def send(
@@ -336,6 +340,16 @@ class AdversaryScript:
             return sum(1 << j for j, bit in enumerate(payload) if bit)
         return payload
 
+    def quiet_until(self, g: int, last: int) -> int:
+        """The end of the quiet generations g..h, h <= last, that no rule
+        names: g - 1 if a rule names g. A subclass that answers `send` or
+        `broadcast` itself is asked about every generation: none is quiet."""
+        if g in self._named or (type(self).send, type(self).broadcast) != self._ANSWERS:
+            return g - 1
+        return min((h for h in self._named if h > g), default=last + 1) - 1
+
+    _ANSWERS = (send, broadcast)  # a subclass that overrides either answers itself
+
     def validate_shapes(self, config: ExecutionConfig) -> None:
         """Fail fast if any rule does not fit the configuration."""
         if len(self.faulty) > config.t:
@@ -358,9 +372,9 @@ class AdversaryScript:
                     f"send rule {_rule_text(key)} carries {len(data)} bytes, need {sym}"
                 )
         for key, (kind, payload) in self._bcasts.items():
-            rule, tag = f"broadcast rule {_rule_text(key)}", key[1]
             if kind != BCAST_REPLACE:
                 continue
+            rule, tag = f"broadcast rule {_rule_text(key)}", key[1]
             if tag == TAG_MATCH_BITS and len(payload) != n:
                 raise ConfigurationError(f"{rule} carries {len(payload)} bits, need {n}")
             if tag in (TAG_CODED, TAG_RECEIVED):
@@ -403,7 +417,7 @@ class AdversaryScript:
                 except ValueError:
                     parts = []
                 # written as to_jsonable writes it, so no two keys name one rule
-                if len(parts) != form.count("|") + 1 or _rule_text(parts) != key:
+                if len(parts) != form.count("|") + 1 or _rule_text(tuple(parts)) != key:
                     raise ConfigurationError(f"{name} is not of the form {form}")
                 value = rule.get(value_key)
                 try:
@@ -415,6 +429,7 @@ class AdversaryScript:
         return script
 
 
+@lru_cache(maxsize=4096)
 def _rule_text(key: tuple) -> str:
     """A rule's key as scripts write it: g|step|sender|receiver or g|tag|sender."""
     return "|".join(map(str, key))
@@ -569,6 +584,10 @@ class Execution:
         ]
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
+        # alg1's carried match set; the step's lines, a list per generation
+        # (the transcript's at width 1), and the faulty senders it asks about
+        self.p_match = list(range(1, config.n + 1))
+        self._lines, self._asked = [self.transcript.events], script.faulty
         # each processor's first holder of its input, and the wide words of
         # each first holder: one encode per distinct input for the whole run
         holders: dict[bytes, int] = {}
@@ -595,17 +614,19 @@ class Execution:
         each symbol must be sym_bytes long. An honest sender's run reads
         its slot once and stores it into every receiver's word. Every
         symbol equal to its sender's slot, from a sender not suppressed,
-        is recorded in one `WAVE` event after the rest: their count and
-        the SHA-256 of their records `bytes((sender, receiver, slot)) +
-        value` in plan order, which for an honest run is
-        `value.join(prefixes) + value`. Any other faulty symbol is
-        recorded as its own `SYMBOL_SENT` event.
+        is recorded in one `WAVE` event per generation after the rest:
+        their count and the SHA-256 of their records `bytes((sender,
+        receiver, slot)) + value` in plan order, `value.join(prefixes) +
+        value` for an honest run; a prefix byte fills every lane, so lane
+        j is generation g+j's. Any other faulty symbol is its own
+        `SYMBOL_SENT` event.
         """
-        script, faulty = self.script, self.script.faulty
-        sym = self.params.sym_bytes
-        events = self.transcript.events
+        script, faulty = self.script, self._asked
+        sym, width = self.params.sym_bytes, len(self._lines)
         records: list[bytes] = []
         honest_sent = 0
+        if width > 1:
+            runs = _spread(runs, width)
         for sender, slot, receivers, prefixes in runs:
             honest = coded[sender][slot - 1]
             if sender in faulty:
@@ -623,7 +644,7 @@ class Execution:
                         records += (prefix, value)
                         honest_sent += 1
                         continue
-                    events.append({
+                    self._lines[0].append({
                         "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
                         "receiver": receiver, "slot": slot, "value": value.hex(),
                     })
@@ -633,10 +654,12 @@ class Execution:
                 records += (honest.join(prefixes), honest)
                 honest_sent += len(receivers)
         if honest_sent:
-            events.append({
-                "type": "WAVE", "g": g, "step": step, "count": honest_sent,
-                "sha256": sha256(b"".join(records)).hexdigest(),
-            })
+            data = b"".join(records)
+            for j, lines in enumerate(self._lines):
+                lines.append({
+                    "type": "WAVE", "g": g + j, "step": step, "count": honest_sent,
+                    "sha256": sha256(data[j::width]).hexdigest(),
+                })
 
     def _round(self, g: int, tag: str, honest: dict[int, Any]) -> dict[int, Any]:
         """One broadcast round: each sender in `honest` broadcasts its
@@ -651,7 +674,7 @@ class Execution:
         `CostLedger` reads from `payload_bits`: a flag is 1 bit, match
         bits n and a word `_word_bits`, whatever a faulty sender put in.
 
-        The round is one `ROUND` line. A `detected` round's `payload` has
+        It is a `ROUND` line per generation. A `detected` round's `payload` has
         character j-1 `0` or `1` for processor j's flag, `-` when j sent
         none; a `match_bits` round's `payload` holds each vector as a
         hex mask (bit j-1 for slot j), null when none was sent. A claim
@@ -663,10 +686,9 @@ class Execution:
         """
         script, n = self.script, self.config.n
         events = self.transcript.events
-        observed = {
-            p: script.broadcast(g, tag, p, v) if p in script.faulty else v
-            for p, v in honest.items()
-        }
+        observed = dict(honest)
+        for p in sorted(self._asked.intersection(honest)):
+            observed[p] = script.broadcast(g, tag, p, honest[p])
         line = {"type": "ROUND", "g": g, "tag": tag}
         sent = [p for p, v in observed.items() if v is not None]
         if tag == TAG_DETECTED:
@@ -699,8 +721,14 @@ class Execution:
                 count=count, payload_bits=bits,
                 sha256=sha256(b"".join(records)).hexdigest(),
             )
-        events.append(line)
+        self._emit(line)
         return observed
+
+    def _emit(self, line: dict) -> None:
+        """`line` in each lane's lines, with the lane's generation."""
+        self._lines[0].append(line)
+        for j in range(1, len(self._lines)):
+            self._lines[j].append({**line, "g": line["g"] + j})
 
     def _graph_events(self, g: int, tagged: list[tuple[str, tuple]]) -> None:
         """`CONVICTED` and `EDGE_REMOVED` lines. A conviction drops every
@@ -718,14 +746,8 @@ class Execution:
                 )
 
     def _decode_accepted(self, vec: list[bytes | None], blocks: dict[tuple, bytes]) -> bytes:
-        """Block of a word that a fault-free processor flagged FALSE,
-        decoded once per distinct word of the generation's `blocks`.
-
-        A FALSE flag means `detection_flag` found the word a codeword with
-        at least k symbols, so the check is not repeated, and failing to
-        decode the word is a bug: return no block, which the judge
-        reports and which also leaves the final output short.
-        """
+        """Block of a word flagged FALSE (a codeword of k symbols or more), decoded
+        unchecked once per distinct word of `blocks`; a failure is a bug the judge reports."""
         word = tuple(vec)
         if word not in blocks:
             try:
@@ -737,28 +759,28 @@ class Execution:
     # ---------------------------------------------------- matching waves
 
     def _fresh_state(
-        self, g: int
+        self, g: int, width: int = 1
     ) -> tuple[dict[int, list], dict[int, list]]:
-        """Coded words sliced from the wide words, a copy for each further
-        holder of an input, and received words holding each own slot."""
+        """Coded words of generations g..g+width-1, byte b of g+j at lane
+        b*width + j, a copy for each further holder of an input, and
+        received words holding each own slot."""
         n, gens = self.config.n, self.config.generations
         coded, received = {}, {}
         for i, first in enumerate(self._first_holder, start=1):
-            if first == i:
+            if first != i:
+                coded[i] = list(coded[first])
+            elif width == 1:
                 coded[i] = [w[g - 1 :: gens] for w in self._wide[i]]
             else:
-                coded[i] = list(coded[first])
+                rows = range(g - 1, len(self._wide[i][0]), gens)
+                coded[i] = [b"".join(w[r : r + width] for r in rows) for w in self._wide[i]]
             received[i] = [None] * n
             received[i][i - 1] = coded[i][i - 1]
         return coded, received
 
     def _helper_and_reconstruct(
-        self,
-        g: int,
-        p_match: Sequence[int],
-        plan: MatchingPlan,
-        coded: dict[int, list],
-        received: dict[int, list],
+        self, g: int, p_match: Sequence[int], plan: MatchingPlan,
+        coded: dict[int, list], received: dict[int, list],
     ) -> None:
         """Helper wave, non-member reconstruction, re-send wave."""
         cfg = self.config
@@ -784,136 +806,155 @@ class Execution:
             if j not in members:
                 received[j][j - 1] = coded[j][j - 1]
 
-    # ------------------------------------------------------------ claims
-
-    def _collect_claims(
-        self, g: int, flags: dict[int, bool | None],
-        coded: dict[int, list], received: dict[int, list],
-    ) -> dict[int, Claims]:
-        live = self.graph.unconvicted()
-        coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
-        received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
-        return {p: Claims(flags.get(p), coded_obs[p], received_obs[p]) for p in live}
-
     # ------------------------------------------------------- generations
 
-    def _run_generations(self) -> None:
-        """Each generation: matching, checking, then decode or diagnose.
+    def _stretch(self, g: int, width: int, quiet: bool) -> tuple[int, int]:
+        """Generations g..g+width-1 at one graph state, byte b of g+j at lane
+        b*width + j of every word, where every codec call and check acts
+        lane by lane. Returns the generations settled and how many after
+        them hold one that is not uniform (0: none known). A wide step
+        settles only uniform generations (alg1: every flag FALSE; alg2:
+        each lane's match vectors are the wide ones, then no match set or
+        every flag FALSE); only width 1 diagnoses.
 
-        With every flag FALSE each fault-free processor decodes its own
-        word; otherwise everyone's claims are diagnosed. The protocols
-        differ in three places. alg1 carries its match set forward (the
-        last decide set, less the convicted) and terminates below n-t;
-        alg2 broadcasts match bits after a full matching stage and takes
-        the smallest q-clique, defaulting without one. alg1 decides among
-        the match set at threshold n-t; alg2 first convicts silent match
-        vectors and decides among everyone at threshold q, counting
-        convicted claims. An empty decide set terminates alg1 and
-        defaults alg2.
+        Each generation matches, checks, then decodes with every flag FALSE
+        or diagnoses everyone's claims. alg1 carries its match set (the
+        last decide set, less the convicted), terminates below n-t and
+        decides among it at threshold n-t. alg2 broadcasts match bits
+        after a full matching stage, takes the smallest q-clique or
+        defaults, convicts silent match vectors before diagnosis and
+        decides among everyone at threshold q, counting convicted claims.
+        An empty decide set terminates alg1 and defaults alg2.
         """
         cfg = self.config
         alg1 = cfg.algorithm == ALG1
-        everyone = list(range(1, cfg.n + 1))
-        default = dict.fromkeys(self.fault_free, bytes(cfg.block_bytes))
-        p_match: list[int] | None = everyone
-        for g in range(1, cfg.generations + 1):
-            coded, received = self._fresh_state(g)
-            vectors: dict[int, int | None] = {}
-            if alg1:
-                # patched runs only: the carried decide set holds no convicted processor
-                p_match = [p for p in p_match if p not in self.graph.convicted]
-                if len(p_match) < cfg.n - cfg.t:
-                    return self._terminate(g)
-                plan = _matching_plan(self.graph, p_match)
-                self._send_wave(g, STEP_OWN, plan.own, coded, received)
-            else:
-                plan = _matching_plan(self.graph, everyone)
-                self._send_wave(g, STEP_OWN, plan.own, coded, received)
-                self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
-                vectors = self._round(g, TAG_MATCH_BITS, {
-                    p: compute_match_bits(received[p], coded[p])
-                    for p in self.graph.unconvicted()
-                })
-                p_match = find_match_set(vectors, self.graph.unconvicted(), cfg.q)
-                self.transcript.append("MATCH_SET", g=g, members=p_match)
-                if p_match is None:
-                    self._settle(g, OUTCOME_DEFAULT, default)
-                    continue
-                plan = _matching_plan(self.graph, p_match)
-            self._helper_and_reconstruct(g, p_match, plan, coded, received)
-            members = set(p_match)
-            # this generation's codeword verdicts, flags and accepted blocks,
-            # each computed once per distinct word and shared by its holders;
-            # a member's coded word is still the codeword its input encodes to
-            verdicts = dict.fromkeys((tuple(coded[m]) for m in members), True)
-            live_flags: dict[tuple, bool] = {}
-            live: dict[int, bool] = {}
-            for p in self.graph.unconvicted():
-                in_match = p in members
-                key = flag_key(received[p], coded[p], in_match)
-                if key not in live_flags:
-                    live_flags[key] = detection_flag(
-                        self.params, received[p], coded[p], in_match, members, verdicts
+        everyone = range(1, cfg.n + 1)
+        # a quiet generation's script answers every question honestly
+        self._asked = frozenset() if quiet else self.script.faulty
+        self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * width)
+        self._lines = [[] for _ in range(width)] if width > 1 else [self.transcript.events]
+        coded, received = self._fresh_state(g, width)
+        if alg1:
+            # patched runs only: the carried decide set holds no convicted processor
+            p_match = [p for p in self.p_match if p not in self.graph.convicted]
+            if len(p_match) < cfg.n - cfg.t:
+                return self._terminate(g), 0
+            plan = _matching_plan(self.graph, p_match)
+            self._send_wave(g, STEP_OWN, plan.own, coded, received)
+        else:
+            plan = _matching_plan(self.graph, everyone)
+            self._send_wave(g, STEP_OWN, plan.own, coded, received)
+            self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
+            candidates = self.graph.unconvicted()
+            vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
+            # the first lane whose match vectors are not the wide ones: an unset bit
+            # of two present slots is set in lane j if their XOR's rows OR to 0 at j
+            lane = width
+            for p, bits in vectors.items() if width > 1 else ():
+                for slot, (r, c) in enumerate(zip(received[p], coded[p])):
+                    if bits >> slot & 1 or r is None or c is None:
+                        continue
+                    x, fold = int.from_bytes(r, "big") ^ int.from_bytes(c, "big"), 0
+                    while x:
+                        fold, x = fold | x & ((1 << 8 * width) - 1), x >> 8 * width
+                    if (j := fold.to_bytes(width, "big").find(0)) >= 0:
+                        lane = min(lane, j)
+            if lane < width:
+                done, cut = self._stretch(g, lane, True) if lane else (0, 0)
+                return done, cut or 1
+            vectors = self._round(g, TAG_MATCH_BITS, vectors)
+            p_match = find_match_set(vectors, candidates, cfg.q)
+            self._emit({"type": "MATCH_SET", "g": g, "members": p_match})
+            if p_match is None:
+                return self._settle(g, OUTCOME_DEFAULT)
+            plan = _matching_plan(self.graph, p_match)
+        self._helper_and_reconstruct(g, p_match, plan, coded, received)
+        members = set(p_match)
+        # this step's codeword verdicts, flags and accepted blocks, each
+        # computed once per distinct word and shared by its holders; a
+        # member's coded word is still the codeword its input encodes to
+        verdicts = dict.fromkeys((tuple(coded[m]) for m in members), True)
+        live_flags: dict[tuple, bool] = {}
+        live: dict[int, bool] = {}
+        for p in self.graph.unconvicted():
+            in_match = p in members
+            key = flag_key(received[p], coded[p], in_match)
+            if key not in live_flags:
+                live_flags[key] = detection_flag(
+                    self.params, received[p], coded[p], in_match, members, verdicts
+                )
+            live[p] = live_flags[key]
+        # a wide flag is TRUE when any lane's is, and does not say which
+        if width > 1 and any(live.values()):
+            return 0, width
+        flags = self._round(g, TAG_DETECTED, live)
+        if all(v is False for v in flags.values()):
+            blocks: dict[tuple, bytes] = {}
+            values = {
+                p: self._decode_accepted(received[p], blocks) for p in self.fault_free
+            }
+            return self._settle(g, OUTCOME_DECIDED, values)
+        self.diagnosis_count += 1
+        if not alg1:
+            for p in list(self.graph.unconvicted()):
+                if vectors.get(p) is None:
+                    convicted = self.graph.convict(p)
+                    self._graph_events(
+                        g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in convicted]
                     )
-                live[p] = live_flags[key]
-            flags = self._round(g, TAG_DETECTED, live)
-            if all(v is False for v in flags.values()):
-                blocks: dict[tuple, bytes] = {}
-                values = {
-                    p: self._decode_accepted(received[p], blocks) for p in self.fault_free
-                }
-                self._settle(g, OUTCOME_DECIDED, values)
-                continue
-            self.diagnosis_count += 1
-            if not alg1:
-                for p in list(self.graph.unconvicted()):
-                    if vectors.get(p) is None:
-                        convicted = self.graph.convict(p)
-                        self._graph_events(
-                            g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in convicted]
-                        )
-            claims = self._collect_claims(g, flags, coded, received)
-            result = run_diagnosis(
-                self.params, self.graph, p_match, plan.sends(), claims,
-                p_match if alg1 else everyone,
-                cfg.n - cfg.t if alg1 else cfg.q,
-                count_convicted=not alg1, verdicts=verdicts,
-            )
-            self._graph_events(g, result.events)
-            if result.decide_ids:
-                self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
-                p_match = result.decide_ids
-                values = dict.fromkeys(self.fault_free, result.decide_value)
-                self._settle(g, OUTCOME_DIAGNOSED, values, p_match)
-            elif alg1:
-                return self._terminate(g)
-            else:
-                self._settle(g, OUTCOME_DEFAULT, default)
+        live = self.graph.unconvicted()
+        coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
+        received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
+        claims = {p: Claims(flags.get(p), coded_obs[p], received_obs[p]) for p in live}
+        result = run_diagnosis(
+            self.params, self.graph, p_match, plan.sends(), claims,
+            p_match if alg1 else everyone,
+            cfg.n - cfg.t if alg1 else cfg.q,
+            count_convicted=not alg1, verdicts=verdicts,
+        )
+        self._graph_events(g, result.events)
+        if result.decide_ids:
+            self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
+            self.p_match = result.decide_ids
+            values = dict.fromkeys(self.fault_free, result.decide_value)
+            return self._settle(g, OUTCOME_DIAGNOSED, values, result.decide_ids)
+        if alg1:
+            return self._terminate(g), 0
+        return self._settle(g, OUTCOME_DEFAULT)
 
-    def _terminate(self, g: int) -> None:
-        """alg1 stops at `g`; every output becomes the all-zero default."""
+    def _terminate(self, g: int) -> int:
+        """alg1 stops at `g`, settling the generations left; outputs are zeros."""
         self.transcript.append(OUTCOME_TERMINATED, g=g)
         self.outcomes += (
             {"g": h, "kind": OUTCOME_TERMINATED, "value": None, "decide_set": []}
             for h in range(g, self.config.generations + 1)
         )
+        return self.config.generations + 1 - g
 
     def _settle(
-        self, g: int, kind: str, values: dict[int, bytes],
+        self, g: int, kind: str, values: dict[int, bytes] | None = None,
         decide_set: Sequence[int] = (),
-    ) -> None:
-        """Store each fault-free processor's block and record the outcome;
-        the event also maps each fault-free processor to its block when
-        the blocks differ."""
-        for p in self.fault_free:
-            self.decided[p].append(values[p])
-        value = values[self.fault_free[0]].hex()
-        outcome = {"g": g, "kind": kind, "value": value, "decide_set": list(decide_set)}
-        self.outcomes.append(outcome)
-        event = dict(outcome)
-        if len({values[p] for p in self.fault_free}) > 1:
-            event["values"] = {str(p): values[p].hex() for p in self.fault_free}
-        self.transcript.append("DECIDED", **event)
+    ) -> tuple[int, int]:
+        """Settle each generation of the step after its lane's lines: store
+        each fault-free processor's block, its lane of `values` (zeros when
+        None), and record the outcome, whose event maps them if they differ."""
+        width = len(self._lines)
+        if values is None:
+            values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
+        for j, lines in enumerate(self._lines):
+            if width > 1:
+                self.transcript.events += lines
+            lane = {p: v[j::width] for p, v in values.items()} if width > 1 else values
+            for p in self.fault_free:
+                self.decided[p].append(lane[p])
+            value = lane[self.fault_free[0]].hex()
+            outcome = {"g": g + j, "kind": kind, "value": value, "decide_set": [*decide_set]}
+            self.outcomes.append(outcome)
+            event = dict(outcome)
+            if len({lane[p] for p in self.fault_free}) > 1:
+                event["values"] = {str(p): lane[p].hex() for p in self.fault_free}
+            self.transcript.append("DECIDED", **event)
+        return width, 0
 
     # ----------------------------------------------------------- driver
 
@@ -930,7 +971,14 @@ class Execution:
             padding="zero-fill-tail",
             generations=cfg.generations,
         )
-        self._run_generations()
+        # a step per stretch of quiet generations, half as wide after one that
+        # finds a generation not uniform among `bad` from g but cannot name it
+        g, bad = 1, 0
+        while g <= cfg.generations:
+            quiet = self.script.quiet_until(g, cfg.generations) - g + 1
+            width = min(quiet, bad // 2) if bad else quiet
+            done, cut = self._stretch(g, max(width, 1), quiet > 0)
+            g, bad = g + done, cut or max(bad - done, 0)
         # only alg1 terminates, and then every output is the all-zero default
         terminated = any(o["kind"] == OUTCOME_TERMINATED for o in self.outcomes)
         outputs = {
@@ -970,6 +1018,18 @@ def _distinct_values(values: Iterable[Any]) -> tuple[list[int], list[Any]]:
     the transcript writes a value held by many processors once."""
     table: dict[Any, int] = {}
     return [table.setdefault(v, len(table)) for v in values], list(table)
+
+
+_code_params = lru_cache(maxsize=256)(CodeParams)  # one per step width
+
+
+@lru_cache(maxsize=64)
+def _spread(runs: tuple[Run, ...], width: int) -> tuple[Run, ...]:
+    """`runs` with each record prefix byte repeated over `width` lanes."""
+    top = max((max(s, k, *rs) for s, k, rs, _ in runs), default=0)
+    lane = [bytes((v,)) * width for v in range(top + 1)]
+    return tuple((s, k, rs, tuple(lane[s] + lane[r] + lane[k] for r in rs))
+                 for s, k, rs, _ in runs)
 
 
 def _word_bits(word: list[bytes | None]) -> int:

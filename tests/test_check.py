@@ -12,6 +12,9 @@ The engine asks `decode` and `detection_flag` once per distinct word
 in a generation and hands the answer to every processor holding that
 word, so the counting patches (decode-fails, decode-skews and
 false-alarms) act once per distinct word, not once per processor.
+A stretch of quiet generations asks once per distinct wide word for all
+of them, so the lists are recorded with every step pinned to width 1;
+the patches that count no calls give the same lists with stretches on.
 """
 
 import dataclasses
@@ -34,6 +37,7 @@ from codedbft.sim import (
     random_script,
 )
 from ledger_oracle import ledger_totals, resum_ledger
+from engine_steps import counted, recorded_steps, width_one
 
 FROZEN = Path(__file__).parent / "violation_lists.json"
 
@@ -191,10 +195,24 @@ def corpus():
                 yield key, config, script, patch
 
 
-def run_corpus(monkeypatch) -> dict:
+# the patches whose effect does not depend on how many calls they see
+UNCOUNTED = (
+    "decode-zero", "convict-fault-free", "cut-fault-free-edge",
+    "no-match-set", "last-q-match-set",
+)
+
+
+def run_corpus(monkeypatch, patches=tuple(PATCHES), stretches=False) -> dict:
+    """The violations of each corpus run under one of `patches`, with
+    every step pinned to width 1 unless `stretches`."""
+    chosen = [PATCHES[name] for name in patches]
     got = {}
     for key, config, script, patch in corpus():
+        if patch not in chosen:
+            continue
         with monkeypatch.context() as m:
+            if not stretches:
+                width_one(m)
             patch(m, config, script)
             got[key] = sim.run_execution(config, script).violations
     return got
@@ -204,6 +222,65 @@ def test_violation_lists_are_frozen(monkeypatch):
     assert run_corpus(monkeypatch) == json.loads(FROZEN.read_text())
 
 
+def test_stretches_keep_the_lists_of_the_patches_that_count_no_calls(monkeypatch):
+    frozen = json.loads(FROZEN.read_text())
+    with monkeypatch.context() as m:
+        steps = recorded_steps(m)
+        got = run_corpus(m, UNCOUNTED, stretches=True)
+    assert len(got) == 116
+    assert got == {key: frozen[key] for key in got}
+    assert any(width > 1 for _, width, _, _ in steps)
+
+
+def test_a_skew_in_one_lane_of_a_wide_decode_is_flagged_at_its_generation(
+    monkeypatch,
+):
+    """The quiet run decodes its three generations in one wide call; lane
+    j of the wide block is generation j+1's block."""
+    config = point_config(ALG1, 7, 2, None, ())
+    real, widths = sim.decode, []
+
+    def decode(params, vec, **kw):
+        block = real(params, vec, **kw)
+        widths.append(params.sym_bytes // config.sym_bytes)
+        # byte 1 is lane 1 of the first data byte: generation 2's first byte
+        return block[:1] + bytes([block[1] ^ 0x80]) + block[2:]
+    monkeypatch.setattr(sim, "decode", decode)
+    result = sim.run_execution(config, AdversaryScript())
+    assert widths == [3]
+    assert result.violations == [
+        "g2: decided block is no fault-free member's input",
+        "identical fault-free inputs were not decided",
+    ]
+    skewed = bytes([config.input_block(1, 2)[0] ^ 0x80]) + config.input_block(1, 2)[1:]
+    assert [e["value"] for e in result.transcript.of_type("DECIDED")] == [
+        config.input_block(1, 1).hex(), skewed.hex(), config.input_block(1, 3).hex()
+    ]
+
+
+@pytest.mark.parametrize(
+    "point, keys", [((ALG1, 7, 2, None, ()), 1), ((ALG2, 7, 2, 3, ()), 2)]
+)
+def test_a_wide_false_alarm_falls_back_to_width_1(point, keys, monkeypatch):
+    """A flag raised only on wide words cannot name its generation: the
+    stretch is bisected down to width 1, where no alarm is raised, and
+    the transcript is the one the run writes without the patch."""
+    config = point_config(*point)
+    want = sim.run_execution(config, AdversaryScript()).transcript.to_jsonl()
+    real, widths = sim.detection_flag, []
+
+    def detection_flag(params, *args):
+        widths.append(params.sym_bytes // config.sym_bytes)
+        return widths[-1] > 1 or real(params, *args)
+    monkeypatch.setattr(sim, "detection_flag", detection_flag)
+    steps = recorded_steps(monkeypatch)
+    assert sim.run_execution(config, AdversaryScript()).transcript.to_jsonl() == want
+    # every processor holds the same words: alg2 asks one flag for the
+    # match set's members and one for the rest
+    assert widths == [3] * keys + [1] * 3 * keys
+    assert steps == [(1, 3, 0, 3), (1, 1, 1, 0), (2, 1, 1, 0), (3, 1, 1, 0)]
+
+
 def once_per_word(monkeypatch):
     """Ask the engine's `decode` and `detection_flag` once per distinct
     word per generation and hand every later caller holding that word
@@ -211,9 +288,10 @@ def once_per_word(monkeypatch):
     memo: dict = {}
     fresh_state = sim.Execution._fresh_state
 
-    def new_generation(self, g):
+    def new_generation(self, g, width=1):
+        assert width == 1
         memo.clear()
-        return fresh_state(self, g)
+        return fresh_state(self, g, width)
     monkeypatch.setattr(sim.Execution, "_fresh_state", new_generation)
 
     def keyed(name, key):
@@ -245,6 +323,7 @@ def test_counting_patches_act_once_per_word(monkeypatch):
     got = {}
     for key, config, script, patch in corpus():
         with monkeypatch.context() as m:
+            width_one(m)
             patch(m, config, script)
             once_per_word(m)
             got[key] = sim.run_execution(config, script).violations
@@ -296,32 +375,32 @@ def test_decided_events_map_each_block_when_blocks_differ(monkeypatch):
     assert "g1: fault-free processors decided different blocks" in result.violations
 
 
-def counted(monkeypatch, name) -> list:
-    """The argument tuples of every call the engine makes to `sim.<name>`."""
-    real, calls = getattr(sim, name), []
-
-    def wrapper(*args, **kw):
-        calls.append(args)
-        return real(*args, **kw)
-    monkeypatch.setattr(sim, name, wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("withheld, words", [((), 1), ((1, 2, 3), 2)])
 def test_each_distinct_word_is_judged_once_per_generation(monkeypatch, withheld, words):
+    """Once per distinct word of each step: the quiet run is one step of
+    all three generations, and a run with rules in every generation takes
+    them one at a time."""
     # all-zero inputs: every generation holds the same words, so a verdict
-    # kept from one generation to the next would show as a missing call
+    # kept from one step to the next would show as a missing call
     config = point_config(ALG1, 7, 2, None, tuple(range(1, 8)))
     script = withholding_script(config, withheld)
     flags = counted(monkeypatch, "detection_flag")
     decodes = counted(monkeypatch, "decode")
+    steps = recorded_steps(monkeypatch)
     result = sim.run_execution(config, script)
     assert result.passed
     assert [o["kind"] for o in result.outcomes] == ["DECIDED"] * config.generations
-    assert len(flags) == len(decodes) == words * config.generations
-    for g in range(config.generations):
-        asked = flags[words * g : words * (g + 1)]
+    assert [(g, width) for g, width, _, _ in steps] == (
+        [(1, 1), (2, 1), (3, 1)] if withheld else [(1, 3)]
+    )
+    assert len(flags) == len(decodes) == words * len(steps)
+    for i, (_, width, _, _) in enumerate(steps):
+        asked = flags[words * i : words * (i + 1)]
         assert len({tuple(received) for _, received, *_ in asked}) == words
+        decoded = decodes[words * i : words * (i + 1)]
+        assert {params.sym_bytes for params, *_ in asked + decoded} == {
+            width * config.sym_bytes
+        }
 
 
 def test_back_to_back_executions_do_the_same_codec_work(monkeypatch):

@@ -203,30 +203,43 @@ def test_v1_fixtures_fold_into_todays_transcripts():
 
 def test_every_corpus_wave_delivers_like_the_oracle(monkeypatch):
     """Each wave of every corpus run leaves the received words and writes
-    the events that `wave_oracle.deliver` gives, obligation by obligation."""
-    real_send_wave, waves = Execution._send_wave, [0]
+    the events that `wave_oracle.deliver` gives, obligation by obligation.
+    A wave of a quiet stretch is checked lane by lane: lane j of its wide
+    words (byte b at b*width + j) is generation g+j's wave, whose events
+    are that generation's lines."""
+    real_send_wave, waves = Execution._send_wave, [0, 0]
 
     def send_wave(self, g, step, runs, coded, received, suppressed=frozenset()):
-        expected = {p: list(word) for p, word in received.items()}
+        lanes = self._lines
+        width, before = len(lanes), [len(lines) for lines in lanes]
+
+        def lane(word, j):
+            return [None if v is None else v[j::width] for v in word]
         obligations = [
             (sender, receiver, slot)
             for sender, slot, receivers, _ in runs for receiver in receivers
         ]
-        want = wave_oracle.deliver(
-            g, step, obligations, coded, expected,
-            self.script.faulty, self.script.send, suppressed,
-        )
-        before = len(self.transcript.events)
+        wants = []
+        for j in range(width):
+            expected = {p: lane(word, j) for p, word in received.items()}
+            want = wave_oracle.deliver(
+                g + j, step, obligations, {p: lane(w, j) for p, w in coded.items()},
+                expected, self.script.faulty, self.script.send, suppressed,
+            )
+            wants.append((expected, want))
         real_send_wave(self, g, step, runs, coded, received, suppressed)
-        assert self.transcript.events[before:] == want
-        assert received == expected
-        waves[0] += 1
+        for j, (expected, want) in enumerate(wants):
+            assert lanes[j][before[j]:] == want
+            assert {p: lane(word, j) for p, word in received.items()} == expected
+        waves[0] += width
+        waves[1] += width > 1
     monkeypatch.setattr(Execution, "_send_wave", send_wave)
     hashes = {key: h for section in GOLDEN.values() for key, h in section.items()}
     for key, (config, script) in all_cases().items():
         transcript = run_execution(config, script).transcript.to_jsonl()
         assert digest(transcript.encode()) == hashes[key], key
-    assert waves[0] > 1000
+    # generation waves, and wide ones among the calls
+    assert waves[0] > 1000 and waves[1] > 50
 
 
 def test_v4_rewrites_only_the_traffic_of_v3():

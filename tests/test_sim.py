@@ -43,6 +43,7 @@ import obligation_oracle
 import wave_oracle
 from event_state import rebuilt_graph
 from golden_corpus import all_cases
+from engine_steps import counted, recorded_steps
 
 
 def fault_free_config(algorithm, n, t, q, l_bits, d_bits, seed=1, sharers=None):
@@ -128,6 +129,35 @@ def test_engine_refuses_a_faulty_symbol_of_the_wrong_length():
     config = fault_free_config(ALG1, 4, 1, None, 240, 24)  # sym_bytes is 1
     with pytest.raises(ParameterError, match="macro-symbol must be 1 bytes, got 2"):
         run_execution(config, LongSymbols([4]))
+
+
+def test_a_script_that_answers_broadcasts_itself_is_asked_every_generation(
+    monkeypatch,
+):
+    """Overriding `broadcast` alone makes no generation quiet: the engine
+    takes one generation per step and asks about each."""
+
+    class Broadcasts(AdversaryScript):
+        def broadcast(self, generation, tag, sender, honest):
+            asked.append((generation, tag, sender))
+            return super().broadcast(generation, tag, sender, honest)
+
+    asked = []
+    config = fault_free_config(ALG1, 7, 2, None, 480, 120)
+    steps = recorded_steps(monkeypatch)
+    result = run_execution(config, Broadcasts([7]))
+    assert [(g, width) for g, width, _, _ in steps] == [(g, 1) for g in range(1, 5)]
+    assert asked == [(g, TAG_DETECTED, 7) for g in range(1, 5)]
+    plain = run_execution(config, AdversaryScript([7]))
+    assert result.transcript.to_jsonl() == plain.transcript.to_jsonl()
+
+
+def test_quiet_generations_end_before_the_next_rule():
+    script = AdversaryScript([7])
+    script.add_send(3, STEP_OWN, 7, 1, "honest")
+    script.add_broadcast(5, TAG_DETECTED, 7, "silent")
+    assert [script.quiet_until(g, 6) for g in range(1, 7)] == [2, 2, 2, 4, 4, 6]
+    assert AdversaryScript().quiet_until(2, 9) == 9
 
 
 def test_script_send_applies_its_rule_to_the_honest_symbol():
@@ -622,20 +652,59 @@ def test_graphs_in_one_state_share_one_plan():
     assert sim._matching_plan(b, members).own != plan.own
 
 
-@pytest.mark.parametrize("algorithm, q, per_generation", [(ALG1, None, 1), (ALG2, 3, 2)])
-def test_each_generation_derives_each_plan_once(algorithm, q, per_generation, monkeypatch):
-    """alg1 derives its match set's plan once; alg2 derives everyone's
-    plan, then the plan of the match set it found."""
+def counted_plans(monkeypatch) -> list:
+    """The match set of each plan the engine asks for, in order."""
     real, calls = sim._matching_plan, []
 
     def matching_plan(graph, p_match):
         calls.append(tuple(p_match))
         return real(graph, p_match)
     monkeypatch.setattr(sim, "_matching_plan", matching_plan)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm, q, per_step", [(ALG1, None, 1), (ALG2, 3, 2)])
+def test_each_generation_derives_each_plan_once(algorithm, q, per_step, monkeypatch):
+    """alg1 derives its match set's plan once a step; alg2 derives
+    everyone's plan, then the plan of the match set it found. A quiet
+    run is one step of all its generations."""
+    calls = counted_plans(monkeypatch)
+    steps = recorded_steps(monkeypatch)
     config = fault_free_config(algorithm, 7, 2, q, 480, 120, sharers=range(1, 8))
     result = run_execution(config, AdversaryScript())
     assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
-    assert len(calls) == per_generation * config.generations
+    assert steps == [(1, config.generations, config.generations, 0)]
+    assert calls == [tuple(range(1, 8)), (1, 2, 3)][:per_step]
+
+
+@pytest.mark.parametrize("algorithm, q, flag_keys", [(ALG1, None, 1), (ALG2, 3, 2)])
+def test_a_ruled_generation_splits_a_quiet_run_into_two_stretches(
+    algorithm, q, flag_keys, monkeypatch
+):
+    """A rule in generation 3 of 5, one that changes nothing, leaves the
+    stretches 1..2 and 4..5 around a step of generation 3 alone: each
+    step derives its plans once and asks each flag and decode once per
+    distinct word, at its own width."""
+    config = fault_free_config(algorithm, 7, 2, q, 600, 120, sharers=range(1, 8))
+    script = AdversaryScript([7]).add_send(3, STEP_OWN, 7, 1, "honest")
+    calls = counted_plans(monkeypatch)
+    steps = recorded_steps(monkeypatch)
+    flags = counted(monkeypatch, "detection_flag")
+    decodes = counted(monkeypatch, "decode")
+    result = run_execution(config, script)
+    assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
+    assert steps == [(1, 2, 2, 0), (3, 1, 1, 0), (4, 2, 2, 0)]
+    per_step = [tuple(range(1, 8)), (1, 2, 3)][: 1 if algorithm == ALG1 else 2]
+    assert calls == per_step * 3
+    width = config.sym_bytes
+    assert [params.sym_bytes // width for params, *_ in flags] == (
+        [2] * flag_keys + [1] * flag_keys + [2] * flag_keys
+    )
+    assert [params.sym_bytes // width for params, *_ in decodes] == [2, 1, 2]
+    plain = run_execution(config, AdversaryScript([7]))
+    assert result.transcript.to_jsonl().split("\n")[1:] == (
+        plain.transcript.to_jsonl().split("\n")[1:]
+    )
 
 
 def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):

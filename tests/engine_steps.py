@@ -16,9 +16,9 @@ def width_one(monkeypatch) -> None:
 
 
 def recorded_steps(monkeypatch) -> list:
-    """(g, width, settled, cut) of every step the engine takes, in order;
-    a step that cuts itself at a named generation records the narrower
-    step it runs first."""
+    """(g, width, settled, cut) of every step the engine takes, in the
+    order the steps start: a step that names a cut comes before the
+    narrower step it runs for the generations ahead of the cut."""
     real, steps = sim.Execution._stretch, []
 
     def stretch(self, g, width, quiet):

@@ -252,9 +252,10 @@ def test_a_skew_in_one_lane_of_a_wide_decode_is_flagged_at_its_generation(
         "g2: decided block is no fault-free member's input",
         "identical fault-free inputs were not decided",
     ]
-    skewed = bytes([config.input_block(1, 2)[0] ^ 0x80]) + config.input_block(1, 2)[1:]
+    blocks = [config.input_block(1, g) for g in (1, 2, 3)]
+    blocks[1] = bytes([blocks[1][0] ^ 0x80]) + blocks[1][1:]
     assert [e["value"] for e in result.transcript.of_type("DECIDED")] == [
-        config.input_block(1, 1).hex(), skewed.hex(), config.input_block(1, 3).hex()
+        block.hex() for block in blocks
     ]
 
 

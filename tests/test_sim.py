@@ -652,29 +652,20 @@ def test_graphs_in_one_state_share_one_plan():
     assert sim._matching_plan(b, members).own != plan.own
 
 
-def counted_plans(monkeypatch) -> list:
-    """The match set of each plan the engine asks for, in order."""
-    real, calls = sim._matching_plan, []
-
-    def matching_plan(graph, p_match):
-        calls.append(tuple(p_match))
-        return real(graph, p_match)
-    monkeypatch.setattr(sim, "_matching_plan", matching_plan)
-    return calls
-
-
 @pytest.mark.parametrize("algorithm, q, per_step", [(ALG1, None, 1), (ALG2, 3, 2)])
 def test_each_generation_derives_each_plan_once(algorithm, q, per_step, monkeypatch):
     """alg1 derives its match set's plan once a step; alg2 derives
     everyone's plan, then the plan of the match set it found. A quiet
     run is one step of all its generations."""
-    calls = counted_plans(monkeypatch)
+    calls = counted(monkeypatch, "_matching_plan")
     steps = recorded_steps(monkeypatch)
     config = fault_free_config(algorithm, 7, 2, q, 480, 120, sharers=range(1, 8))
     result = run_execution(config, AdversaryScript())
     assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
     assert steps == [(1, config.generations, config.generations, 0)]
-    assert calls == [tuple(range(1, 8)), (1, 2, 3)][:per_step]
+    assert [tuple(p_match) for _, p_match in calls] == [
+        tuple(range(1, 8)), (1, 2, 3)
+    ][:per_step]
 
 
 @pytest.mark.parametrize("algorithm, q, flag_keys", [(ALG1, None, 1), (ALG2, 3, 2)])
@@ -687,7 +678,7 @@ def test_a_ruled_generation_splits_a_quiet_run_into_two_stretches(
     distinct word, at its own width."""
     config = fault_free_config(algorithm, 7, 2, q, 600, 120, sharers=range(1, 8))
     script = AdversaryScript([7]).add_send(3, STEP_OWN, 7, 1, "honest")
-    calls = counted_plans(monkeypatch)
+    calls = counted(monkeypatch, "_matching_plan")
     steps = recorded_steps(monkeypatch)
     flags = counted(monkeypatch, "detection_flag")
     decodes = counted(monkeypatch, "decode")
@@ -695,12 +686,13 @@ def test_a_ruled_generation_splits_a_quiet_run_into_two_stretches(
     assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
     assert steps == [(1, 2, 2, 0), (3, 1, 1, 0), (4, 2, 2, 0)]
     per_step = [tuple(range(1, 8)), (1, 2, 3)][: 1 if algorithm == ALG1 else 2]
-    assert calls == per_step * 3
-    width = config.sym_bytes
-    assert [params.sym_bytes // width for params, *_ in flags] == (
+    assert [tuple(p_match) for _, p_match in calls] == per_step * 3
+    # each call's width, from its wide symbol size
+    sym = config.sym_bytes
+    assert [params.sym_bytes // sym for params, *_ in flags] == (
         [2] * flag_keys + [1] * flag_keys + [2] * flag_keys
     )
-    assert [params.sym_bytes // width for params, *_ in decodes] == [2, 1, 2]
+    assert [params.sym_bytes // sym for params, *_ in decodes] == [2, 1, 2]
     plain = run_execution(config, AdversaryScript([7]))
     assert result.transcript.to_jsonl().split("\n")[1:] == (
         plain.transcript.to_jsonl().split("\n")[1:]

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from hashlib import sha256
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -767,13 +767,10 @@ class Execution:
         n, gens = self.config.n, self.config.generations
         coded, received = {}, {}
         for i, first in enumerate(self._first_holder, start=1):
-            if first != i:
-                coded[i] = list(coded[first])
-            elif width == 1:
-                coded[i] = [w[g - 1 :: gens] for w in self._wide[i]]
-            else:
-                rows = range(g - 1, len(self._wide[i][0]), gens)
-                coded[i] = [b"".join(w[r : r + width] for r in rows) for w in self._wide[i]]
+            coded[i] = list(coded[first]) if first != i else [
+                w[g - 1 :: gens] if width == 1 else _lanes(w, g - 1, g - 1 + width, gens)
+                for w in self._wide[i]
+            ]
             received[i] = [None] * n
             received[i][i - 1] = coded[i][i - 1]
         return coded, received
@@ -813,9 +810,9 @@ class Execution:
         b*width + j of every word, where every codec call and check acts
         lane by lane. Returns the generations settled and how many after
         them hold one that is not uniform (0: none known). A wide step
-        settles only uniform generations (alg1: every flag FALSE; alg2:
-        each lane's match vectors are the wide ones, then no match set or
-        every flag FALSE); only width 1 diagnoses.
+        settles only uniform lanes (alg1: every flag FALSE; alg2: no match
+        set or every flag FALSE, a lane with match vectors of its own going
+        on alone from the match-bit round); only width 1 diagnoses.
 
         Each generation matches, checks, then decodes with every flag FALSE
         or diagnoses everyone's claims. alg1 carries its match set (the
@@ -827,47 +824,67 @@ class Execution:
         An empty decide set terminates alg1 and defaults alg2.
         """
         cfg = self.config
-        alg1 = cfg.algorithm == ALG1
-        everyone = range(1, cfg.n + 1)
         # a quiet generation's script answers every question honestly
         self._asked = frozenset() if quiet else self.script.faulty
         self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * width)
         self._lines = [[] for _ in range(width)] if width > 1 else [self.transcript.events]
         coded, received = self._fresh_state(g, width)
-        if alg1:
+        if cfg.algorithm == ALG1:
             # patched runs only: the carried decide set holds no convicted processor
             p_match = [p for p in self.p_match if p not in self.graph.convicted]
             if len(p_match) < cfg.n - cfg.t:
                 return self._terminate(g), 0
             plan = _matching_plan(self.graph, p_match)
             self._send_wave(g, STEP_OWN, plan.own, coded, received)
-        else:
-            plan = _matching_plan(self.graph, everyone)
-            self._send_wave(g, STEP_OWN, plan.own, coded, received)
-            self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
-            candidates = self.graph.unconvicted()
-            vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
-            # the first lane whose match vectors are not the wide ones: an unset bit
-            # of two present slots is set in lane j if their XOR's rows OR to 0 at j
-            lane = width
-            for p, bits in vectors.items() if width > 1 else ():
-                for slot, (r, c) in enumerate(zip(received[p], coded[p])):
-                    if bits >> slot & 1 or r is None or c is None:
-                        continue
-                    x, fold = int.from_bytes(r, "big") ^ int.from_bytes(c, "big"), 0
-                    while x:
-                        fold, x = fold | x & ((1 << 8 * width) - 1), x >> 8 * width
-                    if (j := fold.to_bytes(width, "big").find(0)) >= 0:
-                        lane = min(lane, j)
-            if lane < width:
-                done, cut = self._stretch(g, lane, True) if lane else (0, 0)
-                return done, cut or 1
-            vectors = self._round(g, TAG_MATCH_BITS, vectors)
+            return self._check(g, p_match, plan, coded, received, {})
+        plan = _matching_plan(self.graph, range(1, cfg.n + 1))
+        self._send_wave(g, STEP_OWN, plan.own, coded, received)
+        self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
+        candidates = self.graph.unconvicted()
+        vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
+        # each lane's match vectors, the wide ones but where an unset bit of
+        # two present slots is set in lane j: their XOR's rows OR to 0 at j
+        lanes, mask = [vectors] * width, (1 << 8 * width) - 1
+        for p, bits in vectors.items() if width > 1 else ():
+            for slot, (r, c) in enumerate(zip(received[p], coded[p])):
+                if bits >> slot & 1 or r is None or c is None:
+                    continue
+                x, fold = int.from_bytes(r, "big") ^ int.from_bytes(c, "big"), 0
+                while x:
+                    fold, x = fold | x & mask, x >> 8 * width
+                row, j = fold.to_bytes(width, "big"), -1
+                while (j := row.find(0, j + 1)) >= 0:
+                    lanes[j] = dict(vectors) if lanes[j] is vectors else lanes[j]
+                    lanes[j][p] |= 1 << slot
+        # lanes a..b-1 of the same vectors go on together, and only a match
+        # set needs their own words, cut out of the step's
+        a, lines = 0, self._lines
+        for _, run in groupby(lanes, id):
+            b = a + len(run := list(run))
+            if b - a < width:
+                self._lines = lines[a:b]
+                self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * (b - a))
+            vectors = self._round(g + a, TAG_MATCH_BITS, run[0])
             p_match = find_match_set(vectors, candidates, cfg.q)
-            self._emit({"type": "MATCH_SET", "g": g, "members": p_match})
+            self._emit({"type": "MATCH_SET", "g": g + a, "members": p_match})
             if p_match is None:
-                return self._settle(g, OUTCOME_DEFAULT)
-            plan = _matching_plan(self.graph, p_match)
+                self._settle(g + a, OUTCOME_DEFAULT)
+            elif cut := self._check(g + a, p_match, _matching_plan(self.graph, p_match), *(
+                words if b - a == width else
+                {p: [v and _lanes(v, a, b, width) for v in word] for p, word in words.items()}
+                for words in (coded, received)
+            ), vectors)[1]:
+                return a, cut
+            a = b
+        return width, 0
+
+    def _check(
+        self, g: int, p_match: Sequence[int], plan: MatchingPlan,
+        coded: dict[int, list], received: dict[int, list], vectors: dict[int, Any],
+    ) -> tuple[int, int]:
+        """From the match set: helper and re-send waves, flags, then decode or diagnose."""
+        cfg = self.config
+        alg1 = cfg.algorithm == ALG1
         self._helper_and_reconstruct(g, p_match, plan, coded, received)
         members = set(p_match)
         # this step's codeword verdicts, flags and accepted blocks, each
@@ -884,9 +901,10 @@ class Execution:
                     self.params, received[p], coded[p], in_match, members, verdicts
                 )
             live[p] = live_flags[key]
-        # a wide flag is TRUE when any lane's is, and does not say which
-        if width > 1 and any(live.values()):
-            return 0, width
+        # lanes of a wide step settle only with every flag FALSE: a wide
+        # flag is TRUE when any lane's is, and does not say which
+        if self._lines[0] is not self.transcript.events and any(live.values()):
+            return 0, len(self._lines)
         flags = self._round(g, TAG_DETECTED, live)
         if all(v is False for v in flags.values()):
             blocks: dict[tuple, bytes] = {}
@@ -908,7 +926,7 @@ class Execution:
         claims = {p: Claims(flags.get(p), coded_obs[p], received_obs[p]) for p in live}
         result = run_diagnosis(
             self.params, self.graph, p_match, plan.sends(), claims,
-            p_match if alg1 else everyone,
+            p_match if alg1 else range(1, cfg.n + 1),
             cfg.n - cfg.t if alg1 else cfg.q,
             count_convicted=not alg1, verdicts=verdicts,
         )
@@ -942,7 +960,7 @@ class Execution:
         if values is None:
             values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
         for j, lines in enumerate(self._lines):
-            if width > 1:
+            if lines is not self.transcript.events:
                 self.transcript.events += lines
             lane = {p: v[j::width] for p, v in values.items()} if width > 1 else values
             for p in self.fault_free:
@@ -1030,6 +1048,13 @@ def _spread(runs: tuple[Run, ...], width: int) -> tuple[Run, ...]:
     lane = [bytes((v,)) * width for v in range(top + 1)]
     return tuple((s, k, rs, tuple(lane[s] + lane[r] + lane[k] for r in rs))
                  for s, k, rs, _ in runs)
+
+
+def _lanes(symbol: bytes, a: int, b: int, width: int) -> bytes:
+    """Lanes a..b-1 of a symbol `width` lanes wide, as a symbol b-a lanes wide."""
+    if b - a == 1:
+        return symbol[a::width]
+    return b"".join(symbol[r + a : r + b] for r in range(0, len(symbol), width))
 
 
 def _word_bits(word: list[bytes | None]) -> int:

@@ -17,8 +17,7 @@ def width_one(monkeypatch) -> None:
 
 def recorded_steps(monkeypatch) -> list:
     """(g, width, settled, cut) of every step the engine takes, in the
-    order the steps start: a step that names a cut comes before the
-    narrower step it runs for the generations ahead of the cut."""
+    order the steps start."""
     real, steps = sim.Execution._stretch, []
 
     def stretch(self, g, width, quiet):
@@ -28,6 +27,21 @@ def recorded_steps(monkeypatch) -> list:
         return steps[at][2:]
     monkeypatch.setattr(sim.Execution, "_stretch", stretch)
     return steps
+
+
+def recorded_ranges(monkeypatch, steps: list) -> list:
+    """(step, g, lanes) of every match-bit round: alg2 goes on from its
+    match vectors in ranges of lanes, and the round of one range writes
+    the lines of `lanes` generations from g on, in `steps[step]`, which
+    `recorded_steps` fills."""
+    real, ranges = sim.Execution._round, []
+
+    def round_(self, g, tag, honest):
+        if tag == sim.TAG_MATCH_BITS:
+            ranges.append((len(steps) - 1, g, len(self._lines)))
+        return real(self, g, tag, honest)
+    monkeypatch.setattr(sim.Execution, "_round", round_)
+    return ranges
 
 
 def counted(monkeypatch, name) -> list:

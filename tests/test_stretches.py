@@ -4,7 +4,7 @@ A stretch runs its generations as the byte lanes of one wide step, and
 must write the transcript that running them one at a time writes. The
 corpus: every golden case, one seed of the benchmark's random-adversary
 sweep, and alg2 runs whose match vectors coincide in one lane, which
-cut their stretch at that generation.
+the wide step takes on alone after its match vectors.
 """
 
 import importlib.util
@@ -13,8 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from codedbft.sim import ALG2, AdversaryScript, ExecutionConfig, run_execution
-from engine_steps import recorded_steps, width_one
+from codedbft.sim import (
+    ALG2,
+    OUTCOME_DECIDED,
+    OUTCOME_DEFAULT,
+    TAG_MATCH_BITS,
+    AdversaryScript,
+    ExecutionConfig,
+    run_execution,
+)
+from engine_steps import recorded_ranges, recorded_steps, width_one
 from golden_corpus import all_cases
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -29,13 +37,17 @@ def benchmark_sweep(seed: int, trials: int) -> list:
     return module.sweep_cases(seed, trials)
 
 
-def coinciding_config(g_cut: int, generations: int = 6) -> ExecutionConfig:
+def coinciding_config(
+    g_cut: int, generations: int = 6, clique: tuple[int, ...] = ()
+) -> ExecutionConfig:
     """alg2 n=7 q=3 with 1-byte symbols: processor p's block of generation
     g is three bytes 16g + p, so every match vector holds only its own
     bit, but in generation `g_cut` processor 2 holds processor 1's block
-    and the two match each other in that lane alone."""
+    and the two match each other in that lane alone. The processors of
+    `clique` hold the blocks of its first, a match set in every lane."""
     def block(p, g):
-        return bytes([16 * g + (1 if (p, g) == (2, g_cut) else p)]) * 3
+        holder = 1 if (p, g) == (2, g_cut) else min(clique) if p in clique else p
+        return bytes([16 * g + holder]) * 3
     inputs = tuple(
         b"".join(block(p, g) for g in range(1, generations + 1)).hex()
         for p in range(1, 8)
@@ -53,24 +65,34 @@ def transcripts(monkeypatch, cases, pinned):
         return [run_execution(*case).transcript.to_jsonl() for case in cases]
 
 
+@pytest.mark.parametrize("clique", [(), (5, 6, 7)])
 @pytest.mark.parametrize("g_cut", [1, 2, 4, 6])
 def test_a_lane_whose_match_vectors_coincide_cuts_the_stretch_there(
-    g_cut, monkeypatch
+    g_cut, clique, monkeypatch
 ):
-    config = coinciding_config(g_cut)
+    config = coinciding_config(g_cut, clique=clique)
     want = transcripts(monkeypatch, [(config, AdversaryScript())], pinned=True)
     steps = recorded_steps(monkeypatch)
+    ranges = recorded_ranges(monkeypatch, steps)
     result = run_execution(config, AdversaryScript())
     assert [result.transcript.to_jsonl()] == want
-    # the wide step names the cut, settles the generations before it at
-    # their own width, and the cut generation runs alone; then the rest
-    before = [(1, g_cut - 1, g_cut - 1, 0)] if g_cut > 1 else []
-    after = [(g_cut + 1, 6 - g_cut, 6 - g_cut, 0)] if g_cut < 6 else []
-    assert steps == [(1, 6, g_cut - 1, 1), *before, (g_cut, 1, 1, 0), *after]
-    masks = [e["payload"][:2] for e in result.transcript.of_type("ROUND")]
+    # one wide step settles all six generations: after its match vectors
+    # it goes on with the lanes before the cut, the cut generation's lane
+    # alone and then the rest, each range with the words of its lanes
+    # when a match set needs them
+    assert steps == [(1, 6, 6, 0)]
+    cut = ((1, g_cut - 1), (g_cut, 1), (g_cut + 1, 6 - g_cut))
+    assert ranges == [(0, g, lanes) for g, lanes in cut if lanes]
+    masks = [
+        e["payload"][:2] for e in result.transcript.of_type("ROUND")
+        if e["tag"] == TAG_MATCH_BITS
+    ]
     assert masks == [["01", "02"]] * (g_cut - 1) + [["03", "03"]] + [["01", "02"]] * (
         6 - g_cut
     )
+    assert {o["kind"] for o in result.outcomes} == {
+        OUTCOME_DECIDED if clique else OUTCOME_DEFAULT
+    }
 
 
 def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):
@@ -78,20 +100,25 @@ def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):
         *all_cases().values(),
         *benchmark_sweep(3001, 50),
         *(
-            (coinciding_config(g_cut, 9), AdversaryScript())
-            for g_cut in (3, 9)
+            (coinciding_config(g_cut, 9, clique), AdversaryScript())
+            for g_cut, clique in ((3, ()), (9, ()), (4, (5, 6, 7)))
         ),
     ]
-    assert len(cases) == 86 + 200 + 2
+    assert len(cases) == 86 + 200 + 3
     want = transcripts(monkeypatch, cases, pinned=True)
     steps = recorded_steps(monkeypatch)
+    ranges = recorded_ranges(monkeypatch, steps)
     assert transcripts(monkeypatch, cases, pinned=False) == want
-    # wide steps that settle everything, that name a cut, and that raise
-    # a flag they cannot place, which bisects the stretch
-    wide = [(width, done, cut) for _, width, done, cut in steps if width > 1]
+    # wide steps that settle everything in one range of lanes, that take a
+    # lane whose match vectors differ on alone, and that raise a flag they
+    # cannot place, which bisects the stretch
+    split = {i for i, _, lanes in ranges if lanes < steps[i][1]}
+    wide = [(i, width, done, cut) for i, (_, width, done, cut) in enumerate(steps)
+            if width > 1]
     kinds = {
-        "uniform": sum(done == width for width, done, _ in wide),
-        "named": sum(done < width and cut == 1 for width, done, cut in wide),
-        "bisected": sum(done == 0 and cut == width for width, done, cut in wide),
+        "uniform": sum(done == width and i not in split for i, width, done, _ in wide),
+        "split": len(split),
+        "bisected": sum(done == 0 and cut == width and i not in split
+                        for i, width, done, cut in wide),
     }
     assert sum(kinds.values()) == len(wide) and min(kinds.values()) > 0, kinds

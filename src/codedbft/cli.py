@@ -248,7 +248,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result.transcript.write_jsonl(out_dir / "transcript.jsonl")
+    with open(out_dir / "transcript.jsonl", "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(result.transcript.lines())
     mismatches = check_expected(result, report, expected)
     report_doc = {
         "scenario": data.get("name"),

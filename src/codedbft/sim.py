@@ -18,8 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from hashlib import sha256
-from itertools import groupby, islice
-from pathlib import Path
+from itertools import groupby
 from typing import Any, Iterable, Iterator, Sequence
 
 from .check import judge
@@ -508,8 +507,6 @@ class CostLedger:
 
 # one stateless encoder for every event; json.dumps would build one per call
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# transcript lines per write when `codedbft run` streams them to a file
-_WRITE_CHUNK_LINES = 4096
 
 
 class Transcript:
@@ -518,22 +515,10 @@ class Transcript:
     def __init__(self) -> None:
         self.events: list[dict] = []
 
-    def append(self, event_type: str, **fields: Any) -> None:
-        event = {"type": event_type}
-        event.update(fields)
-        self.events.append(event)
-
     def to_jsonl(self) -> str:
-        return "".join(self._lines())
+        return "".join(self.lines())
 
-    def write_jsonl(self, path: Path) -> None:
-        """Write `to_jsonl()` to `path` in chunks of lines."""
-        lines = self._lines()
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            while chunk := "".join(islice(lines, _WRITE_CHUNK_LINES)):
-                out.write(chunk)
-
-    def _lines(self) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         """Each event as one line of JSON with sorted keys and no spaces."""
         encode = _JSONL_ENCODER.encode
         for e in self.events:
@@ -585,9 +570,9 @@ class Execution:
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
         # alg1's carried match set; the step's lines, a list per generation
-        # (the transcript's at width 1), and the faulty senders it asks about
+        # until it settles, and the faulty senders it asks about
         self.p_match = list(range(1, config.n + 1))
-        self._lines, self._asked = [self.transcript.events], script.faulty
+        self._lines, self._asked = [[]], script.faulty
         # each processor's first holder of its input, and the wide words of
         # each first holder: one encode per distinct input for the whole run
         holders: dict[bytes, int] = {}
@@ -685,7 +670,6 @@ class Execution:
         its own `BROADCAST` line, written before the round's line.
         """
         script, n = self.script, self.config.n
-        events = self.transcript.events
         observed = dict(honest)
         for p in sorted(self._asked.intersection(honest)):
             observed[p] = script.broadcast(g, tag, p, honest[p])
@@ -712,7 +696,7 @@ class Execution:
                     records += (absent if v is None else b"\x01" + v for v in word)
                     count, bits = count + 1, bits + size
                     continue
-                events.append({
+                self._emit({
                     "type": "BROADCAST", "g": g, "tag": tag, "sender": p,
                     "payload": None if claim is None else word_hex(claim),
                     "payload_bits": 0 if claim is None else size,
@@ -739,11 +723,11 @@ class Execution:
         for rule, event in tagged:
             if event[0] != "edge":
                 convicted.add(event[1])
-                self.transcript.append("CONVICTED", g=g, processor=event[1], rule=rule)
+                self._emit({"type": "CONVICTED", "g": g, "processor": event[1], "rule": rule})
             elif not convicted.intersection(event[1:]):
-                self.transcript.append(
-                    "EDGE_REMOVED", g=g, i=event[1], j=event[2], rule=rule
-                )
+                self._emit({
+                    "type": "EDGE_REMOVED", "g": g, "i": event[1], "j": event[2], "rule": rule
+                })
 
     def _decode_accepted(self, vec: list[bytes | None], blocks: dict[tuple, bytes]) -> bytes:
         """Block of a word flagged FALSE (a codeword of k symbols or more), decoded
@@ -768,8 +752,7 @@ class Execution:
         coded, received = {}, {}
         for i, first in enumerate(self._first_holder, start=1):
             coded[i] = list(coded[first]) if first != i else [
-                w[g - 1 :: gens] if width == 1 else _lanes(w, g - 1, g - 1 + width, gens)
-                for w in self._wide[i]
+                _lanes(w, g - 1, g - 1 + width, gens) for w in self._wide[i]
             ]
             received[i] = [None] * n
             received[i][i - 1] = coded[i][i - 1]
@@ -809,10 +792,10 @@ class Execution:
         """Generations g..g+width-1 at one graph state, byte b of g+j at lane
         b*width + j of every word, where every codec call and check acts
         lane by lane. Returns the generations settled and how many after
-        them hold one that is not uniform (0: none known). A wide step
-        settles only uniform lanes (alg1: every flag FALSE; alg2: no match
-        set or every flag FALSE, a lane with match vectors of its own going
-        on alone from the match-bit round); only width 1 diagnoses.
+        them hold one that is not uniform (0: none known). A range of two or
+        more lanes settles only uniform ones (alg1: every flag FALSE; alg2: no
+        match set or every flag FALSE, a lane with match vectors of its own
+        going on alone from the match-bit round); one lane diagnoses in place.
 
         Each generation matches, checks, then decodes with every flag FALSE
         or diagnoses everyone's claims. alg1 carries its match set (the
@@ -827,7 +810,7 @@ class Execution:
         # a quiet generation's script answers every question honestly
         self._asked = frozenset() if quiet else self.script.faulty
         self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * width)
-        self._lines = [[] for _ in range(width)] if width > 1 else [self.transcript.events]
+        self._lines = [[] for _ in range(width)]
         coded, received = self._fresh_state(g, width)
         if cfg.algorithm == ALG1:
             # patched runs only: the carried decide set holds no convicted processor
@@ -858,7 +841,7 @@ class Execution:
                     lanes[j][p] |= 1 << slot
         # lanes a..b-1 of the same vectors go on together, and only a match
         # set needs their own words, cut out of the step's
-        a, lines = 0, self._lines
+        a, lines, episodes = 0, self._lines, self.diagnosis_count
         for _, run in groupby(lanes, id):
             b = a + len(run := list(run))
             if b - a < width:
@@ -876,7 +859,9 @@ class Execution:
             ), vectors)[1]:
                 return a, cut
             a = b
-        return width, 0
+            if self.diagnosis_count > episodes:  # the lanes after ran at the old graph
+                break
+        return a, 0
 
     def _check(
         self, g: int, p_match: Sequence[int], plan: MatchingPlan,
@@ -903,7 +888,7 @@ class Execution:
             live[p] = live_flags[key]
         # lanes of a wide step settle only with every flag FALSE: a wide
         # flag is TRUE when any lane's is, and does not say which
-        if self._lines[0] is not self.transcript.events and any(live.values()):
+        if len(self._lines) > 1 and any(live.values()):
             return 0, len(self._lines)
         flags = self._round(g, TAG_DETECTED, live)
         if all(v is False for v in flags.values()):
@@ -932,7 +917,7 @@ class Execution:
         )
         self._graph_events(g, result.events)
         if result.decide_ids:
-            self.transcript.append("DECIDE_SET", g=g, members=result.decide_ids)
+            self._emit({"type": "DECIDE_SET", "g": g, "members": result.decide_ids})
             self.p_match = result.decide_ids
             values = dict.fromkeys(self.fault_free, result.decide_value)
             return self._settle(g, OUTCOME_DIAGNOSED, values, result.decide_ids)
@@ -941,8 +926,9 @@ class Execution:
         return self._settle(g, OUTCOME_DEFAULT)
 
     def _terminate(self, g: int) -> int:
-        """alg1 stops at `g`, settling the generations left; outputs are zeros."""
-        self.transcript.append(OUTCOME_TERMINATED, g=g)
+        """alg1 stops at `g`, settling the generations left; outputs are zeros.
+        Only a step of one lane has written lines when it stops."""
+        self.transcript.events += [*self._lines[0], {"type": OUTCOME_TERMINATED, "g": g}]
         self.outcomes += (
             {"g": h, "kind": OUTCOME_TERMINATED, "value": None, "decide_set": []}
             for h in range(g, self.config.generations + 1)
@@ -953,25 +939,23 @@ class Execution:
         self, g: int, kind: str, values: dict[int, bytes] | None = None,
         decide_set: Sequence[int] = (),
     ) -> tuple[int, int]:
-        """Settle each generation of the step after its lane's lines: store
-        each fault-free processor's block, its lane of `values` (zeros when
-        None), and record the outcome, whose event maps them if they differ."""
+        """Settle each generation of the step: store each fault-free processor's
+        block, its lane of `values` (zeros when None), and move the lane's lines
+        into the transcript, then the outcome, whose event maps them if they differ."""
         width = len(self._lines)
         if values is None:
             values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
         for j, lines in enumerate(self._lines):
-            if lines is not self.transcript.events:
-                self.transcript.events += lines
             lane = {p: v[j::width] for p, v in values.items()} if width > 1 else values
             for p in self.fault_free:
                 self.decided[p].append(lane[p])
             value = lane[self.fault_free[0]].hex()
             outcome = {"g": g + j, "kind": kind, "value": value, "decide_set": [*decide_set]}
             self.outcomes.append(outcome)
-            event = dict(outcome)
+            lines.append({"type": "DECIDED", **outcome})
             if len({lane[p] for p in self.fault_free}) > 1:
-                event["values"] = {str(p): lane[p].hex() for p in self.fault_free}
-            self.transcript.append("DECIDED", **event)
+                lines[-1]["values"] = {str(p): lane[p].hex() for p in self.fault_free}
+            self.transcript.events += lines
         return width, 0
 
     # ----------------------------------------------------------- driver
@@ -979,16 +963,16 @@ class Execution:
     def run(self) -> ExecutionResult:
         cfg = self.config
         inputs, input_values = _distinct_values(cfg.inputs)
-        self.transcript.append(
-            "header",
-            config={**cfg.to_jsonable(), "inputs": inputs},
-            input_values=input_values,
-            script=self.script.to_jsonable(),
-            original_l_bits=cfg.l_bits,
-            padded_bits=cfg.generations * cfg.d_bits,
-            padding="zero-fill-tail",
-            generations=cfg.generations,
-        )
+        self.transcript.events.append({
+            "type": "header",
+            "config": {**cfg.to_jsonable(), "inputs": inputs},
+            "input_values": input_values,
+            "script": self.script.to_jsonable(),
+            "original_l_bits": cfg.l_bits,
+            "padded_bits": cfg.generations * cfg.d_bits,
+            "padding": "zero-fill-tail",
+            "generations": cfg.generations,
+        })
         # a step per stretch of quiet generations, half as wide after one that
         # finds a generation not uniform among `bad` from g but cannot name it
         g, bad = 1, 0
@@ -1008,16 +992,16 @@ class Execution:
         verdict = "PASS" if not violations else "VERDICT_FAIL"
         holders = sorted(outputs)
         indices, output_values = _distinct_values(outputs[p] for p in holders)
-        self.transcript.append(
-            "VERDICT",
-            verdict=verdict,
-            violations=list(violations),
-            outputs=dict(zip(map(str, holders), indices)),
-            output_sha256=[sha256(v).hexdigest() for v in output_values],
-            diagnosis_count=self.diagnosis_count,
-            ledger=ledger.totals(),
-            graph=self.graph.to_jsonable(),
-        )
+        self.transcript.events.append({
+            "type": "VERDICT",
+            "verdict": verdict,
+            "violations": list(violations),
+            "outputs": dict(zip(map(str, holders), indices)),
+            "output_sha256": [sha256(v).hexdigest() for v in output_values],
+            "diagnosis_count": self.diagnosis_count,
+            "ledger": ledger.totals(),
+            "graph": self.graph.to_jsonable(),
+        })
         return ExecutionResult(
             config=cfg,
             verdict=verdict,

@@ -518,7 +518,7 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
     received = {p: [rng.choice((None, rng.randbytes(sym))) for _ in everyone] for p in everyone}
     expected = {p: list(word) for p, word in received.items()}
     execution = Execution(config, script)
-    events = execution.transcript.events
+    events = execution._lines[0]
     plan = sim._matching_plan(graph, members)
     obligations = obligation_oracle.matching_obligations(graph, members)
     for step in sim._STEPS:

@@ -8,15 +8,18 @@ the wide step takes on alone after its match vectors.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from codedbft import sim
 from codedbft.sim import (
     ALG2,
     OUTCOME_DECIDED,
     OUTCOME_DEFAULT,
+    OUTCOME_TERMINATED,
     TAG_MATCH_BITS,
     AdversaryScript,
     ExecutionConfig,
@@ -95,6 +98,25 @@ def test_a_lane_whose_match_vectors_coincide_cuts_the_stretch_there(
     }
 
 
+def test_a_one_lane_range_diagnoses_where_it_stands(monkeypatch):
+    real = sim.detection_flag
+
+    def flag(params, received, *rest):
+        # TRUE on every word of generation 3 that is one lane wide
+        if params.sym_bytes == 1 and any(v and v[0] >> 4 == 3 for v in received):
+            return True
+        return real(params, received, *rest)
+    monkeypatch.setattr(sim, "detection_flag", flag)
+    case = (coinciding_config(3, clique=(5, 6, 7)), AdversaryScript())
+    want = transcripts(monkeypatch, [case], pinned=True)
+    assert '"tag":"coded"' in want[0]
+    steps = recorded_steps(monkeypatch)
+    assert transcripts(monkeypatch, [case], pinned=False) == want
+    # generation 3's lane goes on alone and diagnoses in place, which ends
+    # the step after it: the lanes after it ran at the graph state before
+    assert steps == [(1, 6, 3, 0), (4, 3, 3, 0)]
+
+
 def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):
     cases = [
         *all_cases().values(),
@@ -109,6 +131,15 @@ def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):
     steps = recorded_steps(monkeypatch)
     ranges = recorded_ranges(monkeypatch, steps)
     assert transcripts(monkeypatch, cases, pinned=False) == want
+    # every line between the header and the verdict is written into the
+    # generation that the next DECIDED or TERMINATED_DEFAULT line settles
+    for text in want:
+        g = None
+        for line in reversed(text.splitlines()[1:-1]):
+            event = json.loads(line)
+            if event["type"] in ("DECIDED", OUTCOME_TERMINATED):
+                g = event["g"]
+            assert event["g"] == g, line
     # wide steps that settle everything in one range of lanes, that take a
     # lane whose match vectors differ on alone, and that raise a flag they
     # cannot place, which bisects the stretch

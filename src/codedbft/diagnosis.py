@@ -5,9 +5,11 @@ processors' broadcast claims about the same message contradict; at least
 one endpoint of every removed edge lied, so the edge never returns. A
 vertex that loses t+1 edges cannot be fault-free (that would take t+1
 faulty neighbours) and is convicted; conviction removes its remaining
-edges, which can convict further vertices. The graph is shared protocol
-state: every processor derives the identical graph from broadcast data,
-so one instance per execution suffices.
+edges, which can convict further vertices. A conviction is reported
+alone: the edges it drops are implied by it, never listed as events.
+The graph is shared protocol state: every processor derives the
+identical graph from broadcast data, so one instance per execution
+suffices.
 
 `removed` is the frozenset of removed edges. With n it fixes the whole
 graph, so it keys state derived from the graph alone, such as a
@@ -21,7 +23,7 @@ class ConfigurationError(ValueError):
     """Protocol parameters violate a resilience bound."""
 
 
-# ("edge", i, j) with i < j, or ("convicted", v)
+# ("edge", i, j) with i < j, or ("convicted", v) without the edges it drops
 Event = tuple
 
 
@@ -67,36 +69,32 @@ class TrustGraph:
     # ----------------------------------------------------------- mutation
 
     def remove_edge(self, i: int, j: int) -> list[Event]:
-        """Record a dispute; returns removal/conviction events in order."""
+        """Record a dispute; returns its edge, then the convictions it causes."""
         if i == j:
             raise ValueError("no self-loops in the trust graph")
         if not self.edge_present(i, j):
             return []
-        events = self._drop(i, [j])
-        events.extend(self._settle())
-        return events
+        self._drop(i, [j])
+        return [("edge", min(i, j), max(i, j)), *self._settle()]
 
     def convict(self, v: int) -> list[Event]:
         """Mark v faulty outright (all processors saw the same proof)."""
         self._check_vertex(v)
         if v in self.convicted:
             return []
-        events = self._convict_now(v)
-        events.extend(self._settle())
-        return events
+        return [self._convict_now(v), *self._settle()]
 
-    def _drop(self, v: int, others: list[int]) -> list[Event]:
+    def _drop(self, v: int, others: list[int]) -> None:
         """Remove the edges from v to each of `others`, freezing once."""
-        edges = [(min(v, u), max(v, u)) for u in others]
         for u in others:
             self._adj[v].discard(u)
             self._adj[u].discard(v)
-        self.removed = self.removed.union(edges)
-        return [("edge", i, j) for i, j in edges]
+        self.removed = self.removed.union((min(v, u), max(v, u)) for u in others)
 
-    def _convict_now(self, v: int) -> list[Event]:
+    def _convict_now(self, v: int) -> Event:
         self.convicted.add(v)
-        return [("convicted", v), *self._drop(v, sorted(self._adj[v]))]
+        self._drop(v, sorted(self._adj[v]))
+        return ("convicted", v)
 
     def _settle(self) -> list[Event]:
         """Threshold convictions to fixpoint, lowest vertex first."""
@@ -108,7 +106,7 @@ class TrustGraph:
                 if v in self.convicted:
                     continue
                 if self.removed_count(v) >= self.t + 1:
-                    events.extend(self._convict_now(v))
+                    events.append(self._convict_now(v))
                     changed = True
                     break
         return events

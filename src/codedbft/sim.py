@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from hashlib import sha256
 from itertools import groupby
@@ -147,6 +147,8 @@ class ExecutionConfig:
                 raise ConfigurationError(
                     f"need t+1 <= q <= n-t, got q={self.q}, n={self.n}, t={self.t}"
                 )
+        elif self.q is not None:
+            raise ConfigurationError(f"alg1 takes no q, got q={self.q}")
         if self.l_bits < 1 or self.l_bits % 8:
             raise ConfigurationError("l_bits must be a positive multiple of 8")
         unit = 8 * self.k
@@ -715,19 +717,14 @@ class Execution:
             self._lines[j].append({**line, "g": line["g"] + j})
 
     def _graph_events(self, g: int, tagged: list[tuple[str, tuple]]) -> None:
-        """`CONVICTED` and `EDGE_REMOVED` lines. A conviction drops every
-        remaining edge of its processor, and writes none of them: those
-        are the edges after it that touch a processor convicted in the
-        list, since a convicted processor has no edge left to dispute."""
-        convicted: set[int] = set()
+        """A `CONVICTED` or `EDGE_REMOVED` line per event, in order."""
         for rule, event in tagged:
-            if event[0] != "edge":
-                convicted.add(event[1])
-                self._emit({"type": "CONVICTED", "g": g, "processor": event[1], "rule": rule})
-            elif not convicted.intersection(event[1:]):
+            if event[0] == "edge":
                 self._emit({
                     "type": "EDGE_REMOVED", "g": g, "i": event[1], "j": event[2], "rule": rule
                 })
+            else:
+                self._emit({"type": "CONVICTED", "g": g, "processor": event[1], "rule": rule})
 
     def _decode_accepted(self, vec: list[bytes | None], blocks: dict[tuple, bytes]) -> bytes:
         """Block of a word flagged FALSE (a codeword of k symbols or more), decoded
@@ -901,10 +898,8 @@ class Execution:
         if not alg1:
             for p in list(self.graph.unconvicted()):
                 if vectors.get(p) is None:
-                    convicted = self.graph.convict(p)
-                    self._graph_events(
-                        g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in convicted]
-                    )
+                    events = self.graph.convict(p)
+                    self._graph_events(g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in events])
         live = self.graph.unconvicted()
         coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
         received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
@@ -1057,35 +1052,15 @@ def run_execution(config: ExecutionConfig, script: AdversaryScript) -> Execution
 class ComplexityReport:
     data_bits: int
     data_formula_bits: int
+    data_matches_formula: bool
     overhead_bits: int
     alg2_symbols_per_generation: dict[int, int]
     alg2_symbol_bound: int | None
-
-    @property
-    def data_matches_formula(self) -> bool:
-        return self.data_bits == self.data_formula_bits
-
-    @property
-    def alg2_within_bound(self) -> bool:
-        if self.alg2_symbol_bound is None:
-            return True
-        return all(
-            v <= self.alg2_symbol_bound
-            for v in self.alg2_symbols_per_generation.values()
-        )
+    alg2_within_bound: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "data_bits": self.data_bits,
-            "data_formula_bits": self.data_formula_bits,
-            "data_matches_formula": self.data_matches_formula,
-            "overhead_bits": self.overhead_bits,
-            "alg2_symbols_per_generation": {
-                str(g): v for g, v in self.alg2_symbols_per_generation.items()
-            },
-            "alg2_symbol_bound": self.alg2_symbol_bound,
-            "alg2_within_bound": self.alg2_within_bound,
-        }
+        per_gen = {str(g): v for g, v in self.alg2_symbols_per_generation.items()}
+        return {**asdict(self), "alg2_symbols_per_generation": per_gen}
 
 
 def check_complexity(result: ExecutionResult) -> ComplexityReport:
@@ -1100,12 +1075,15 @@ def check_complexity(result: ExecutionResult) -> ComplexityReport:
         formula = (2 * cfg.n - cfg.q) * (cfg.n - 1) * padded_l // cfg.q
         bound = (2 * cfg.n - cfg.q) * (cfg.n - 1)
         per_gen = result.ledger.per_generation("p2p_symbols")
+    data_bits = result.ledger.total("p2p_bits")
     return ComplexityReport(
-        data_bits=result.ledger.total("p2p_bits"),
+        data_bits=data_bits,
         data_formula_bits=formula,
+        data_matches_formula=data_bits == formula,
         overhead_bits=result.ledger.total("bcast_charged_bits"),
         alg2_symbols_per_generation=per_gen,
         alg2_symbol_bound=bound,
+        alg2_within_bound=all(v <= bound for v in per_gen.values()),
     )
 
 

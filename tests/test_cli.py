@@ -129,6 +129,20 @@ def test_run_scenario_writes_outputs(tmp_path, capsys):
     assert first["type"] == "header"
 
 
+def test_run_writes_the_complexity_readback(tmp_path):
+    assert main(["run", "scenarios/faultfree_alg2.json", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["complexity"] == {
+        "alg2_symbol_bound": 54,
+        "alg2_symbols_per_generation": {str(g): 54 for g in range(1, 11)},
+        "alg2_within_bound": True,
+        "data_bits": 90720,
+        "data_formula_bits": 90720,
+        "data_matches_formula": True,
+        "overhead_bits": 27440,
+    }
+
+
 def test_run_rejects_inconsistent_override(tmp_path, capsys):
     code = main([
         "run", "scenarios/n4.json", "--t", "2", "--out-dir", str(tmp_path),
@@ -473,6 +487,13 @@ def test_repro_line_reruns_to_the_same_transcript(flags, tmp_path, capsys):
 def test_replay_refuses_the_retired_option(capsys):
     assert main(["replay", str(CASES / "retired_config_key.json")]) == 2
     assert "stop_when_no_match_set" in capsys.readouterr().err
+
+
+def test_replay_refuses_an_alg1_config_that_names_q(tmp_path, capsys):
+    assert main(["replay", str(CASES / "alg1_config_with_q.json")]) == 2
+    assert "alg1 takes no q, got q=3" in capsys.readouterr().err
+    # run and sweep build alg1 configs without q, whatever --q says
+    assert main(["run", "--alg", "alg1", "--q", "3", "--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(

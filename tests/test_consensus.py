@@ -480,12 +480,15 @@ def test_rule_5_checks_the_own_wave_before_the_helper_wave():
         for p, (received, coded) in words.items()
     }
     result = run_diagnosis(PARAMS, g, p_match, plan.sends(), claims, p_match, 3)
+    # the conviction drops (2,4) without listing it
     assert result.events == [
         (RULE_DISPUTE, ("edge", 3, 4)),
         (RULE_DISPUTE, ("convicted", 4)),
-        (RULE_DISPUTE, ("edge", 2, 4)),
     ]
     assert g.convicted == {4}
+    assert not g.edge_present(2, 4)
+    assert g.removed_count(4) == 3
+    assert g.removed == {(1, 4), (2, 4), (3, 4)}
     assert result.decide_ids == [1, 2, 3]
 
 

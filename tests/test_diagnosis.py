@@ -96,23 +96,33 @@ def test_vertex_range_checked():
 def test_threshold_conviction_removes_remaining_edges():
     g = TrustGraph(4, 1)
     assert g.remove_edge(1, 2) == [("edge", 1, 2)]
-    events = g.remove_edge(1, 3)
-    assert events == [("edge", 1, 3), ("convicted", 1), ("edge", 1, 4)]
+    # the conviction implies the edge (1,4) it drops, and lists none
+    assert g.remove_edge(1, 3) == [("edge", 1, 3), ("convicted", 1)]
     assert g.convicted == {1}
     assert not g.edge_present(1, 4)
     assert g.removed_count(1) == 3
+    assert g.removed == {(1, 2), (1, 3), (1, 4)}
     assert g.unconvicted() == [2, 3, 4]
+
+
+def test_a_conviction_cascade_lists_only_its_convictions():
+    g = TrustGraph(4, 1)
+    g.remove_edge(3, 4)
+    # dropping 1's edges takes 3 and 4 past t; convicting 3 then takes 2,
+    # the lowest vertex over t, before 4
+    assert g.convict(1) == [("convicted", 1), ("convicted", 3), ("convicted", 2),
+                            ("convicted", 4)]
+    assert present_edges(g) == set()
+    assert all(g.removed_count(v) == 3 for v in range(1, 5))
 
 
 def test_direct_conviction_is_total_and_idempotent():
     g = TrustGraph(7, 2)
-    events = g.convict(5)
-    assert events[0] == ("convicted", 5)
-    assert {e for e in events[1:]} == {
-        ("edge", min(5, u), max(5, u)) for u in (1, 2, 3, 4, 6, 7)
-    }
+    assert g.convict(5) == [("convicted", 5)]
     assert g.convict(5) == []
     assert g.removed_count(5) == 6
+    assert not any(g.edge_present(5, u) for u in (1, 2, 3, 4, 6, 7))
+    assert g.removed == {(min(5, u), max(5, u)) for u in (1, 2, 3, 4, 6, 7)}
 
 
 def test_six_disputes_collapse_seven_vertices():
@@ -183,12 +193,12 @@ def test_removed_edges_take_a_threshold_conviction():
     g = TrustGraph(4, 1)
     g.remove_edge(1, 2)
     before = g.removed
-    events = g.remove_edge(1, 3)
-    assert ("convicted", 1) in events
-    # the dispute and the convict's last edge, each removed once
-    edges = [ev[1:] for ev in events if ev[0] == "edge"]
-    assert edges == [(1, 3), (1, 4)]
-    assert g.removed == before | set(edges)
+    assert g.remove_edge(1, 3) == [("edge", 1, 3), ("convicted", 1)]
+    # the dispute and the convict's last edge, each removed once, though
+    # only the dispute is an event
+    assert g.removed == before | {(1, 3), (1, 4)}
+    assert not g.edge_present(1, 4)
+    assert g.removed_count(1) == 3
     assert g.to_jsonable()["removed_edges"] == [[1, 2], [1, 3], [1, 4]]
 
 

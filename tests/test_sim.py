@@ -899,6 +899,24 @@ def test_alg2_helper_lies_before_the_match_set_stay_within_the_bound():
     assert result.diagnosis_count <= config.t * (config.t + 1)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the alg2 symbol bound is not settled after a diagnosis",
+)
+def test_a_passing_alg2_run_sends_within_the_symbol_bound():
+    """alg2 n=7, t=2, q=3, sweep trial 70 at seed 0, faulty {3}. The judge
+    passes the run, yet after its diagnosis g4..g7 each send 68 symbols
+    against the bound (2n-q)(n-1) = 66, and `report.json` records
+    `alg2_within_bound: false` under a PASS."""
+    from codedbft import cli
+
+    config, script = cli.sweep_cases(ALG2, 7, 2, [3], 71, 0)[70]
+    assert script.faulty == {3}
+    result = run_execution(config, script)
+    assert result.passed
+    assert check_complexity(result).alg2_within_bound
+
+
 # ----------------------------------------------- checker's impossible states
 
 

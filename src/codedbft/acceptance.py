@@ -8,7 +8,7 @@ budgets. Criteria 6-7 cover the quorum variant's q-validity and its
 erasure codec directly and criterion 9 re-runs serialized cases to prove
 byte-identical replay.
 
-Each criterion is a function of `quick` that returns (passed, detail).
+Each criterion is a function of no arguments that returns (passed, detail).
 `CRITERIA` lists them with their titles and wall-time budgets, and
 `run_criterion` times one, applies its budget and renders its line. The
 heavyweight random suite is built once per process and shared by
@@ -98,13 +98,12 @@ def _suite_config(
 
 
 @functools.cache
-def correctness_suite(quick: bool = False) -> tuple[SuiteRun, ...]:
+def correctness_suite() -> tuple[SuiteRun, ...]:
     """Random plus crafted adversaries for (n,t) in {(4,1),(7,2)}."""
     runs: list[SuiteRun] = []
     for n, t in ((4, 1), (7, 2)):
-        target = 60 if quick else 500
         q_options = list(range(t + 1, n - t + 1))
-        for i in range(target):
+        for i in range(500):
             seed = 100_000 * n + i
             if i % 2 == 0:
                 algorithm, q = ALG1, None
@@ -130,7 +129,7 @@ def correctness_suite(quick: bool = False) -> tuple[SuiteRun, ...]:
 # -------------------------------------------------------------- criteria
 
 
-def criterion_1(quick: bool) -> tuple[bool, str]:
+def criterion_1() -> tuple[bool, str]:
     points = (((4, 1, 2400, 240), 9600), ((7, 2, 8400, 840), 70560))
     ok, parts = True, []
     for (n, t, l_bits, d_bits), want in points:
@@ -149,7 +148,7 @@ def criterion_1(quick: bool) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_2(quick: bool) -> tuple[bool, str]:
+def criterion_2() -> tuple[bool, str]:
     ok, parts = True, []
     for n, t, l_bits, d_points in ((4, 1, 2400, (240, 120)), (7, 2, 8400, (840, 400))):
         per_flag = n * n  # one flag bit charged at n^2 per broadcast
@@ -171,8 +170,8 @@ def criterion_2(quick: bool) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_3(quick: bool) -> tuple[bool, str]:
-    runs = correctness_suite(quick)
+def criterion_3() -> tuple[bool, str]:
+    runs = correctness_suite()
     failures = [r.label for r in runs if r.verdict != "PASS"]
     rule_misses = [
         r.label for r in runs
@@ -195,10 +194,10 @@ def criterion_3(quick: bool) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_4(quick: bool) -> tuple[bool, str]:
+def criterion_4() -> tuple[bool, str]:
     ok = True
     worst: dict[tuple[str, int], int] = {}
-    for r in correctness_suite(quick):
+    for r in correctness_suite():
         key = (r.config.algorithm, r.config.t)
         worst[key] = max(worst.get(key, 0), r.diagnosis_count)
         ok &= r.diagnosis_count <= _diagnosis_bound(*key)
@@ -209,7 +208,7 @@ def criterion_4(quick: bool) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_5(quick: bool) -> tuple[bool, str]:
+def criterion_5() -> tuple[bool, str]:
     # alg1 at the command line defaults: n=4, t=1, L=2400
     config = build_config(
         {"inputs": {"generator": "split"}, "seed": 5, "d_bits": 240}
@@ -244,9 +243,8 @@ def _q_validity_problems(
     return problems
 
 
-def criterion_6(quick: bool) -> tuple[bool, str]:
+def criterion_6() -> tuple[bool, str]:
     n, t = 7, 2
-    per_q = 10 if quick else 40
     cases: list[tuple[ExecutionConfig, AdversaryScript]] = []
     for q in (3, 4, 5):
         l_bits = 8 * q * 3
@@ -256,7 +254,7 @@ def criterion_6(quick: bool) -> tuple[bool, str]:
             "inputs": {"generator": "shared-prefix", "sharers": n - t},
         })
         cases.extend((base, case.script) for case in crafted_cases(base))
-        for i in range(per_q):
+        for i in range(40):
             seed = 600 + 100 * q + i
             rng = random.Random(seed)
             # sharers are a prefix of length >= q; faults sit at 6 and 7,
@@ -276,7 +274,7 @@ def criterion_6(quick: bool) -> tuple[bool, str]:
     return not problems, detail
 
 
-def criterion_7(quick: bool) -> tuple[bool, str]:
+def criterion_7() -> tuple[bool, str]:
     n, t = 7, 2
     ok, parts = True, []
     for q in (3, 4, 5):
@@ -300,7 +298,7 @@ def criterion_7(quick: bool) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def criterion_8(quick: bool) -> tuple[bool, str]:
+def criterion_8() -> tuple[bool, str]:
     # lane w of the two data symbols is word w (byte lanes are independent codewords)
     words = 1 << 16
     params = CodeParams(4, 2, words)
@@ -323,7 +321,7 @@ def criterion_8(quick: bool) -> tuple[bool, str]:
     )
 
     rng = random.Random(8)
-    trials = 200 if quick else 1000
+    trials = 1000
     recon_ok = True
     for _ in range(trials):
         n = rng.randint(2, 7)
@@ -342,9 +340,9 @@ def criterion_8(quick: bool) -> tuple[bool, str]:
     )
 
 
-def criterion_9(quick: bool) -> tuple[bool, str]:
-    sample = 5 if quick else 20
-    adversarial = [r for r in correctness_suite(quick) if r.script.faulty]
+def criterion_9() -> tuple[bool, str]:
+    sample = 20
+    adversarial = [r for r in correctness_suite() if r.script.faulty]
     stride = max(1, len(adversarial) // sample)
     picked = adversarial[::stride][:sample]
     bad = [r.label for r in picked if not replay_identical(r.config, r.script)[1]]
@@ -375,11 +373,11 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, quick: bool = False) -> tuple[bool, str]:
+def run_criterion(number: int) -> tuple[bool, str]:
     """Run one criterion under its budget: (passed, its printed line)."""
     title, budget, criterion = CRITERIA[number]
     start = time.perf_counter()
-    passed, detail = criterion(quick)
+    passed, detail = criterion()
     seconds = time.perf_counter() - start
     if budget is not None:
         passed &= seconds < budget
@@ -388,5 +386,5 @@ def run_criterion(number: int, quick: bool = False) -> tuple[bool, str]:
     return passed, f"criterion {number} {status} ({seconds:.2f}s) {title}: {detail}"
 
 
-def run_all(quick: bool = False) -> list[tuple[bool, str]]:
-    return [run_criterion(number, quick) for number in CRITERIA]
+def run_all() -> list[tuple[bool, str]]:
+    return [run_criterion(number) for number in CRITERIA]

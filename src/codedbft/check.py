@@ -29,21 +29,20 @@ def judge(
     it also takes `outputs[p]`, fault-free processor p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
-    # each fault-free processor's first fault-free holder of its input, and
-    # each first holder's number of fault-free holders: a generation's
-    # blocks are sliced once per distinct input and counted by weight
-    firsts: dict[bytes, int] = {}
-    holder = {p: firsts.setdefault(config.padded_input(p), p) for p in fault_free}
-    weight = Counter(holder.values())
+    # each distinct fault-free input and its number of fault-free holders, in
+    # the order of its lowest fault-free holder: a generation's blocks are
+    # sliced once per distinct input and counted by weight
+    weight = Counter(config.holders[p - 1] for p in fault_free)
+    weighted = [(config.padded_input(h), w) for h, w in weight.items()]
     size = config.block_bytes
 
     def shared(g: int) -> dict[bytes, int]:
         """Generation g's fault-free blocks and their numbers of holders,
         in the order of their lowest holders."""
         counts: dict[bytes, int] = {}
-        for padded, h in firsts.items():
+        for padded, w in weighted:
             block = padded[(g - 1) * size : g * size]
-            counts[block] = counts.get(block, 0) + weight[h]
+            counts[block] = counts.get(block, 0) + w
         return counts
     out: list[str] = []
     convicted: set[int] = set()
@@ -51,9 +50,9 @@ def judge(
     # its processor has left, in ascending order of the other end
     removed: set[tuple[int, int]] = set()
     # alg1's match set: the last decide set, less the convicted; and the
-    # first holders of its fault-free members' inputs
+    # lowest holders of its fault-free members' inputs
     p_match: Iterable[int] = range(1, config.n + 1)
-    member_holders = set(firsts.values())
+    member_holders = set(weight)
 
     def edge_removed(g: int, i: int, j: int) -> None:
         removed.add((i, j))
@@ -104,7 +103,7 @@ def judge(
                     for v in distinct if inputs and v not in inputs
                 )
                 p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
-                member_holders = {holder[p] for p in p_match if p not in faulty}
+                member_holders = {config.holders[p - 1] for p in p_match if p not in faulty}
             elif e["kind"] != OUTCOME_DEFAULT:
                 # a default is legal; any other decision is a fault-free input,
                 # and the block a majority-sized fault-free quorum shares wins

@@ -156,8 +156,6 @@ def build_config(data: dict) -> ExecutionConfig:
         name: default if data.get(name) is None else _coerce(name, data[name])
         for name, (_, default) in _FIELDS.items()
     }
-    if fields["algorithm"] != ALG2:
-        fields["q"] = None
     if fields["d_bits"] is None:
         fields["d_bits"] = choose_d(
             fields["l_bits"], fields["n"], fields["t"], fields["q"]
@@ -293,6 +291,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     given.update(flag_overrides(args))
     algorithm, n, t = given["algorithm"], given["n"], given["t"]
     if algorithm == ALG1:
+        if args.q is not None:
+            raise ConfigurationError(f"alg1 takes no q, got --q {args.q}")
         q_values: list[int | None] = [None]
     elif not args.q:
         raise ConfigurationError("alg2 sweeps need --q (single value or lo..hi)")
@@ -372,7 +372,7 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
     from .acceptance import run_all
 
     start = time.perf_counter()
-    results = run_all(quick=args.quick)
+    results = run_all()
     for _, line in results:
         print(line)
     passed = sum(ok for ok, _ in results)
@@ -429,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     acc_p = sub.add_parser("acceptance", help="run the acceptance checklist")
-    acc_p.add_argument("--quick", action="store_true",
-                       help="reduced trial counts, same checks")
     acc_p.set_defaults(func=cmd_acceptance)
 
     replay_p = sub.add_parser("replay", help="re-run a serialized case twice")

@@ -134,6 +134,9 @@ class ExecutionConfig:
     broadcast_coefficient: int = 1
     # each input decoded once and zero-padded, for slicing blocks every generation
     _padded_inputs: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    # processor p's lowest holder of its input, at index p-1: the engine
+    # encodes and the judge slices each distinct input once, by its holder
+    holders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.algorithm not in (ALG1, ALG2):
@@ -173,6 +176,9 @@ class ExecutionConfig:
         # one spelling per value (lowercase hex), so equal inputs compare equal
         object.__setattr__(self, "inputs", tuple(p[:want].hex() for p in padded))
         object.__setattr__(self, "_padded_inputs", tuple(padded))
+        first: dict[bytes, int] = {}
+        holders = tuple(first.setdefault(v, i) for i, v in enumerate(padded, start=1))
+        object.__setattr__(self, "holders", holders)
         if self.broadcast_coefficient < 1:
             raise ConfigurationError("broadcast coefficient must be >= 1")
 
@@ -530,31 +536,13 @@ class Transcript:
         return [e for e in self.events if e["type"] == event_type]
 
 
-# --------------------------------------------------------------- results
-
-
-@dataclass
-class ExecutionResult:
-    config: ExecutionConfig
-    verdict: str
-    violations: list[str]
-    outputs: dict[int, bytes]
-    outcomes: list[dict]
-    diagnosis_count: int
-    ledger: CostLedger
-    transcript: Transcript
-    graph: TrustGraph
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
-
 # ---------------------------------------------------------------- engine
 
 
 class Execution:
-    """One deterministic run of one protocol against one script."""
+    """One deterministic run of one protocol against one script. `run()`
+    returns the execution itself, with the judge's `verdict` and
+    `violations`, the fault-free `outputs` and the `ledger` set."""
 
     def __init__(self, config: ExecutionConfig, script: AdversaryScript):
         script.validate_shapes(config)
@@ -575,17 +563,15 @@ class Execution:
         # until it settles, and the faulty senders it asks about
         self.p_match = list(range(1, config.n + 1))
         self._lines, self._asked = [[]], script.faulty
-        # each processor's first holder of its input, and the wide words of
-        # each first holder: one encode per distinct input for the whole run
-        holders: dict[bytes, int] = {}
-        self._first_holder = [
-            holders.setdefault(config.padded_input(i), i)
-            for i in range(1, config.n + 1)
-        ]
+        # one encode per distinct input for the whole run, by its lowest holder
         self._wide = {
-            i: _generation_words(self.params, padded, config.generations)
-            for padded, i in holders.items()
+            i: _generation_words(self.params, config.padded_input(i), config.generations)
+            for i, h in enumerate(config.holders, start=1) if h == i
         }
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "PASS"
 
     # ------------------------------------------------------- primitives
 
@@ -747,7 +733,7 @@ class Execution:
         received words holding each own slot."""
         n, gens = self.config.n, self.config.generations
         coded, received = {}, {}
-        for i, first in enumerate(self._first_holder, start=1):
+        for i, first in enumerate(self.config.holders, start=1):
             coded[i] = list(coded[first]) if first != i else [
                 _lanes(w, g - 1, g - 1 + width, gens) for w in self._wide[i]
             ]
@@ -955,7 +941,7 @@ class Execution:
 
     # ----------------------------------------------------------- driver
 
-    def run(self) -> ExecutionResult:
+    def run(self) -> Execution:
         cfg = self.config
         inputs, input_values = _distinct_values(cfg.inputs)
         self.transcript.events.append({
@@ -978,36 +964,30 @@ class Execution:
             g, bad = g + done, cut or max(bad - done, 0)
         # only alg1 terminates, and then every output is the all-zero default
         terminated = any(o["kind"] == OUTCOME_TERMINATED for o in self.outcomes)
-        outputs = {
+        self.outputs = outputs = {
             p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
             for p in self.fault_free
         }
-        violations = judge(cfg, self.script.faulty, self.transcript.events, outputs)
-        ledger = CostLedger(cfg, self.transcript.events)
-        verdict = "PASS" if not violations else "VERDICT_FAIL"
+        self.violations = judge(cfg, self.script.faulty, self.transcript.events, outputs)
+        self.ledger = CostLedger(cfg, self.transcript.events)
+        self.verdict = "PASS" if not self.violations else "VERDICT_FAIL"
         holders = sorted(outputs)
         indices, output_values = _distinct_values(outputs[p] for p in holders)
         self.transcript.events.append({
             "type": "VERDICT",
-            "verdict": verdict,
-            "violations": list(violations),
+            "verdict": self.verdict,
+            "violations": list(self.violations),
             "outputs": dict(zip(map(str, holders), indices)),
             "output_sha256": [sha256(v).hexdigest() for v in output_values],
             "diagnosis_count": self.diagnosis_count,
-            "ledger": ledger.totals(),
+            "ledger": self.ledger.totals(),
             "graph": self.graph.to_jsonable(),
         })
-        return ExecutionResult(
-            config=cfg,
-            verdict=verdict,
-            violations=violations,
-            outputs=outputs,
-            outcomes=self.outcomes,
-            diagnosis_count=self.diagnosis_count,
-            ledger=ledger,
-            transcript=self.transcript,
-            graph=self.graph,
-        )
+        return self
+
+
+# a finished execution is its run's result; callers that annotate one name it so
+ExecutionResult = Execution
 
 
 def _distinct_values(values: Iterable[Any]) -> tuple[list[int], list[Any]]:
@@ -1041,7 +1021,7 @@ def _word_bits(word: list[bytes | None]) -> int:
     return len(word) + 8 * sum(len(v) for v in word if v is not None)
 
 
-def run_execution(config: ExecutionConfig, script: AdversaryScript) -> ExecutionResult:
+def run_execution(config: ExecutionConfig, script: AdversaryScript) -> Execution:
     return Execution(config, script).run()
 
 
@@ -1063,7 +1043,7 @@ class ComplexityReport:
         return {**asdict(self), "alg2_symbols_per_generation": per_gen}
 
 
-def check_complexity(result: ExecutionResult) -> ComplexityReport:
+def check_complexity(result: Execution) -> ComplexityReport:
     """Ledger readback against the closed-form traffic identities."""
     cfg = result.config
     padded_l = cfg.generations * cfg.d_bits

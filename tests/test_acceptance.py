@@ -60,10 +60,9 @@ def test_a_criterion_over_its_budget_fails(monkeypatch):
     assert line.startswith("criterion 1 FAIL (") and line.endswith("s of 0s budget")
 
 
-def test_quick_mode_covers_all_criteria():
-    results = acceptance.run_all(quick=True)
+def test_run_all_passes_every_criterion_in_order():
+    results = acceptance.run_all()
     lines = [line for _, line in results]
-    for number, line in enumerate(lines, 1):
-        assert line.startswith(f"criterion {number} "), line
     assert len(results) == 9, lines
-    assert all(passed for passed, _ in results), "\n".join(lines)
+    for number, (passed, line) in enumerate(results, 1):
+        assert passed and line.startswith(f"criterion {number} PASS ("), line

@@ -204,7 +204,8 @@ UNCOUNTED = (
 
 def run_corpus(monkeypatch, patches=tuple(PATCHES), stretches=False) -> dict:
     """The violations of each corpus run under one of `patches`, with
-    every step pinned to width 1 unless `stretches`."""
+    every step pinned to width 1 unless `stretches`; each run's are the
+    ones its `VERDICT` line records."""
     chosen = [PATCHES[name] for name in patches]
     got = {}
     for key, config, script, patch in corpus():
@@ -214,7 +215,12 @@ def run_corpus(monkeypatch, patches=tuple(PATCHES), stretches=False) -> dict:
             if not stretches:
                 width_one(m)
             patch(m, config, script)
-            got[key] = sim.run_execution(config, script).violations
+            result = sim.run_execution(config, script)
+        verdict = result.transcript.events[-1]
+        assert (verdict["verdict"], verdict["violations"]) == (
+            result.verdict, result.violations
+        ), key
+        got[key] = result.violations
     return got
 
 

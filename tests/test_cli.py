@@ -94,9 +94,10 @@ def test_build_config_fills_defaults_and_sizes_d():
     assert config.q is None
 
 
-def test_build_config_ignores_q_for_the_base_protocol():
-    config = build_config({"q": 3})
-    assert config.q is None
+def test_build_config_refuses_q_for_the_base_protocol():
+    # alg1's code dimension is n - t, so a q there is a mistake, not a default
+    with pytest.raises(ConfigurationError, match="alg1 takes no q, got q=3"):
+        build_config({"q": 3})
 
 
 def test_build_script_resolves_crafted_names():
@@ -217,9 +218,9 @@ def test_sweep_writes_a_replay_file_per_failure(tmp_path, capsys, monkeypatch):
 
     def every_other_fails(config, script):
         result = run(config, script)
-        return dataclasses.replace(
-            result, verdict="FAIL" if config.seed % 2 else result.verdict
-        )
+        if config.seed % 2:
+            result.verdict = "FAIL"
+        return result
 
     monkeypatch.setattr(cli, "run_execution", every_other_fails)
     assert main([
@@ -492,8 +493,16 @@ def test_replay_refuses_the_retired_option(capsys):
 def test_replay_refuses_an_alg1_config_that_names_q(tmp_path, capsys):
     assert main(["replay", str(CASES / "alg1_config_with_q.json")]) == 2
     assert "alg1 takes no q, got q=3" in capsys.readouterr().err
-    # run and sweep build alg1 configs without q, whatever --q says
-    assert main(["run", "--alg", "alg1", "--q", "3", "--out-dir", str(tmp_path)]) == 0
+    # run refuses the same config from flags or from a scenario's q, and
+    # sweep refuses any --q with alg1
+    assert main(["run", "--alg", "alg1", "--q", "3", "--out-dir", str(tmp_path)]) == 2
+    assert "alg1 takes no q, got q=3" in capsys.readouterr().err
+    scenario = str(SCENARIOS / "faultfree_alg2.json")
+    assert main(["run", scenario, "--alg", "alg1", "--out-dir", str(tmp_path)]) == 2
+    assert "alg1 takes no q" in capsys.readouterr().err
+    assert main(["sweep", "--alg", "alg1", "--q", "3", "--out-dir", str(tmp_path)]) == 2
+    assert "alg1 takes no q, got --q 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -507,8 +516,9 @@ def test_run_writes_the_bytes_of_to_jsonl(scenario, tmp_path):
     assert (tmp_path / "transcript.jsonl").read_bytes() == expected.encode()
 
 
-def test_acceptance_quick_passes(capsys):
-    code = main(["acceptance", "--quick"])
+def test_acceptance_passes(capsys):
+    # the suite criteria 3, 4 and 9 share is built once per process
+    code = main(["acceptance"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert len(lines) == 10, lines

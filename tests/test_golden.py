@@ -278,11 +278,15 @@ def test_inputs_and_outputs_read_back_from_the_transcript():
     """Every processor's input from the header's indices into
     `input_values`, and every fault-free output rebuilt from the
     `DECIDED` lines, whose SHA-256 `VERDICT`'s indices into
-    `output_sha256` give."""
+    `output_sha256` give. The finished run's verdict, violations and
+    diagnosis count are the ones its `VERDICT` line records."""
     for key, (config, script) in all_cases().items():
         result = run_execution(config, script)
         events = result.transcript.events
         header, verdict = events[0], events[-1]
+        assert (result.verdict, result.violations, result.diagnosis_count) == (
+            verdict["verdict"], verdict["violations"], verdict["diagnosis_count"]
+        ), key
         inputs = [header["input_values"][i] for i in header["config"]["inputs"]]
         assert inputs == list(config.inputs), key
         outputs = rebuilt_outputs(events)

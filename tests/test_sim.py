@@ -89,6 +89,17 @@ def test_config_alg2_needs_q_in_range():
             ExecutionConfig(**base, q=q)
 
 
+def test_config_finds_each_inputs_lowest_holder():
+    # two spellings of one value are one input, and the holders stay out of
+    # the config's JSON
+    a, b = "ab" * 30, "cd" * 30
+    config = ExecutionConfig(algorithm=ALG1, n=4, t=1, l_bits=240, d_bits=24,
+                             inputs=(b, a, b.upper(), a))
+    assert config.holders == (1, 2, 1, 2)
+    assert "holders" not in config.to_jsonable()
+    assert dataclasses.replace(config, inputs=(a, a, b, b)).holders == (1, 1, 3, 3)
+
+
 def test_script_rejects_rules_for_honest_processors():
     script = AdversaryScript([4])
     with pytest.raises(ValueError):
@@ -901,7 +912,7 @@ def test_alg2_helper_lies_before_the_match_set_stay_within_the_bound():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: the alg2 symbol bound is not settled after a diagnosis",
+    reason="ROADMAP item 2: the alg2 symbol bound is not settled after a diagnosis",
 )
 def test_a_passing_alg2_run_sends_within_the_symbol_bound():
     """alg2 n=7, t=2, q=3, sweep trial 70 at seed 0, faulty {3}. The judge

@@ -64,6 +64,7 @@ misspelled script key|$CODEDBFT replay tests/cases/misspelled_script_key.json
 retired config key|$CODEDBFT replay tests/cases/retired_config_key.json
 alg1 config that names q|$CODEDBFT replay tests/cases/alg1_config_with_q.json
 alg1 run with --q|$CODEDBFT run --alg alg1 --q 3 --out-dir "$OUT/out"
+alg1 run with --q 0|$CODEDBFT run --alg alg1 --q 0 --out-dir "$OUT/out"
 alg1 sweep with --q|$CODEDBFT sweep --alg alg1 --q 3 --out-dir "$OUT/out"
 script rule that is not an object|$CODEDBFT replay tests/cases/script_rule_not_an_object.json
 empty --q range|$CODEDBFT sweep --alg alg2 --n 7 --t 2 --q 5..3 --out-dir "$OUT/out"

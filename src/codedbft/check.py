@@ -50,9 +50,10 @@ def judge(
     # its processor has left, in ascending order of the other end
     removed: set[tuple[int, int]] = set()
     # alg1's match set: the last decide set, less the convicted; and the
-    # lowest holders of its fault-free members' inputs
+    # lowest holders of its fault-free members' inputs, rebuilt only when a
+    # decide set or a conviction (`stale`) can change them
     p_match: Iterable[int] = range(1, config.n + 1)
-    member_holders = set(weight)
+    member_holders, stale = set(weight), False
 
     def edge_removed(g: int, i: int, j: int) -> None:
         removed.add((i, j))
@@ -67,6 +68,7 @@ def judge(
             edge_removed(g, e["i"], e["j"])
         elif kind == "CONVICTED":
             convicted.add(p := e["processor"])
+            stale = True
             if p not in faulty:
                 out.append(f"g{g}: fault-free processor {p} convicted")
             for u in range(1, config.n + 1):
@@ -85,25 +87,26 @@ def judge(
         elif kind == "DECIDED":
             if blocks := e.get("values"):
                 values = [bytes.fromhex(blocks[str(p)]) for p in fault_free]
-            else:
-                values = [bytes.fromhex(e["value"])] * len(fault_free)
-            if e["kind"] == OUTCOME_DECIDED:
+            else:  # one block, every fault-free processor's
+                values = [bytes.fromhex(e["value"])]
+            distinct = set(values)
+            if e["kind"] == OUTCOME_DECIDED and b"" in distinct:
                 out.extend(
                     f"g{g}: fault-free processor {p} cannot decode its accepted word"
-                    for p, value in zip(fault_free, values) if not value
+                    for p, value in zip(fault_free, values if blocks else values * len(fault_free))
+                    if not value
                 )
-            distinct = set(values)
             if len(distinct) > 1:
                 out.append(f"g{g}: fault-free processors decided different blocks")
             if config.algorithm == ALG1:
                 # a fault-free match-set member's input, if one is in the match set
-                inputs = {config.input_block(h, g) for h in member_holders}
-                out.extend(
-                    f"g{g}: decided block is no fault-free member's input"
-                    for v in distinct if inputs and v not in inputs
-                )
-                p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
-                member_holders = {config.holders[p - 1] for p in p_match if p not in faulty}
+                if inputs := {config.input_block(h, g) for h in member_holders}:
+                    message = f"g{g}: decided block is no fault-free member's input"
+                    out += [message] * len(distinct - inputs)
+                if e["decide_set"] or stale:
+                    p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
+                    member_holders = {config.holders[p - 1] for p in p_match if p not in faulty}
+                    stale = False
             elif e["kind"] != OUTCOME_DEFAULT:
                 # a default is legal; any other decision is a fault-free input,
                 # and the block a majority-sized fault-free quorum shares wins
@@ -117,9 +120,8 @@ def judge(
                     out.append(
                         f"g{g}: majority quorum decided a block other than the shared one"
                     )
-    for p, blob in outputs.items():
-        if len(blob) != config.padded_bytes:
-            out.append(f"processor {p} terminated without a full output")
+    out.extend(f"processor {p} terminated without a full output"
+               for p, blob in outputs.items() if len(blob) != config.padded_bytes)
     if len(set(outputs.values())) > 1:
         out.append("final fault-free outputs differ")
     size = config.l_bits // 8
@@ -127,7 +129,5 @@ def judge(
     if config.algorithm == ALG1 and len(inputs) == 1:
         if any(v[:size] not in inputs for v in outputs.values()):
             out.append("identical fault-free inputs were not decided")
-    for p in fault_free:
-        if p in convicted:
-            out.append(f"fault-free processor {p} ended convicted")
+    out.extend(f"fault-free processor {p} ended convicted" for p in fault_free if p in convicted)
     return out

@@ -157,9 +157,9 @@ def build_config(data: dict) -> ExecutionConfig:
         for name, (_, default) in _FIELDS.items()
     }
     if fields["d_bits"] is None:
-        fields["d_bits"] = choose_d(
-            fields["l_bits"], fields["n"], fields["t"], fields["q"]
-        )
+        # only alg2 codes at dimension q; alg1's q is refused by the config
+        q = fields["q"] if fields["algorithm"] == ALG2 else None
+        fields["d_bits"] = choose_d(fields["l_bits"], fields["n"], fields["t"], q)
     inputs = generate_inputs(
         data.get("inputs"), fields["n"], fields["l_bits"], fields["seed"]
     )

@@ -90,17 +90,17 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> MatchingPlan:
 
 
 def _generation_words(
-    params: CodeParams, padded: bytes, generations: int
-) -> list[bytes]:
-    """The n wide slots of one padded input's G generations, from one
-    `encode`: byte b of data symbol j in generation g is lane b*G + g-1
-    of wide symbol j, so slot j of generation g is `words[j-1][g-1::G]`.
+    params: CodeParams, inputs: Sequence[bytes], generations: int
+) -> list[list[bytes]]:
+    """The n wide slots of each padded input's G generations, from one
+    `encode` of them all side by side: byte b of data symbol j in generation
+    g is lane b*G + g-1 of the input's wide symbol j, so slot j of
+    generation g is `words[i][j-1][g-1::G]` for input i.
     """
-    k, s = params.k, params.sym_bytes
-    data = b"".join(
-        padded[j * s + b :: k * s] for j in range(k) for b in range(s)
-    )
-    return encode(CodeParams(params.n, k, s * generations), data)
+    k, s, size = params.k, params.sym_bytes, params.sym_bytes * generations
+    data = b"".join(p[j * s + b :: k * s] for j in range(k) for p in inputs for b in range(s))
+    words = encode(CodeParams(params.n, k, size * len(inputs)), data)
+    return [[w[i * size : (i + 1) * size] for w in words] for i in range(len(inputs))]
 
 
 # --------------------------------------------------------------- config
@@ -513,8 +513,14 @@ class CostLedger:
 # ------------------------------------------------------------ transcript
 
 
-# one stateless encoder for every event; json.dumps would build one per call
+# one stateless encoder for every event, built once: json.dumps and
+# JSONEncoder.encode build one per call; both forms take (event, 0) and
+# return the line's chunks
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode_line = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _JSONL_ENCODER.default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+) or _JSONL_ENCODER.iterencode
 
 
 class Transcript:
@@ -528,9 +534,8 @@ class Transcript:
 
     def lines(self) -> Iterator[str]:
         """Each event as one line of JSON with sorted keys and no spaces."""
-        encode = _JSONL_ENCODER.encode
         for e in self.events:
-            yield encode(e) + "\n"
+            yield "".join(_encode_line(e, 0)) + "\n"
 
     def of_type(self, event_type: str) -> list[dict]:
         return [e for e in self.events if e["type"] == event_type]
@@ -563,11 +568,11 @@ class Execution:
         # until it settles, and the faulty senders it asks about
         self.p_match = list(range(1, config.n + 1))
         self._lines, self._asked = [[]], script.faulty
-        # one encode per distinct input for the whole run, by its lowest holder
-        self._wide = {
-            i: _generation_words(self.params, config.padded_input(i), config.generations)
-            for i, h in enumerate(config.holders, start=1) if h == i
-        }
+        # one encode of every distinct input for the whole run, by its lowest holder
+        firsts = [i for i, h in enumerate(config.holders, start=1) if h == i]
+        self._wide = dict(zip(firsts, _generation_words(
+            self.params, [config.padded_input(i) for i in firsts], config.generations
+        )))
 
     @property
     def passed(self) -> bool:
@@ -926,16 +931,20 @@ class Execution:
         width = len(self._lines)
         if values is None:
             values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
+        # each distinct value cut into its lanes once, the cuts shared by its holders
+        lanes = dict.fromkeys(values.values())
+        for v in lanes:
+            lanes[v] = [v[j::width] for j in range(width)] if width > 1 else (v,)
+        for p, v in values.items():
+            self.decided[p].extend(lanes[v])
+        first = lanes[values[self.fault_free[0]]]
         for j, lines in enumerate(self._lines):
-            lane = {p: v[j::width] for p, v in values.items()} if width > 1 else values
-            for p in self.fault_free:
-                self.decided[p].append(lane[p])
-            value = lane[self.fault_free[0]].hex()
+            value = first[j].hex()
             outcome = {"g": g + j, "kind": kind, "value": value, "decide_set": [*decide_set]}
             self.outcomes.append(outcome)
             lines.append({"type": "DECIDED", **outcome})
-            if len({lane[p] for p in self.fault_free}) > 1:
-                lines[-1]["values"] = {str(p): lane[p].hex() for p in self.fault_free}
+            if len(lanes) > 1 and len({cut[j] for cut in lanes.values()}) > 1:
+                lines[-1]["values"] = {str(p): lanes[v][j].hex() for p, v in values.items()}
             self.transcript.events += lines
         return width, 0
 

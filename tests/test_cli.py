@@ -100,6 +100,14 @@ def test_build_config_refuses_q_for_the_base_protocol():
         build_config({"q": 3})
 
 
+@pytest.mark.parametrize("q", [0, -1])
+def test_run_refuses_a_q_below_1_for_the_base_protocol(q, tmp_path, capsys):
+    # refused as a q alg1 does not take, not as a code dimension it does not have
+    args = ["run", "--alg", "alg1", "--q", str(q), "--out-dir", str(tmp_path)]
+    assert main(args) == 2
+    assert f"alg1 takes no q, got q={q}" in capsys.readouterr().err
+
+
 def test_build_script_resolves_crafted_names():
     config = build_config({"n": 4, "t": 1, "l_bits": 72, "d_bits": 24})
     script = build_script({"crafted": "corrupt-single-symbol"}, config)

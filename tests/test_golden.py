@@ -30,7 +30,9 @@ from codedbft.consensus import (
     OUTCOME_TERMINATED,
     RULE_SILENT_MATCH_VECTOR,
 )
-from codedbft.sim import CostLedger, Execution, ExecutionConfig, run_execution
+from codedbft.sim import (
+    CostLedger, Execution, ExecutionConfig, Transcript, run_execution,
+)
 from golden_corpus import (
     POINTS,
     SCENARIOS,
@@ -125,6 +127,21 @@ def test_exit_transcript_hashes():
         for key, (config, script) in exit_cases().items()
     }
     assert got == GOLDEN["exits"]
+
+
+def test_lines_write_each_event_as_json_dumps_does():
+    """The prebuilt line encoder against `json.dumps`, on every event of the
+    corpus and one event of the values it never writes."""
+    transcript = Transcript()
+    for config, script in all_cases().values():
+        transcript.events += run_execution(config, script).transcript.events
+    transcript.events.append({
+        "type": "NOTE", "text": "généré ✓", "none": None, "flag": True,
+        "map": {"10": [False, None], "2": {"b": "x", "a": 3}},
+    })
+    want = [json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+            for e in transcript.events]
+    assert list(transcript.lines()) == want
 
 
 def test_corpus_reaches_every_generation_exit():

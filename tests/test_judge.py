@@ -80,6 +80,26 @@ def test_judge_carries_the_alg1_match_set_forward():
     ]
 
 
+def test_a_conviction_leaves_the_carried_alg1_match_set_without_a_decide_set():
+    # convicting 4, the one fault-free holder of b, takes b out of the
+    # members' inputs from the next generation, though no decide set follows
+    a, b = b"\x01" * 3, b"\x02" * 3
+    config = one_block_config(ALG1, (a, a, a, b), generations=2)
+    events = [
+        {"type": "CONVICTED", "g": 1, "processor": 4, "rule": "flag"},
+        {"type": "DECIDED", "g": 1, "kind": "DECIDED", "value": b.hex(), "decide_set": []},
+        {"type": "DECIDED", "g": 2, "kind": "DECIDED", "value": b.hex(), "decide_set": []},
+    ]
+    outputs = dict.fromkeys((2, 3, 4), b + b)
+    assert judge(config, {1}, events, outputs) == [
+        "g1: fault-free processor 4 convicted",
+        "g1: edge (2,4) between fault-free processors removed",
+        "g1: edge (3,4) between fault-free processors removed",
+        "g2: decided block is no fault-free member's input",
+        "fault-free processor 4 ended convicted",
+    ]
+
+
 def test_judge_reads_each_block_from_a_values_map():
     # processor 1 could not decode its word, so the blocks differ
     a = b"\x01" * 3

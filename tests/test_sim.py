@@ -799,13 +799,16 @@ def test_generation_words_slice_to_each_generations_codeword(data):
     k = data.draw(st.integers(1, n), label="k")
     s = data.draw(st.integers(1, 4), label="s")
     gens = data.draw(st.integers(1, 6), label="G")
-    padded = data.draw(st.binary(min_size=gens * k * s, max_size=gens * k * s))
-    words = sim._generation_words(CodeParams(n, k, s), padded, gens)
-    assert [len(w) for w in words] == [s * gens] * n
-    for g in range(1, gens + 1):
-        block = padded[(g - 1) * k * s : g * k * s]
-        want = encode(CodeParams(n, k, s), block)
-        assert [w[g - 1 :: gens] for w in words] == want
+    size = gens * k * s
+    inputs = data.draw(st.lists(st.binary(min_size=size, max_size=size), min_size=1, max_size=4))
+    words = sim._generation_words(CodeParams(n, k, s), inputs, gens)
+    assert len(words) == len(inputs)
+    for padded, wide in zip(inputs, words):
+        assert [len(w) for w in wide] == [s * gens] * n
+        for g in range(1, gens + 1):
+            block = padded[(g - 1) * k * s : g * k * s]
+            want = encode(CodeParams(n, k, s), block)
+            assert [w[g - 1 :: gens] for w in wide] == want
 
 
 def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
@@ -815,7 +818,8 @@ def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
     assert (config.generations, config.sym_bytes) == (3, 2)
     encoded = counting_encode(monkeypatch)
     execution = Execution(config, AdversaryScript())
-    assert len(encoded) == len(set(config.inputs)) == 3
+    assert len(set(config.inputs)) == 3
+    assert_one_encode_of_every_distinct_input(encoded, config)
     for g in range(1, 4):
         coded, received = execution._fresh_state(g)
         assert len({id(word) for word in coded.values()}) == 7
@@ -823,16 +827,23 @@ def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
             assert coded[i] == encode(config.code_params(), config.input_block(i, g))
             own = coded[i][i - 1]
             assert received[i] == [own if p == i else None for p in range(1, 8)]
-    assert len(encoded) == 3
+    assert len(encoded) == 1
+
+
+def assert_one_encode_of_every_distinct_input(encoded: list, config) -> None:
+    """One `encode` call whose data holds each distinct padded input's bytes once."""
+    distinct = dict.fromkeys(config.padded_input(i) for i in range(1, config.n + 1))
+    assert len(encoded) == 1
+    assert sorted(encoded[0]) == sorted(b"".join(distinct))
 
 
 @pytest.mark.parametrize("algorithm, q", [(ALG1, None), (ALG2, 3)])
-def test_run_encodes_once_per_distinct_input(algorithm, q, monkeypatch):
+def test_run_encodes_once_for_every_distinct_input(algorithm, q, monkeypatch):
     config = fault_free_config(algorithm, 7, 2, q, 360, 120, sharers=range(1, 6))
     assert config.generations >= 3 and len(set(config.inputs)) == 3
     encoded = counting_encode(monkeypatch)
     assert run_execution(config, AdversaryScript()).passed
-    assert [len(block) for block in encoded] == [config.padded_bytes] * 3
+    assert_one_encode_of_every_distinct_input(encoded, config)
 
 
 def test_reconstruction_writes_leave_other_words_and_generations_alone():

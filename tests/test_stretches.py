@@ -153,3 +153,30 @@ def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):
                         for i, width, done, cut in wide),
     }
     assert sum(kinds.values()) == len(wide) and min(kinds.values()) > 0, kinds
+
+
+def test_a_wide_settle_maps_only_the_lane_whose_blocks_differ():
+    """Two wide values three lanes wide that differ in lane 1 alone: only
+    generation g+1's `DECIDED` line maps the blocks, and every processor
+    decides what three one-lane settles decide."""
+    config = coinciding_config(g_cut=0, generations=3)
+    blocks = [bytes([16 * j + b for b in range(3)]) for j in range(3)]
+    other = bytes(b ^ 0xFF for b in blocks[1])
+    holders = {p: blocks if p <= 4 else [blocks[0], other, blocks[2]] for p in range(1, 8)}
+    settled = []
+    for width in (3, 1):
+        execution = sim.Execution(config, AdversaryScript())
+        for j in range(0, 3, width):
+            execution._lines = [[] for _ in range(width)]
+            execution._settle(1 + j, OUTCOME_DECIDED, {
+                p: b"".join(bytes(lanes) for lanes in zip(*lane[j : j + width]))
+                for p, lane in holders.items()
+            })
+        settled.append(execution)
+    wide, narrow = settled
+    assert wide.transcript.events == narrow.transcript.events
+    assert [("values" in e) for e in wide.transcript.events] == [False, True, False]
+    assert wide.transcript.events[1]["values"] == {
+        str(p): lane[1].hex() for p, lane in holders.items()
+    }
+    assert wide.decided == narrow.decided == holders

@@ -488,13 +488,14 @@ class CostLedger:
         for key in symbols.keys() | payload_bits.keys():
             sent, bits = symbols.get(key, 0), payload_bits.get(key, 0)
             self._cells[key] = (sent, sent * symbol_bits, bits, bits * scale)
+        # each field summed once, column by column, from a row of zeros on
+        self._totals = dict(zip(self.FIELDS, map(sum, zip((0,) * 4, *self._cells.values()))))
 
     def total(self, fieldname: str) -> int:
-        i = self.FIELDS.index(fieldname)
-        return sum(cell[i] for cell in self._cells.values())
+        return self._totals[fieldname]
 
     def totals(self) -> dict[str, int]:
-        return {name: self.total(name) for name in self.FIELDS}
+        return dict(self._totals)
 
     def per_generation(self, fieldname: str) -> dict[int, int]:
         i = self.FIELDS.index(fieldname)
@@ -734,13 +735,14 @@ class Execution:
         self, g: int, width: int = 1
     ) -> tuple[dict[int, list], dict[int, list]]:
         """Coded words of generations g..g+width-1, byte b of g+j at lane
-        b*width + j, a copy for each further holder of an input, and
-        received words holding each own slot."""
+        b*width + j (the run's own symbols at full width), a copy for each
+        further holder of an input, and received words holding each own slot."""
         n, gens = self.config.n, self.config.generations
         coded, received = {}, {}
         for i, first in enumerate(self.config.holders, start=1):
-            coded[i] = list(coded[first]) if first != i else [
-                _lanes(w, g - 1, g - 1 + width, gens) for w in self._wide[i]
+            words = coded[first] if first != i else self._wide[i]
+            coded[i] = list(words) if first != i or width == gens else [
+                _lanes(w, g - 1, g - 1 + width, gens) for w in words
             ]
             received[i] = [None] * n
             received[i][i - 1] = coded[i][i - 1]
@@ -813,20 +815,7 @@ class Execution:
         self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
         candidates = self.graph.unconvicted()
         vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
-        # each lane's match vectors, the wide ones but where an unset bit of
-        # two present slots is set in lane j: their XOR's rows OR to 0 at j
-        lanes, mask = [vectors] * width, (1 << 8 * width) - 1
-        for p, bits in vectors.items() if width > 1 else ():
-            for slot, (r, c) in enumerate(zip(received[p], coded[p])):
-                if bits >> slot & 1 or r is None or c is None:
-                    continue
-                x, fold = int.from_bytes(r, "big") ^ int.from_bytes(c, "big"), 0
-                while x:
-                    fold, x = fold | x & mask, x >> 8 * width
-                row, j = fold.to_bytes(width, "big"), -1
-                while (j := row.find(0, j + 1)) >= 0:
-                    lanes[j] = dict(vectors) if lanes[j] is vectors else lanes[j]
-                    lanes[j][p] |= 1 << slot
+        lanes = _lane_vectors(vectors, received, coded, cfg.sym_bytes, width)
         # lanes a..b-1 of the same vectors go on together, and only a match
         # set needs their own words, cut out of the step's
         a, lines, episodes = 0, self._lines, self.diagnosis_count
@@ -1016,6 +1005,39 @@ def _spread(runs: tuple[Run, ...], width: int) -> tuple[Run, ...]:
     lane = [bytes((v,)) * width for v in range(top + 1)]
     return tuple((s, k, rs, tuple(lane[s] + lane[r] + lane[k] for r in rs))
                  for s, k, rs, _ in runs)
+
+
+def _lane_vectors(
+    vectors: dict[int, int], received: dict, coded: dict, rows: int, width: int
+) -> list[dict[int, int]]:
+    """Each lane's match vectors on words of `rows` rows of `width` lanes: the
+    wide `vectors`, or a copy where an unset bit of two present slots has byte
+    j of its XOR zero in every row. Per processor, those slots join into one
+    XOR; with each slot's rows OR-folded into its last and the other rows
+    masked, each zero byte names a (slot, lane) by its position."""
+    lanes, size = [vectors] * width, rows * width
+    for p, bits in vectors.items() if width > 1 else ():
+        got, own = received[p], coded[p]
+        if bits.bit_count() == len(own):  # every slot matched: nothing to name
+            continue
+        slots = [i for i, (r, c) in enumerate(zip(got, own))
+                 if not bits >> i & 1 and r is not None and c is not None]
+        x = int.from_bytes(b"".join(map(got.__getitem__, slots)), "big")
+        x ^= int.from_bytes(b"".join(map(own.__getitem__, slots)), "big")
+        for _ in range(rows - 1):
+            x |= x >> 8 * width
+        row, j = (x | _row_mask(len(slots), rows, width)).to_bytes(len(slots) * size, "big"), -1
+        while (j := row.find(0, j + 1)) >= 0:
+            lane = j % width
+            lanes[lane] = dict(vectors) if lanes[lane] is vectors else lanes[lane]
+            lanes[lane][p] |= 1 << slots[j // size]
+    return lanes
+
+
+@lru_cache(maxsize=64)
+def _row_mask(n: int, rows: int, width: int) -> int:
+    """0xff over n slots of `rows` rows of `width` lanes, but each slot's last row."""
+    return int.from_bytes((b"\xff" * (rows - 1) * width + bytes(width)) * n, "big")
 
 
 def _lanes(symbol: bytes, a: int, b: int, width: int) -> bytes:

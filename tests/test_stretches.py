@@ -4,7 +4,8 @@ A stretch runs its generations as the byte lanes of one wide step, and
 must write the transcript that running them one at a time writes. The
 corpus: every golden case, one seed of the benchmark's random-adversary
 sweep, and alg2 runs whose match vectors coincide in one lane, which
-the wide step takes on alone after its match vectors.
+the wide step takes on alone after its match vectors, with symbols of
+one row and of two.
 """
 
 import importlib.util
@@ -13,8 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codedbft import sim
+from codedbft import cli, sim
 from codedbft.sim import (
     ALG2,
     OUTCOME_DECIDED,
@@ -27,6 +30,7 @@ from codedbft.sim import (
 )
 from engine_steps import recorded_ranges, recorded_steps, width_one
 from golden_corpus import all_cases
+from lane_oracle import lane_vectors
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -61,6 +65,28 @@ def coinciding_config(
     )
 
 
+def two_row_config(
+    g_both: int, g_one: int, row: int, generations: int = 6
+) -> ExecutionConfig:
+    """alg2 n=7 q=3 with 2-byte symbols: each row of processor p's three
+    symbols in generation g is 16g + p, but processor 2 holds processor
+    1's rows in generation `g_both` and processor 1's `row` alone in
+    `g_one`. The rows are coded apart, so 2's match vector and 1's
+    coincide in lane `g_both` only."""
+    def block(p, g):
+        holders = [1 if p == 2 and (g == g_both or (g, r) == (g_one, row)) else p
+                   for r in range(2)]
+        return bytes(16 * g + h for h in holders) * 3
+    inputs = tuple(
+        b"".join(block(p, g) for g in range(1, generations + 1)).hex()
+        for p in range(1, 8)
+    )
+    return ExecutionConfig(
+        algorithm=ALG2, n=7, t=2, q=3, l_bits=48 * generations, d_bits=48,
+        inputs=inputs,
+    )
+
+
 def transcripts(monkeypatch, cases, pinned):
     with monkeypatch.context() as m:
         if pinned:
@@ -68,12 +94,9 @@ def transcripts(monkeypatch, cases, pinned):
         return [run_execution(*case).transcript.to_jsonl() for case in cases]
 
 
-@pytest.mark.parametrize("clique", [(), (5, 6, 7)])
-@pytest.mark.parametrize("g_cut", [1, 2, 4, 6])
-def test_a_lane_whose_match_vectors_coincide_cuts_the_stretch_there(
-    g_cut, clique, monkeypatch
-):
-    config = coinciding_config(g_cut, clique=clique)
+def cut_at(config: ExecutionConfig, g_cut: int, monkeypatch):
+    """The run of a six-generation config whose processors 1 and 2 match
+    each other in lane `g_cut` alone, checked against the width-1 run."""
     want = transcripts(monkeypatch, [(config, AdversaryScript())], pinned=True)
     steps = recorded_steps(monkeypatch)
     ranges = recorded_ranges(monkeypatch, steps)
@@ -93,9 +116,28 @@ def test_a_lane_whose_match_vectors_coincide_cuts_the_stretch_there(
     assert masks == [["01", "02"]] * (g_cut - 1) + [["03", "03"]] + [["01", "02"]] * (
         6 - g_cut
     )
+    return result
+
+
+@pytest.mark.parametrize("clique", [(), (5, 6, 7)])
+@pytest.mark.parametrize("g_cut", [1, 2, 4, 6])
+def test_a_lane_whose_match_vectors_coincide_cuts_the_stretch_there(
+    g_cut, clique, monkeypatch
+):
+    result = cut_at(coinciding_config(g_cut, clique=clique), g_cut, monkeypatch)
     assert {o["kind"] for o in result.outcomes} == {
         OUTCOME_DECIDED if clique else OUTCOME_DEFAULT
     }
+
+
+@pytest.mark.parametrize("g_both, g_one, row", [(2, 4, 1), (5, 1, 0)])
+def test_a_lane_check_folds_both_rows_of_a_symbol(g_both, g_one, row, monkeypatch):
+    # the lane whose rows all coincide is cut out; the one that coincides
+    # in one row alone, the last or the first, stays among the wide
+    # vectors' lanes
+    config = two_row_config(g_both, g_one, row)
+    assert config.sym_bytes == 2
+    cut_at(config, g_both, monkeypatch)
 
 
 def test_a_one_lane_range_diagnoses_where_it_stands(monkeypatch):
@@ -180,3 +222,74 @@ def test_a_wide_settle_maps_only_the_lane_whose_blocks_differ():
         str(p): lane[1].hex() for p, lane in holders.items()
     }
     assert wide.decided == narrow.decided == holders
+
+
+@st.composite
+def lane_checks(draw):
+    """Arguments of a lane check on words of up to 6 slots whose symbols
+    are `rows` rows of `width` lanes, with erasures in both words, set and
+    unset wide bits, and planted matches: a (p, slot, lane) equal in every
+    row (`full`) and one equal in one row only (`partial`)."""
+    width, rows, n = draw(st.integers(2, 64)), draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    size = rows * width
+    slot = st.one_of(st.none(), *[st.binary(min_size=size, max_size=size)] * 3)
+    vectors, received, coded, full, partial = {}, {}, {}, set(), set()
+    for p in draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True)):
+        vectors[p] = draw(st.integers(0, (1 << n) - 1))
+        received[p] = draw(st.lists(slot, min_size=n, max_size=n))
+        coded[p] = draw(st.lists(slot, min_size=n, max_size=n))
+        for i, (r, c) in enumerate(zip(received[p], coded[p])):
+            if r is None or c is None:
+                continue
+            r = bytearray(r)
+            for lane in draw(st.sets(st.integers(0, width - 1), max_size=3)):
+                r[lane::width] = c[lane::width]
+                full.add((p, i, lane))
+            if rows > 1 and draw(st.booleans()):
+                lane, row = draw(st.integers(0, width - 1)), draw(st.integers(0, rows - 1))
+                r[lane::width] = bytes(b ^ 0xFF for b in c[lane::width])
+                r[row * width + lane] = c[row * width + lane]
+                full.discard((p, i, lane))
+                partial.add((p, i, lane))
+            received[p][i] = bytes(r)
+    return (vectors, received, coded, rows, width), full, partial
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_checks())
+def test_the_lane_check_names_what_the_per_slot_fold_names(check):
+    (vectors, received, coded, rows, width), full, partial = check
+    lanes = sim._lane_vectors(vectors, received, coded, rows, width)
+    want = lane_vectors(vectors, received, coded, width)
+    assert lanes == want
+    # a lane without a bit of its own shares the wide vectors, which the
+    # step groups its ranges of lanes by
+    assert [v is vectors for v in lanes] == [v is vectors for v in want]
+    for p, i, lane in full:
+        assert lanes[lane][p] >> i & 1
+    for p, i, lane in partial:
+        assert lanes[lane][p] >> i & 1 == vectors[p] >> i & 1
+
+
+def test_a_run_without_a_match_set_is_one_step_over_the_runs_own_symbols(monkeypatch):
+    """alg2 n=19 q=7 with distinct inputs, the benchmark's no-quorum shape:
+    one step covers every generation, and its coded words hold the very
+    symbols of the run's one encode, uncut and uncopied."""
+    data = {
+        "algorithm": ALG2, "n": 19, "t": 6, "q": 7, "l_bits": 4800, "seed": 3001,
+        "inputs": {"generator": "random"},
+    }
+    config = cli.build_config(data)
+    script = cli.build_script(data, config)
+    gens = config.generations
+    assert gens > 1 and len(set(config.holders)) == 19
+    steps = recorded_steps(monkeypatch)
+    result = run_execution(config, script)
+    assert steps == [(1, gens, gens, 0)]
+    assert {o["kind"] for o in result.outcomes} == {OUTCOME_DEFAULT}
+    execution = sim.Execution(config, script)
+    coded, received = execution._fresh_state(1, gens)
+    for i, word in coded.items():
+        assert len(word) == 19
+        assert all(v is w for v, w in zip(word, execution._wide[i]))
+        assert word is not execution._wide[i] and received[i][i - 1] is word[i - 1]

@@ -21,6 +21,7 @@ so the first clique found is the lexicographically smallest one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from operator import eq
 from typing import Iterable, Mapping, Sequence
@@ -89,14 +90,21 @@ def find_match_set(
     withheld its vector (None) matches nobody. Each row keeps only mutual
     bits, and a non-candidate's row is empty, so the set `first_clique`
     finds is the one an exhaustive search in `itertools.combinations`
-    order would return.
+    order would return. The search runs once per distinct candidate set,
+    their vectors and q; each call returns a list of its own.
     """
-    pool = set(candidates)
+    pool = tuple(sorted(set(candidates)))
+    found = _match_set(pool, tuple(vectors.get(i) or 0 for i in pool), q)
+    return None if found is None else list(found)
+
+
+@lru_cache(maxsize=2048)  # a pass of 600 random-adversary sweep runs asks ~950
+def _match_set(pool: tuple[int, ...], masks: tuple[int, ...], q: int) -> tuple | None:
+    """`find_match_set` for ascending candidates `pool` and their vectors."""
     width = max(pool, default=0)
-    rows = [
-        (vectors.get(i) or 0) & ~_POW2[i - 1] if i in pool else 0
-        for i in range(1, width + 1)
-    ]
+    rows = [0] * width
+    for i, mask in zip(pool, masks):
+        rows[i - 1] = mask & ~_POW2[i - 1]
     # a vertex of a q-clique matches q-1 others, one way at least
     if sum(row.bit_count() >= q - 1 for row in rows) < q:
         return None
@@ -104,4 +112,4 @@ def find_match_set(
     text = [format(row, f"0{width}b")[::-1] for row in rows]
     rows = [row & int("".join(col)[::-1], 2) for row, col in zip(rows, zip(*text))]
     found = first_clique(rows, sum(_POW2[c - 1] for c in pool), q)
-    return None if found is None else [i + 1 for i in found]
+    return None if found is None else tuple(i + 1 for i in found)

@@ -260,7 +260,7 @@ class AdversaryScript:
         self.faulty = frozenset(faulty)
         self._sends: dict[tuple[int, str, int, int], tuple[str, bytes | None]] = {}
         self._bcasts: dict[tuple[int, str, int], tuple[str, Any]] = {}
-        self._named: set[int] = set()  # the generations some rule names
+        self._named: set[int] = set()  # the generations a rule but a claim names
 
     def _require_faulty(self, sender: int) -> None:
         if sender not in self.faulty:
@@ -310,7 +310,8 @@ class AdversaryScript:
                     raise ValueError("vector override must be a list of hex or None")
                 payload = list(payload)
         self._bcasts[(generation, tag, sender)] = (kind, payload)
-        self._named.add(generation)
+        if tag in (TAG_DETECTED, TAG_MATCH_BITS):  # claims are asked only in a diagnosis
+            self._named.add(generation)
         return self
 
     def send(
@@ -349,8 +350,9 @@ class AdversaryScript:
 
     def quiet_until(self, g: int, last: int) -> int:
         """The end of the quiet generations g..h, h <= last, that no rule
-        names: g - 1 if a rule names g. A subclass that answers `send` or
-        `broadcast` itself is asked about every generation: none is quiet."""
+        names but a claim rule, which only a diagnosis asks: g - 1 if one
+        names g. A subclass that answers `send` or `broadcast` itself is
+        asked about every generation: none is quiet."""
         if g in self._named or (type(self).send, type(self).broadcast) != self._ANSWERS:
             return g - 1
         return min((h for h in self._named if h > g), default=last + 1) - 1
@@ -742,7 +744,8 @@ class Execution:
         for i, first in enumerate(self.config.holders, start=1):
             words = coded[first] if first != i else self._wide[i]
             coded[i] = list(words) if first != i or width == gens else [
-                _lanes(w, g - 1, g - 1 + width, gens) for w in words
+                w[g - 1::gens] if width == 1 else _lanes(w, g - 1, g - 1 + width, gens)
+                for w in words
             ]
             received[i] = [None] * n
             received[i][i - 1] = coded[i][i - 1]
@@ -797,7 +800,8 @@ class Execution:
         An empty decide set terminates alg1 and defaults alg2.
         """
         cfg = self.config
-        # a quiet generation's script answers every question honestly
+        # a quiet generation's script answers every question honestly, but
+        # for the claims of a diagnosis (`_check`)
         self._asked = frozenset() if quiet else self.script.faulty
         self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * width)
         self._lines = [[] for _ in range(width)]
@@ -815,12 +819,13 @@ class Execution:
         self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
         candidates = self.graph.unconvicted()
         vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
-        lanes = _lane_vectors(vectors, received, coded, cfg.sym_bytes, width)
         # lanes a..b-1 of the same vectors go on together, and only a match
         # set needs their own words, cut out of the step's
+        runs = [[vectors]] if width == 1 else [list(run) for _, run in groupby(
+            _lane_vectors(vectors, received, coded, cfg.sym_bytes, width), id)]
         a, lines, episodes = 0, self._lines, self.diagnosis_count
-        for _, run in groupby(lanes, id):
-            b = a + len(run := list(run))
+        for run in runs:
+            b = a + len(run)
             if b - a < width:
                 self._lines = lines[a:b]
                 self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * (b - a))
@@ -830,9 +835,9 @@ class Execution:
             if p_match is None:
                 self._settle(g + a, OUTCOME_DEFAULT)
             elif cut := self._check(g + a, p_match, _matching_plan(self.graph, p_match), *(
-                words if b - a == width else
-                {p: [v and _lanes(v, a, b, width) for v in word] for p, word in words.items()}
-                for words in (coded, received)
+                (coded, received) if b - a == width else (
+                    {p: [v and _lanes(v, a, b, width) for v in word] for p, word in words.items()}
+                    for words in (coded, received))
             ), vectors)[1]:
                 return a, cut
             a = b
@@ -880,7 +885,7 @@ class Execution:
                 if vectors.get(p) is None:
                     events = self.graph.convict(p)
                     self._graph_events(g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in events])
-        live = self.graph.unconvicted()
+        live, self._asked = self.graph.unconvicted(), self.script.faulty
         coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
         received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
         claims = {p: Claims(flags.get(p), coded_obs[p], received_obs[p]) for p in live}
@@ -1010,13 +1015,13 @@ def _spread(runs: tuple[Run, ...], width: int) -> tuple[Run, ...]:
 def _lane_vectors(
     vectors: dict[int, int], received: dict, coded: dict, rows: int, width: int
 ) -> list[dict[int, int]]:
-    """Each lane's match vectors on words of `rows` rows of `width` lanes: the
-    wide `vectors`, or a copy where an unset bit of two present slots has byte
+    """Each lane's match vectors on words of `rows` rows of `width` >= 2 lanes:
+    the wide `vectors`, or a copy where an unset bit of two present slots has byte
     j of its XOR zero in every row. Per processor, those slots join into one
     XOR; with each slot's rows OR-folded into its last and the other rows
     masked, each zero byte names a (slot, lane) by its position."""
     lanes, size = [vectors] * width, rows * width
-    for p, bits in vectors.items() if width > 1 else ():
+    for p, bits in vectors.items():
         got, own = received[p], coded[p]
         if bits.bit_count() == len(own):  # every slot matched: nothing to name
             continue

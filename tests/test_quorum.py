@@ -113,6 +113,53 @@ def test_find_match_set_matches_oracle(case):
         ), f"q={q}"
 
 
+def uncached_match_set(vectors, candidates, q):
+    """`first_clique` on the candidates' mutual rows, built bit by bit."""
+    pool = set(candidates)
+    vector = {i: vectors.get(i) or 0 for i in pool}
+    rows = [
+        sum(1 << j - 1 for j in pool if j != i and vector[i] >> j - 1 & vector[j] >> i - 1 & 1)
+        if i in pool else 0
+        for i in range(1, max(pool, default=0) + 1)
+    ]
+    found = first_clique(rows, sum(1 << i - 1 for i in pool), q)
+    return None if found is None else [i + 1 for i in found]
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_vectors(), st.data())
+def test_each_match_set_key_answers_as_the_uncached_search(case, data):
+    """The search is cached by candidates, their vectors and q: the same
+    candidates in another order or form, and vectors that differ only
+    off the candidates, ask the same key, and every answer is the one
+    the uncached search gives."""
+    n, vectors, candidates = case
+    pool = sorted(set(candidates))
+    others = {
+        **vectors,
+        **{i: data.draw(st.none() | st.integers(0, (1 << n) - 1))
+           for i in range(1, n + 1) if i not in pool},
+    }
+    for q in range(1, n + 1):
+        want = uncached_match_set(vectors, candidates, q)
+        for form in (candidates, pool[::-1], pool + pool, candidates):  # the last asks again
+            assert find_match_set(vectors, form, q) == want, f"q={q}"
+        assert find_match_set(others, iter(pool), q) == want, f"q={q}"
+        assert find_match_set(vectors, range(1, n + 1), q) == (
+            uncached_match_set(vectors, range(1, n + 1), q)
+        ), f"q={q}"
+
+
+def test_a_returned_match_set_is_the_callers_own():
+    vectors = complete_vectors(7)
+    first = find_match_set(vectors, range(1, 8), 5)
+    first[0] = 7
+    first.append(6)
+    again = find_match_set(dict(vectors), [7, 6, 5, 4, 3, 2, 1], 5)
+    assert again == [1, 2, 3, 4, 5] and again is not first
+    assert find_match_set(vectors, range(1, 8), 5) == [1, 2, 3, 4, 5]
+
+
 @st.composite
 def adjacency_maps(draw):
     """Adjacency maps with a planted core, one-sided entries, self-loops

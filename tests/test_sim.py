@@ -167,6 +167,9 @@ def test_quiet_generations_end_before_the_next_rule():
     script = AdversaryScript([7])
     script.add_send(3, STEP_OWN, 7, 1, "honest")
     script.add_broadcast(5, TAG_DETECTED, 7, "silent")
+    # a diagnosis asks for claims whatever the step: claim rules name no generation
+    script.add_broadcast(1, TAG_CODED, 7, "silent")
+    script.add_broadcast(6, TAG_RECEIVED, 7, "replace", [None] * 7)
     assert [script.quiet_until(g, 6) for g in range(1, 7)] == [2, 2, 2, 4, 4, 6]
     assert AdversaryScript().quiet_until(2, 9) == 9
 

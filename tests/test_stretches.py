@@ -23,12 +23,14 @@ from codedbft.sim import (
     OUTCOME_DECIDED,
     OUTCOME_DEFAULT,
     OUTCOME_TERMINATED,
+    TAG_CODED,
     TAG_MATCH_BITS,
+    TAG_RECEIVED,
     AdversaryScript,
     ExecutionConfig,
     run_execution,
 )
-from engine_steps import recorded_ranges, recorded_steps, width_one
+from engine_steps import counted, recorded_ranges, recorded_steps, width_one
 from golden_corpus import all_cases
 from lane_oracle import lane_vectors
 
@@ -140,15 +142,20 @@ def test_a_lane_check_folds_both_rows_of_a_symbol(g_both, g_one, row, monkeypatc
     cut_at(config, g_both, monkeypatch)
 
 
-def test_a_one_lane_range_diagnoses_where_it_stands(monkeypatch):
+def flag_generation_3(monkeypatch) -> None:
+    """Make every detection flag TRUE on a word of generation 3 of a
+    `coinciding_config` that is one lane wide."""
     real = sim.detection_flag
 
     def flag(params, received, *rest):
-        # TRUE on every word of generation 3 that is one lane wide
         if params.sym_bytes == 1 and any(v and v[0] >> 4 == 3 for v in received):
             return True
         return real(params, received, *rest)
     monkeypatch.setattr(sim, "detection_flag", flag)
+
+
+def test_a_one_lane_range_diagnoses_where_it_stands(monkeypatch):
+    flag_generation_3(monkeypatch)
     case = (coinciding_config(3, clique=(5, 6, 7)), AdversaryScript())
     want = transcripts(monkeypatch, [case], pinned=True)
     assert '"tag":"coded"' in want[0]
@@ -157,6 +164,50 @@ def test_a_one_lane_range_diagnoses_where_it_stands(monkeypatch):
     # generation 3's lane goes on alone and diagnoses in place, which ends
     # the step after it: the lanes after it ran at the graph state before
     assert steps == [(1, 6, 3, 0), (4, 3, 3, 0)]
+
+
+def test_a_claim_rule_answers_in_a_one_lane_range_that_diagnoses(monkeypatch):
+    """A claim rule on generation 3 leaves the stretch whole, and the
+    diagnosis that generation 3's lane holds alone asks the script for
+    the claims all the same."""
+    flag_generation_3(monkeypatch)
+    script = AdversaryScript([7]).add_broadcast(3, TAG_CODED, 7, "replace", ["00"] * 7)
+    case = (coinciding_config(3, clique=(5, 6, 7)), script)
+    want = transcripts(monkeypatch, [case], pinned=True)
+    assert '"sender":7,"tag":"coded","type":"BROADCAST"}' in want[0]
+    steps = recorded_steps(monkeypatch)
+    assert transcripts(monkeypatch, [case], pinned=False) == want
+    assert steps == [(1, 6, 3, 0), (4, 3, 3, 0)]
+
+
+def test_a_script_of_claim_rules_alone_runs_as_one_wide_step(monkeypatch):
+    """Claims are broadcast only in a diagnosis, which a run whose every
+    flag is FALSE never holds: its claim rules leave it one quiet step."""
+    config = coinciding_config(0, clique=tuple(range(1, 8)))
+    script = (
+        AdversaryScript([6, 7])
+        .add_broadcast(2, TAG_CODED, 7, "replace", ["00"] * 7)
+        .add_broadcast(5, TAG_RECEIVED, 6, "silent")
+    )
+    want = transcripts(monkeypatch, [(config, script)], pinned=True)
+    steps = recorded_steps(monkeypatch)
+    assert transcripts(monkeypatch, [(config, script)], pinned=False) == want
+    assert steps == [(1, 6, 6, 0)]
+    assert '"type":"BROADCAST"' not in want[0] and '"DECIDED"' in want[0]
+
+
+def test_a_width_1_run_cuts_no_lanes(monkeypatch):
+    """A run pinned to width 1 takes each generation's symbols straight
+    from the run's wide words and checks its match vectors without the
+    lane check or a lane cut."""
+    config = coinciding_config(3, clique=(5, 6, 7))
+    width_one(monkeypatch)
+    steps = recorded_steps(monkeypatch)
+    checks = counted(monkeypatch, "_lane_vectors")
+    cuts = counted(monkeypatch, "_lanes")
+    run_execution(config, AdversaryScript())
+    assert [width for _, width, _, _ in steps] == [1] * 6
+    assert checks == cuts == []
 
 
 def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):

@@ -59,33 +59,28 @@ from .rs import (
     word_hex,
 )
 
-# plans, least recently used first, and the sends they hold; a budget in
-# sends keeps every state of a small-n sweep yet caps n=255 (up to about
-# 86k sends a plan) at three plans
+# plans, least recently used first: a budget on their sends keeps every state of a
+# small-n sweep yet caps n=255 (up to about 86k sends a plan) at three plans
 _PLANS: OrderedDict[tuple, MatchingPlan] = OrderedDict()
 _PLAN_BUDGET = 1 << 18
-_plans_held = 0
-# own waves by (n, removed edges), which alone fix them, shared by the plans
-# of a state; an entry leaves with any plan of its state
-_OWN_WAVES: dict[tuple, tuple[Run, ...]] = {}
 
 
 def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> MatchingPlan:
-    """The plan of `p_match` on `graph`, derived on the first request."""
-    global _plans_held
-    key = (graph.n, graph.removed, tuple(p_match))
+    """The plan of `p_match` on `graph`, derived on the first request with the
+    own wave of the newest plan held of its state (n, removed edges), which alone
+    fixes that wave: a step's second plan finds its first at the end."""
+    state = (graph.n, graph.removed)
+    key = (*state, tuple(p_match))
     plan = _PLANS.get(key)
     if plan is not None:
         _PLANS.move_to_end(key)
         return plan
-    plan = _PLANS[key] = matching_obligations(graph, p_match, _OWN_WAVES.get(key[:2]))
-    _OWN_WAVES[key[:2]] = plan.own
-    _plans_held += plan.size
+    own = next((p.own for k, p in reversed(_PLANS.items()) if k[:2] == state), None)
+    plan = _PLANS[key] = matching_obligations(graph, p_match, own)
     # the plan just derived stays even when it alone exceeds the budget
-    while _plans_held > _PLAN_BUDGET and len(_PLANS) > 1:
-        old_key, old = _PLANS.popitem(last=False)
-        _OWN_WAVES.pop(old_key[:2], None)
-        _plans_held -= old.size
+    held = sum(p.size for p in _PLANS.values())
+    while held > _PLAN_BUDGET and len(_PLANS) > 1:
+        held -= _PLANS.popitem(last=False)[1].size
     return plan
 
 
@@ -349,10 +344,10 @@ class AdversaryScript:
         return payload
 
     def quiet_until(self, g: int, last: int) -> int:
-        """The end of the quiet generations g..h, h <= last, that no rule
-        names but a claim rule, which only a diagnosis asks: g - 1 if one
-        names g. A subclass that answers `send` or `broadcast` itself is
-        asked about every generation: none is quiet."""
+        """The end of the quiet generations g..h, h <= last, that no rule names
+        but a claim rule, which only a diagnosis asks: g - 1 if one names g. A
+        step over them asks once, keyed by g, and hears honest answers; none is
+        quiet to a subclass that answers `send` or `broadcast` itself."""
         if g in self._named or (type(self).send, type(self).broadcast) != self._ANSWERS:
             return g - 1
         return min((h for h in self._named if h > g), default=last + 1) - 1
@@ -567,10 +562,9 @@ class Execution:
         ]
         # per fault-free processor, the blocks decided so far
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
-        # alg1's carried match set; the step's lines, a list per generation
-        # until it settles, and the faulty senders it asks about
+        # alg1's carried match set, and the step's lines, one list per unsettled generation
         self.p_match = list(range(1, config.n + 1))
-        self._lines, self._asked = [[]], script.faulty
+        self._lines = [[]]
         # one encode of every distinct input for the whole run, by its lowest holder
         firsts = [i for i, h in enumerate(config.holders, start=1) if h == i]
         self._wide = dict(zip(firsts, _generation_words(
@@ -602,7 +596,7 @@ class Execution:
         j is generation g+j's. Any other faulty symbol is its own
         `SYMBOL_SENT` event.
         """
-        script, faulty = self.script, self._asked
+        script, faulty = self.script, self.script.faulty
         sym, width = self.params.sym_bytes, len(self._lines)
         records: list[bytes] = []
         honest_sent = 0
@@ -667,7 +661,7 @@ class Execution:
         """
         script, n = self.script, self.config.n
         observed = dict(honest)
-        for p in sorted(self._asked.intersection(honest)):
+        for p in sorted(script.faulty.intersection(honest)):
             observed[p] = script.broadcast(g, tag, p, honest[p])
         line = {"type": "ROUND", "g": g, "tag": tag}
         sent = [p for p, v in observed.items() if v is not None]
@@ -781,7 +775,7 @@ class Execution:
 
     # ------------------------------------------------------- generations
 
-    def _stretch(self, g: int, width: int, quiet: bool) -> tuple[int, int]:
+    def _stretch(self, g: int, width: int) -> tuple[int, int]:
         """Generations g..g+width-1 at one graph state, byte b of g+j at lane
         b*width + j of every word, where every codec call and check acts
         lane by lane. Returns the generations settled and how many after
@@ -800,9 +794,6 @@ class Execution:
         An empty decide set terminates alg1 and defaults alg2.
         """
         cfg = self.config
-        # a quiet generation's script answers every question honestly, but
-        # for the claims of a diagnosis (`_check`)
-        self._asked = frozenset() if quiet else self.script.faulty
         self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * width)
         self._lines = [[] for _ in range(width)]
         coded, received = self._fresh_state(g, width)
@@ -885,7 +876,7 @@ class Execution:
                 if vectors.get(p) is None:
                     events = self.graph.convict(p)
                     self._graph_events(g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in events])
-        live, self._asked = self.graph.unconvicted(), self.script.faulty
+        live = self.graph.unconvicted()
         coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
         received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
         claims = {p: Claims(flags.get(p), coded_obs[p], received_obs[p]) for p in live}
@@ -963,7 +954,7 @@ class Execution:
         while g <= cfg.generations:
             quiet = self.script.quiet_until(g, cfg.generations) - g + 1
             width = min(quiet, bad // 2) if bad else quiet
-            done, cut = self._stretch(g, max(width, 1), quiet > 0)
+            done, cut = self._stretch(g, max(width, 1))
             g, bad = g + done, cut or max(bad - done, 0)
         # only alg1 terminates, and then every output is the all-zero default
         terminated = any(o["kind"] == OUTCOME_TERMINATED for o in self.outcomes)
@@ -987,10 +978,6 @@ class Execution:
             "graph": self.graph.to_jsonable(),
         })
         return self
-
-
-# a finished execution is its run's result; callers that annotate one name it so
-ExecutionResult = Execution
 
 
 def _distinct_values(values: Iterable[Any]) -> tuple[list[int], list[Any]]:

@@ -20,10 +20,10 @@ def recorded_steps(monkeypatch) -> list:
     order the steps start."""
     real, steps = sim.Execution._stretch, []
 
-    def stretch(self, g, width, quiet):
+    def stretch(self, g, width):
         at = len(steps)
         steps.append(None)
-        steps[at] = (g, width, *real(self, g, width, quiet))
+        steps[at] = (g, width, *real(self, g, width))
         return steps[at][2:]
     monkeypatch.setattr(sim.Execution, "_stretch", stretch)
     return steps
@@ -42,6 +42,23 @@ def recorded_ranges(monkeypatch, steps: list) -> list:
         return real(self, g, tag, honest)
     monkeypatch.setattr(sim.Execution, "_round", round_)
     return ranges
+
+
+def questions(script) -> list:
+    """(generation, step or tag, sender) of every question the engine asks
+    `script`, kept by instance attributes over its `send` and `broadcast`, so
+    that `quiet_until` still sees the class's own and finds quiet stretches."""
+    send, broadcast, asked = script.send, script.broadcast, []
+
+    def ask_send(generation, step, sender, receiver, honest, skip):
+        asked.append((generation, step, sender))
+        return send(generation, step, sender, receiver, honest, skip)
+
+    def ask_broadcast(generation, tag, sender, honest):
+        asked.append((generation, tag, sender))
+        return broadcast(generation, tag, sender, honest)
+    script.send, script.broadcast = ask_send, ask_broadcast
+    return asked
 
 
 def counted(monkeypatch, name) -> list:

@@ -43,7 +43,7 @@ import obligation_oracle
 import wave_oracle
 from event_state import rebuilt_graph
 from golden_corpus import all_cases
-from engine_steps import counted, recorded_steps
+from engine_steps import counted, questions, recorded_steps, width_one
 
 
 def fault_free_config(algorithm, n, t, q, l_bits, d_bits, seed=1, sharers=None):
@@ -159,6 +159,22 @@ def test_a_script_that_answers_broadcasts_itself_is_asked_every_generation(
     result = run_execution(config, Broadcasts([7]))
     assert [(g, width) for g, width, _, _ in steps] == [(g, 1) for g in range(1, 5)]
     assert asked == [(g, TAG_DETECTED, 7) for g in range(1, 5)]
+    plain = run_execution(config, AdversaryScript([7]))
+    assert result.transcript.to_jsonl() == plain.transcript.to_jsonl()
+
+
+def test_a_quiet_step_asks_the_script_about_its_first_generation(monkeypatch):
+    """A script with no rule leaves all four generations quiet, and their
+    one step still asks it about every faulty send and broadcast, once, keyed
+    by the step's first generation; every answer is honest."""
+    config = fault_free_config(ALG1, 7, 2, None, 480, 120)
+    script = AdversaryScript([7])
+    asked = questions(script)
+    steps = recorded_steps(monkeypatch)
+    result = run_execution(config, script)
+    assert [(g, width) for g, width, _, _ in steps] == [(1, 4)]
+    assert asked == [(1, STEP_OWN, 7)] * 6 + [(1, TAG_DETECTED, 7)]
+    width_one(monkeypatch)
     plain = run_execution(config, AdversaryScript([7]))
     assert result.transcript.to_jsonl() == plain.transcript.to_jsonl()
 
@@ -719,8 +735,6 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     from codedbft.cli import sweep_cases
 
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
-    monkeypatch.setattr(sim, "_plans_held", 0)
-    monkeypatch.setattr(sim, "_OWN_WAVES", {})
     derived = []
     real = sim.matching_obligations
     monkeypatch.setattr(
@@ -737,14 +751,13 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
         run_execution(config, script)
     # every state of the sweep was derived once and is still held
     assert len(derived) == len(sim._PLANS) > 128
-    held = sum(plan.size for plan in sim._PLANS.values())
     for (n, removed, members), plan in sim._PLANS.items():
         graph = TrustGraph(n, 2)
         for i, j in removed:
             graph.remove_edge(i, j)
         assert graph.removed == removed
         obligation_oracle.assert_plan_matches(plan, graph, members)
-    assert sim._plans_held == held <= sim._PLAN_BUDGET
+    assert sum(len(p) for p in sim._PLANS.values()) <= sim._PLAN_BUDGET
     # plans of one graph state share one own wave
     states = {key[:2] for key in sim._PLANS}
     assert len({id(plan.own) for plan in sim._PLANS.values()}) == len(states)
@@ -764,8 +777,6 @@ def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
     from collections import OrderedDict
 
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
-    monkeypatch.setattr(sim, "_plans_held", 0)
-    monkeypatch.setattr(sim, "_OWN_WAVES", {})
     g = TrustGraph(7, 2)
     everyone, six, five = range(1, 8), range(1, 7), range(1, 6)
     size = {
@@ -778,12 +789,30 @@ def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
     sim._matching_plan(g, everyone)  # a hit makes `six` the oldest
     sim._matching_plan(g, five)
     assert [key[2] for key in sim._PLANS] == [tuple(everyone), tuple(five)]
-    assert sim._plans_held == size[everyone] + size[five]
+    assert sum(len(p) for p in sim._PLANS.values()) == size[everyone] + size[five]
     # a plan over the whole budget is still kept, alone
     monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] - 1)
     plan = sim._matching_plan(g, six)
     assert list(sim._PLANS.values()) == [plan]
-    assert sim._plans_held == size[six] == plan.size
+    assert sum(len(p) for p in sim._PLANS.values()) == size[six] == plan.size
+
+
+def test_an_own_wave_outlives_the_eviction_of_a_plan_of_its_state(monkeypatch):
+    """Evicting one plan of a graph state leaves the own wave that the
+    state's other held plans carry: the next plan of the state takes it."""
+    from collections import OrderedDict
+
+    monkeypatch.setattr(sim, "_PLANS", OrderedDict())
+    g = TrustGraph(7, 2)
+    everyone, six, five, four = range(1, 8), range(1, 7), range(1, 6), range(1, 5)
+    size = {m: len(obligation_oracle.matching_obligations(g, m)) for m in (everyone, five)}
+    monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] + size[five])
+    first = sim._matching_plan(g, everyone)
+    sim._matching_plan(g, six)
+    sim._matching_plan(g, everyone)  # a hit makes `six` the oldest
+    sim._matching_plan(g, five)  # evicts `six`
+    assert [key[2] for key in sim._PLANS] == [tuple(everyone), tuple(five)]
+    assert sim._matching_plan(g, four).own is first.own
 
 
 def counting_encode(monkeypatch):

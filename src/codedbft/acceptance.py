@@ -24,6 +24,7 @@ import time
 from typing import NamedTuple
 
 from .cli import build_config, sweep_layout
+from .consensus import code_dimension, episode_bound, generation_symbols
 from .rs import (
     CodeParams,
     decode,
@@ -46,11 +47,6 @@ from .sim import (
     replay_identical,
     run_execution,
 )
-
-
-# per-protocol ceiling on diagnosis episodes in one execution
-def _diagnosis_bound(algorithm: str, t: int) -> int:
-    return t + t * (t + 1) if algorithm == ALG1 else t * (t + 1)
 
 
 # ------------------------------------------------------ correctness suite
@@ -90,10 +86,10 @@ def _suite_config(
     algorithm: str, n: int, t: int, q: int | None, seed: int, style: int
 ) -> ExecutionConfig:
     """Three-generation config with the inputs of sweep style `style`."""
-    k = q if q is not None else n - t
+    k = code_dimension(n, t, q)
     return build_config({
         "algorithm": algorithm, "n": n, "t": t, "q": q, "l_bits": 8 * k * 3,
-        "d_bits": 8 * k, "seed": seed, "inputs": sweep_layout(style, n, t, q),
+        "d_bits": 8 * k, "seed": seed, "inputs": sweep_layout(style, n, t),
     })
 
 
@@ -195,15 +191,14 @@ def criterion_3() -> tuple[bool, str]:
 
 
 def criterion_4() -> tuple[bool, str]:
-    ok = True
-    worst: dict[tuple[str, int], int] = {}
+    worst: dict[tuple[str, int, int], int] = {}
     for r in correctness_suite():
-        key = (r.config.algorithm, r.config.t)
+        key = (r.config.algorithm, r.config.t, episode_bound(r.config.t, r.config.q))
         worst[key] = max(worst.get(key, 0), r.diagnosis_count)
-        ok &= r.diagnosis_count <= _diagnosis_bound(*key)
+    ok = all(count <= bound for (_, _, bound), count in worst.items())
     parts = [
-        f"{alg} t={t}: max {count} of {_diagnosis_bound(alg, t)}"
-        for (alg, t), count in sorted(worst.items())
+        f"{alg} t={t}: max {count} of {bound}"
+        for (alg, t, bound), count in sorted(worst.items())
     ]
     return ok, "; ".join(parts)
 
@@ -285,7 +280,7 @@ def criterion_7() -> tuple[bool, str]:
         })
         result = run_execution(config, AdversaryScript())
         report = check_complexity(result)
-        want = (2 * n - q) * (n - 1)
+        want = generation_symbols(n, q)
         per_gen = report.alg2_symbols_per_generation
         good = (
             result.passed

@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from .consensus import code_dimension
 from .diagnosis import ConfigurationError
 from .scripts import crafted_cases
 from .sim import (
@@ -72,10 +73,10 @@ def choose_d(l_bits: int, n: int, t: int, q: int | None = None) -> int:
     The per-generation broadcast overhead is fixed while the number of
     generations is l_bits/D, so total overhead is minimized near
     D = sqrt(l_bits). Returns the smallest multiple of the 8k-bit block
-    unit at or above ceil(sqrt(l_bits)), capped at the largest multiple
-    that still fits inside l_bits so short values run in one generation.
+    unit at or above ceil(sqrt(l_bits)), which fits in l_bits: it is the
+    unit if that reaches ceil(sqrt(l_bits)), else below 2 ceil(sqrt(l_bits)).
     """
-    k = q if q is not None else n - t
+    k = code_dimension(n, t, q)
     if k < 1:
         raise ConfigurationError(f"code dimension {k} is not positive")
     unit = 8 * k
@@ -84,10 +85,7 @@ def choose_d(l_bits: int, n: int, t: int, q: int | None = None) -> int:
             f"l_bits={l_bits} is smaller than one {unit}-bit block"
         )
     target = math.isqrt(l_bits - 1) + 1
-    d = unit * -(-target // unit)
-    if d > l_bits:
-        d = unit * (l_bits // unit)
-    return d
+    return unit * -(-target // unit)
 
 
 # ------------------------------------------------------------- scenarios
@@ -143,11 +141,9 @@ def generate_inputs(layout: Any, n: int, l_bits: int, seed: int) -> tuple[str, .
     raise ConfigurationError(f"unknown input generator {kind!r}")
 
 
-def sweep_layout(style: int, n: int, t: int, q: int | None) -> dict:
-    """The inputs of sweep trial `style`: SWEEP_STYLES in rotation, the
-    shared prefix covering max(q, n - t) processors."""
-    generator = SWEEP_STYLES[style % len(SWEEP_STYLES)]
-    return {"generator": generator, "sharers": max(q or 0, n - t)}
+def sweep_layout(style: int, n: int, t: int) -> dict:
+    """Inputs of sweep trial `style`: SWEEP_STYLES in rotation, n - t >= q sharers."""
+    return {"generator": SWEEP_STYLES[style % len(SWEEP_STYLES)], "sharers": n - t}
 
 
 def build_config(data: dict) -> ExecutionConfig:
@@ -356,13 +352,13 @@ def sweep_cases(
     """
     cases = []
     for q in q_values:
-        k = q if q is not None else n - t
+        k = code_dimension(n, t, q)
         for trial in range(trials):
             config = build_config({
                 "algorithm": algorithm, "n": n, "t": t, "q": q,
                 "l_bits": 8 * k * 10 if l_bits is None else l_bits,
                 "d_bits": d_bits, "seed": base_seed + trial,
-                "inputs": sweep_layout(trial, n, t, q),
+                "inputs": sweep_layout(trial, n, t),
             })
             cases.append((config, random_script(config, config.seed)))
     return cases

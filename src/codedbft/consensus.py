@@ -8,10 +8,6 @@ coded and received vectors as claims, and all processors apply the same
 deterministic rules to those claims: convict processors whose claims
 are self-contradictory, and remove a trust edge between any
 sender/receiver pair whose claims about one delivered symbol disagree.
-
-The two variants differ only in parameters fed to this module: the code
-dimension (n-t versus q), which processors count toward the decision
-set, and the decision threshold.
 """
 
 from __future__ import annotations
@@ -48,6 +44,21 @@ OUTCOME_DECIDED = "DECIDED"
 OUTCOME_DIAGNOSED = "DIAGNOSED_DECIDED"
 OUTCOME_DEFAULT = "DEFAULT"
 OUTCOME_TERMINATED = "TERMINATED_DEFAULT"
+
+
+# the protocols' numbers, of (n, t, q) with q None for alg1: code dimension
+# k (also the decision threshold), a fault-free generation's point-to-point
+# symbols (alg2's bound under faults), the ceiling on diagnosis episodes
+def code_dimension(n: int, t: int, q: int | None) -> int:
+    return n - t if q is None else q
+
+
+def generation_symbols(n: int, q: int | None) -> int:
+    return (n if q is None else 2 * n - q) * (n - 1)
+
+
+def episode_bound(t: int, q: int | None) -> int:
+    return t * (t + 1) + (t if q is None else 0)
 
 
 # one wave's sends from one sender of one slot, in plan order: (sender,

@@ -40,8 +40,10 @@ from .consensus import (
     Claims,
     MatchingPlan,
     Run,
+    code_dimension,
     detection_flag,
     flag_key,
+    generation_symbols,
     matching_obligations,
     reconstruction_sources,
     run_diagnosis,
@@ -179,7 +181,7 @@ class ExecutionConfig:
 
     @property
     def k(self) -> int:
-        return (self.n - self.t) if self.algorithm == ALG1 else self.q
+        return code_dimension(self.n, self.t, self.q)
 
     @property
     def sym_bytes(self) -> int:
@@ -785,12 +787,12 @@ class Execution:
         going on alone from the match-bit round); one lane diagnoses in place.
 
         Each generation matches, checks, then decodes with every flag FALSE
-        or diagnoses everyone's claims. alg1 carries its match set (the
-        last decide set, less the convicted), terminates below n-t and
-        decides among it at threshold n-t. alg2 broadcasts match bits
-        after a full matching stage, takes the smallest q-clique or
+        or diagnoses everyone's claims, at threshold k (n-t or q). alg1
+        carries its match set (the last decide set, less the convicted),
+        terminates below k and decides among it. alg2 broadcasts match
+        bits after a full matching stage, takes the smallest q-clique or
         defaults, convicts silent match vectors before diagnosis and
-        decides among everyone at threshold q, counting convicted claims.
+        decides among everyone, counting convicted claims.
         An empty decide set terminates alg1 and defaults alg2.
         """
         cfg = self.config
@@ -800,7 +802,7 @@ class Execution:
         if cfg.algorithm == ALG1:
             # patched runs only: the carried decide set holds no convicted processor
             p_match = [p for p in self.p_match if p not in self.graph.convicted]
-            if len(p_match) < cfg.n - cfg.t:
+            if len(p_match) < cfg.k:
                 return self._terminate(g), 0
             plan = _matching_plan(self.graph, p_match)
             self._send_wave(g, STEP_OWN, plan.own, coded, received)
@@ -883,8 +885,7 @@ class Execution:
         result = run_diagnosis(
             self.params, self.graph, p_match, plan.sends(), claims,
             p_match if alg1 else range(1, cfg.n + 1),
-            cfg.n - cfg.t if alg1 else cfg.q,
-            count_convicted=not alg1, verdicts=verdicts,
+            cfg.k, count_convicted=not alg1, verdicts=verdicts,
         )
         self._graph_events(g, result.events)
         if result.decide_ids:
@@ -1069,15 +1070,10 @@ class ComplexityReport:
 def check_complexity(result: Execution) -> ComplexityReport:
     """Ledger readback against the closed-form traffic identities."""
     cfg = result.config
-    padded_l = cfg.generations * cfg.d_bits
-    if cfg.algorithm == ALG1:
-        formula = cfg.n * (cfg.n - 1) * padded_l // (cfg.n - cfg.t)
-        bound = None
-        per_gen: dict[int, int] = {}
-    else:
-        formula = (2 * cfg.n - cfg.q) * (cfg.n - 1) * padded_l // cfg.q
-        bound = (2 * cfg.n - cfg.q) * (cfg.n - 1)
-        per_gen = result.ledger.per_generation("p2p_symbols")
+    symbols = generation_symbols(cfg.n, cfg.q)
+    formula = symbols * cfg.generations * cfg.d_bits // cfg.k
+    bound = None if cfg.q is None else symbols
+    per_gen = {} if bound is None else result.ledger.per_generation("p2p_symbols")
     data_bits = result.ledger.total("p2p_bits")
     return ComplexityReport(
         data_bits=data_bits,

@@ -17,6 +17,7 @@ import random
 from pathlib import Path
 
 from codedbft import cli
+from codedbft.consensus import code_dimension
 from codedbft.scripts import crafted_cases
 from codedbft.sim import ALG1, ALG2, ExecutionConfig, random_inputs
 
@@ -38,7 +39,7 @@ def scenario_case(name: str) -> tuple:
 
 def corpus_sweeps(algorithm: str, q: int | None) -> list:
     """Short cases from seed 100, then 64-byte-symbol cases from seed 200."""
-    k = q if q is not None else N - T
+    k = code_dimension(N, T, q)
     short = cli.sweep_cases(algorithm, N, T, [q], 9, 100)
     wide = cli.sweep_cases(
         algorithm, N, T, [q], 3, 200, l_bits=8 * k * 64 * 3, d_bits=8 * k * 64
@@ -55,7 +56,7 @@ def case_key(config) -> str:
 
 def crafted_config(algorithm: str, q: int | None) -> ExecutionConfig:
     """Three one-unit generations on the layout the crafted builders assume."""
-    k = q if q is not None else N - T
+    k = code_dimension(N, T, q)
     rng = random.Random(300 + (q or 0))
     sharers = None if algorithm == ALG1 else range(1, N - T + 1)
     inputs = random_inputs(rng, N, 8 * k * 3, sharers=sharers)

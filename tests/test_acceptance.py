@@ -6,7 +6,13 @@ too. The heavyweight random suite is built once per process and shared
 by the criteria that inspect it.
 """
 
+from pathlib import Path
+from types import SimpleNamespace
+
 from codedbft import acceptance
+from codedbft.consensus import ALG1, ALG2, episode_bound
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def passes(capsys, number):
@@ -30,6 +36,24 @@ def test_criterion_3_adversarial_battery(capsys):
 
 def test_criterion_4_diagnosis_bounds(capsys):
     passes(capsys, 4)
+
+
+def test_the_benchmark_sweep_check_keeps_the_same_episode_bound(monkeypatch):
+    # perfbench writes its own copy of the bound; stand-in runs at the
+    # bound pass its check and one episode more fails it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for t in range(85):
+        for algorithm, q in ((ALG1, None), (ALG2, t + 1)):
+            bound = episode_bound(t, q)
+            config = SimpleNamespace(algorithm=algorithm, t=t, q=q, seed=0)
+            for count in (bound, bound + 1):
+                result = SimpleNamespace(passed=True, config=config, diagnosis_count=count)
+                problems = workloads.check_sweep(workloads.Run(result, None, None))
+                assert problems == (
+                    [] if count == bound else [f"seed 0: {count} diagnoses > {bound}"]
+                ), (algorithm, t)
 
 
 def test_criterion_5_split_inputs_default(capsys):

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from codedbft import rs, sim
+from codedbft.consensus import code_dimension
 from codedbft.rs import InsufficientSymbolsError
 from codedbft.sim import (
     ALG1,
@@ -71,7 +72,7 @@ POINTS = (
 
 def point_config(algorithm, n, t, q, zero_holders) -> ExecutionConfig:
     """Three one-unit generations: shared blocks 01.., 02.., 03.. or zeros."""
-    k = q if q is not None else n - t
+    k = code_dimension(n, t, q)
     shared = b"".join(bytes([g]) * k for g in (1, 2, 3)).hex()
     zero = bytes(3 * k).hex()
     inputs = tuple(zero if p in zero_holders else shared for p in range(1, n + 1))

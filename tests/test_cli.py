@@ -54,12 +54,9 @@ def test_choose_d_is_aligned_and_balanced(blocks, shape):
         return
     d = choose_d(l_bits, n, t, q)
     assert d % unit == 0 and unit <= d <= l_bits
+    # the smallest aligned value at or above the balance point
     target = math.isqrt(l_bits - 1) + 1
-    if d < target:
-        # only the cap at l_bits may push D below the balance point
-        assert d == unit * (l_bits // unit)
-    else:
-        assert d - unit < target  # smallest aligned value above the target
+    assert target <= d < target + unit
 
 
 # ----------------------------------------------------- scenario plumbing
@@ -136,6 +133,14 @@ def test_run_scenario_writes_outputs(tmp_path, capsys):
         (tmp_path / "transcript.jsonl").read_text().splitlines()[0]
     )
     assert first["type"] == "header"
+    # a decimal string spells the same integer field: the same run
+    scenario = tmp_path / "s.json"
+    data = json.loads((SCENARIOS / "faultfree_alg1.json").read_text())
+    scenario.write_text(json.dumps({**data, "n": "4"}))
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "transcript.jsonl").read_bytes() == (
+        tmp_path / "transcript.jsonl"
+    ).read_bytes()
 
 
 def test_run_writes_the_complexity_readback(tmp_path):
@@ -256,6 +261,13 @@ def test_sweep_quorum_grid_needs_q(tmp_path):
         "sweep", "--alg", "alg2", "--n", "7", "--t", "2", "--q", "3..4",
         "--trials", "2", "--out-dir", str(tmp_path),
     ]) == 0
+    # a comma list names each quorum size, with `--trials` rows apiece
+    assert main([
+        "sweep", "--alg", "alg2", "--n", "7", "--t", "2", "--q", "3,5",
+        "--trials", "2", "--out-dir", str(tmp_path),
+    ]) == 0
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["3", "3", "5", "5"]
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -352,6 +364,20 @@ def test_sweep_refuses_inputs_that_ran_nothing_or_the_defaults(
     ({"faulty": 0}, "faulty must be a JSON list"),
     ({"script": {"faulty": 3}}, "faulty must be a JSON list"),
     ({"script": {"faulty": "34"}}, "faulty must be a JSON list"),
+    # a faulty id outside 1..n, and inputs neither a list nor a generator
+    ({"faulty": [9]}, "faulty id 9 out of range"),
+    ({"inputs": 5}, "inputs must be a list of hex or a generator"),
+    # rule values the script refuses
+    ({"script": {"faulty": [4], "sends": {"1|own|4|1": {"kind": "corrupt"}}}},
+     "send rule 1|own|4|1: corrupt needs a byte argument"),
+    ({"script": {"faulty": [4], "broadcasts": {"1|detected|4": {"kind": "shout"}}}},
+     "broadcast rule 1|detected|4: unknown broadcast action 'shout'"),
+    ({"script": {"faulty": [4], "broadcasts": {
+        "1|detected|4": {"kind": "replace", "payload": 1}}}},
+     "broadcast rule 1|detected|4: detected override must be a bool"),
+    ({"script": {"faulty": [4], "broadcasts": {
+        "1|coded|4": {"kind": "replace", "payload": "ab"}}}},
+     "broadcast rule 1|coded|4: vector override must be a list of hex or None"),
 ])
 def test_run_refuses_malformed_scenario_values(change, message, tmp_path, capsys):
     scenario = tmp_path / "s.json"

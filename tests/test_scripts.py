@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from codedbft.consensus import code_dimension
 from codedbft.scripts import crafted_cases
 from codedbft.sim import (
     ALG1,
@@ -27,7 +28,7 @@ COMBOS = [
 
 def layout_config(algorithm, n, t, q):
     """Three generations on the layout the builders assume."""
-    k = q if q is not None else n - t
+    k = code_dimension(n, t, q)
     l_bits = 8 * k * 3
     rng = random.Random(97 * n + (q or 0))
     if algorithm == ALG1:

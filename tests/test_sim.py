@@ -17,6 +17,7 @@ from codedbft.consensus import (
     TAG_DETECTED,
     TAG_MATCH_BITS,
     TAG_RECEIVED,
+    code_dimension,
 )
 from codedbft.diagnosis import ConfigurationError, TrustGraph
 from codedbft.rs import CodeParams, ParameterError, encode, word_hex
@@ -480,7 +481,7 @@ def test_own_waves_match_the_wave_oracle(data):
     t = data.draw(st.integers(0, (n - 1) // 3), label="t")
     algorithm = data.draw(st.sampled_from([ALG1, ALG2]), label="algorithm")
     q = data.draw(st.integers(t + 1, n - t), label="q") if algorithm == ALG2 else None
-    k = q or n - t
+    k = code_dimension(n, t, q)
     sym_bytes = data.draw(st.integers(1, 3), label="sym_bytes")
     l_bytes = data.draw(st.integers(1, 3 * k * sym_bytes), label="l_bytes")
     sharers = data.draw(
@@ -908,7 +909,7 @@ def test_random_adversaries_never_violate(n, t):
             algorithm, q = ALG1, None
         else:
             algorithm, q = ALG2, q_options[(i // 2) % len(q_options)]
-        k = q if q is not None else n - t
+        k = code_dimension(n, t, q)
         rng = random.Random(seed)
         style = i % 3
         l_bits = 8 * k * 3

@@ -15,18 +15,28 @@ if TYPE_CHECKING:
     from .sim import ExecutionConfig
 
 
+def span(g: int | list[int]) -> tuple[int, int]:
+    """The first and last generation of a line's `g`: one generation, or the
+    range [a, b] of generations that wrote the line alike."""
+    return (g, g) if type(g) is int else (g[0], g[1])
+
+
 def judge(
     config: ExecutionConfig, faulty: Collection[int], events: Iterable[dict],
     outputs: Mapping[int, bytes],
 ) -> list[str]:
     """Every violation of agreement, validity (alg1), q-validity and the
-    shared-value rule (alg2), in the order the events reveal them.
+    shared-value rule (alg2), in the order the events reveal them, and
+    within a range of generations generation by generation.
 
     A `DECIDED` event holds every fault-free processor's block of its
-    generation (empty if the processor could not decode the word it
+    generations (empty if the processor could not decode the word it
     accepted): the one `value` when the blocks agree, else its `values`
-    map. The judge runs before `VERDICT` records the final outputs, so
-    it also takes `outputs[p]`, fault-free processor p's final output.
+    map, each the index of the distinct input whose block it is (the
+    lowest on a tie) or else the block's hex. A range whose blocks are
+    one input's, which no rule can fault, is read once. The judge runs
+    before `VERDICT` records the final outputs, so it also takes
+    `outputs[p]`, fault-free processor p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
     # each distinct fault-free input and its number of fault-free holders, in
@@ -34,7 +44,10 @@ def judge(
     # sliced once per distinct input and counted by weight
     weight = Counter(config.holders[p - 1] for p in fault_free)
     weighted = [(config.padded_input(h), w) for h, w in weight.items()]
+    total = sum(weight.values())
     size = config.block_bytes
+    # the lowest holder of each input a `DECIDED` index names
+    named = sorted(set(config.holders))
 
     def shared(g: int) -> dict[bytes, int]:
         """Generation g's fault-free blocks and their numbers of holders,
@@ -44,7 +57,13 @@ def judge(
             block = padded[(g - 1) * size : g * size]
             counts[block] = counts.get(block, 0) + w
         return counts
-    out: list[str] = []
+    # (generation, message) in the order the lines speak: a range's line
+    # speaks for each of its generations, and a stable sort by generation
+    # puts the lines of one range generation by generation
+    found: list[tuple[int, str]] = []
+
+    def say(g: int, message: str) -> None:
+        found.append((g, message))
     convicted: set[int] = set()
     # removed trust edges (i, j), i < j: a conviction removes every edge
     # its processor has left, in ascending order of the other end
@@ -58,19 +77,62 @@ def judge(
     def edge_removed(g: int, i: int, j: int) -> None:
         removed.add((i, j))
         if i not in faulty and j not in faulty:
-            out.append(f"g{g}: edge ({i},{j}) between fault-free processors removed")
+            say(g, f"g{g}: edge ({i},{j}) between fault-free processors removed")
+
+    def unfaulted(e: dict) -> bool:
+        """Whether no rule can fault a `DECIDED` line in any generation of
+        its range: one block for all, not an undecodable one, and an input
+        that a member (alg1) or a fault-free processor (alg2) holds, which
+        wins any majority."""
+        value = e["value"]
+        if "values" in e or value == "" and e["kind"] == OUTCOME_DECIDED:
+            return False
+        holder = named[value] if type(value) is int else None
+        if config.algorithm == ALG1:
+            return not member_holders or holder in member_holders
+        return e["kind"] == OUTCOME_DEFAULT or holder in weight and (
+            2 * weight[holder] > total or total < config.q or config.q < (config.n + 2) // 2
+        )
+
+    def decided(g: int, e: dict, names: list) -> None:
+        """The rules of a `DECIDED` line in generation g."""
+        values = [config.input_block(named[v], g) if type(v) is int else bytes.fromhex(v)
+                  for v in names]
+        distinct = set(values)
+        if e["kind"] == OUTCOME_DECIDED and b"" in distinct:
+            for p, value in zip(fault_free, values):
+                if not value:
+                    say(g, f"g{g}: fault-free processor {p} cannot decode its accepted word")
+        if len(distinct) > 1:
+            say(g, f"g{g}: fault-free processors decided different blocks")
+        if config.algorithm == ALG1:
+            # a fault-free match-set member's input, if one is in the match set
+            if inputs := {config.input_block(h, g) for h in member_holders}:
+                for _ in distinct - inputs:
+                    say(g, f"g{g}: decided block is no fault-free member's input")
+        elif e["kind"] != OUTCOME_DEFAULT:
+            # a default is legal; any other decision is a fault-free input,
+            # and the block a majority-sized fault-free quorum shares wins
+            counts = shared(g)
+            if values[0] not in counts:
+                say(g, f"g{g}: decided block is no fault-free input")
+            # the most widely held block; of a tie, the lowest holder's
+            most = max(counts.values())
+            block = next(b for b, c in counts.items() if c == most)
+            if most >= config.q >= (config.n + 2) // 2 and values[0] != block:
+                say(g, f"g{g}: majority quorum decided a block other than the shared one")
     for e in events:
         kind = e["type"]
         if kind in ("ROUND", "BROADCAST", "WAVE", "SYMBOL_SENT"):
             continue  # traffic, most of the events, carries no verdict
         g = e.get("g")
-        if kind == "EDGE_REMOVED":
+        if kind == "EDGE_REMOVED":  # an edge goes once, so in one generation
             edge_removed(g, e["i"], e["j"])
         elif kind == "CONVICTED":
             convicted.add(p := e["processor"])
             stale = True
             if p not in faulty:
-                out.append(f"g{g}: fault-free processor {p} convicted")
+                say(g, f"g{g}: fault-free processor {p} convicted")
             for u in range(1, config.n + 1):
                 edge = (min(p, u), max(p, u))
                 if u != p and edge not in removed:
@@ -79,47 +141,25 @@ def judge(
             # q fault-free processors sharing a block must yield a match set:
             # until an edge between two of them goes, which is flagged above,
             # they trust each other pairwise
-            if max(shared(g).values()) >= config.q:
-                out.append(
-                    f"g{g}: no match set found despite a trusting "
-                    f"fault-free group sharing a block"
-                )
+            a, b = span(g)
+            for g in range(a, b + 1):
+                if max(shared(g).values()) >= config.q:
+                    say(g, f"g{g}: no match set found despite a trusting "
+                        f"fault-free group sharing a block")
         elif kind == "DECIDED":
-            if blocks := e.get("values"):
-                values = [bytes.fromhex(blocks[str(p)]) for p in fault_free]
-            else:  # one block, every fault-free processor's
-                values = [bytes.fromhex(e["value"])]
-            distinct = set(values)
-            if e["kind"] == OUTCOME_DECIDED and b"" in distinct:
-                out.extend(
-                    f"g{g}: fault-free processor {p} cannot decode its accepted word"
-                    for p, value in zip(fault_free, values if blocks else values * len(fault_free))
-                    if not value
-                )
-            if len(distinct) > 1:
-                out.append(f"g{g}: fault-free processors decided different blocks")
-            if config.algorithm == ALG1:
-                # a fault-free match-set member's input, if one is in the match set
-                if inputs := {config.input_block(h, g) for h in member_holders}:
-                    message = f"g{g}: decided block is no fault-free member's input"
-                    out += [message] * len(distinct - inputs)
-                if e["decide_set"] or stale:
+            a, b = span(g)
+            # alg1's state is settled after a range's first generation
+            for lo, hi in ((a, a), (a + 1, b)):
+                if lo <= hi and not unfaulted(e):
+                    names = [e["values"][str(p)] for p in fault_free] if "values" in e else (
+                        [e["value"]] * len(fault_free))
+                    for g in range(lo, hi + 1):
+                        decided(g, e, names)
+                if config.algorithm == ALG1 and (e["decide_set"] or stale):
                     p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
                     member_holders = {config.holders[p - 1] for p in p_match if p not in faulty}
                     stale = False
-            elif e["kind"] != OUTCOME_DEFAULT:
-                # a default is legal; any other decision is a fault-free input,
-                # and the block a majority-sized fault-free quorum shares wins
-                counts = shared(g)
-                if values[0] not in counts:
-                    out.append(f"g{g}: decided block is no fault-free input")
-                # the most widely held block; of a tie, the lowest holder's
-                most = max(counts.values())
-                block = next(b for b, c in counts.items() if c == most)
-                if most >= config.q >= (config.n + 2) // 2 and values[0] != block:
-                    out.append(
-                        f"g{g}: majority quorum decided a block other than the shared one"
-                    )
+    out = [message for _, message in sorted(found, key=lambda item: item[0])]
     out.extend(f"processor {p} terminated without a full output"
                for p, blob in outputs.items() if len(blob) != config.padded_bytes)
     if len(set(outputs.values())) > 1:

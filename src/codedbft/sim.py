@@ -21,7 +21,7 @@ from hashlib import sha256
 from itertools import groupby
 from typing import Any, Iterable, Iterator, Sequence
 
-from .check import judge
+from .check import judge, span
 from .consensus import (
     ALG1,
     ALG2,
@@ -62,7 +62,8 @@ from .rs import (
 )
 
 # plans, least recently used first: a budget on their sends keeps every state of a
-# small-n sweep yet caps n=255 (up to about 86k sends a plan) at three plans
+# small-n sweep yet caps n=255 (up to about 86k sends a plan) at three plans; the
+# cache's `held` attribute is the running total of their sends
 _PLANS: OrderedDict[tuple, MatchingPlan] = OrderedDict()
 _PLAN_BUDGET = 1 << 18
 
@@ -79,10 +80,12 @@ def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> MatchingPlan:
         return plan
     own = next((p.own for k, p in reversed(_PLANS.items()) if k[:2] == state), None)
     plan = _PLANS[key] = matching_obligations(graph, p_match, own)
-    # the plan just derived stays even when it alone exceeds the budget
-    held = sum(p.size for p in _PLANS.values())
+    # the plan just derived stays even when it alone exceeds the budget; a
+    # cache that was never filled here has no total yet, and holds nothing else
+    held = getattr(_PLANS, "held", 0) + plan.size
     while held > _PLAN_BUDGET and len(_PLANS) > 1:
         held -= _PLANS.popitem(last=False)[1].size
+    _PLANS.held = held
     return plan
 
 
@@ -455,7 +458,7 @@ _STAGE_OF_TAG = {
 
 
 class CostLedger:
-    """Bit and symbol counts per (generation, stage), summed from the
+    """Bit and symbol counts per (generations, stage), summed from the
     traffic events of a finished run: nothing is charged during it.
 
     Each `WAVE` is `count` matching-stage symbols of 8 x sym_bytes bits
@@ -463,32 +466,38 @@ class CostLedger:
     charges its `payload_bits` x `broadcast_coefficient` x n^2 transport
     bits to the stage of its tag, the scale at which bit-by-bit
     error-free broadcast constructions run; every round opens its cell,
-    at zero bits if all its senders were silent. So any transcript, read
-    back from its text, sums to its `VERDICT` totals.
+    at zero bits if all its senders were silent. A line of a range of
+    generations charges each of them, in one cell per range. So any
+    transcript, read back from its text, sums to its `VERDICT` totals.
     """
 
     FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
 
     def __init__(self, config: ExecutionConfig, events: Iterable[dict]) -> None:
-        symbols: dict[tuple[int, str], int] = {}
-        payload_bits: dict[tuple[int, str], int] = {}
+        symbols: dict[tuple[int, int, str], int] = {}
+        payload_bits: dict[tuple[int, int, str], int] = {}
         for event in events:
             kind = event["type"]
             if kind == "ROUND" or kind == "BROADCAST":
-                key = (event["g"], _STAGE_OF_TAG[event["tag"]])
+                g = event["g"]
+                key = (g, g, _STAGE_OF_TAG[event["tag"]]) if type(g) is int else (
+                    g[0], g[1], _STAGE_OF_TAG[event["tag"]])
                 payload_bits[key] = payload_bits.get(key, 0) + event["payload_bits"]
             elif kind == "WAVE" or kind == "SYMBOL_SENT":
-                key = (event["g"], "matching")
+                g = event["g"]
+                key = (g, g, "matching") if type(g) is int else (g[0], g[1], "matching")
                 symbols[key] = symbols.get(key, 0) + event.get("count", 1)
         symbol_bits = 8 * config.sym_bytes
         scale = config.broadcast_coefficient * config.n * config.n
-        # each cell holds FIELDS in order; both bit fields scale its counts
-        self._cells: dict[tuple[int, str], tuple[int, ...]] = {}
+        # each cell holds FIELDS in order, per generation of its range; both
+        # bit fields scale its counts
+        self._cells: dict[tuple[int, int, str], tuple[int, ...]] = {}
         for key in symbols.keys() | payload_bits.keys():
             sent, bits = symbols.get(key, 0), payload_bits.get(key, 0)
             self._cells[key] = (sent, sent * symbol_bits, bits, bits * scale)
         # each field summed once, column by column, from a row of zeros on
-        self._totals = dict(zip(self.FIELDS, map(sum, zip((0,) * 4, *self._cells.values()))))
+        weighted = [[c * (b - a + 1) for c in cell] for (a, b, _), cell in self._cells.items()]
+        self._totals = dict(zip(self.FIELDS, map(sum, zip((0,) * 4, *weighted))))
 
     def total(self, fieldname: str) -> int:
         return self._totals[fieldname]
@@ -499,14 +508,16 @@ class CostLedger:
     def per_generation(self, fieldname: str) -> dict[int, int]:
         i = self.FIELDS.index(fieldname)
         out: dict[int, int] = {}
-        for (g, _), cell in sorted(self._cells.items()):
-            out[g] = out.get(g, 0) + cell[i]
+        for (a, b, _), cell in sorted(self._cells.items()):
+            for g in range(a, b + 1):
+                out[g] = out.get(g, 0) + cell[i]
         return out
 
     def to_jsonable(self) -> dict:
+        """Each cell keyed `g:stage`, or `a-b:stage` for a range."""
         return {
-            f"{g}:{stage}": dict(zip(self.FIELDS, cell))
-            for (g, stage), cell in sorted(self._cells.items())
+            f"{a}{'' if a == b else f'-{b}'}:{stage}": dict(zip(self.FIELDS, cell))
+            for (a, b, stage), cell in sorted(self._cells.items())
         }
 
 
@@ -557,25 +568,43 @@ class Execution:
         self.graph = TrustGraph(config.n, config.t)
         self.transcript = Transcript()
         self.diagnosis_count = 0
-        # each generation's outcome, recorded as it is settled
-        self.outcomes: list[dict] = []
         self.fault_free = [
             p for p in range(1, config.n + 1) if p not in script.faulty
         ]
-        # per fault-free processor, the blocks decided so far
+        # per fault-free processor, the bytes decided so far, one piece a settle
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
-        # alg1's carried match set, and the step's lines, one list per unsettled generation
-        self.p_match = list(range(1, config.n + 1))
-        self._lines = [[]]
-        # one encode of every distinct input for the whole run, by its lowest holder
+        self.p_match = list(range(1, config.n + 1))  # alg1's carried match set
+        # the step's lines, written once for its `_width` generations, and per
+        # `WAVE` line its digest in each; then each settled block of generations
+        # a..b alike as [a, b, lines, digests per `WAVE` line], written at the end
+        self._lines: list[dict] = []
+        self._waves: list[list[bytes]] = []
+        self._width = 1
+        self._blocks: list[list] = []
+        # one encode of every distinct input for the whole run, by its lowest
+        # holder, in the order of the header's `input_values`
         firsts = [i for i, h in enumerate(config.holders, start=1) if h == i]
+        self._inputs = [config.padded_input(i) for i in firsts]
         self._wide = dict(zip(firsts, _generation_words(
-            self.params, [config.padded_input(i) for i in firsts], config.generations
+            self.params, self._inputs, config.generations
         )))
 
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
+
+    @property
+    def outcomes(self) -> list[dict]:
+        """Each generation's outcome, read from the written `DECIDED` and
+        `TERMINATED_DEFAULT` lines."""
+        out: list[dict] = []
+        for e in self.transcript.events:
+            if e["type"] == "DECIDED" or e["type"] == OUTCOME_TERMINATED:
+                a, b = span(e["g"])
+                b = b if e["type"] == "DECIDED" else self.config.generations
+                out += ({"g": g, "kind": e.get("kind", OUTCOME_TERMINATED),
+                         "decide_set": e.get("decide_set", [])} for g in range(a, b + 1))
+        return out
 
     # ------------------------------------------------------- primitives
 
@@ -591,15 +620,14 @@ class Execution:
         each symbol must be sym_bytes long. An honest sender's run reads
         its slot once and stores it into every receiver's word. Every
         symbol equal to its sender's slot, from a sender not suppressed,
-        is recorded in one `WAVE` event per generation after the rest:
-        their count and the SHA-256 of their records `bytes((sender,
-        receiver, slot)) + value` in plan order, `value.join(prefixes) +
-        value` for an honest run; a prefix byte fills every lane, so lane
-        j is generation g+j's. Any other faulty symbol is its own
-        `SYMBOL_SENT` event.
+        is recorded in one `WAVE` line after the rest: their count, and per
+        generation the SHA-256 of their records `bytes((sender, receiver,
+        slot)) + value` in plan order, `value.join(prefixes) + value` for an
+        honest run; a prefix byte fills every lane, so lane j is generation
+        g+j's. Any other faulty symbol is its own `SYMBOL_SENT` line.
         """
         script, faulty = self.script, self.script.faulty
-        sym, width = self.params.sym_bytes, len(self._lines)
+        sym, width = self.params.sym_bytes, self._width
         records: list[bytes] = []
         honest_sent = 0
         if width > 1:
@@ -621,8 +649,8 @@ class Execution:
                         records += (prefix, value)
                         honest_sent += 1
                         continue
-                    self._lines[0].append({
-                        "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+                    self._lines.append({
+                        "type": "SYMBOL_SENT", "step": step, "sender": sender,
                         "receiver": receiver, "slot": slot, "value": value.hex(),
                     })
             elif sender not in suppressed:
@@ -632,11 +660,10 @@ class Execution:
                 honest_sent += len(receivers)
         if honest_sent:
             data = b"".join(records)
-            for j, lines in enumerate(self._lines):
-                lines.append({
-                    "type": "WAVE", "g": g + j, "step": step, "count": honest_sent,
-                    "sha256": sha256(data[j::width]).hexdigest(),
-                })
+            self._lines.append({"type": "WAVE", "step": step, "count": honest_sent})
+            self._waves.append([sha256(data).digest()] if width == 1 else [
+                sha256(data[j::width]).digest() for j in range(width)
+            ])
 
     def _round(self, g: int, tag: str, honest: dict[int, Any]) -> dict[int, Any]:
         """One broadcast round: each sender in `honest` broadcasts its
@@ -651,10 +678,11 @@ class Execution:
         `CostLedger` reads from `payload_bits`: a flag is 1 bit, match
         bits n and a word `_word_bits`, whatever a faulty sender put in.
 
-        It is a `ROUND` line per generation. A `detected` round's `payload` has
+        It is a `ROUND` line. A `detected` round's `payload` has
         character j-1 `0` or `1` for processor j's flag, `-` when j sent
         none; a `match_bits` round's `payload` holds each vector as a
-        hex mask (bit j-1 for slot j), null when none was sent. A claim
+        hex mask (bit j-1 for slot j), null when none was sent, or is the
+        one mask that every processor sent. A claim
         (`coded`, `received`) equal to its sender's word joins the round's
         `count` and `sha256`, the SHA-256 of one record per claim in sender
         order: the sender's id byte, then per slot 01 and its bytes, or
@@ -665,7 +693,7 @@ class Execution:
         observed = dict(honest)
         for p in sorted(script.faulty.intersection(honest)):
             observed[p] = script.broadcast(g, tag, p, honest[p])
-        line = {"type": "ROUND", "g": g, "tag": tag}
+        line = {"type": "ROUND", "tag": tag}
         sent = [p for p, v in observed.items() if v is not None]
         if tag == TAG_DETECTED:
             flags = ["-"] * n
@@ -676,6 +704,8 @@ class Execution:
             masks: list[str | None] = [None] * n
             for p in sent:
                 masks[p - 1] = format(observed[p], f"0{-(-n // 4)}x")
+            if len(sent) == n and len(set(masks)) == 1:
+                masks = masks[0]
             line.update(payload=masks, payload_bits=n * len(sent))
         else:
             absent = bytes(1 + self.params.sym_bytes)
@@ -688,8 +718,8 @@ class Execution:
                     records += (absent if v is None else b"\x01" + v for v in word)
                     count, bits = count + 1, bits + size
                     continue
-                self._emit({
-                    "type": "BROADCAST", "g": g, "tag": tag, "sender": p,
+                self._lines.append({
+                    "type": "BROADCAST", "tag": tag, "sender": p,
                     "payload": None if claim is None else word_hex(claim),
                     "payload_bits": 0 if claim is None else size,
                 })
@@ -697,24 +727,18 @@ class Execution:
                 count=count, payload_bits=bits,
                 sha256=sha256(b"".join(records)).hexdigest(),
             )
-        self._emit(line)
+        self._lines.append(line)
         return observed
 
-    def _emit(self, line: dict) -> None:
-        """`line` in each lane's lines, with the lane's generation."""
-        self._lines[0].append(line)
-        for j in range(1, len(self._lines)):
-            self._lines[j].append({**line, "g": line["g"] + j})
-
-    def _graph_events(self, g: int, tagged: list[tuple[str, tuple]]) -> None:
+    def _graph_events(self, tagged: list[tuple[str, tuple]]) -> None:
         """A `CONVICTED` or `EDGE_REMOVED` line per event, in order."""
         for rule, event in tagged:
             if event[0] == "edge":
-                self._emit({
-                    "type": "EDGE_REMOVED", "g": g, "i": event[1], "j": event[2], "rule": rule
+                self._lines.append({
+                    "type": "EDGE_REMOVED", "i": event[1], "j": event[2], "rule": rule
                 })
             else:
-                self._emit({"type": "CONVICTED", "g": g, "processor": event[1], "rule": rule})
+                self._lines.append({"type": "CONVICTED", "processor": event[1], "rule": rule})
 
     def _decode_accepted(self, vec: list[bytes | None], blocks: dict[tuple, bytes]) -> bytes:
         """Block of a word flagged FALSE (a codeword of k symbols or more), decoded
@@ -797,7 +821,7 @@ class Execution:
         """
         cfg = self.config
         self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * width)
-        self._lines = [[] for _ in range(width)]
+        self._lines, self._waves, self._width = [], [], width
         coded, received = self._fresh_state(g, width)
         if cfg.algorithm == ALG1:
             # patched runs only: the carried decide set holds no convicted processor
@@ -812,19 +836,21 @@ class Execution:
         self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
         candidates = self.graph.unconvicted()
         vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
-        # lanes a..b-1 of the same vectors go on together, and only a match
-        # set needs their own words, cut out of the step's
+        # lanes a..b-1 of the same vectors go on together, each range with its
+        # own copy of the waves' lines, and only a match set needs their own
+        # words, cut out of the step's
         runs = [[vectors]] if width == 1 else [list(run) for _, run in groupby(
             _lane_vectors(vectors, received, coded, cfg.sym_bytes, width), id)]
-        a, lines, episodes = 0, self._lines, self.diagnosis_count
+        a, lines, waves, episodes = 0, self._lines, self._waves, self.diagnosis_count
         for run in runs:
             b = a + len(run)
             if b - a < width:
-                self._lines = lines[a:b]
+                self._lines = [dict(line) for line in lines]
+                self._waves, self._width = [d[a:b] for d in waves], b - a
                 self.params = _code_params(cfg.n, cfg.k, cfg.sym_bytes * (b - a))
             vectors = self._round(g + a, TAG_MATCH_BITS, run[0])
             p_match = find_match_set(vectors, candidates, cfg.q)
-            self._emit({"type": "MATCH_SET", "g": g + a, "members": p_match})
+            self._lines.append({"type": "MATCH_SET", "members": p_match})
             if p_match is None:
                 self._settle(g + a, OUTCOME_DEFAULT)
             elif cut := self._check(g + a, p_match, _matching_plan(self.graph, p_match), *(
@@ -863,8 +889,8 @@ class Execution:
             live[p] = live_flags[key]
         # lanes of a wide step settle only with every flag FALSE: a wide
         # flag is TRUE when any lane's is, and does not say which
-        if len(self._lines) > 1 and any(live.values()):
-            return 0, len(self._lines)
+        if self._width > 1 and any(live.values()):
+            return 0, self._width
         flags = self._round(g, TAG_DETECTED, live)
         if all(v is False for v in flags.values()):
             blocks: dict[tuple, bytes] = {}
@@ -877,7 +903,7 @@ class Execution:
             for p in list(self.graph.unconvicted()):
                 if vectors.get(p) is None:
                     events = self.graph.convict(p)
-                    self._graph_events(g, [(RULE_SILENT_MATCH_VECTOR, ev) for ev in events])
+                    self._graph_events([(RULE_SILENT_MATCH_VECTOR, ev) for ev in events])
         live = self.graph.unconvicted()
         coded_obs = self._round(g, TAG_CODED, {p: coded[p] for p in live})
         received_obs = self._round(g, TAG_RECEIVED, {p: received[p] for p in live})
@@ -887,9 +913,9 @@ class Execution:
             p_match if alg1 else range(1, cfg.n + 1),
             cfg.k, count_convicted=not alg1, verdicts=verdicts,
         )
-        self._graph_events(g, result.events)
+        self._graph_events(result.events)
         if result.decide_ids:
-            self._emit({"type": "DECIDE_SET", "g": g, "members": result.decide_ids})
+            self._lines.append({"type": "DECIDE_SET", "members": result.decide_ids})
             self.p_match = result.decide_ids
             values = dict.fromkeys(self.fault_free, result.decide_value)
             return self._settle(g, OUTCOME_DIAGNOSED, values, result.decide_ids)
@@ -900,39 +926,71 @@ class Execution:
     def _terminate(self, g: int) -> int:
         """alg1 stops at `g`, settling the generations left; outputs are zeros.
         Only a step of one lane has written lines when it stops."""
-        self.transcript.events += [*self._lines[0], {"type": OUTCOME_TERMINATED, "g": g}]
-        self.outcomes += (
-            {"g": h, "kind": OUTCOME_TERMINATED, "value": None, "decide_set": []}
-            for h in range(g, self.config.generations + 1)
-        )
+        self._blocks.append([g, g, [*self._lines, {"type": OUTCOME_TERMINATED}], self._waves])
         return self.config.generations + 1 - g
 
     def _settle(
         self, g: int, kind: str, values: dict[int, bytes] | None = None,
         decide_set: Sequence[int] = (),
     ) -> tuple[int, int]:
-        """Settle each generation of the step: store each fault-free processor's
-        block, its lane of `values` (zeros when None), and move the lane's lines
-        into the transcript, then the outcome, whose event maps them if they differ."""
-        width = len(self._lines)
+        """Settle the step's generations g..g+width-1: store each fault-free
+        processor's blocks of `values` (zeros when None), and close the step's
+        lines with a `DECIDED` line once per run of generations whose blocks
+        are named alike; a run joins the block before when their lines are
+        equal. A block is named by the index of the lowest input whose block
+        it is, else written in hex, and the processors' blocks are mapped when
+        they differ."""
+        width = self._width
         if values is None:
             values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
-        # each distinct value cut into its lanes once, the cuts shared by its holders
-        lanes = dict.fromkeys(values.values())
-        for v in lanes:
-            lanes[v] = [v[j::width] for j in range(width)] if width > 1 else (v,)
+        # each distinct value, its blocks in generation order once for its holders
+        flat, decided, decide_set = {}, self.decided, [*decide_set]
         for p, v in values.items():
-            self.decided[p].extend(lanes[v])
-        first = lanes[values[self.fault_free[0]]]
-        for j, lines in enumerate(self._lines):
-            value = first[j].hex()
-            outcome = {"g": g + j, "kind": kind, "value": value, "decide_set": [*decide_set]}
-            self.outcomes.append(outcome)
-            lines.append({"type": "DECIDED", **outcome})
-            if len(lanes) > 1 and len({cut[j] for cut in lanes.values()}) > 1:
-                lines[-1]["values"] = {str(p): lanes[v][j].hex() for p, v in values.items()}
-            self.transcript.events += lines
+            if v not in flat:
+                flat[v] = v if width == 1 else b"".join(v[j::width] for j in range(width))
+            decided[p].append(flat[v])
+        # each run of generations whose blocks are named alike, its names by value
+        # and length: it writes the step's lines once, a later run copies of them,
+        # as a block is written in place
+        if width == 1:
+            runs, copies = [({v: self._names(g, v, 1)[0] for v in flat}, 1)], [self._lines]
+        else:
+            names = [self._names(g, f, width) for f in flat.values()]
+            runs = [(dict(zip(flat, key)), len([*lanes])) for key, lanes in groupby(zip(*names))]
+            copies = [self._lines] + [[dict(e) for e in self._lines] for _ in runs[1:]]
+        first, a, blocks = values[self.fault_free[0]], g, self._blocks
+        for lines, (named, lanes) in zip(copies, runs):
+            line = {"type": "DECIDED", "kind": kind, "value": named[first],
+                    "decide_set": decide_set}
+            if len(named) > 1 and len(set(named.values())) > 1:
+                line["values"] = {str(p): named[v] for p, v in values.items()}
+            lines.append(line)
+            b = a + lanes - 1
+            waves = self._waves if lanes == width else [d[a - g : b + 1 - g] for d in self._waves]
+            if blocks and blocks[-1][2] == lines:  # alike: the block before goes on to b
+                blocks[-1][1] = b
+                for digests, more in zip(blocks[-1][3], waves):
+                    digests += more
+            else:
+                blocks.append([a, b, lines, waves])
+            a = b + 1
         return width, 0
+
+    def _names(self, g: int, flat: bytes, width: int) -> list[int | str]:
+        """The name of each block of `flat`, blocks g..g+width-1 in order: the
+        index of the lowest distinct input whose block it is, else its hex
+        (empty for an undecodable word's)."""
+        size = len(flat) // width
+        start, named = (g - 1) * size, {}  # block -> index, where a lower input agrees
+        for i, padded in enumerate(self._inputs) if flat else ():
+            piece = padded[start : start + len(flat)]
+            if piece == flat:
+                return [named.get(j, i) for j in range(width)] if named else [i] * width
+            if width > 1:
+                for j in _equal_blocks(piece, flat, size):
+                    named.setdefault(j, i)
+        return [named[j] if j in named else flat[j * size : (j + 1) * size].hex()
+                for j in range(width)]
 
     # ----------------------------------------------------------- driver
 
@@ -957,8 +1015,18 @@ class Execution:
             width = min(quiet, bad // 2) if bad else quiet
             done, cut = self._stretch(g, max(width, 1))
             g, bad = g + done, cut or max(bad - done, 0)
+        # each block's lines with `g` its generation or range [a, b], where a
+        # merged `WAVE` line's `sha256` is the SHA-256 of its generations' digests
+        for a, b, lines, waves in self._blocks:
+            g, digests = a if a == b else [a, b], iter(waves)
+            for line in lines:
+                line["g"] = g
+                if line["type"] == "WAVE":
+                    d = next(digests)
+                    line["sha256"] = (d[0] if a == b else sha256(b"".join(d)).digest()).hex()
+            self.transcript.events += lines
         # only alg1 terminates, and then every output is the all-zero default
-        terminated = any(o["kind"] == OUTCOME_TERMINATED for o in self.outcomes)
+        terminated = self._blocks[-1][2][-1]["type"] == OUTCOME_TERMINATED
         self.outputs = outputs = {
             p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
             for p in self.fault_free
@@ -976,7 +1044,10 @@ class Execution:
             "output_sha256": [sha256(v).hexdigest() for v in output_values],
             "diagnosis_count": self.diagnosis_count,
             "ledger": self.ledger.totals(),
-            "graph": self.graph.to_jsonable(),
+            "graph": {
+                "convicted": sorted(self.graph.convicted),
+                "edges_removed": len(self.graph.removed),
+            },
         })
         return self
 
@@ -1005,32 +1076,61 @@ def _lane_vectors(
 ) -> list[dict[int, int]]:
     """Each lane's match vectors on words of `rows` rows of `width` >= 2 lanes:
     the wide `vectors`, or a copy where an unset bit of two present slots has byte
-    j of its XOR zero in every row. Per processor, those slots join into one
-    XOR; with each slot's rows OR-folded into its last and the other rows
-    masked, each zero byte names a (slot, lane) by its position."""
+    j of its XOR zero in every row. Per processor, its received word, read once
+    per distinct word, is XORed with its coded word slot for slot; with each
+    slot's rows OR-folded into its last, and the other rows, the set bits and
+    the absent slots masked, each zero byte names a (slot, lane) by its position."""
     lanes, size = [vectors] * width, rows * width
+    words: dict[tuple, tuple[int, int]] = {}  # a received word's int and absent slots
     for p, bits in vectors.items():
-        got, own = received[p], coded[p]
+        own = coded[p]
         if bits.bit_count() == len(own):  # every slot matched: nothing to name
             continue
-        slots = [i for i, (r, c) in enumerate(zip(got, own))
-                 if not bits >> i & 1 and r is not None and c is not None]
-        x = int.from_bytes(b"".join(map(got.__getitem__, slots)), "big")
-        x ^= int.from_bytes(b"".join(map(own.__getitem__, slots)), "big")
+        got = tuple(received[p])
+        if got not in words:
+            words[got] = _word_int(got, size)
+        (x, absent), (y, missing) = words[got], _word_int(own, size)
+        x ^= y
         for _ in range(rows - 1):
             x |= x >> 8 * width
-        row, j = (x | _row_mask(len(slots), rows, width)).to_bytes(len(slots) * size, "big"), -1
+        mask = _slot_mask(bits | absent | missing, len(own), rows, width)
+        row, j = (x | mask).to_bytes(len(own) * size, "big"), -1
         while (j := row.find(0, j + 1)) >= 0:
             lane = j % width
             lanes[lane] = dict(vectors) if lanes[lane] is vectors else lanes[lane]
-            lanes[lane][p] |= 1 << slots[j // size]
+            lanes[lane][p] |= 1 << j // size
     return lanes
 
 
-@lru_cache(maxsize=64)
-def _row_mask(n: int, rows: int, width: int) -> int:
-    """0xff over n slots of `rows` rows of `width` lanes, but each slot's last row."""
-    return int.from_bytes((b"\xff" * (rows - 1) * width + bytes(width)) * n, "big")
+def _word_int(word: Sequence[bytes | None], size: int) -> tuple[int, int]:
+    """A word's slots as one big-endian int, an absent slot as zeros, and the
+    mask of its absent slots."""
+    if None not in word:
+        return int.from_bytes(b"".join(word), "big"), 0
+    zero = bytes(size)
+    return (int.from_bytes(b"".join(zero if v is None else v for v in word), "big"),
+            sum(1 << i for i, v in enumerate(word) if v is None))
+
+
+@lru_cache(maxsize=256)
+def _slot_mask(skip: int, n: int, rows: int, width: int) -> int:
+    """0xff over n slots of `rows` rows of `width` lanes: every byte of the
+    slots in `skip`, every row but the last of the others."""
+    keep, whole = b"\xff" * (rows - 1) * width + bytes(width), b"\xff" * rows * width
+    return int.from_bytes(b"".join(whole if skip >> i & 1 else keep for i in range(n)), "big")
+
+
+def _equal_blocks(a: bytes, b: bytes, size: int) -> Iterator[int]:
+    """The index of each `size`-byte block in which `a` and `b` agree: each
+    aligned run of `size` zero bytes in their XOR."""
+    x = (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    zero, j = bytes(size), 0
+    while (j := x.find(zero, j)) >= 0:
+        if j % size:  # a run that starts inside a block: go on from the next
+            j += size - j % size
+            continue
+        yield j // size
+        j += size
 
 
 def _lanes(symbol: bytes, a: int, b: int, width: int) -> bytes:

@@ -38,7 +38,7 @@ def recorded_ranges(monkeypatch, steps: list) -> list:
 
     def round_(self, g, tag, honest):
         if tag == sim.TAG_MATCH_BITS:
-            ranges.append((len(steps) - 1, g, len(self._lines)))
+            ranges.append((len(steps) - 1, g, self._width))
         return real(self, g, tag, honest)
     monkeypatch.setattr(sim.Execution, "_round", round_)
     return ranges

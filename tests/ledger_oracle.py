@@ -2,8 +2,10 @@
 
 The engine sums its ledger in one pass over each cell's events; this
 reference charges it one event at a time, so a test can compare the two
-for every (generation, stage) cell of the run's in-memory ledger and for
-the totals its `VERDICT` records. No imports from the package under test.
+for every (generations, stage) cell of the run's in-memory ledger and for
+the totals its `VERDICT` records. A line whose `g` is a range [a, b]
+charges each of its generations, in one cell per range. No imports from
+the package under test.
 """
 
 # the stage each broadcast tag is charged to
@@ -17,7 +19,8 @@ FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
 
 
 def resum_ledger(events):
-    """Ledger cells keyed "g:stage", as `CostLedger.to_jsonable` writes them.
+    """Ledger cells keyed "g:stage", or "a-b:stage" for a range, as
+    `CostLedger.to_jsonable` writes them, each holding one generation's sums.
 
     Every faulty sender's `SYMBOL_SENT` is one matching-stage symbol of
     8 * sym_bytes bits, and every `WAVE` is `count` honest ones; every
@@ -32,6 +35,7 @@ def resum_ledger(events):
     cells = {}
 
     def cell(g, stage):
+        g = g if isinstance(g, int) else f"{g[0]}-{g[1]}"
         return cells.setdefault(f"{g}:{stage}", dict.fromkeys(FIELDS, 0))
 
     for event in events:
@@ -47,7 +51,16 @@ def resum_ledger(events):
     return cells
 
 
+def generations(key):
+    """How many generations a cell of `resum_ledger` covers."""
+    first, _, last = key.split(":")[0].partition("-")
+    return int(last or first) - int(first) + 1
+
+
 def ledger_totals(cells):
     """The totals of every field over `resum_ledger`'s cells, as `VERDICT`
     records them."""
-    return {name: sum(cell[name] for cell in cells.values()) for name in FIELDS}
+    return {
+        name: sum(cell[name] * generations(key) for key, cell in cells.items())
+        for name in FIELDS
+    }

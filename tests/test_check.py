@@ -243,7 +243,9 @@ def test_a_skew_in_one_lane_of_a_wide_decode_is_flagged_at_its_generation(
     monkeypatch,
 ):
     """The quiet run decodes its three generations in one wide call; lane
-    j of the wide block is generation j+1's block."""
+    j of the wide block is generation j+1's block. Generations 1 and 3
+    decide the input, which their `DECIDED` lines name by its index;
+    generation 2's block is no input's and is written in hex."""
     config = point_config(ALG1, 7, 2, None, ())
     real, widths = sim.decode, []
 
@@ -259,10 +261,10 @@ def test_a_skew_in_one_lane_of_a_wide_decode_is_flagged_at_its_generation(
         "g2: decided block is no fault-free member's input",
         "identical fault-free inputs were not decided",
     ]
-    blocks = [config.input_block(1, g) for g in (1, 2, 3)]
-    blocks[1] = bytes([blocks[1][0] ^ 0x80]) + blocks[1][1:]
-    assert [e["value"] for e in result.transcript.of_type("DECIDED")] == [
-        block.hex() for block in blocks
+    skewed = config.input_block(1, 2)
+    skewed = bytes([skewed[0] ^ 0x80]) + skewed[1:]
+    assert [(e["g"], e["value"]) for e in result.transcript.of_type("DECIDED")] == [
+        (1, 0), (2, skewed.hex()), (3, 0)
     ]
 
 
@@ -366,13 +368,15 @@ def test_decided_events_map_each_block_when_blocks_differ(monkeypatch):
     script = withholding_script(config)
     # the second distinct word of each generation is skewed
     patch_decode_skews(monkeypatch, config, script)
-    execution = sim.Execution(config, script)
-    result = execution.run()
-    differ = 0
+    result = sim.run_execution(config, script)
+    size, differ = config.block_bytes, 0
     for event in result.transcript.of_type("DECIDED"):
+        g = event["g"]
+        # the one input's block by its index, any other in hex
         blocks = {
-            str(p): decided[event["g"] - 1].hex()
-            for p, decided in execution.decided.items()
+            str(p): 0 if block == config.input_block(1, g) else block.hex()
+            for p, out in result.outputs.items()
+            for block in [out[(g - 1) * size : g * size]]
         }
         if len(set(blocks.values())) > 1:
             differ += 1

@@ -10,6 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from codedbft import sim
+from codedbft.check import span
 from codedbft.consensus import (
     STEP_HELPER,
     STEP_RECONSTRUCTED,
@@ -45,6 +46,7 @@ import wave_oracle
 from event_state import rebuilt_graph
 from golden_corpus import all_cases
 from engine_steps import counted, questions, recorded_steps, width_one
+from transcript_v6 import v6_events
 
 
 def fault_free_config(algorithm, n, t, q, l_bits, d_bits, seed=1, sharers=None):
@@ -315,6 +317,7 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
         assert result.transcript.to_jsonl() == (
             run_execution(config, plain).transcript.to_jsonl()
         )
+        events = v6_events(result.transcript.to_jsonl())
         deviating = [
             (g, step, s, r, value.hex())
             for (g, step, s, r, honest, skip), value in script.sends
@@ -322,11 +325,11 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
         ]
         assert deviating == [
             (e["g"], e["step"], e["sender"], e["receiver"], e["value"])
-            for e in result.transcript.of_type("SYMBOL_SENT")
+            for e in events if e["type"] == "SYMBOL_SENT"
         ]
         # alg2 sends a helper wave before and after its match set
         waves: dict = {}
-        for e in result.transcript.of_type("WAVE"):
+        for e in (e for e in events if e["type"] == "WAVE"):
             waves[e["g"], e["step"]] = waves.get((e["g"], e["step"]), 0) + e["count"]
         assert waves == {key: count for key, count in counts.items() if count}
         # a claim equal to the honest word joins its round's digest
@@ -335,7 +338,7 @@ def test_engine_asks_the_script_once_per_faulty_send_and_broadcast(
              else word_hex(payload) if tag in CLAIM_TAGS and payload is not None
              else payload)
             for (g, tag, s, honest), payload in script.broadcasts
-        ] == observed_broadcasts(result.transcript.events, (2, 6))
+        ] == observed_broadcasts(events, (2, 6))
         symbols += sum(value is not None for _, value in script.sends)
         silences += sum(value is None for _, value in script.sends)
         silences += sum(payload is None for _, payload in script.broadcasts)
@@ -373,7 +376,7 @@ def test_a_faulty_symbol_equal_to_the_senders_slot_joins_the_wave():
         script = AdversaryScript([4])
         if rule:
             script.add_send(1, STEP_OWN, 4, 1, "replace", rule)
-        return run_execution(config, script).transcript.events
+        return v6_events(run_execution(config, script).transcript.to_jsonl())
 
     plain, same, other = run(None), run(slot), run(bytes([slot[0] ^ 1]))
     assert same[1:] == plain[1:]
@@ -549,13 +552,20 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
     received = {p: [rng.choice((None, rng.randbytes(sym))) for _ in everyone] for p in everyone}
     expected = {p: list(word) for p, word in received.items()}
     execution = Execution(config, script)
-    events = execution._lines[0]
+    lines, waves = execution._lines, execution._waves
     plan = sim._matching_plan(graph, members)
     obligations = obligation_oracle.matching_obligations(graph, members)
     for step in sim._STEPS:
-        before = len(events)
+        before, digests = len(lines), len(waves)
         execution._send_wave(g, step, getattr(plan, step), coded, received, suppressed)
-        assert events[before:] == wave_oracle.deliver(
+        # the step's lines take their generation, and a wave its one digest,
+        # when the step settles
+        digests = iter(waves[digests:])
+        events = [{**e, "g": g} for e in lines[before:]]
+        for e in events:
+            if e["type"] == "WAVE":
+                e["sha256"] = next(digests)[0].hex()
+        assert events == wave_oracle.deliver(
             g, step, [ob[:3] for ob in obligations if ob[3] == step],
             coded, expected, faulty, script.send, suppressed,
         )
@@ -623,24 +633,29 @@ def test_obligations_follow_the_graph_after_diagnosis():
     assert kinds == [OUTCOME_DIAGNOSED, OUTCOME_DECIDED]
     # g2 keeps the full match set, so only the graph tells the two apart
     assert result.outcomes[0]["decide_set"] == list(range(1, 8))
-    # every input is the same, so every sender holds this word in g2
-    word = encode(config.code_params(), config.input_block(1, 2))
+    # every input is the same, so every sender holds one word in each generation
 
     def traffic(obligations):
-        """Each wave's count and digest: processor 7 follows no rule in g2,
-        so its symbols join the waves with everyone else's."""
+        """Each wave's count and digest over the generations g2 starts:
+        processor 7 follows no rule after g1, so its symbols join the waves
+        with everyone else's."""
         waves = {}
         for step in sim._STEPS:
-            records = [
-                bytes((s, r, k)) + word[k - 1]
-                for s, r, k, ob_step in obligations if ob_step == step
-            ]
+            digests = []
+            for word in words:
+                records = [
+                    bytes((s, r, k)) + word[k - 1]
+                    for s, r, k, ob_step in obligations if ob_step == step
+                ]
+                digests.append(hashlib.sha256(b"".join(records)).digest())
             if records:
-                digest = hashlib.sha256(b"".join(records)).hexdigest()
-                waves[step] = (len(records), digest)
+                digest = digests[0] if len(words) == 1 else hashlib.sha256(b"".join(digests)).digest()
+                waves[step] = (len(records), digest.hex())
         return waves
 
-    events = [ev for ev in result.transcript.events if ev.get("g") == 2]
+    events = [ev for ev in result.transcript.events if span(ev.get("g", 0))[0] == 2]
+    last = span(events[0]["g"])[1]
+    words = [encode(config.code_params(), config.input_block(1, g)) for g in range(2, last + 1)]
     assert not [ev for ev in events if ev["type"] == "SYMBOL_SENT"]
     sent = {
         ev["step"]: (ev["count"], ev["sha256"])
@@ -772,6 +787,31 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
             isinstance(x, tuple) and all(immutable(y) for y in x)
         )
     assert all(immutable(plan) for plan in sim._PLANS.values())
+
+
+def test_plan_cache_keeps_the_sends_it_holds_as_a_running_total(monkeypatch):
+    """After every request, hit or miss, with evictions on the way, the
+    cache's `held` is the sum of its plans' sends."""
+    from collections import OrderedDict
+
+    from codedbft.cli import sweep_cases
+
+    monkeypatch.setattr(sim, "_PLANS", OrderedDict())
+    monkeypatch.setattr(sim, "_PLAN_BUDGET", 2000)
+    real, requests = sim._matching_plan, [0]
+
+    def matching_plan(graph, p_match):
+        plan = real(graph, p_match)
+        assert sim._PLANS.held == sum(len(p) for p in sim._PLANS.values())
+        requests[0] += 1
+        return plan
+    monkeypatch.setattr(sim, "_matching_plan", matching_plan)
+    held = set()  # every plan held at the end of a run
+    for config, script in sweep_cases(ALG2, 7, 2, [3], 60, 700):
+        run_execution(config, script)
+        held |= {id(p) for p in sim._PLANS.values()}
+    # hits, and evictions down to the budget
+    assert requests[0] > len(held) > len(sim._PLANS) > 1
 
 
 def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):

@@ -33,6 +33,7 @@ from codedbft.sim import (
 from engine_steps import counted, recorded_ranges, recorded_steps, width_one
 from golden_corpus import all_cases
 from lane_oracle import lane_vectors
+import wave_oracle
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -111,13 +112,17 @@ def cut_at(config: ExecutionConfig, g_cut: int, monkeypatch):
     assert steps == [(1, 6, 6, 0)]
     cut = ((1, g_cut - 1), (g_cut, 1), (g_cut + 1, 6 - g_cut))
     assert ranges == [(0, g, lanes) for g, lanes in cut if lanes]
+    # the lanes on each side of the cut write their lines once, over their range
     masks = [
-        e["payload"][:2] for e in result.transcript.of_type("ROUND")
+        (e["g"], e["payload"][:2]) for e in result.transcript.of_type("ROUND")
         if e["tag"] == TAG_MATCH_BITS
     ]
-    assert masks == [["01", "02"]] * (g_cut - 1) + [["03", "03"]] + [["01", "02"]] * (
-        6 - g_cut
-    )
+    assert masks == [
+        (a if a == b else [a, b], pair)
+        for a, b, pair in ((1, g_cut - 1, ["01", "02"]), (g_cut, g_cut, ["03", "03"]),
+                           (g_cut + 1, 6, ["01", "02"]))
+        if a <= b
+    ]
     return result
 
 
@@ -251,7 +256,8 @@ def test_stretches_and_width_1_write_the_same_transcripts(monkeypatch):
 def test_a_wide_settle_maps_only_the_lane_whose_blocks_differ():
     """Two wide values three lanes wide that differ in lane 1 alone: only
     generation g+1's `DECIDED` line maps the blocks, and every processor
-    decides what three one-lane settles decide."""
+    decides what three one-lane settles decide. No block is an input's, so
+    each is written in hex, and no two generations' lines are alike."""
     config = coinciding_config(g_cut=0, generations=3)
     blocks = [bytes([16 * j + b for b in range(3)]) for j in range(3)]
     other = bytes(b ^ 0xFF for b in blocks[1])
@@ -260,19 +266,25 @@ def test_a_wide_settle_maps_only_the_lane_whose_blocks_differ():
     for width in (3, 1):
         execution = sim.Execution(config, AdversaryScript())
         for j in range(0, 3, width):
-            execution._lines = [[] for _ in range(width)]
+            execution._lines, execution._waves, execution._width = [], [], width
             execution._settle(1 + j, OUTCOME_DECIDED, {
                 p: b"".join(bytes(lanes) for lanes in zip(*lane[j : j + width]))
                 for p, lane in holders.items()
             })
         settled.append(execution)
     wide, narrow = settled
-    assert wide.transcript.events == narrow.transcript.events
-    assert [("values" in e) for e in wide.transcript.events] == [False, True, False]
-    assert wide.transcript.events[1]["values"] == {
+    # each settled block: its first and last generation, lines and digests
+    assert wide._blocks == narrow._blocks
+    assert [(a, b, "values" in lines[-1]) for a, b, lines, _ in wide._blocks] == [
+        (1, 1, False), (2, 2, True), (3, 3, False)
+    ]
+    assert wide._blocks[1][2][-1]["values"] == {
         str(p): lane[1].hex() for p, lane in holders.items()
     }
-    assert wide.decided == narrow.decided == holders
+    for execution in settled:
+        assert {p: b"".join(pieces) for p, pieces in execution.decided.items()} == {
+            p: b"".join(lane) for p, lane in holders.items()
+        }
 
 
 @st.composite
@@ -320,6 +332,41 @@ def test_the_lane_check_names_what_the_per_slot_fold_names(check):
         assert lanes[lane][p] >> i & 1
     for p, i, lane in partial:
         assert lanes[lane][p] >> i & 1 == vectors[p] >> i & 1
+
+
+def test_the_lane_check_converts_a_shared_received_word_once(monkeypatch):
+    """Processors 1 and 2 hold one received word but their own coded words
+    and set bits: the word is converted once, each coded word once, and
+    each processor's set bits are masked, not its slots left out. Lane 0
+    of slot 1 matches for processor 1, whose bit 1 is unset; processor 2's
+    bit 1 is set, so its equal byte there names nothing."""
+    received = [b"\x10\x11", b"\x20\x21", b"\x30\x31"]
+    coded = {1: [b"\x00\x00", b"\x20\x00", b"\x00\x00"],
+             2: [b"\x00\x11", b"\x20\x00", b"\x30\x00"]}
+    vectors = {1: 0b001, 2: 0b010}
+    words = {1: received, 2: list(received)}
+    conversions = counted(monkeypatch, "_word_int")
+    lanes = sim._lane_vectors(vectors, words, coded, 1, 2)
+    assert lanes == lane_vectors(vectors, words, coded, 2)
+    assert lanes == [{1: 0b011, 2: 0b110}, {1: 0b001, 2: 0b011}]
+    assert len(conversions) == 3
+
+
+def test_width_1_steps_whose_lines_agree_write_one_block(monkeypatch):
+    """A sweep case with rules in generations 2 and 3 takes one step per
+    generation, but its rules are for waves alg1 never sends here, so the
+    three generations write equal lines: one block over [1, 3], whose
+    own-wave digest is the SHA-256 of the three generations' digests."""
+    config, script = all_cases()["alg1-qNone-L7680-D2560-seed200"]
+    steps = recorded_steps(monkeypatch)
+    events = run_execution(config, script).transcript.events
+    assert steps == [(1, 1, 1, 0), (2, 1, 1, 0), (3, 1, 1, 0)]
+    assert [(e["type"], e.get("g")) for e in events] == [
+        ("header", None), ("WAVE", [1, 3]), ("ROUND", [1, 3]), ("DECIDED", [1, 3]),
+        ("VERDICT", None),
+    ]
+    assert events[3]["value"] == 0
+    assert wave_oracle.own_waves(events) == [([1, 3], 42, events[1]["sha256"])]
 
 
 def test_a_run_without_a_match_set_is_one_step_over_the_runs_own_symbols(monkeypatch):

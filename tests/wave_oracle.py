@@ -72,15 +72,20 @@ def symbol_at(rows, k, block, pos):
 
 
 def own_waves(events):
-    """(g, count, sha256) of each generation's own wave, in order, for
-    the fault-free run whose transcript events are `events`.
+    """(g, count, sha256) of each own-wave line, in order, for the
+    fault-free run whose transcript events are `events`: `g` is one
+    generation, or the range [a, b] of generations that wrote their lines
+    alike, whose `sha256` is the SHA-256 of their digests in order.
 
     A generation that runs its matching stage has a broadcast round of
     match bits (alg2) or detection flags (alg1) after its own wave; an
     alg1 generation that terminates before matching has none.
     """
     header = events[0]
-    reached = sorted({e["g"] for e in events if e["type"] == "ROUND"})
+    reached = []
+    for e in events:
+        if e["type"] == "ROUND" and e["g"] not in reached:
+            reached.append(e["g"])
     config = header["config"]
     n = config["n"]
     k = n - config["t"] if config["algorithm"] == "alg1" else config["q"]
@@ -94,9 +99,14 @@ def own_waves(events):
     ]
     waves = []
     for g in reached:
-        records = []
-        for s in range(1, n + 1):
-            symbol = symbol_at(rows, k, padded[s - 1][(g - 1) * size : g * size], s)
-            records += [bytes((s, r, s)) + symbol for r in range(1, n + 1) if r != s]
-        waves.append((g, len(records), hashlib.sha256(b"".join(records)).hexdigest()))
+        first, last = (g, g) if isinstance(g, int) else g
+        digests = []
+        for h in range(first, last + 1):
+            records = []
+            for s in range(1, n + 1):
+                symbol = symbol_at(rows, k, padded[s - 1][(h - 1) * size : h * size], s)
+                records += [bytes((s, r, s)) + symbol for r in range(1, n + 1) if r != s]
+            digests.append(hashlib.sha256(b"".join(records)).digest())
+        digest = digests[0] if first == last else hashlib.sha256(b"".join(digests)).digest()
+        waves.append((g, len(records), digest.hex()))
     return waves

@@ -38,12 +38,12 @@ while read -r alg n t q limit script digest; do
   fi
   checked=$((checked + 1))
 done <<'EOF'
-alg1 64 21 - 16000 - 1010b94216486ef5de23619cf3254954fd37093b7d775d5d428473f3d894847e
-alg1 127 42 - 13500 - 80c7508b35127234c3f96d426852179c2db599d0bb1cc1d66719997bc15bea2f
-alg1 255 84 - 12500 - afec682bd46b1523a501d5edab8b18303c4a84e382591170adca2a953680f62a
-alg2 255 84 128 185000 - 09dc9b9db8178be59c2d807a20f17fc4ce70b987bdb3db01813e30734771999e
-alg1 255 84 - 350000 tests/scale/alg1_n255_t84.json ec2f1a853cc2462648dceb2888c6c21c9b55d6e136cf300c19ebb59167f585d5
-alg2 127 42 64 285000 tests/scale/alg2_n127_t42_q64.json 2e7411b01dec2b45ece48945a63ed74a8ef87386657b7c36a95bc45eafe13e6e
-alg2 255 84 128 625000 tests/scale/alg2_n255_t84_q128.json bbed0acaa2589a214d917c4ed1ff056d52ce98f2a810d6948a6183ac07336adc
+alg1 64 21 - 4300 - 0ef29de4213795ddd909d0aa1836e0a5013bcfba38bbaebd8f2e27f5b271eee7
+alg1 127 42 - 5100 - a6c8dfd54c8344d26c6d36cd773898d62112270254ef148473b83f3b5188878d
+alg1 255 84 - 6800 - edfea845ce70946d9eff7a6ff5744355e5e889e78def5a53b637354f1d323040
+alg2 255 84 128 7700 - 1eacd086b8b754dddbf6129c3b940b92fbf3acb49a4c6ba01ea433944b111f25
+alg1 255 84 - 200000 tests/scale/alg1_n255_t84.json f1b6af0e61a86edba55220ea0fd1ba8f5b6117763142d7fb14f6be49196ce3d9
+alg2 127 42 64 240000 tests/scale/alg2_n127_t42_q64.json feb37ff1eda5b9786a76569ecda6a116f6e5451d417279d647cd2fb4061286bd
+alg2 255 84 128 465000 tests/scale/alg2_n255_t84_q128.json 82b5f3c86aceff510df74157fca5482f671b0d06f98ae8ef43c45a2300ac916b
 EOF
 echo "scale: $checked transcripts within their limits and matching their pinned SHA-256"

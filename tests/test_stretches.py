@@ -336,10 +336,10 @@ def test_the_lane_check_names_what_the_per_slot_fold_names(check):
 
 def test_the_lane_check_converts_a_shared_received_word_once(monkeypatch):
     """Processors 1 and 2 hold one received word but their own coded words
-    and set bits: the word is converted once, each coded word once, and
-    each processor's set bits are masked, not its slots left out. Lane 0
-    of slot 1 matches for processor 1, whose bit 1 is unset; processor 2's
-    bit 1 is set, so its equal byte there names nothing."""
+    and set bits: the word is converted once and each coded word once,
+    and each processor's set bits are masked in its XOR. Lane 0 of slot 1
+    matches for processor 1, whose bit 1 is unset; processor 2's bit 1 is
+    set, so its equal byte there names nothing."""
     received = [b"\x10\x11", b"\x20\x21", b"\x30\x31"]
     coded = {1: [b"\x00\x00", b"\x20\x00", b"\x00\x00"],
              2: [b"\x00\x11", b"\x20\x00", b"\x30\x00"]}

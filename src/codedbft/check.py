@@ -162,12 +162,12 @@ def judge(
     out = [message for _, message in sorted(found, key=lambda item: item[0])]
     out.extend(f"processor {p} terminated without a full output"
                for p, blob in outputs.items() if len(blob) != config.padded_bytes)
-    if len(set(outputs.values())) > 1:
+    first = next(iter(outputs.values()), b"")  # compared, not hashed: mostly one object
+    if any(v != first for v in outputs.values()):
         out.append("final fault-free outputs differ")
-    size = config.l_bits // 8
-    inputs = {config.padded_input(p)[:size] for p in fault_free}
-    if config.algorithm == ALG1 and len(inputs) == 1:
-        if any(v[:size] not in inputs for v in outputs.values()):
+    if config.algorithm == ALG1 and len(weight) == 1:
+        value = memoryview(config.padded_input(next(iter(weight))))[: config.l_bits // 8]
+        if not all(v.startswith(value) for v in outputs.values()):
             out.append("identical fault-free inputs were not decided")
     out.extend(f"fault-free processor {p} ended convicted" for p in fault_free if p in convicted)
     return out

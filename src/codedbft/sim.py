@@ -351,11 +351,11 @@ class AdversaryScript:
     def quiet_until(self, g: int, last: int) -> int:
         """The end of the quiet generations g..h, h <= last, that no rule names
         but a claim rule, which only a diagnosis asks: g - 1 if one names g. A
-        step over them asks once, keyed by g, and hears honest answers; none is
-        quiet to a subclass that answers `send` or `broadcast` itself."""
+        step over them asks `broadcast` once, keyed by g, and sends honestly; none
+        is quiet to a subclass that answers `send` or `broadcast` itself."""
         if g in self._named or (type(self).send, type(self).broadcast) != self._ANSWERS:
             return g - 1
-        return min((h for h in self._named if h > g), default=last + 1) - 1
+        return last if last == g else min((h for h in self._named if h > g), default=last + 1) - 1
 
     _ANSWERS = (send, broadcast)  # a subclass that overrides either answers itself
 
@@ -546,7 +546,12 @@ class Transcript:
     def lines(self) -> Iterator[str]:
         """Each event as one line of JSON with sorted keys and no spaces."""
         for e in self.events:
-            yield "".join(_encode_line(e, 0)) + "\n"
+            if e["type"] != "header":
+                yield "".join(_encode_line(e, 0)) + "\n"
+                continue
+            hexes = ",".join(f'"{v}"' for v in e["input_values"])  # hex needs no escaping
+            yield "".join(_encode_line({**e, "input_values": []}, 0)).replace(
+                '"input_values":[]', f'"input_values":[{hexes}]', 1) + "\n"
 
     def of_type(self, event_type: str) -> list[dict]:
         return [e for e in self.events if e["type"] == event_type]
@@ -616,18 +621,18 @@ class Execution:
         """Deliver one wave of a plan, run by run; `suppressed` senders
         stay silent.
 
-        A faulty sender's run asks the script's `send` once per receiver;
-        each symbol must be sym_bytes long. An honest sender's run reads
-        its slot once and stores it into every receiver's word. Every
-        symbol equal to its sender's slot, from a sender not suppressed,
-        is recorded in one `WAVE` line after the rest: their count, and per
-        generation the SHA-256 of their records `bytes((sender, receiver,
-        slot)) + value` in plan order, `value.join(prefixes) + value` for an
-        honest run; a prefix byte fills every lane, so lane j is generation
-        g+j's. Any other faulty symbol is its own `SYMBOL_SENT` line.
+        A faulty sender's run asks the script's `send` once per receiver unless no
+        rule names g; each symbol must be sym_bytes long. An honest sender's run, or a
+        faulty one's then, reads its slot once and stores it into every receiver's
+        word. Every symbol equal to its sender's slot, from a sender not suppressed,
+        is recorded in one `WAVE` line after the rest: their count, and per generation
+        the SHA-256 of their records `bytes((sender, receiver, slot)) + value` in plan
+        order, `value.join(prefixes) + value` for an honest run; a prefix byte fills
+        every lane, so lane j is generation g+j's. Any other faulty symbol is its own
+        `SYMBOL_SENT` line.
         """
-        script, faulty = self.script, self.script.faulty
-        sym, width = self.params.sym_bytes, self._width
+        script, sym, width = self.script, self.params.sym_bytes, self._width
+        faulty = () if script.quiet_until(g, g) >= g else script.faulty
         records: list[bytes] = []
         honest_sent = 0
         if width > 1:
@@ -924,8 +929,9 @@ class Execution:
         return self._settle(g, OUTCOME_DEFAULT)
 
     def _terminate(self, g: int) -> int:
-        """alg1 stops at `g`, settling the generations left; outputs are zeros.
-        Only a step of one lane has written lines when it stops."""
+        """alg1 stops at `g`, settling the generations left; outputs are zeros,
+        so no processor keeps a piece. Only a step of one lane has written lines."""
+        self.decided = dict.fromkeys(self.fault_free, ())
         self._blocks.append([g, g, [*self._lines, {"type": OUTCOME_TERMINATED}], self._waves])
         return self.config.generations + 1 - g
 
@@ -943,20 +949,20 @@ class Execution:
         width = self._width
         if values is None:
             values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
-        # each distinct value, its blocks in generation order once for its holders
+        # each distinct value's blocks in generation order and names, once for its holders
         flat, decided, decide_set = {}, self.decided, [*decide_set]
         for p, v in values.items():
             if v not in flat:
-                flat[v] = v if width == 1 else b"".join(v[j::width] for j in range(width))
-            decided[p].append(flat[v])
+                flat[v] = self._names(g, v, width)
+            decided[p].append(flat[v][0])
         # each run of generations whose blocks are named alike, its names by value
         # and length: it writes the step's lines once, a later run copies of them,
         # as a block is written in place
         if width == 1:
-            runs, copies = [({v: self._names(g, v, 1)[0] for v in flat}, 1)], [self._lines]
+            runs, copies = [({v: f[1][0] for v, f in flat.items()}, 1)], [self._lines]
         else:
-            names = [self._names(g, f, width) for f in flat.values()]
-            runs = [(dict(zip(flat, key)), len([*lanes])) for key, lanes in groupby(zip(*names))]
+            names = zip(*(f[1] for f in flat.values()))
+            runs = [(dict(zip(flat, key)), len([*lanes])) for key, lanes in groupby(names)]
             copies = [self._lines] + [[dict(e) for e in self._lines] for _ in runs[1:]]
         first, a, blocks = values[self.fault_free[0]], g, self._blocks
         for lines, (named, lanes) in zip(copies, runs):
@@ -976,21 +982,33 @@ class Execution:
             a = b + 1
         return width, 0
 
-    def _names(self, g: int, flat: bytes, width: int) -> list[int | str]:
-        """The name of each block of `flat`, blocks g..g+width-1 in order: the
-        index of the lowest distinct input whose block it is, else its hex
-        (empty for an undecodable word's)."""
-        size = len(flat) // width
-        start, named = (g - 1) * size, {}  # block -> index, where a lower input agrees
-        for i, padded in enumerate(self._inputs) if flat else ():
-            piece = padded[start : start + len(flat)]
-            if piece == flat:
-                return [named.get(j, i) for j in range(width)] if named else [i] * width
-            if width > 1:
-                for j in _equal_blocks(piece, flat, size):
-                    named.setdefault(j, i)
-        return [named[j] if j in named else flat[j * size : (j + 1) * size].hex()
-                for j in range(width)]
+    def _names(self, g: int, v: bytes, width: int) -> tuple[bytes, list[int | str]]:
+        """Value `v` of generations g..g+width-1 as its blocks in generation order
+        and the name of each: the index of the lowest distinct input whose block
+        it is, else its hex (empty if undecodable). A wide `v` that is an input's
+        k data slots in the step's lanes is its slice; another is transposed."""
+        size = len(v) // width
+        start, end = (g - 1) * size, (g - 1) * size + len(v)
+        if width == 1:
+            for i, padded in enumerate(self._inputs) if v else ():
+                if padded[start:end] == v:
+                    return v, [i]
+            return v, [v.hex()]
+        gens, zero = self.config.generations, v == bytes(len(v))  # zero: its own transposition
+        # each distinct input's k data slots in the step's lanes, laid out as `v` is
+        data = (b"".join(w if width == gens else _lanes(w, g - 1, g - 1 + width, gens)
+                         for w in words[: self.params.k]) for words in self._wide.values())
+        whole = None if zero else next((i for i, d in enumerate(data) if d == v), None)
+        if whole is not None:
+            flat, names = self._inputs[whole][start:end], [whole] * width
+        else:
+            flat = v if zero else b"".join(v[j::width] for j in range(width))
+            names = [flat[j * size : (j + 1) * size].hex() for j in range(width)]
+        # a lower input names each block it shares, the lowest last
+        for i in reversed(range(len(self._inputs) if whole is None else whole) if flat else ()):
+            for j in _equal_blocks(self._inputs[i][start:end], flat, size):
+                names[j] = i
+        return flat, names
 
     # ----------------------------------------------------------- driver
 
@@ -1025,22 +1043,19 @@ class Execution:
                     d = next(digests)
                     line["sha256"] = (d[0] if a == b else sha256(b"".join(d)).digest()).hex()
             self.transcript.events += lines
-        # only alg1 terminates, and then every output is the all-zero default
-        terminated = self._blocks[-1][2][-1]["type"] == OUTCOME_TERMINATED
-        self.outputs = outputs = {
-            p: bytes(cfg.padded_bytes) if terminated else b"".join(self.decided[p])
-            for p in self.fault_free
-        }
+        # each distinct list of pieces joined once; none, all zero, if alg1 terminated
+        indices, pieces = _distinct_values(tuple(self.decided[p]) for p in self.fault_free)
+        joined = [b"".join(v) if v else bytes(cfg.padded_bytes) for v in pieces]
+        self.outputs = outputs = {p: joined[i] for p, i in zip(self.fault_free, indices)}
         self.violations = judge(cfg, self.script.faulty, self.transcript.events, outputs)
         self.ledger = CostLedger(cfg, self.transcript.events)
         self.verdict = "PASS" if not self.violations else "VERDICT_FAIL"
-        holders = sorted(outputs)
-        indices, output_values = _distinct_values(outputs[p] for p in holders)
+        indices, output_values = _distinct_values(outputs.values())
         self.transcript.events.append({
             "type": "VERDICT",
             "verdict": self.verdict,
             "violations": list(self.violations),
-            "outputs": dict(zip(map(str, holders), indices)),
+            "outputs": dict(zip(map(str, outputs), indices)),
             "output_sha256": [sha256(v).hexdigest() for v in output_values],
             "diagnosis_count": self.diagnosis_count,
             "ledger": self.ledger.totals(),

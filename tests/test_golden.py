@@ -32,7 +32,7 @@ from codedbft.consensus import (
 )
 from codedbft.check import span
 from codedbft.sim import (
-    CostLedger, Execution, ExecutionConfig, Transcript, run_execution,
+    AdversaryScript, CostLedger, Execution, ExecutionConfig, Transcript, run_execution,
 )
 from golden_corpus import (
     POINTS,
@@ -145,6 +145,20 @@ def test_lines_write_each_event_as_json_dumps_does():
             for e in transcript.events]
     assert list(transcript.lines()) == want
 
+
+
+def test_lines_splice_a_header_of_three_input_values_as_json_dumps_writes_it():
+    """The header's hex goes in between quotes without the encoder; the rest
+    of the line, the script's keys included, is the encoder's."""
+    inputs = ("00ff", "a1b2", "00ff", "c3d4")
+    config = ExecutionConfig(algorithm="alg1", n=4, t=1, l_bits=16, d_bits=24,
+                             inputs=inputs)
+    script = AdversaryScript([4]).add_send(1, "own", 4, 1, "replace", b"\x01")
+    transcript = run_execution(config, script).transcript
+    header = transcript.events[0]
+    assert header["input_values"] == ["00ff", "a1b2", "c3d4"]
+    assert next(transcript.lines()) == json.dumps(
+        header, sort_keys=True, separators=(",", ":")) + "\n"
 
 def test_corpus_reaches_every_generation_exit():
     """Each way a generation ends, as (algorithm, outcome, diagnosed in

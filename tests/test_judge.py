@@ -1,5 +1,7 @@
 """The judge on hand-built event lists, with the messages it must write."""
 
+import pytest
+
 from codedbft.check import judge
 from codedbft.sim import ALG1, ALG2, ExecutionConfig
 
@@ -117,3 +119,56 @@ def test_judge_reads_each_block_from_a_values_map():
         "final fault-free outputs differ",
         "identical fault-free inputs were not decided",
     ]
+
+
+# The rules on final outputs compare them with each other and with a view of
+# the shared input; the engine hands equal outputs over as one object, and
+# these tests hand over distinct ones.
+
+
+def test_equal_outputs_in_distinct_objects_pass():
+    a = b"\x01\x02\x03" * 4
+    config = one_block_config(ALG1, (a[:3],) * 4, generations=4)
+    outputs = {p: bytes(bytearray(a)) for p in (1, 2, 3)}
+    assert outputs[1] is not outputs[2]
+    assert judge(config, {4}, [], outputs) == []
+
+
+@pytest.mark.parametrize("algorithm, q, shared, want", [
+    (ALG1, None, True, ["final fault-free outputs differ",
+                        "identical fault-free inputs were not decided"]),
+    (ALG1, None, False, ["final fault-free outputs differ"]),
+    (ALG2, 3, True, ["final fault-free outputs differ"]),
+])
+def test_an_output_that_differs_in_its_last_byte(algorithm, q, shared, want):
+    a, b = b"\x01\x02\x03", b"\x04\x05\x06"
+    config = one_block_config(algorithm, (a, a, a if shared else b, a), q=q, generations=2)
+    outputs = {1: a + a, 2: a + a, 3: a + a[:-1] + b"\x07"}
+    assert judge(config, {4}, [], outputs) == want
+
+
+def test_a_short_output_did_not_terminate_with_a_full_output():
+    a = b"\x01\x02\x03"
+    config = one_block_config(ALG1, (a,) * 4, generations=2)
+    outputs = {1: a + a, 2: a, 3: a + a}
+    assert judge(config, {4}, [], outputs) == [
+        "processor 2 terminated without a full output",
+        "final fault-free outputs differ",
+        "identical fault-free inputs were not decided",
+    ]
+
+
+def test_identical_inputs_are_decided_up_to_l_bits_whatever_the_padding():
+    """Two bytes of value in a three-byte block: the zero-filled tail is no
+    part of the input, so an output that differs only there decides it."""
+    config = ExecutionConfig(algorithm=ALG1, n=4, t=1, l_bits=16, d_bits=24,
+                             inputs=("0102",) * 4)
+    assert judge(config, {4}, [], dict.fromkeys((1, 2, 3), b"\x01\x02\x09")) == []
+    assert judge(config, {4}, [], dict.fromkeys((1, 2, 3), b"\x01\x09\x00")) == [
+        "identical fault-free inputs were not decided",
+    ]
+
+
+def test_an_empty_outputs_map_does_not_raise():
+    config = one_block_config(ALG1, (b"\x01\x02\x03",) * 4)
+    assert judge(config, {4}, [], {}) == []

@@ -168,19 +168,38 @@ def test_a_script_that_answers_broadcasts_itself_is_asked_every_generation(
 
 def test_a_quiet_step_asks_the_script_about_its_first_generation(monkeypatch):
     """A script with no rule leaves all four generations quiet, and their
-    one step still asks it about every faulty send and broadcast, once, keyed
-    by the step's first generation; every answer is honest."""
+    one step asks it about every faulty broadcast, once, keyed by the step's
+    first generation; its faulty sends go out honestly without a question,
+    as the script would answer each of them."""
     config = fault_free_config(ALG1, 7, 2, None, 480, 120)
     script = AdversaryScript([7])
     asked = questions(script)
     steps = recorded_steps(monkeypatch)
     result = run_execution(config, script)
     assert [(g, width) for g, width, _, _ in steps] == [(1, 4)]
-    assert asked == [(1, STEP_OWN, 7)] * 6 + [(1, TAG_DETECTED, 7)]
+    assert asked == [(1, TAG_DETECTED, 7)]
     width_one(monkeypatch)
     plain = run_execution(config, AdversaryScript([7]))
     assert result.transcript.to_jsonl() == plain.transcript.to_jsonl()
 
+
+
+def test_only_a_step_whose_generation_a_rule_names_asks_about_faulty_sends(monkeypatch):
+    """One rule, in generation 2: the steps over generations 1 and 3-4 are
+    quiet and send processor 7's symbols without a question, while the step
+    of generation 2 asks about each of its six own-wave sends. A script that
+    answers `send` itself is asked every one and writes the same bytes."""
+    config = fault_free_config(ALG1, 7, 2, None, 480, 120)
+    script = AdversaryScript([7]).add_send(2, STEP_OWN, 7, 1, "honest")
+    asked = questions(script)
+    steps = recorded_steps(monkeypatch)
+    result = run_execution(config, script)
+    assert [(g, width) for g, width, _, _ in steps] == [(1, 1), (2, 1), (3, 2)]
+    assert [q for q in asked if q[1] == STEP_OWN] == [(2, STEP_OWN, 7)] * 6
+    answering = RecordingScript([7]).add_send(2, STEP_OWN, 7, 1, "honest")
+    assert run_execution(config, answering).transcript.to_jsonl() == (
+        result.transcript.to_jsonl())
+    assert len(answering.sends) == 4 * 6
 
 def test_quiet_generations_end_before_the_next_rule():
     script = AdversaryScript([7])

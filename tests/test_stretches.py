@@ -287,6 +287,68 @@ def test_a_wide_settle_maps_only_the_lane_whose_blocks_differ():
         }
 
 
+
+class Untransposed(bytes):
+    """A wide value that fails if it is cut into lanes."""
+
+    def __getitem__(self, key):
+        assert not (isinstance(key, slice) and key.step), f"{key} cuts a lane"
+        return super().__getitem__(key)
+
+
+def three_inputs_config() -> ExecutionConfig:
+    """alg1 n=7 with 1-byte symbols over six 5-byte blocks: processors 1-3
+    hold A, 4-6 hold B, which is A's block in generation 3, and 7 holds C,
+    whose block in generation 4 is all zero."""
+    def block(p, g):
+        if p == 7 and g == 4:
+            return bytes(5)
+        return bytes([16 * g + (1 if p <= 3 or p <= 6 and g == 3 else 2 if p <= 6 else 3)]) * 5
+    inputs = tuple(b"".join(block(p, g) for g in range(1, 7)).hex() for p in range(1, 8))
+    return ExecutionConfig(algorithm=sim.ALG1, n=7, t=2, l_bits=240, d_bits=40, inputs=inputs)
+
+
+@pytest.mark.parametrize("g, width", [(1, 6), (2, 3), (3, 2)])
+@pytest.mark.parametrize("value", ["one input", "two inputs by lane", "default"])
+def test_a_wide_settle_names_what_width_1_settles_name(g, width, value):
+    """A wide settle over the run's lanes or a cut of them writes the blocks
+    and decided bytes of one-lane settles. A value that is one input's in
+    every lane (B, which shares generation 3's block with the lower A) is
+    that input's slice and the all-zero default (C's block in generation 4)
+    is its own, neither cut into lanes; a value that is A's in even lanes and
+    B's in odd ones matches no input in full and is."""
+    config = three_inputs_config()
+    blocks = {i: [config.input_block(i, h) for h in range(g, g + width)] for i in (1, 4, 7)}
+    held = {
+        "one input": blocks[4],
+        "two inputs by lane": [blocks[1 if j % 2 == 0 else 4][j] for j in range(width)],
+        "default": None,
+    }[value]
+    settled = []
+    for step in (width, 1):
+        execution = sim.Execution(config, AdversaryScript())
+        for j in range(0, width, step):
+            execution._lines, execution._waves, execution._width = [], [], step
+            lanes = held and b"".join(bytes(b) for b in zip(*held[j : j + step]))
+            if step > 1 and value != "two inputs by lane":
+                lanes = Untransposed(lanes or bytes(5 * width))
+            kind = OUTCOME_DEFAULT if value == "default" else OUTCOME_DECIDED
+            execution._settle(g + j, kind, lanes and dict.fromkeys(execution.fault_free, lanes))
+        settled.append(execution)
+    wide, narrow = settled
+    assert wide._blocks == narrow._blocks
+    for execution in settled:
+        assert {p: b"".join(pieces) for p, pieces in execution.decided.items()} == (
+            dict.fromkeys(range(1, 8), b"".join(held) if held else bytes(5 * width)))
+    # each generation's name: the lowest input whose block it is, else its hex
+    named = [lines[-1]["value"] for a, b, lines, _ in wide._blocks for _ in range(a, b + 1)]
+    assert named == [{
+        "one input": 0 if h == 3 else 1,
+        "two inputs by lane": 0 if (h - g) % 2 == 0 or h == 3 else 1,
+        "default": 2 if h == 4 else "00" * 5,
+    }[value] for h in range(g, g + width)]
+
+
 @st.composite
 def lane_checks(draw):
     """Arguments of a lane check on words of up to 6 slots whose symbols

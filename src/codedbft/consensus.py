@@ -62,14 +62,14 @@ def episode_bound(t: int, q: int | None) -> int:
 
 
 # one wave's sends from one sender of one slot, in plan order: (sender,
-# slot, receivers, the record prefix bytes((sender, receiver, slot)) of
-# each receiver, which an engine hashes into its wave digest)
-Run = tuple[int, int, tuple[int, ...], tuple[bytes, ...]]
+# slot, receivers, the record header bytes((sender, slot, m, *receivers)) of
+# its m receivers, which an engine hashes with the slot into its wave digest)
+Run = tuple[int, int, tuple[int, ...], bytes]
 
 
-def _run(sender: int, slot: int, receivers: Iterable[int]) -> Run:
+def wave_run(sender: int, slot: int, receivers: Iterable[int]) -> Run:
     receivers = tuple(receivers)
-    return sender, slot, receivers, tuple(bytes((sender, r, slot)) for r in receivers)
+    return sender, slot, receivers, bytes((sender, slot, len(receivers), *receivers))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def matching_obligations(
     members = sorted(chosen)
     if own is None:
         own = tuple(
-            _run(s, s, sorted(graph.neighbours(s)))
+            wave_run(s, s, sorted(graph.neighbours(s)))
             for s in range(1, graph.n + 1) if graph.neighbours(s)
         )
     helper_sends: list[tuple[int, int, int]] = []
@@ -137,7 +137,7 @@ def matching_obligations(
         else:
             helper_sends += ((helper, r, k) for k in missing)
     helper_runs = tuple(
-        _run(s, k, [r for _, r, _ in stretch])
+        wave_run(s, k, [r for _, r, _ in stretch])
         for (s, k), stretch in groupby(sorted(helper_sends), itemgetter(0, 2))
     )
     resends = tuple(run for run in own if run[0] not in chosen)

@@ -47,6 +47,7 @@ from .consensus import (
     matching_obligations,
     reconstruction_sources,
     run_diagnosis,
+    wave_run,
 )
 from .diagnosis import ConfigurationError, TrustGraph
 from .quorum import compute_match_bits, find_match_set
@@ -580,8 +581,8 @@ class Execution:
         self.decided: dict[int, list[bytes]] = {p: [] for p in self.fault_free}
         self.p_match = list(range(1, config.n + 1))  # alg1's carried match set
         # the step's lines, written once for its `_width` generations, and per
-        # `WAVE` line its digest in each; then each settled block of generations
-        # a..b alike as [a, b, lines, digests per `WAVE` line], written at the end
+        # `WAVE` line its records in each; then each settled block of generations
+        # a..b alike as [a, b, lines, records per `WAVE` line], written at the end
         self._lines: list[dict] = []
         self._waves: list[list[bytes]] = []
         self._width = 1
@@ -626,10 +627,10 @@ class Execution:
         faulty one's then, reads its slot once and stores it into every receiver's
         word. Every symbol equal to its sender's slot, from a sender not suppressed,
         is recorded in one `WAVE` line after the rest: their count, and per generation
-        the SHA-256 of their records `bytes((sender, receiver, slot)) + value` in plan
-        order, `value.join(prefixes) + value` for an honest run; a prefix byte fills
-        every lane, so lane j is generation g+j's. Any other faulty symbol is its own
-        `SYMBOL_SENT` line.
+        the records of its runs in plan order, `bytes((sender, slot, m, *receivers)) +
+        value` over the m receivers that got the slot, which the run hashes; a header
+        byte fills every lane, so lane j is generation g+j's. Any other faulty symbol
+        is its own `SYMBOL_SENT` line.
         """
         script, sym, width = self.script, self.params.sym_bytes, self._width
         faulty = () if script.quiet_until(g, g) >= g else script.faulty
@@ -637,11 +638,11 @@ class Execution:
         honest_sent = 0
         if width > 1:
             runs = _spread(runs, width)
-        for sender, slot, receivers, prefixes in runs:
+        for sender, slot, receivers, header in runs:
             honest = coded[sender][slot - 1]
             if sender in faulty:
-                skip = sender in suppressed
-                for receiver, prefix in zip(receivers, prefixes):
+                skip, got = sender in suppressed, []
+                for receiver in receivers:
                     value = script.send(g, step, sender, receiver, honest, skip)
                     if value is None:
                         continue
@@ -651,24 +652,24 @@ class Execution:
                         )
                     received[receiver][slot - 1] = value
                     if value == honest and not skip:
-                        records += (prefix, value)
-                        honest_sent += 1
+                        got.append(receiver)
                         continue
                     self._lines.append({
                         "type": "SYMBOL_SENT", "step": step, "sender": sender,
                         "receiver": receiver, "slot": slot, "value": value.hex(),
                     })
+                if got:  # unspread: a step that asks `send` is one generation wide
+                    records += (wave_run(sender, slot, got)[3], honest)
+                    honest_sent += len(got)
             elif sender not in suppressed:
                 for receiver in receivers:
                     received[receiver][slot - 1] = honest
-                records += (honest.join(prefixes), honest)
+                records += (header, honest)
                 honest_sent += len(receivers)
         if honest_sent:
             data = b"".join(records)
             self._lines.append({"type": "WAVE", "step": step, "count": honest_sent})
-            self._waves.append([sha256(data).digest()] if width == 1 else [
-                sha256(data[j::width]).digest() for j in range(width)
-            ])
+            self._waves.append([data] if width == 1 else [data[j::width] for j in range(width)])
 
     def _round(self, g: int, tag: str, honest: dict[int, Any]) -> dict[int, Any]:
         """One broadcast round: each sender in `honest` broadcasts its
@@ -975,8 +976,8 @@ class Execution:
             waves = self._waves if lanes == width else [d[a - g : b + 1 - g] for d in self._waves]
             if blocks and blocks[-1][2] == lines:  # alike: the block before goes on to b
                 blocks[-1][1] = b
-                for digests, more in zip(blocks[-1][3], waves):
-                    digests += more
+                for records, more in zip(blocks[-1][3], waves):
+                    records += more
             else:
                 blocks.append([a, b, lines, waves])
             a = b + 1
@@ -1033,15 +1034,14 @@ class Execution:
             width = min(quiet, bad // 2) if bad else quiet
             done, cut = self._stretch(g, max(width, 1))
             g, bad = g + done, cut or max(bad - done, 0)
-        # each block's lines with `g` its generation or range [a, b], where a
-        # merged `WAVE` line's `sha256` is the SHA-256 of its generations' digests
+        # each block's lines with `g` its generation or range [a, b], and a
+        # `WAVE` line's `sha256` the SHA-256 of its generations' records in order
         for a, b, lines, waves in self._blocks:
-            g, digests = a if a == b else [a, b], iter(waves)
+            g, records = a if a == b else [a, b], iter(waves)
             for line in lines:
                 line["g"] = g
                 if line["type"] == "WAVE":
-                    d = next(digests)
-                    line["sha256"] = (d[0] if a == b else sha256(b"".join(d)).digest()).hex()
+                    line["sha256"] = sha256(b"".join(next(records))).hexdigest()
             self.transcript.events += lines
         # each distinct list of pieces joined once; none, all zero, if alg1 terminated
         indices, pieces = _distinct_values(tuple(self.decided[p]) for p in self.fault_free)
@@ -1079,11 +1079,9 @@ _code_params = lru_cache(maxsize=256)(CodeParams)  # one per step width
 
 @lru_cache(maxsize=64)
 def _spread(runs: tuple[Run, ...], width: int) -> tuple[Run, ...]:
-    """`runs` with each record prefix byte repeated over `width` lanes."""
-    top = max((max(s, k, *rs) for s, k, rs, _ in runs), default=0)
-    lane = [bytes((v,)) * width for v in range(top + 1)]
-    return tuple((s, k, rs, tuple(lane[s] + lane[r] + lane[k] for r in rs))
-                 for s, k, rs, _ in runs)
+    """`runs` with each record header byte repeated over `width` lanes."""
+    return tuple((s, k, rs, b"".join(bytes((v,)) * width for v in header))
+                 for s, k, rs, header in runs)
 
 
 def _lane_vectors(

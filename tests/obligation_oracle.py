@@ -79,8 +79,9 @@ def assert_plan_matches(plan, graph, p_match):
     """A matching plan's runs flatten to the oracle's sends, its `sends()`
     are the own and helper triples, `size` and `len()` count all three
     waves, and its local copies are the oracle's. Each run is maximal,
-    one (sender, slot) apart from its neighbours, and holds the record
-    prefix of each of its sends."""
+    one (sender, slot) apart from its neighbours, and holds its record
+    header: the sender, the slot, the number m of its receivers and the m
+    receivers, one byte each."""
     expected = matching_obligations(graph, p_match)
     assert flatten(plan) == expected
     assert list(plan.sends()) == [ob[:3] for ob in expected if ob[3] != "reconstructed"]
@@ -88,7 +89,7 @@ def assert_plan_matches(plan, graph, p_match):
     assert list(plan.copies) == local_helper_copies(graph, p_match)
     for step in STEP_ORDER:
         runs = getattr(plan, step)
-        for s, k, receivers, prefixes in runs:
-            assert prefixes == tuple(bytes((s, r, k)) for r in receivers)
+        for s, k, receivers, header in runs:
+            assert header == bytes([s, k, len(receivers)] + list(receivers))
         keys = [(s, k) for s, k, _, _ in runs]
         assert all(a != b for a, b in zip(keys, keys[1:]))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -575,20 +576,113 @@ def test_send_wave_delivers_like_the_per_obligation_oracle(data):
     plan = sim._matching_plan(graph, members)
     obligations = obligation_oracle.matching_obligations(graph, members)
     for step in sim._STEPS:
-        before, digests = len(lines), len(waves)
+        before, records = len(lines), len(waves)
         execution._send_wave(g, step, getattr(plan, step), coded, received, suppressed)
-        # the step's lines take their generation, and a wave its one digest,
-        # when the step settles
-        digests = iter(waves[digests:])
+        # the step's lines take their generation, and a wave the digest of
+        # its one generation's records, when the step settles
+        records = iter(waves[records:])
         events = [{**e, "g": g} for e in lines[before:]]
         for e in events:
             if e["type"] == "WAVE":
-                e["sha256"] = next(digests)[0].hex()
+                e["sha256"] = hashlib.sha256(next(records)[0]).hexdigest()
         assert events == wave_oracle.deliver(
             g, step, [ob[:3] for ob in obligations if ob[3] == step],
             coded, expected, faulty, script.send, suppressed,
         )
         assert received == expected
+
+
+def test_a_faulty_senders_run_is_one_record_of_the_receivers_its_slot_reached():
+    """Faulty 5 sends its own slot honestly to 3 and 4, corrupts it to 1 and
+    withholds it from 2: after the honest runs of four receivers each, the
+    wave holds one record for 5's run, bytes((5, 5, 2, 3, 4)) and the slot,
+    and only the corrupt symbol is a line of its own."""
+    config = fault_free_config(ALG1, 5, 1, None, 64, 32)
+    script = AdversaryScript([5]).add_send(1, STEP_OWN, 5, 1, "corrupt", b"\xff")
+    script.add_send(1, STEP_OWN, 5, 2, SEND_SILENT)
+    execution = Execution(config, script)
+    coded, received = execution._fresh_state(1)
+    execution._send_wave(1, STEP_OWN, sim._matching_plan(TrustGraph(5, 1), range(1, 6)).own,
+                         coded, received)
+    records = [
+        bytes([s, s, 4] + [r for r in range(1, 6) if r != s]) + coded[s][s - 1]
+        for s in range(1, 5)
+    ]
+    assert execution._waves == [[b"".join(records) + bytes((5, 5, 2, 3, 4)) + coded[5][4]]]
+    assert [(e["type"], e.get("receiver"), e.get("count")) for e in execution._lines] == [
+        ("SYMBOL_SENT", 1, None), ("WAVE", None, 18)
+    ]
+
+
+def test_a_suppressed_sender_adds_no_record():
+    """In the re-send wave of match set {1, 2, 3}, a suppressed sender
+    sends nothing into the wave: neither honest 4 nor faulty 5, whose rule
+    replaces its symbol to 1 with its own slot, which is then a line. Not
+    suppressed, 5's run of four receivers is the wave's one record."""
+    config = fault_free_config(ALG1, 5, 1, None, 64, 32)
+    script = AdversaryScript([5])
+    execution = Execution(config, script)
+    coded, received = execution._fresh_state(1)
+    script.add_send(1, STEP_RECONSTRUCTED, 5, 1, "replace", coded[5][4])
+    resend = sim._matching_plan(TrustGraph(5, 1), [1, 2, 3]).reconstructed
+    execution._send_wave(1, STEP_RECONSTRUCTED, resend, coded, received, {4})
+    assert execution._waves == [[bytes((5, 5, 4, 1, 2, 3, 4)) + coded[5][4]]]
+    assert [e["type"] for e in execution._lines] == ["WAVE"]
+    execution._send_wave(1, STEP_RECONSTRUCTED, resend, coded, received, {4, 5})
+    assert len(execution._waves) == 1
+    assert [(e["type"], e.get("sender")) for e in execution._lines[1:]] == [("SYMBOL_SENT", 5)]
+
+
+def test_a_range_hashes_its_generations_records_in_one_pass():
+    """A fault-free alg1 n=4 run of five generations writes one own-wave
+    line over [1, 5]. Its `sha256` is the SHA-256 of the five generations'
+    records, rebuilt from the header's inputs: per sender its id, its slot,
+    its three receivers' count and ids, then its symbol. It is no SHA-256
+    of per-generation digests, of these records or of v7's, one a symbol."""
+    config = fault_free_config(ALG1, 4, 1, None, 240, 48)
+    events = run_execution(config, AdversaryScript()).transcript.events
+    header, wave = events[0], events[1]
+    assert (wave["type"], wave["g"], wave["count"]) == ("WAVE", [1, 5], 12)
+    inputs = [header["input_values"][i] for i in header["config"]["inputs"]]
+    read = ExecutionConfig.from_jsonable({**header["config"], "inputs": inputs})
+    v7, v8 = [], []
+    for g in range(1, 6):
+        words = {s: encode(read.code_params(), read.input_block(s, g)) for s in range(1, 5)}
+        peers = {s: [r for r in range(1, 5) if r != s] for s in words}
+        v7.append(b"".join(bytes((s, r, s)) + w[s - 1] for s, w in words.items() for r in peers[s]))
+        v8.append(b"".join(bytes([s, s, 3] + peers[s]) + w[s - 1] for s, w in words.items()))
+    assert wave["sha256"] == hashlib.sha256(b"".join(v8)).hexdigest()
+    assert wave["sha256"] not in [
+        hashlib.sha256(b"".join(hashlib.sha256(r).digest() for r in records)).hexdigest()
+        for records in (v7, v8)
+    ]
+
+
+def test_a_width_1_run_and_a_wide_run_write_the_same_wave_lines(monkeypatch):
+    """alg2 n=7 q=3 with 1-byte symbols over six generations: processors 1-3
+    share their blocks in generations 1-3 alone. The wide run is one step
+    whose match vectors go on in four ranges of lanes, three one-lane ones
+    that decide and one of three that defaults, so each `WAVE` line is over
+    a range of lanes cut from the step's records, and its lines are byte
+    for byte those of the run pinned to width 1."""
+    def block(p, g):
+        return bytes([16 * g + (1 if p <= 3 and g <= 3 else p)]) * 3
+    inputs = tuple(b"".join(block(p, g) for g in range(1, 7)).hex() for p in range(1, 8))
+    config = ExecutionConfig(algorithm=ALG2, n=7, t=2, q=3, l_bits=144, d_bits=24,
+                             inputs=inputs)
+
+    def waves(events):
+        return [json.dumps(e, sort_keys=True) for e in events if e["type"] == "WAVE"]
+    with monkeypatch.context() as m:
+        width_one(m)
+        narrow = waves(run_execution(config, AdversaryScript()).transcript.events)
+    steps = recorded_steps(monkeypatch)
+    wide = waves(run_execution(config, AdversaryScript()).transcript.events)
+    assert steps == [(1, 6, 6, 0)]
+    assert wide == narrow
+    assert [(json.loads(line)["g"], json.loads(line)["step"]) for line in wide] == [
+        ([1, 3], STEP_OWN), ([1, 3], STEP_RECONSTRUCTED), ([4, 6], STEP_OWN)
+    ]
 
 
 # ------------------------------------------------------ verdict shapes
@@ -657,19 +751,19 @@ def test_obligations_follow_the_graph_after_diagnosis():
     def traffic(obligations):
         """Each wave's count and digest over the generations g2 starts:
         processor 7 follows no rule after g1, so its symbols join the waves
-        with everyone else's."""
+        with everyone else's, one record per run of sends with one (sender,
+        slot), in generation order."""
         waves = {}
         for step in sim._STEPS:
-            digests = []
-            for word in words:
-                records = [
-                    bytes((s, r, k)) + word[k - 1]
-                    for s, r, k, ob_step in obligations if ob_step == step
-                ]
-                digests.append(hashlib.sha256(b"".join(records)).digest())
-            if records:
-                digest = digests[0] if len(words) == 1 else hashlib.sha256(b"".join(digests)).digest()
-                waves[step] = (len(records), digest.hex())
+            sends = [(s, r, k) for s, r, k, ob_step in obligations if ob_step == step]
+            records = [
+                bytes([s, k, len(run)] + [r for _, r, _ in run]) + word[k - 1]
+                for word in words
+                for (s, k), run in ((key, list(run)) for key, run in groupby(
+                    sends, key=lambda ob: (ob[0], ob[2])))
+            ]
+            if sends:
+                waves[step] = (len(sends), hashlib.sha256(b"".join(records)).hexdigest())
         return waves
 
     events = [ev for ev in result.transcript.events if span(ev.get("g", 0))[0] == 2]
@@ -706,7 +800,7 @@ def test_graphs_in_one_state_share_one_plan():
     plan = sim._matching_plan(a, members)
     assert sim._matching_plan(b, members) is plan
     # maximal runs that flatten back to the oracle's sends, in order, with
-    # their record prefixes, the size and the local copies
+    # their record headers, the size and the local copies
     obligation_oracle.assert_plan_matches(plan, a, members)
     # one run per sender in waves 1 and 3: every processor, and the two
     # non-members, each re-send run the non-member's own-wave run itself

@@ -418,7 +418,7 @@ def test_width_1_steps_whose_lines_agree_write_one_block(monkeypatch):
     """A sweep case with rules in generations 2 and 3 takes one step per
     generation, but its rules are for waves alg1 never sends here, so the
     three generations write equal lines: one block over [1, 3], whose
-    own-wave digest is the SHA-256 of the three generations' digests."""
+    own-wave digest is the SHA-256 of the three generations' records."""
     config, script = all_cases()["alg1-qNone-L7680-D2560-seed200"]
     steps = recorded_steps(monkeypatch)
     events = run_execution(config, script).transcript.events

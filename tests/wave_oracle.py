@@ -10,10 +10,11 @@ fault-free run removes no trust edge, so every processor trusts every
 other and the digest follows from the inputs alone: encode each
 processor's block of the generation with the `gf_oracle` generator
 matrix, byte lane by byte lane, and hash the records
-`bytes((sender, receiver, slot)) + symbol`.
+`bytes((sender, slot, m, *receivers)) + symbol`, one per sender.
 """
 
 import hashlib
+from itertools import groupby
 
 import gf_oracle
 
@@ -27,31 +28,38 @@ def deliver(g, step, obligations, coded, received, faulty, send, suppressed):
     `send(g, step, sender, receiver, honest, sender in suppressed)`, None
     for silence; any other sender not in `suppressed` sends its slot. A
     symbol equal to its sender's slot from a sender not in `suppressed`
-    is a record `bytes((sender, receiver, slot)) + symbol`, and the
-    records become one `WAVE` event after the rest: their count and the
-    SHA-256 of the records in plan order. Every other faulty symbol sent
-    is a `SYMBOL_SENT` event.
+    joins the `WAVE` event written after the rest: its count is their
+    number, and its `sha256` the SHA-256 of one record per run of
+    consecutive obligations with one (sender, slot) that has a joined
+    symbol, in order: the sender, the slot, the number m of receivers whose
+    symbol joined and those m receivers in obligation order, one byte
+    each, then the sender's slot. Every other faulty symbol sent is a
+    `SYMBOL_SENT` event.
     """
-    events, records = [], []
-    for sender, receiver, slot in obligations:
-        honest = coded[sender][slot - 1]
-        if sender in faulty:
-            value = send(g, step, sender, receiver, honest, sender in suppressed)
-        else:
-            value = None if sender in suppressed else honest
-        if value is None:
-            continue
-        received[receiver][slot - 1] = value
-        if value == honest and sender not in suppressed:
-            records.append(bytes((sender, receiver, slot)) + value)
-        else:
-            events.append({
-                "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
-                "receiver": receiver, "slot": slot, "value": value.hex(),
-            })
+    events, records, count = [], [], 0
+    for (sender, slot), run in groupby(obligations, key=lambda ob: (ob[0], ob[2])):
+        honest, joined = coded[sender][slot - 1], []
+        for _, receiver, _ in run:
+            if sender in faulty:
+                value = send(g, step, sender, receiver, honest, sender in suppressed)
+            else:
+                value = None if sender in suppressed else honest
+            if value is None:
+                continue
+            received[receiver][slot - 1] = value
+            if value == honest and sender not in suppressed:
+                joined.append(receiver)
+            else:
+                events.append({
+                    "type": "SYMBOL_SENT", "g": g, "step": step, "sender": sender,
+                    "receiver": receiver, "slot": slot, "value": value.hex(),
+                })
+        if joined:
+            records.append(bytes([sender, slot, len(joined)] + joined) + honest)
+            count += len(joined)
     if records:
         events.append({
-            "type": "WAVE", "g": g, "step": step, "count": len(records),
+            "type": "WAVE", "g": g, "step": step, "count": count,
             "sha256": hashlib.sha256(b"".join(records)).hexdigest(),
         })
     return events
@@ -75,7 +83,8 @@ def own_waves(events):
     """(g, count, sha256) of each own-wave line, in order, for the
     fault-free run whose transcript events are `events`: `g` is one
     generation, or the range [a, b] of generations that wrote their lines
-    alike, whose `sha256` is the SHA-256 of their digests in order.
+    alike, whose `sha256` is the SHA-256 of their records in generation
+    order.
 
     A generation that runs its matching stage has a broadcast round of
     match bits (alg2) or detection flags (alg1) after its own wave; an
@@ -100,13 +109,11 @@ def own_waves(events):
     waves = []
     for g in reached:
         first, last = (g, g) if isinstance(g, int) else g
-        digests = []
+        records = []
         for h in range(first, last + 1):
-            records = []
             for s in range(1, n + 1):
                 symbol = symbol_at(rows, k, padded[s - 1][(h - 1) * size : h * size], s)
-                records += [bytes((s, r, s)) + symbol for r in range(1, n + 1) if r != s]
-            digests.append(hashlib.sha256(b"".join(records)).digest())
-        digest = digests[0] if first == last else hashlib.sha256(b"".join(digests)).digest()
-        waves.append((g, len(records), digest.hex()))
+                peers = [r for r in range(1, n + 1) if r != s]
+                records.append(bytes([s, s, len(peers)] + peers) + symbol)
+        waves.append((g, n * (n - 1), hashlib.sha256(b"".join(records)).hexdigest()))
     return waves

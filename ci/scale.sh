@@ -38,12 +38,12 @@ while read -r alg n t q limit script digest; do
   fi
   checked=$((checked + 1))
 done <<'EOF'
-alg1 64 21 - 4300 - 0ef29de4213795ddd909d0aa1836e0a5013bcfba38bbaebd8f2e27f5b271eee7
-alg1 127 42 - 5100 - a6c8dfd54c8344d26c6d36cd773898d62112270254ef148473b83f3b5188878d
-alg1 255 84 - 6800 - edfea845ce70946d9eff7a6ff5744355e5e889e78def5a53b637354f1d323040
-alg2 255 84 128 7700 - 1eacd086b8b754dddbf6129c3b940b92fbf3acb49a4c6ba01ea433944b111f25
-alg1 255 84 - 200000 tests/scale/alg1_n255_t84.json f1b6af0e61a86edba55220ea0fd1ba8f5b6117763142d7fb14f6be49196ce3d9
-alg2 127 42 64 240000 tests/scale/alg2_n127_t42_q64.json feb37ff1eda5b9786a76569ecda6a116f6e5451d417279d647cd2fb4061286bd
-alg2 255 84 128 465000 tests/scale/alg2_n255_t84_q128.json 82b5f3c86aceff510df74157fca5482f671b0d06f98ae8ef43c45a2300ac916b
+alg1 64 21 - 4300 - 59d1643032b126eb900086ca37b8968522c8e7784a31656ef4c0c1acfaa471b6
+alg1 127 42 - 5100 - 7c24f9e363cd01561ba7c802a0e18799d8723eda8b497cea928f58279239eea4
+alg1 255 84 - 6800 - d3f6bd7c6d331116816a10262215394b55ac563d6172ca1fd1b27c8633e75a0f
+alg2 255 84 128 7700 - b1f91dcd703989aff697eaccff73c57a9e8674ff0d711ea65650991df51a47f7
+alg1 255 84 - 200000 tests/scale/alg1_n255_t84.json c9da85834ee47bd2ce70ffc39333f56af06f275653a32a10d26b635d9eecce2f
+alg2 127 42 64 240000 tests/scale/alg2_n127_t42_q64.json ba10f81fe13e09217628b63d70405653199fcdb76ced44138518c0cc81435f4c
+alg2 255 84 128 465000 tests/scale/alg2_n255_t84_q128.json 4e4c571c456865fa6d4133535ab3d1f220b3e2bc994997100d29415f3464662f
 EOF
 echo "scale: $checked transcripts within their limits and matching their pinned SHA-256"

@@ -669,7 +669,7 @@ class Execution:
         if honest_sent:
             data = b"".join(records)
             self._lines.append({"type": "WAVE", "step": step, "count": honest_sent})
-            self._waves.append([data] if width == 1 else [data[j::width] for j in range(width)])
+            self._waves.append([data[j::width] for j in range(width)])
 
     def _round(self, g: int, tag: str, honest: dict[int, Any]) -> dict[int, Any]:
         """One broadcast round: each sender in `honest` broadcasts its

@@ -637,8 +637,9 @@ def test_a_range_hashes_its_generations_records_in_one_pass():
     """A fault-free alg1 n=4 run of five generations writes one own-wave
     line over [1, 5]. Its `sha256` is the SHA-256 of the five generations'
     records, rebuilt from the header's inputs: per sender its id, its slot,
-    its three receivers' count and ids, then its symbol. It is no SHA-256
-    of per-generation digests, of these records or of v7's, one a symbol."""
+    its three receivers' count and ids, then its symbol. It is not v7's
+    rule, the SHA-256 of per-generation digests, whether of these records
+    or of v7's one record per symbol."""
     config = fault_free_config(ALG1, 4, 1, None, 240, 48)
     events = run_execution(config, AdversaryScript()).transcript.events
     header, wave = events[0], events[1]
@@ -756,12 +757,10 @@ def test_obligations_follow_the_graph_after_diagnosis():
         waves = {}
         for step in sim._STEPS:
             sends = [(s, r, k) for s, r, k, ob_step in obligations if ob_step == step]
-            records = [
-                bytes([s, k, len(run)] + [r for _, r, _ in run]) + word[k - 1]
-                for word in words
-                for (s, k), run in ((key, list(run)) for key, run in groupby(
-                    sends, key=lambda ob: (ob[0], ob[2])))
-            ]
+            runs = [(s, k, [r for _, r, _ in run])
+                    for (s, k), run in groupby(sends, key=lambda ob: (ob[0], ob[2]))]
+            records = [bytes([s, k, len(rs)] + rs) + word[k - 1]
+                       for word in words for s, k, rs in runs]
             if sends:
                 waves[step] = (len(sends), hashlib.sha256(b"".join(records)).hexdigest())
         return waves

@@ -39,19 +39,17 @@ def judge(
     `outputs[p]`, fault-free processor p's final output.
     """
     fault_free = [p for p in range(1, config.n + 1) if p not in faulty]
-    # each distinct fault-free input and its number of fault-free holders, in
-    # the order of its lowest fault-free holder: a generation's blocks are
-    # sliced once per distinct input and counted by weight
-    weight = Counter(config.holders[p - 1] for p in fault_free)
-    weighted = [(config.padded_input(h), w) for h, w in weight.items()]
+    # each distinct fault-free input's index and how many fault-free processors
+    # hold it, in the order of its lowest fault-free holder: a generation's
+    # blocks are sliced once per distinct input and counted by weight
+    weight = Counter(config.index[p - 1] for p in fault_free)
+    weighted = [(config.distinct[x], w) for x, w in weight.items()]
     total = sum(weight.values())
     size = config.block_bytes
-    # the lowest holder of each input a `DECIDED` index names
-    named = sorted(set(config.holders))
 
     def shared(g: int) -> dict[bytes, int]:
-        """Generation g's fault-free blocks and their numbers of holders,
-        in the order of their lowest holders."""
+        """Generation g's fault-free blocks and how many fault-free processors
+        hold each, in the order of their lowest holder."""
         counts: dict[bytes, int] = {}
         for padded, w in weighted:
             block = padded[(g - 1) * size : g * size]
@@ -69,10 +67,10 @@ def judge(
     # its processor has left, in ascending order of the other end
     removed: set[tuple[int, int]] = set()
     # alg1's match set: the last decide set, less the convicted; and the
-    # lowest holders of its fault-free members' inputs, rebuilt only when a
-    # decide set or a conviction (`stale`) can change them
+    # indices of its fault-free members' inputs, rebuilt only when a decide
+    # set or a conviction (`stale`) can change them
     p_match: Iterable[int] = range(1, config.n + 1)
-    member_holders, stale = set(weight), False
+    member_inputs, stale = set(weight), False
 
     def edge_removed(g: int, i: int, j: int) -> None:
         removed.add((i, j))
@@ -87,17 +85,16 @@ def judge(
         value = e["value"]
         if "values" in e or value == "" and e["kind"] == OUTCOME_DECIDED:
             return False
-        holder = named[value] if type(value) is int else None
-        if config.algorithm == ALG1:
-            return not member_holders or holder in member_holders
-        return e["kind"] == OUTCOME_DEFAULT or holder in weight and (
-            2 * weight[holder] > total or total < config.q or config.q < (config.n + 2) // 2
+        if config.algorithm == ALG1:  # a name in hex is no index
+            return not member_inputs or value in member_inputs
+        return e["kind"] == OUTCOME_DEFAULT or value in weight and (
+            2 * weight[value] > total or total < config.q or config.q < (config.n + 2) // 2
         )
 
     def decided(g: int, e: dict, names: list) -> None:
         """The rules of a `DECIDED` line in generation g."""
-        values = [config.input_block(named[v], g) if type(v) is int else bytes.fromhex(v)
-                  for v in names]
+        values = [config.distinct[v][(g - 1) * size : g * size] if type(v) is int
+                  else bytes.fromhex(v) for v in names]
         distinct = set(values)
         if e["kind"] == OUTCOME_DECIDED and b"" in distinct:
             for p, value in zip(fault_free, values):
@@ -107,7 +104,7 @@ def judge(
             say(g, f"g{g}: fault-free processors decided different blocks")
         if config.algorithm == ALG1:
             # a fault-free match-set member's input, if one is in the match set
-            if inputs := {config.input_block(h, g) for h in member_holders}:
+            if inputs := {config.distinct[x][(g - 1) * size : g * size] for x in member_inputs}:
                 for _ in distinct - inputs:
                     say(g, f"g{g}: decided block is no fault-free member's input")
         elif e["kind"] != OUTCOME_DEFAULT:
@@ -157,7 +154,7 @@ def judge(
                         decided(g, e, names)
                 if config.algorithm == ALG1 and (e["decide_set"] or stale):
                     p_match = [p for p in e["decide_set"] or p_match if p not in convicted]
-                    member_holders = {config.holders[p - 1] for p in p_match if p not in faulty}
+                    member_inputs = {config.index[p - 1] for p in p_match if p not in faulty}
                     stale = False
     out = [message for _, message in sorted(found, key=lambda item: item[0])]
     out.extend(f"processor {p} terminated without a full output"
@@ -166,7 +163,7 @@ def judge(
     if any(v != first for v in outputs.values()):
         out.append("final fault-free outputs differ")
     if config.algorithm == ALG1 and len(weight) == 1:
-        value = memoryview(config.padded_input(next(iter(weight))))[: config.l_bits // 8]
+        value = memoryview(config.distinct[next(iter(weight))])[: config.l_bits // 8]
         if not all(v.startswith(value) for v in outputs.values()):
             out.append("identical fault-free inputs were not decided")
     out.extend(f"fault-free processor {p} ended convicted" for p in fault_free if p in convicted)

@@ -133,11 +133,11 @@ class ExecutionConfig:
     q: int | None = None
     seed: int = 0
     broadcast_coefficient: int = 1
-    # each input decoded once and zero-padded, for slicing blocks every generation
-    _padded_inputs: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
-    # processor p's lowest holder of its input, at index p-1: the engine
-    # encodes and the judge slices each distinct input once, by its holder
-    holders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # each distinct input once, decoded and zero-padded, in the order of its
+    # lowest holder; and processor p's index into it at position p-1: the
+    # engine encodes, the header writes and the judge slices inputs by index
+    distinct: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.algorithm not in (ALG1, ALG2):
@@ -162,8 +162,7 @@ class ExecutionConfig:
             )
         if len(self.inputs) != self.n:
             raise ConfigurationError(f"need {self.n} inputs, got {len(self.inputs)}")
-        want = self.l_bits // 8
-        padded = []
+        want, table, index = self.l_bits // 8, {}, []
         for i, value in enumerate(self.inputs, start=1):
             try:
                 raw = bytes.fromhex(value)
@@ -173,13 +172,13 @@ class ExecutionConfig:
                 raise ConfigurationError(
                     f"input {i} must be exactly {want} bytes of hex"
                 )
-            padded.append(raw.ljust(self.padded_bytes, b"\x00"))
-        # one spelling per value (lowercase hex), so equal inputs compare equal
-        object.__setattr__(self, "inputs", tuple(p[:want].hex() for p in padded))
-        object.__setattr__(self, "_padded_inputs", tuple(padded))
-        first: dict[bytes, int] = {}
-        holders = tuple(first.setdefault(v, i) for i, v in enumerate(padded, start=1))
-        object.__setattr__(self, "holders", holders)
+            index.append(table.setdefault(raw, len(table)))
+        # one spelling per value (lowercase hex), one string object per value
+        hexes = [raw.hex() for raw in table]
+        object.__setattr__(self, "inputs", tuple(hexes[x] for x in index))
+        object.__setattr__(self, "distinct", tuple(
+            raw.ljust(self.padded_bytes, b"\x00") for raw in table))
+        object.__setattr__(self, "index", tuple(index))
         if self.broadcast_coefficient < 1:
             raise ConfigurationError("broadcast coefficient must be >= 1")
 
@@ -203,12 +202,9 @@ class ExecutionConfig:
     def padded_bytes(self) -> int:
         return self.generations * self.block_bytes
 
-    def padded_input(self, i: int) -> bytes:
-        return self._padded_inputs[i - 1]
-
     def input_block(self, i: int, g: int) -> bytes:
         size = self.block_bytes
-        return self._padded_inputs[i - 1][(g - 1) * size : g * size]
+        return self.distinct[self.index[i - 1]][(g - 1) * size : g * size]
 
     def code_params(self) -> CodeParams:
         return CodeParams(self.n, self.k, self.sym_bytes)
@@ -352,11 +348,11 @@ class AdversaryScript:
     def quiet_until(self, g: int, last: int) -> int:
         """The end of the quiet generations g..h, h <= last, that no rule names
         but a claim rule, which only a diagnosis asks: g - 1 if one names g. A
-        step over them asks `broadcast` once, keyed by g, and sends honestly; none
-        is quiet to a subclass that answers `send` or `broadcast` itself."""
+        step over them asks `broadcast` once, keyed by g, and a wide one asks no `send`;
+        none is quiet to a subclass that answers `send` or `broadcast` itself."""
         if g in self._named or (type(self).send, type(self).broadcast) != self._ANSWERS:
             return g - 1
-        return last if last == g else min((h for h in self._named if h > g), default=last + 1) - 1
+        return min((h for h in self._named if h > g), default=last + 1) - 1
 
     _ANSWERS = (send, broadcast)  # a subclass that overrides either answers itself
 
@@ -475,27 +471,23 @@ class CostLedger:
     FIELDS = ("p2p_symbols", "p2p_bits", "bcast_payload_bits", "bcast_charged_bits")
 
     def __init__(self, config: ExecutionConfig, events: Iterable[dict]) -> None:
-        symbols: dict[tuple[int, int, str], int] = {}
-        payload_bits: dict[tuple[int, int, str], int] = {}
+        # [symbols, payload bits] per (first generation, last, stage)
+        counts: dict[tuple[int, int, str], list[int]] = {}
         for event in events:
             kind = event["type"]
             if kind == "ROUND" or kind == "BROADCAST":
-                g = event["g"]
-                key = (g, g, _STAGE_OF_TAG[event["tag"]]) if type(g) is int else (
-                    g[0], g[1], _STAGE_OF_TAG[event["tag"]])
-                payload_bits[key] = payload_bits.get(key, 0) + event["payload_bits"]
+                stage, i, add = _STAGE_OF_TAG[event["tag"]], 1, event["payload_bits"]
             elif kind == "WAVE" or kind == "SYMBOL_SENT":
-                g = event["g"]
-                key = (g, g, "matching") if type(g) is int else (g[0], g[1], "matching")
-                symbols[key] = symbols.get(key, 0) + event.get("count", 1)
+                stage, i, add = "matching", 0, event.get("count", 1)
+            else:
+                continue
+            counts.setdefault((*span(event["g"]), stage), [0, 0])[i] += add
         symbol_bits = 8 * config.sym_bytes
         scale = config.broadcast_coefficient * config.n * config.n
         # each cell holds FIELDS in order, per generation of its range; both
         # bit fields scale its counts
-        self._cells: dict[tuple[int, int, str], tuple[int, ...]] = {}
-        for key in symbols.keys() | payload_bits.keys():
-            sent, bits = symbols.get(key, 0), payload_bits.get(key, 0)
-            self._cells[key] = (sent, sent * symbol_bits, bits, bits * scale)
+        self._cells = {key: (sent, sent * symbol_bits, bits, bits * scale)
+                       for key, (sent, bits) in counts.items()}
         # each field summed once, column by column, from a row of zeros on
         weighted = [[c * (b - a + 1) for c in cell] for (a, b, _), cell in self._cells.items()]
         self._totals = dict(zip(self.FIELDS, map(sum, zip((0,) * 4, *weighted))))
@@ -587,13 +579,8 @@ class Execution:
         self._waves: list[list[bytes]] = []
         self._width = 1
         self._blocks: list[list] = []
-        # one encode of every distinct input for the whole run, by its lowest
-        # holder, in the order of the header's `input_values`
-        firsts = [i for i, h in enumerate(config.holders, start=1) if h == i]
-        self._inputs = [config.padded_input(i) for i in firsts]
-        self._wide = dict(zip(firsts, _generation_words(
-            self.params, self._inputs, config.generations
-        )))
+        # one encode of every distinct input for the whole run, in index order
+        self._wide = _generation_words(self.params, config.distinct, config.generations)
 
     @property
     def passed(self) -> bool:
@@ -622,18 +609,18 @@ class Execution:
         """Deliver one wave of a plan, run by run; `suppressed` senders
         stay silent.
 
-        A faulty sender's run asks the script's `send` once per receiver unless no
-        rule names g; each symbol must be sym_bytes long. An honest sender's run, or a
-        faulty one's then, reads its slot once and stores it into every receiver's
-        word. Every symbol equal to its sender's slot, from a sender not suppressed,
-        is recorded in one `WAVE` line after the rest: their count, and per generation
-        the records of its runs in plan order, `bytes((sender, slot, m, *receivers)) +
-        value` over the m receivers that got the slot, which the run hashes; a header
-        byte fills every lane, so lane j is generation g+j's. Any other faulty symbol
-        is its own `SYMBOL_SENT` line.
+        A faulty sender's run in a wave one lane wide asks the script's `send` once per
+        receiver; each symbol must be sym_bytes long. An honest sender's run, or a
+        faulty one's in a wider wave, which is quiet, reads its slot once and stores it
+        into every receiver's word. Every symbol equal to its sender's slot, from a
+        sender not suppressed, is recorded in one `WAVE` line after the rest: their
+        count, and per generation the records of its runs in plan order,
+        `bytes((sender, slot, m, *receivers)) + value` over the m receivers that got the
+        slot, which the run hashes; a header byte fills every lane, so lane j is
+        generation g+j's. Any other faulty symbol is its own `SYMBOL_SENT` line.
         """
         script, sym, width = self.script, self.params.sym_bytes, self._width
-        faulty = () if script.quiet_until(g, g) >= g else script.faulty
+        faulty = () if width > 1 else script.faulty  # a wide wave is quiet
         records: list[bytes] = []
         honest_sent = 0
         if width > 1:
@@ -763,16 +750,17 @@ class Execution:
         self, g: int, width: int = 1
     ) -> tuple[dict[int, list], dict[int, list]]:
         """Coded words of generations g..g+width-1, byte b of g+j at lane
-        b*width + j (the run's own symbols at full width), a copy for each
-        further holder of an input, and received words holding each own slot."""
+        b*width + j (the run's own symbols at full width), cut once per
+        distinct input and copied for each processor, and received words
+        holding each own slot."""
         n, gens = self.config.n, self.config.generations
+        cut = self._wide if width == gens else [[
+            w[g - 1::gens] if width == 1 else _lanes(w, g - 1, g - 1 + width, gens)
+            for w in words
+        ] for words in self._wide]
         coded, received = {}, {}
-        for i, first in enumerate(self.config.holders, start=1):
-            words = coded[first] if first != i else self._wide[i]
-            coded[i] = list(words) if first != i or width == gens else [
-                w[g - 1::gens] if width == 1 else _lanes(w, g - 1, g - 1 + width, gens)
-                for w in words
-            ]
+        for i, x in enumerate(self.config.index, start=1):
+            coded[i] = list(cut[x])
             received[i] = [None] * n
             received[i][i - 1] = coded[i][i - 1]
         return coded, received
@@ -880,7 +868,7 @@ class Execution:
         self._helper_and_reconstruct(g, p_match, plan, coded, received)
         members = set(p_match)
         # this step's codeword verdicts, flags and accepted blocks, each
-        # computed once per distinct word and shared by its holders; a
+        # computed once per distinct word and shared by all that hold it; a
         # member's coded word is still the codeword its input encodes to
         verdicts = dict.fromkeys((tuple(coded[m]) for m in members), True)
         live_flags: dict[tuple, bool] = {}
@@ -950,7 +938,7 @@ class Execution:
         width = self._width
         if values is None:
             values = dict.fromkeys(self.fault_free, bytes(self.config.block_bytes * width))
-        # each distinct value's blocks in generation order and names, once for its holders
+        # each distinct value's blocks in generation order and names, once for all that hold it
         flat, decided, decide_set = {}, self.decided, [*decide_set]
         for p, v in values.items():
             if v not in flat:
@@ -988,26 +976,26 @@ class Execution:
         and the name of each: the index of the lowest distinct input whose block
         it is, else its hex (empty if undecodable). A wide `v` that is an input's
         k data slots in the step's lanes is its slice; another is transposed."""
-        size = len(v) // width
+        size, inputs = len(v) // width, self.config.distinct
         start, end = (g - 1) * size, (g - 1) * size + len(v)
         if width == 1:
-            for i, padded in enumerate(self._inputs) if v else ():
+            for i, padded in enumerate(inputs) if v else ():
                 if padded[start:end] == v:
                     return v, [i]
             return v, [v.hex()]
         gens, zero = self.config.generations, v == bytes(len(v))  # zero: its own transposition
         # each distinct input's k data slots in the step's lanes, laid out as `v` is
         data = (b"".join(w if width == gens else _lanes(w, g - 1, g - 1 + width, gens)
-                         for w in words[: self.params.k]) for words in self._wide.values())
+                         for w in words[: self.params.k]) for words in self._wide)
         whole = None if zero else next((i for i, d in enumerate(data) if d == v), None)
         if whole is not None:
-            flat, names = self._inputs[whole][start:end], [whole] * width
+            flat, names = inputs[whole][start:end], [whole] * width
         else:
             flat = v if zero else b"".join(v[j::width] for j in range(width))
             names = [flat[j * size : (j + 1) * size].hex() for j in range(width)]
         # a lower input names each block it shares, the lowest last
-        for i in reversed(range(len(self._inputs) if whole is None else whole) if flat else ()):
-            for j in _equal_blocks(self._inputs[i][start:end], flat, size):
+        for i in reversed(range(len(inputs) if whole is None else whole) if flat else ()):
+            for j in _equal_blocks(inputs[i][start:end], flat, size):
                 names[j] = i
         return flat, names
 
@@ -1015,11 +1003,10 @@ class Execution:
 
     def run(self) -> Execution:
         cfg = self.config
-        inputs, input_values = _distinct_values(cfg.inputs)
         self.transcript.events.append({
             "type": "header",
-            "config": {**cfg.to_jsonable(), "inputs": inputs},
-            "input_values": input_values,
+            "config": {**cfg.to_jsonable(), "inputs": list(cfg.index)},
+            "input_values": [*dict.fromkeys(cfg.inputs)],
             "script": self.script.to_jsonable(),
             "original_l_bits": cfg.l_bits,
             "padded_bits": cfg.generations * cfg.d_bits,

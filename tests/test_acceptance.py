@@ -9,8 +9,11 @@ by the criteria that inspect it.
 from pathlib import Path
 from types import SimpleNamespace
 
-from codedbft import acceptance
-from codedbft.consensus import ALG1, ALG2, episode_bound
+import pytest
+
+from codedbft import acceptance, rs
+from codedbft.consensus import ALG1, ALG2, OUTCOME_DEFAULT, episode_bound
+from codedbft.sim import AdversaryScript
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -82,6 +85,44 @@ def test_a_criterion_over_its_budget_fails(monkeypatch):
     passed, line = acceptance.run_criterion(1)
     assert not passed
     assert line.startswith("criterion 1 FAIL (") and line.endswith("s of 0s budget")
+
+
+def suite_run(label, verdict="PASS", expected_rules=None):
+    """A stand-in suite run of processor 1 faulty at n=4."""
+    return acceptance.SuiteRun(label, SimpleNamespace(n=4), AdversaryScript([1]),
+                               verdict, 0, frozenset(), expected_rules)
+
+
+def flipped_decode(params, vec):
+    """`decode` with one bit of lane 0x1234 of the second data symbol flipped."""
+    got = bytearray(rs.decode(params, vec))
+    got[(1 << 16) + 0x1234] ^= 1
+    return bytes(got)
+
+
+# criterion -> (stand-ins for the module's names, the detail its line reports)
+FAILING = {
+    3: ({"correctness_suite": lambda: (
+            suite_run("run a", verdict="VERDICT_FAIL"),
+            suite_run("run b", expected_rules=frozenset({"a rule"})))},
+        "failures=1 rule-misses=1; first failure: run a; first rule miss: run b"),
+    6: ({"run_execution": lambda config, script: SimpleNamespace(
+            passed=False, verdict="VERDICT_FAIL", outcomes=[{"g": 1, "kind": OUTCOME_DEFAULT}])},
+        "problems=282; first: q=3 seed=63: verdict VERDICT_FAIL"),
+    8: ({"decode": flipped_decode}, "round-trip failed at 1234 minus ()"),
+    9: ({"correctness_suite": lambda: (suite_run("run a"),),
+         "replay_identical": lambda config, script: ("PASS", False)},
+        "1 cases replayed; mismatches=1; first: run a"),
+}
+
+
+@pytest.mark.parametrize("number", sorted(FAILING))
+def test_a_failing_criterion_names_its_first_failure(number, monkeypatch):
+    stand_ins, ending = FAILING[number]
+    for name, stand_in in stand_ins.items():
+        monkeypatch.setattr(acceptance, name, stand_in)
+    passed, line = acceptance.run_criterion(number)
+    assert not passed and f"criterion {number} FAIL (" in line and ending in line
 
 
 def test_run_all_passes_every_criterion_in_order():

@@ -194,6 +194,22 @@ def test_run_expected_mismatch_fails(tmp_path):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
 
 
+def test_run_prints_each_violation_and_fails(tmp_path, capsys, monkeypatch):
+    run = cli.run_execution
+
+    def forged(config, script):
+        result = run(config, script)
+        result.verdict, result.violations = "VERDICT_FAIL", ["g1: forged", "g2: forged"]
+        return result
+
+    monkeypatch.setattr(cli, "run_execution", forged)
+    assert main(["run", "scenarios/faultfree_alg1.json", "--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "\nviolation: g1: forged\nviolation: g2: forged\n" in out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["violations"] == ["g1: forged", "g2: forged"]
+
+
 def test_sweep_writes_summary(tmp_path, capsys):
     code = main([
         "sweep", "--n", "4", "--t", "1", "--trials", "8",

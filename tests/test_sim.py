@@ -94,14 +94,18 @@ def test_config_alg2_needs_q_in_range():
 
 
 def test_config_finds_each_inputs_lowest_holder():
-    # two spellings of one value are one input, and the holders stay out of
-    # the config's JSON
-    a, b = "ab" * 30, "cd" * 30
-    config = ExecutionConfig(algorithm=ALG1, n=4, t=1, l_bits=240, d_bits=24,
+    # two spellings of one value are one input: one index, in the order of
+    # its lowest holder, one zero-padded copy and one hex string object; the
+    # index and the copies stay out of the config's JSON
+    a, b = "ab" * 29, "cd" * 29
+    config = ExecutionConfig(algorithm=ALG1, n=4, t=1, l_bits=232, d_bits=24,
                              inputs=(b, a, b.upper(), a))
-    assert config.holders == (1, 2, 1, 2)
-    assert "holders" not in config.to_jsonable()
-    assert dataclasses.replace(config, inputs=(a, a, b, b)).holders == (1, 1, 3, 3)
+    assert config.index == (0, 1, 0, 1)
+    assert config.distinct == (bytes.fromhex(b) + b"\0", bytes.fromhex(a) + b"\0")
+    assert config.inputs == (b, a, b, a) and config.inputs[2] is config.inputs[0]
+    assert config.input_block(3, 10) == bytes.fromhex("cdcd00")
+    assert {"index", "distinct"}.isdisjoint(config.to_jsonable())
+    assert dataclasses.replace(config, inputs=(a, a, b, b)).index == (0, 0, 1, 1)
 
 
 def test_script_rejects_rules_for_honest_processors():
@@ -186,9 +190,10 @@ def test_a_quiet_step_asks_the_script_about_its_first_generation(monkeypatch):
 
 
 def test_only_a_step_whose_generation_a_rule_names_asks_about_faulty_sends(monkeypatch):
-    """One rule, in generation 2: the steps over generations 1 and 3-4 are
-    quiet and send processor 7's symbols without a question, while the step
-    of generation 2 asks about each of its six own-wave sends. A script that
+    """One rule, in generation 2: the wide step over generations 3-4 is quiet
+    and sends processor 7's symbols without a question, while each step of
+    one generation asks about each of its six own-wave sends, generation 1's
+    too, which no rule names, so every answer is honest. A script that
     answers `send` itself is asked every one and writes the same bytes."""
     config = fault_free_config(ALG1, 7, 2, None, 480, 120)
     script = AdversaryScript([7]).add_send(2, STEP_OWN, 7, 1, "honest")
@@ -196,7 +201,8 @@ def test_only_a_step_whose_generation_a_rule_names_asks_about_faulty_sends(monke
     steps = recorded_steps(monkeypatch)
     result = run_execution(config, script)
     assert [(g, width) for g, width, _, _ in steps] == [(1, 1), (2, 1), (3, 2)]
-    assert [q for q in asked if q[1] == STEP_OWN] == [(2, STEP_OWN, 7)] * 6
+    assert [q for q in asked if q[1] == STEP_OWN] == [(g, STEP_OWN, 7) for g in (1, 2)
+                                                      for _ in range(6)]
     answering = RecordingScript([7]).add_send(2, STEP_OWN, 7, 1, "honest")
     assert run_execution(config, answering).transcript.to_jsonl() == (
         result.transcript.to_jsonl())
@@ -464,7 +470,7 @@ def test_headline_traffic_seven_processors():
 def test_identical_inputs_decide_the_input():
     config = fault_free_config(ALG1, 4, 1, None, 480, 48)
     result = run_execution(config, AdversaryScript())
-    want = config.padded_input(1)
+    want = config.distinct[0]
     assert result.passed
     assert all(out == want for out in result.outputs.values())
 
@@ -716,7 +722,7 @@ def test_starved_outsider_is_not_blamed():
         script.add_send(g, STEP_OWN, 1, 4, SEND_SILENT)
     result = run_execution(config, script)
     assert result.passed
-    want = config.padded_input(2)  # the shared value survives
+    want = config.distinct[config.index[1]]  # the shared value survives
     assert all(out == want for out in result.outputs.values())
     graph = rebuilt_graph(result.transcript.events)
     assert {tuple(edge) for edge in graph["removed_edges"]} <= {(1, 4)}
@@ -732,7 +738,7 @@ def test_two_faulty_equivocators_lose_their_votes():
             script.add_send(1, STEP_OWN, sender, receiver, "corrupt", mask)
     result = run_execution(config, script)
     assert result.passed
-    assert all(out == config.padded_input(1) for out in result.outputs.values())
+    assert all(out == config.distinct[0] for out in result.outputs.values())
     kinds = {o["kind"] for o in result.outcomes}
     assert kinds <= {OUTCOME_DECIDED, OUTCOME_DIAGNOSED}
 
@@ -1017,9 +1023,8 @@ def test_fresh_state_encodes_each_input_once_per_execution_and_shares_no_word(
 
 def assert_one_encode_of_every_distinct_input(encoded: list, config) -> None:
     """One `encode` call whose data holds each distinct padded input's bytes once."""
-    distinct = dict.fromkeys(config.padded_input(i) for i in range(1, config.n + 1))
     assert len(encoded) == 1
-    assert sorted(encoded[0]) == sorted(b"".join(distinct))
+    assert sorted(encoded[0]) == sorted(b"".join(config.distinct))
 
 
 @pytest.mark.parametrize("algorithm, q", [(ALG1, None), (ALG2, 3)])

@@ -102,10 +102,11 @@ class MatchingPlan:
 
 
 def matching_obligations(
-    graph: TrustGraph, p_match: Iterable[int], own: tuple[Run, ...] | None = None
+    graph: TrustGraph, p_match: Iterable[int] | None, own: tuple[Run, ...] | None = None
 ) -> MatchingPlan:
-    """The plan of one matching stage; `own`, when given, is the own wave
-    already derived for this graph state.
+    """The plan of one matching stage, or with `p_match` None of its own
+    wave alone, which alg2 sends before it has a match set; `own`, when
+    given, is the own wave already derived for this graph state.
 
     Wave 1: each processor offers its own slot to every trusted peer,
     one run per sender with a neighbour left. Wave 2: for each receiver
@@ -117,13 +118,15 @@ def matching_obligations(
     non-members' wave-1 runs. Self-deliveries are local, free, and not
     sends.
     """
-    chosen = set(p_match)
-    members = sorted(chosen)
     if own is None:
         own = tuple(
             wave_run(s, s, sorted(graph.neighbours(s)))
             for s in range(1, graph.n + 1) if graph.neighbours(s)
         )
+    if p_match is None:
+        return MatchingPlan(own, (), (), (), sum(len(run[2]) for run in own))
+    chosen = set(p_match)
+    members = sorted(chosen)
     helper_sends: list[tuple[int, int, int]] = []
     copies: list[tuple[int, int]] = []
     for r in range(1, graph.n + 1):

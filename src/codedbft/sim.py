@@ -69,17 +69,17 @@ _PLANS: OrderedDict[tuple, MatchingPlan] = OrderedDict()
 _PLAN_BUDGET = 1 << 18
 
 
-def _matching_plan(graph: TrustGraph, p_match: Sequence[int]) -> MatchingPlan:
-    """The plan of `p_match` on `graph`, derived on the first request with the
-    own wave of the newest plan held of its state (n, removed edges), which alone
-    fixes that wave: a step's second plan finds its first at the end."""
+def _matching_plan(graph: TrustGraph, p_match: Sequence[int] | None = None) -> MatchingPlan:
+    """The plan of `p_match` on `graph`, or with None the plan of its own wave
+    alone, held under its state (n, removed edges), which alone fixes that wave;
+    a match set's plan is derived on its first request with that held own wave."""
     state = (graph.n, graph.removed)
-    key = (*state, tuple(p_match))
+    key = state if p_match is None else (*state, tuple(p_match))
     plan = _PLANS.get(key)
     if plan is not None:
         _PLANS.move_to_end(key)
         return plan
-    own = next((p.own for k, p in reversed(_PLANS.items()) if k[:2] == state), None)
+    own = None if p_match is None else _matching_plan(graph).own
     plan = _PLANS[key] = matching_obligations(graph, p_match, own)
     # the plan just derived stays even when it alone exceeds the budget; a
     # cache that was never filled here has no total yet, and holds nothing else
@@ -744,8 +744,6 @@ class Execution:
                 blocks[word] = b""
         return blocks[word]
 
-    # ---------------------------------------------------- matching waves
-
     def _fresh_state(
         self, g: int, width: int = 1
     ) -> tuple[dict[int, list], dict[int, list]]:
@@ -765,34 +763,6 @@ class Execution:
             received[i][i - 1] = coded[i][i - 1]
         return coded, received
 
-    def _helper_and_reconstruct(
-        self, g: int, p_match: Sequence[int], plan: MatchingPlan,
-        coded: dict[int, list], received: dict[int, list],
-    ) -> None:
-        """Helper wave, non-member reconstruction, re-send wave."""
-        cfg = self.config
-        members = set(p_match)
-        self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
-        for r, slot in plan.copies:
-            received[r][slot - 1] = coded[r][slot - 1]
-        # a non-member that cannot gather enough match-set symbols keeps
-        # its own-input slot and skips the re-send wave entirely
-        failed: set[int] = set()
-        for j in range(1, cfg.n + 1):
-            if j in members:
-                continue
-            sources = reconstruction_sources(received[j], p_match, self.params.k)
-            if sources is None:
-                failed.add(j)
-                continue
-            coded[j][j - 1] = reconstruct_position(self.params, received[j], j, sources)
-        self._send_wave(
-            g, STEP_RECONSTRUCTED, plan.reconstructed, coded, received, failed
-        )
-        for j in range(1, cfg.n + 1):
-            if j not in members:
-                received[j][j - 1] = coded[j][j - 1]
-
     # ------------------------------------------------------- generations
 
     def _stretch(self, g: int, width: int) -> tuple[int, int]:
@@ -808,7 +778,7 @@ class Execution:
         or diagnoses everyone's claims, at threshold k (n-t or q). alg1
         carries its match set (the last decide set, less the convicted),
         terminates below k and decides among it. alg2 broadcasts match
-        bits after a full matching stage, takes the smallest q-clique or
+        bits over the own wave alone, takes the smallest q-clique or
         defaults, convicts silent match vectors before diagnosis and
         decides among everyone, counting convicted claims.
         An empty decide set terminates alg1 and defaults alg2.
@@ -825,9 +795,7 @@ class Execution:
             plan = _matching_plan(self.graph, p_match)
             self._send_wave(g, STEP_OWN, plan.own, coded, received)
             return self._check(g, p_match, plan, coded, received, {})
-        plan = _matching_plan(self.graph, range(1, cfg.n + 1))
-        self._send_wave(g, STEP_OWN, plan.own, coded, received)
-        self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
+        self._send_wave(g, STEP_OWN, _matching_plan(self.graph).own, coded, received)
         candidates = self.graph.unconvicted()
         vectors = {p: compute_match_bits(received[p], coded[p]) for p in candidates}
         # lanes a..b-1 of the same vectors go on together, each range with its
@@ -862,11 +830,31 @@ class Execution:
         self, g: int, p_match: Sequence[int], plan: MatchingPlan,
         coded: dict[int, list], received: dict[int, list], vectors: dict[int, Any],
     ) -> tuple[int, int]:
-        """From the match set: helper and re-send waves, flags, then decode or diagnose."""
+        """From the match set: the helper wave, non-member reconstruction and
+        the re-send wave, flags, then decode or diagnose."""
         cfg = self.config
         alg1 = cfg.algorithm == ALG1
-        self._helper_and_reconstruct(g, p_match, plan, coded, received)
         members = set(p_match)
+        self._send_wave(g, STEP_HELPER, plan.helper, coded, received)
+        for r, slot in plan.copies:
+            received[r][slot - 1] = coded[r][slot - 1]
+        # a non-member that cannot gather enough match-set symbols keeps
+        # its own-input slot and skips the re-send wave entirely
+        failed: set[int] = set()
+        for j in range(1, cfg.n + 1):
+            if j in members:
+                continue
+            sources = reconstruction_sources(received[j], p_match, self.params.k)
+            if sources is None:
+                failed.add(j)
+                continue
+            coded[j][j - 1] = reconstruct_position(self.params, received[j], j, sources)
+        self._send_wave(
+            g, STEP_RECONSTRUCTED, plan.reconstructed, coded, received, failed
+        )
+        for j in range(1, cfg.n + 1):
+            if j not in members:
+                received[j][j - 1] = coded[j][j - 1]
         # this step's codeword verdicts, flags and accepted blocks, each
         # computed once per distinct word and shared by all that hold it; a
         # member's coded word is still the codeword its input encodes to

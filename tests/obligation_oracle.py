@@ -78,15 +78,18 @@ def flatten(plan):
 def assert_plan_matches(plan, graph, p_match):
     """A matching plan's runs flatten to the oracle's sends, its `sends()`
     are the own and helper triples, `size` and `len()` count all three
-    waves, and its local copies are the oracle's. Each run is maximal,
-    one (sender, slot) apart from its neighbours, and holds its record
-    header: the sender, the slot, the number m of its receivers and the m
-    receivers, one byte each."""
-    expected = matching_obligations(graph, p_match)
+    waves, and its local copies are the oracle's; a `p_match` of None
+    asks for the own wave alone. Each run is maximal, one (sender, slot)
+    apart from its neighbours, and holds its record header: the sender,
+    the slot, the number m of its receivers and the m receivers, one byte
+    each."""
+    expected = matching_obligations(graph, p_match or ())
+    if p_match is None:
+        expected = [ob for ob in expected if ob[3] == "own"]
     assert flatten(plan) == expected
     assert list(plan.sends()) == [ob[:3] for ob in expected if ob[3] != "reconstructed"]
     assert plan.size == len(plan) == len(expected)
-    assert list(plan.copies) == local_helper_copies(graph, p_match)
+    assert list(plan.copies) == local_helper_copies(graph, p_match or ())
     for step in STEP_ORDER:
         runs = getattr(plan, step)
         for s, k, receivers, header in runs:

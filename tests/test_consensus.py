@@ -136,6 +136,9 @@ def test_obligations_match_the_oracle(case):
     # the own wave of another match set's plan, handed in as the plan
     # cache does, gives the same plan
     assert matching_obligations(g, p_match, matching_obligations(g, []).own) == plan
+    # the own wave alone, which alg2 sends before it has a match set
+    obligation_oracle.assert_plan_matches(matching_obligations(g, None), g, None)
+    assert matching_obligations(g, None, plan.own).own is plan.own
     obligation_oracle.assert_plan_matches(sim._matching_plan(g, p_match), g, p_match)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import OrderedDict
 from itertools import groupby
 
 import pytest
@@ -816,20 +817,35 @@ def test_graphs_in_one_state_share_one_plan():
     assert sim._matching_plan(b, members).own != plan.own
 
 
+def requested(calls: list) -> list:
+    """The match set of each recorded call to `_matching_plan` or
+    `matching_obligations`, None where it asks for the own wave alone."""
+    return [None if len(args) < 2 or args[1] is None else tuple(args[1]) for args in calls]
+
+
+# each step's requests for plans: alg1 its match set's, alg2 the own wave's
+# alone, then its match set's
+REQUESTS = {ALG1: [tuple(range(1, 8))], ALG2: [None, (1, 2, 3)]}
+
+
 @pytest.mark.parametrize("algorithm, q, per_step", [(ALG1, None, 1), (ALG2, 3, 2)])
 def test_each_generation_derives_each_plan_once(algorithm, q, per_step, monkeypatch):
-    """alg1 derives its match set's plan once a step; alg2 derives
-    everyone's plan, then the plan of the match set it found. A quiet
-    run is one step of all its generations."""
+    """alg1 asks for its match set's plan once a step; alg2 asks for the own
+    wave of the graph state, then for the plan of the match set it found.
+    From an empty cache, a match set's first plan asks in turn for the
+    state's own wave, and each plan is derived once. A quiet run is one
+    step of all its generations."""
+    monkeypatch.setattr(sim, "_PLANS", OrderedDict())
     calls = counted(monkeypatch, "_matching_plan")
+    derived = counted(monkeypatch, "matching_obligations")
     steps = recorded_steps(monkeypatch)
     config = fault_free_config(algorithm, 7, 2, q, 480, 120, sharers=range(1, 8))
     result = run_execution(config, AdversaryScript())
     assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
     assert steps == [(1, config.generations, config.generations, 0)]
-    assert [tuple(p_match) for _, p_match in calls] == [
-        tuple(range(1, 8)), (1, 2, 3)
-    ][:per_step]
+    assert len(REQUESTS[algorithm]) == per_step
+    assert requested(calls) == REQUESTS[algorithm] + [None]
+    assert requested(derived) == [None, REQUESTS[algorithm][-1]]
 
 
 @pytest.mark.parametrize("algorithm, q, flag_keys", [(ALG1, None, 1), (ALG2, 3, 2)])
@@ -838,8 +854,10 @@ def test_a_ruled_generation_splits_a_quiet_run_into_two_stretches(
 ):
     """A rule in generation 3 of 5, one that changes nothing, leaves the
     stretches 1..2 and 4..5 around a step of generation 3 alone: each
-    step derives its plans once and asks each flag and decode once per
-    distinct word, at its own width."""
+    step asks for its plans once, from an empty cache the first also for
+    the own wave its match set's plan takes, and asks each flag and decode
+    once per distinct word, at its own width."""
+    monkeypatch.setattr(sim, "_PLANS", OrderedDict())
     config = fault_free_config(algorithm, 7, 2, q, 600, 120, sharers=range(1, 8))
     script = AdversaryScript([7]).add_send(3, STEP_OWN, 7, 1, "honest")
     calls = counted(monkeypatch, "_matching_plan")
@@ -849,8 +867,8 @@ def test_a_ruled_generation_splits_a_quiet_run_into_two_stretches(
     result = run_execution(config, script)
     assert {o["kind"] for o in result.outcomes} == {OUTCOME_DECIDED}
     assert steps == [(1, 2, 2, 0), (3, 1, 1, 0), (4, 2, 2, 0)]
-    per_step = [tuple(range(1, 8)), (1, 2, 3)][: 1 if algorithm == ALG1 else 2]
-    assert [tuple(p_match) for _, p_match in calls] == per_step * 3
+    per_step = REQUESTS[algorithm]
+    assert requested(calls) == per_step + [None] + per_step * 2
     # each call's width, from its wide symbol size
     sym = config.sym_bytes
     assert [params.sym_bytes // sym for params, *_ in flags] == (
@@ -864,8 +882,6 @@ def test_a_ruled_generation_splits_a_quiet_run_into_two_stretches(
 
 
 def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
-    from collections import OrderedDict
-
     from codedbft.cli import sweep_cases
 
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
@@ -883,17 +899,20 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
     assert len(cases) == 600
     for config, script in cases:
         run_execution(config, script)
-    # every state of the sweep was derived once and is still held
+    # every plan of the sweep was derived once and is still held, each
+    # state's own wave under the state's key and each match set's plan
+    # under the state and the set
     assert len(derived) == len(sim._PLANS) > 128
-    for (n, removed, members), plan in sim._PLANS.items():
+    for (n, removed, *members), plan in sim._PLANS.items():
         graph = TrustGraph(n, 2)
         for i, j in removed:
             graph.remove_edge(i, j)
         assert graph.removed == removed
-        obligation_oracle.assert_plan_matches(plan, graph, members)
+        obligation_oracle.assert_plan_matches(plan, graph, members[0] if members else None)
     assert sum(len(p) for p in sim._PLANS.values()) <= sim._PLAN_BUDGET
-    # plans of one graph state share one own wave
+    # plans of one graph state share its own wave
     states = {key[:2] for key in sim._PLANS}
+    assert states == {key for key in sim._PLANS if len(key) == 2}
     assert len({id(plan.own) for plan in sim._PLANS.values()}) == len(states)
 
     def immutable(x):
@@ -910,15 +929,13 @@ def test_plan_cache_stays_bounded_and_holds_tuples_only(monkeypatch):
 def test_plan_cache_keeps_the_sends_it_holds_as_a_running_total(monkeypatch):
     """After every request, hit or miss, with evictions on the way, the
     cache's `held` is the sum of its plans' sends."""
-    from collections import OrderedDict
-
     from codedbft.cli import sweep_cases
 
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
     monkeypatch.setattr(sim, "_PLAN_BUDGET", 2000)
     real, requests = sim._matching_plan, [0]
 
-    def matching_plan(graph, p_match):
+    def matching_plan(graph, p_match=None):
         plan = real(graph, p_match)
         assert sim._PLANS.held == sum(len(p) for p in sim._PLANS.values())
         requests[0] += 1
@@ -933,44 +950,40 @@ def test_plan_cache_keeps_the_sends_it_holds_as_a_running_total(monkeypatch):
 
 
 def test_plan_cache_evicts_least_recently_used_down_to_its_budget(monkeypatch):
-    from collections import OrderedDict
-
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
     g = TrustGraph(7, 2)
-    everyone, six, five = range(1, 8), range(1, 7), range(1, 6)
-    size = {
-        m: len(obligation_oracle.matching_obligations(g, m)) for m in (everyone, six, five)
-    }
-    assert size[everyone] < size[six] < size[five]
-    monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] + size[five])
-    first = sim._matching_plan(g, everyone)
-    assert sim._matching_plan(g, six).own is first.own  # one graph state
-    sim._matching_plan(g, everyone)  # a hit makes `six` the oldest
+    six, five = range(1, 7), range(1, 6)
+    size = {m: len(obligation_oracle.matching_obligations(g, m)) for m in (six, five)}
+    own = len(obligation_oracle.matching_obligations(g, range(1, 8)))  # no re-send
+    assert own < size[six] < size[five]
+    monkeypatch.setattr(sim, "_PLAN_BUDGET", own + size[five])
+    first = sim._matching_plan(g, six)  # held with its state's own wave, derived first
+    assert [key[2:] for key in sim._PLANS] == [(), (tuple(six),)]
+    assert sim._matching_plan(g).own is first.own  # a hit makes `six` the oldest
     sim._matching_plan(g, five)
-    assert [key[2] for key in sim._PLANS] == [tuple(everyone), tuple(five)]
-    assert sum(len(p) for p in sim._PLANS.values()) == size[everyone] + size[five]
+    assert [key[2:] for key in sim._PLANS] == [(), (tuple(five),)]
+    assert sum(len(p) for p in sim._PLANS.values()) == own + size[five]
     # a plan over the whole budget is still kept, alone
-    monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] - 1)
+    monkeypatch.setattr(sim, "_PLAN_BUDGET", own - 1)
     plan = sim._matching_plan(g, six)
     assert list(sim._PLANS.values()) == [plan]
     assert sum(len(p) for p in sim._PLANS.values()) == size[six] == plan.size
 
 
 def test_an_own_wave_outlives_the_eviction_of_a_plan_of_its_state(monkeypatch):
-    """Evicting one plan of a graph state leaves the own wave that the
-    state's other held plans carry: the next plan of the state takes it."""
-    from collections import OrderedDict
-
+    """Each match set's plan that misses asks for its state's own wave, which
+    a hit makes the newest: evicting a plan of the state leaves the own
+    wave, and the next plan of the state takes it."""
     monkeypatch.setattr(sim, "_PLANS", OrderedDict())
     g = TrustGraph(7, 2)
-    everyone, six, five, four = range(1, 8), range(1, 7), range(1, 6), range(1, 5)
-    size = {m: len(obligation_oracle.matching_obligations(g, m)) for m in (everyone, five)}
-    monkeypatch.setattr(sim, "_PLAN_BUDGET", size[everyone] + size[five])
-    first = sim._matching_plan(g, everyone)
-    sim._matching_plan(g, six)
-    sim._matching_plan(g, everyone)  # a hit makes `six` the oldest
-    sim._matching_plan(g, five)  # evicts `six`
-    assert [key[2] for key in sim._PLANS] == [tuple(everyone), tuple(five)]
+    six, five, four = range(1, 7), range(1, 6), range(1, 5)
+    own = len(obligation_oracle.matching_obligations(g, range(1, 8)))
+    monkeypatch.setattr(
+        sim, "_PLAN_BUDGET", own + len(obligation_oracle.matching_obligations(g, five))
+    )
+    first = sim._matching_plan(g, six)
+    sim._matching_plan(g, five)  # evicts `six`, not the own wave asked for since
+    assert [key[2:] for key in sim._PLANS] == [(), (tuple(five),)]
     assert sim._matching_plan(g, four).own is first.own
 
 
@@ -1086,17 +1099,14 @@ def test_random_adversaries_never_violate(n, t):
         assert result.diagnosis_count <= bound
 
 
-@pytest.mark.xfail(
-    strict=True, reason="rule 5 never checks alg2's helper wave before the match set"
-)
 def test_alg2_helper_lies_before_the_match_set_stay_within_the_bound():
-    """alg2 runs a helper wave of `_matching_plan(graph, everyone)` before
-    it picks the match set, and diagnosis checks only the match-set plan.
-    Faulty 7's corrupt re-send to 3 costs edge (3,7) in g1. From g2 on,
-    faulty 1 is 3's lowest helper for slot 7 and poisons it; with match
-    set {1,2,3} no later send of slot 7 reaches 3. Every generation
-    diagnoses, yet no further edge goes and 1 is never convicted: 10
-    diagnoses, over alg2's t(t+1) = 6."""
+    """alg2 matches over the own wave alone: its one helper wave is the
+    match set's, whose sends rule 5 checks. Faulty 7's corrupt re-send to 3
+    costs edge (3,7) in g1. From g2 on the script has faulty 1 corrupt a
+    helper send of slot 7 to 3, a send that a helper wave before the match
+    set would make, as 1 is 3's lowest trusted helper. With match set
+    {1,2,3}, 3 misses no member's slot, so no helper sends to 3 and the
+    rules never fire: one diagnosis, within alg2's t(t+1) = 6."""
     from codedbft import cli
 
     config = cli.build_config({
@@ -1109,24 +1119,54 @@ def test_alg2_helper_lies_before_the_match_set_stay_within_the_bound():
     result = run_execution(config, script)
     assert result.passed
     assert result.diagnosis_count <= config.t * (config.t + 1)
+    assert not [
+        e for e in result.transcript.events
+        if e["type"] == "SYMBOL_SENT" and e["step"] == STEP_HELPER
+    ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the alg2 symbol bound is not settled after a diagnosis",
-)
-def test_a_passing_alg2_run_sends_within_the_symbol_bound():
-    """alg2 n=7, t=2, q=3, sweep trial 70 at seed 0, faulty {3}. The judge
-    passes the run, yet after its diagnosis g4..g7 each send 68 symbols
-    against the bound (2n-q)(n-1) = 66, and `report.json` records
-    `alg2_within_bound: false` under a PASS."""
+@pytest.mark.parametrize("n, t, q, trial, rules", [
+    pytest.param(7, 2, 3, 70, None, id="n7-q3-trial70"),
+    pytest.param(7, 2, 3, 70, ("2|reconstructed|3|2", "2|match_bits|3"),
+                 id="n7-q3-trial70-two-rules"),
+    pytest.param(10, 3, 5, 25, None, id="n10-q5-trial25"),
+])
+def test_a_passing_alg2_run_sends_within_the_symbol_bound(n, t, q, trial, rules):
+    """alg2 sweep trials at seed 0 that a helper wave before the match set
+    took over the bound (2n-q)(n-1) under a PASS: n=7 q=3 trial 70, faulty
+    {3}, whose g4..g7 sent 68 symbols against 66, also cut to its two rules
+    of g2 (the rules' data is the trial's); and n=10 q=5 trial 25, faulty
+    {1,4}, whose g3 sent 137 against 135. With the match set's helper wave
+    the only one, each generation sends at most its own wave, one helper
+    send per (receiver, member) whose edge is gone, and the re-send wave."""
     from codedbft import cli
 
-    config, script = cli.sweep_cases(ALG2, 7, 2, [3], 71, 0)[70]
-    assert script.faulty == {3}
+    config, script = cli.sweep_cases(ALG2, n, t, [q], trial + 1, 0)[trial]
+    if rules:
+        whole = script.to_jsonable()
+        script = AdversaryScript.from_jsonable({
+            part: rows if part == "faulty" else {k: v for k, v in rows.items() if k in rules}
+            for part, rows in whole.items()
+        })
     result = run_execution(config, script)
     assert result.passed
     assert check_complexity(result).alg2_within_bound
+
+
+@pytest.mark.parametrize("n, t, q_values, trials", [
+    pytest.param(7, 2, [3, 4, 5], 200, id="n7"), pytest.param(4, 1, [2, 3], 200, id="n4"),
+])
+def test_no_passing_alg2_sweep_run_is_over_the_symbol_bound(n, t, q_values, trials):
+    """Each alg2 sweep run at seed 0 either fails the judge or keeps every
+    generation within (2n-q)(n-1) symbols, as `report.json` records."""
+    from codedbft import cli
+
+    over = []
+    for config, script in cli.sweep_cases(ALG2, n, t, q_values, trials, 0):
+        result = run_execution(config, script)
+        if result.passed and not check_complexity(result).alg2_within_bound:
+            over.append((config.q, config.seed))
+    assert not over
 
 
 # ----------------------------------------------- checker's impossible states

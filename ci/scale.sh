@@ -43,7 +43,7 @@ alg1 127 42 - 5100 - 7c24f9e363cd01561ba7c802a0e18799d8723eda8b497cea928f5827923
 alg1 255 84 - 6800 - d3f6bd7c6d331116816a10262215394b55ac563d6172ca1fd1b27c8633e75a0f
 alg2 255 84 128 7700 - b1f91dcd703989aff697eaccff73c57a9e8674ff0d711ea65650991df51a47f7
 alg1 255 84 - 200000 tests/scale/alg1_n255_t84.json c9da85834ee47bd2ce70ffc39333f56af06f275653a32a10d26b635d9eecce2f
-alg2 127 42 64 240000 tests/scale/alg2_n127_t42_q64.json ba10f81fe13e09217628b63d70405653199fcdb76ced44138518c0cc81435f4c
-alg2 255 84 128 465000 tests/scale/alg2_n255_t84_q128.json 4e4c571c456865fa6d4133535ab3d1f220b3e2bc994997100d29415f3464662f
+alg2 127 42 64 240000 tests/scale/alg2_n127_t42_q64.json b56680c4cfb6243a383b44cdb9aaabcb2bc90b5347a9f6ce85ae4fa010b0520d
+alg2 255 84 128 465000 tests/scale/alg2_n255_t84_q128.json d78e327209050bbf5329442466a2b09ffb0243b6e612e1594ba27f885d844346
 EOF
 echo "scale: $checked transcripts within their limits and matching their pinned SHA-256"
